@@ -116,9 +116,9 @@ def test_ablation_weighted_transpose_measured(benchmark):
     (``transpose_back=False``) versus restoring row orientation.
     """
     from repro.core.vectorized_folding import FoldingSchedule
+    from repro.ir import compile_sweep
     from repro.simd.isa import AVX2
     from repro.stencils.grid import Grid
-    from repro.trace import compile_sweep
 
     sched = FoldingSchedule(box_2d9p(), 2)
     grid = Grid.random((64, 64), seed=0)

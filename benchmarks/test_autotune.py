@@ -7,22 +7,18 @@ winner's predicted cycles per point against the best hand-picked
 study-table configuration (each method at ``m=2``), scored through the
 same cached estimate path.  Asserts the acceptance bar (tuned at or below
 hand-picked, at least half the space pruned before measurement) and emits
-``BENCH_autotune.json`` at the repository root.  CI gates the next PR on
+``BENCH_autotune.json`` into ``bench-out/``.  CI gates the next PR on
 the emitted cases through ``benchmarks/check_perf_trajectory.py
 --autotune``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
+from benchmarks.conftest import write_artifact
 from repro.harness.experiments import autotune_lineup
 from repro.stencils.library import BENCHMARKS, get_benchmark
-
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_autotune.json"
 
 #: Acceptance bar: tuned predicted cost / hand-picked predicted cost must
 #: stay at or below 1 (improvement = hand/tuned >= 1).
@@ -44,7 +40,7 @@ def artifact():
         "unit": "cycles-per-point (modelled)",
         "cases": results,
     }
-    ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_autotune.json", payload)
 
 
 @pytest.fixture(scope="module")

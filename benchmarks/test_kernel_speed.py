@@ -3,25 +3,21 @@
 Times ``CompiledPlan.simulate()`` under the interpret, trace and kernel
 backends on a 1-D, a 2-D and a 3-D grid, asserts the acceptance bar
 (kernel ≥ 5× faster than interpret with bit-identical values and identical
-instruction counts) and emits ``BENCH_kernel.json`` at the repository root.
+instruction counts) and emits ``BENCH_kernel.json`` into ``bench-out/``.
 CI gates the next PR on the emitted cases through
 ``benchmarks/check_perf_trajectory.py --kernel``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, write_artifact
 from repro.stencils.grid import Grid
-
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
 
 #: Acceptance bar: the asserted floor for interpret_seconds / kernel_seconds.
 MIN_KERNEL_SPEEDUP = 5.0
@@ -37,7 +33,7 @@ def artifact():
         "unit": "seconds",
         "cases": results,
     }
-    ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_kernel.json", payload)
 
 
 def _best_of(repeats, fn):

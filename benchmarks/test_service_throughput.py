@@ -5,7 +5,7 @@ A load generator drives a real :class:`StencilService` (HTTP and all) with
 set, 10% are cold unique configurations — the shape of real traffic against
 a result-caching service.  The run asserts the cache hierarchy actually
 absorbs the hot set (service hit rate ≥ 0.75) and emits
-``BENCH_service.json`` at the repository root; CI gates the next PR's
+``BENCH_service.json`` into ``bench-out/``; CI gates the next PR's
 artifact against it through ``benchmarks/check_perf_trajectory.py
 --service``.
 
@@ -15,17 +15,13 @@ gated — the hit rate and the case coverage are the trajectory.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, write_artifact
 from repro.service import ServiceClient, ServiceConfig, serve_background
-
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
 #: The acceptance floor on the service-level cache hit rate for the 90/10
 #: mix (theoretical: 0.875 = 175 repeat hits / 200; concurrency dedup can
@@ -46,7 +42,7 @@ def artifact():
         "unit": "requests/second",
         "cases": results,
     }
-    ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_service.json", payload)
 
 
 def _request_mix():

@@ -3,7 +3,7 @@
 Times ``CompiledPlan.simulate()`` under both backends on a 1-D, a 2-D and a
 3-D grid, asserts the acceptance bar (trace replay ≥ 10× faster with
 bit-identical values and identical instruction counts) and emits
-``BENCH_simulation.json`` at the repository root so the perf trajectory of
+``BENCH_simulation.json`` into ``bench-out/`` so the perf trajectory of
 future PRs can be compared against this one.  CI runs this module with
 ``--benchmark-json``, uploads both artifacts and gates the next PR on the
 emitted cases through ``benchmarks/check_perf_trajectory.py``.
@@ -11,19 +11,15 @@ emitted cases through ``benchmarks/check_perf_trajectory.py``.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, write_artifact
 from repro.simd.machine import SimdMachine
 from repro.stencils.grid import Grid
-
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_simulation.json"
 
 #: Acceptance bar for every case (the asserted floor, not the typical
 #: speedup, which is two orders of magnitude larger).
@@ -40,7 +36,7 @@ def artifact():
         "unit": "seconds",
         "cases": results,
     }
-    ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_simulation.json", payload)
 
 
 def _time_backends(plan, grid, steps):

@@ -26,23 +26,22 @@ Methods are looked up in a pluggable registry
 wrapper was removed in 1.5 — see the README migration table.)
 
 Simulated execution (:meth:`~repro.core.plan.CompiledPlan.simulate`) defaults
-to the trace-replay backend of :mod:`repro.trace`: the register-level
+to the trace-replay backend of :mod:`repro.ir`: the register-level
 schedule is recorded once, compiled into a batched NumPy program and replayed
 over all block positions per sweep — bit-identical to the instruction-level
 interpreter (``backend="interpret"``) and typically orders of magnitude
 faster.  ``backend="kernel"`` goes one step further: :mod:`repro.backend`
-code-generates the typed IR into one fused megakernel (content-key cached,
-optional numba target) and :mod:`repro.backend.measure` puts its measured
-wall-clock cycles per point next to the cost model's estimate.
+code-generates the typed IR into one fused megakernel (content-key cached)
+and :mod:`repro.backend.measure` puts its measured wall-clock cycles per
+point next to the cost model's estimate.
 
 Configuration search is first-class too: ``repro.plan(spec).autotune()``
 (or :func:`repro.autotune.autotune`) runs a staged search over
-``(method, m, isa, tiling, pass pipeline, backend)`` — every candidate is
-scored with the IR cost model first, unprofitable ones are pruned with a
-recorded reason, and only the top-K survivors are measured on the kernel
-backend.  The immutable :class:`~repro.autotune.TuneResult` keeps the full
-ranked ledger, so "why was this configuration not chosen" is always one
-lookup away.
+``(method, m, isa, tiling)`` — every candidate is scored with the IR cost
+model first, unprofitable ones are pruned with a recorded reason, and only
+the top-K survivors are measured on the optimized kernel backend.  The
+immutable :class:`~repro.autotune.TuneResult` keeps the full ranked ledger,
+so "why was this configuration not chosen" is always one lookup away.
 
 Parameter sweeps are first-class: :func:`repro.study` declares an
 experiment grid (method × stencil × ISA × core count × ...), expands the
@@ -92,21 +91,15 @@ from repro.tiling.tessellate import TessellationConfig, tessellate_run
 from repro.perfmodel.costmodel import estimate_performance, PerformanceEstimate
 from repro.ir import (
     DEFAULT_PASSES,
+    CompiledSweep,
     PassManager,
     ScheduleIR,
-    lower_schedule,
-)
-from repro.trace import (
-    CompiledSweep,
-    CompiledSweep1D,
-    CompiledSweep2D,
-    CompiledSweep3D,
     TraceRecorder,
     compile_sweep,
+    lower_schedule,
 )
 from repro.backend import (
     EXECUTION_BACKENDS,
-    ExecutionOptions,
     KernelProgram,
     compile_kernel,
     measure_backend,
@@ -120,7 +113,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "MachineSpec",
@@ -160,9 +153,6 @@ __all__ = [
     "estimate_performance",
     "PerformanceEstimate",
     "CompiledSweep",
-    "CompiledSweep1D",
-    "CompiledSweep2D",
-    "CompiledSweep3D",
     "ScheduleIR",
     "lower_schedule",
     "PassManager",
@@ -179,7 +169,6 @@ __all__ = [
     "TraceRecorder",
     "compile_sweep",
     "EXECUTION_BACKENDS",
-    "ExecutionOptions",
     "KernelProgram",
     "compile_kernel",
     "measure_backend",

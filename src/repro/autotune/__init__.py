@@ -2,21 +2,17 @@
 
 The paper tunes its stencil parameters (blocking sizes, unrolling factor) by
 hand and defers automatic tuning to future work; this subpackage is that
-future work: a staged search over the full configuration space
-``(method, m, isa, tiling, pass pipeline, backend)``:
+future work: a staged search over the configuration space
+``(method, m, isa, tiling)``:
 
 * :mod:`repro.autotune.space` — declarative :class:`SearchSpace` with
   registry/stencil-derived defaults and deterministic candidate expansion,
 * :mod:`repro.autotune.tuner` — the predict (IR cost model) → prune (pure
   function of predicted cost) → measure (kernel replay on the top-K)
   pipeline behind :func:`autotune` and ``repro.plan(spec).autotune()``,
-* :mod:`repro.autotune.result` — the immutable :class:`TuneResult` ledger,
-* :mod:`repro.autotune.blocksearch` / :mod:`repro.autotune.foldsearch` —
-  the deprecated single-axis searches, kept as thin wrappers.
+* :mod:`repro.autotune.result` — the immutable :class:`TuneResult` ledger.
 """
 
-from repro.autotune.blocksearch import BlockSearchResult, search_blocking
-from repro.autotune.foldsearch import FoldSearchResult, search_unroll
 from repro.autotune.result import CandidateRecord, TuneResult
 from repro.autotune.space import (
     SearchSpace,
@@ -36,8 +32,4 @@ __all__ = [
     "PRUNE_RATIO",
     "expand_candidates",
     "tiling_candidates",
-    "BlockSearchResult",
-    "search_blocking",
-    "FoldSearchResult",
-    "search_unroll",
 ]

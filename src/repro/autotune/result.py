@@ -31,9 +31,6 @@ class CandidateRecord:
     isa: str
     m: int
     tiling: Optional[Dict[str, Any]]
-    pipeline: str
-    backend: str
-    layout: str
     config_hash: str
     predicted_cycles_per_point: Optional[float] = None
     predicted_gflops: Optional[float] = None
@@ -57,9 +54,6 @@ class CandidateRecord:
             "isa": self.isa,
             "m": self.m,
             "tiling": self.tiling,
-            "pipeline": self.pipeline,
-            "backend": self.backend,
-            "layout": self.layout,
             "config_hash": self.config_hash,
             "predicted_cycles_per_point": self.predicted_cycles_per_point,
             "predicted_gflops": self.predicted_gflops,
@@ -80,9 +74,6 @@ class CandidateRecord:
             isa=row["isa"],
             m=int(row["m"]),
             tiling=row.get("tiling"),
-            pipeline=row.get("pipeline", "default"),
-            backend=row.get("backend", "kernel"),
-            layout=row.get("layout", "transpose"),
             config_hash=row["config_hash"],
             predicted_cycles_per_point=row.get("predicted_cycles_per_point"),
             predicted_gflops=row.get("predicted_gflops"),

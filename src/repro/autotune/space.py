@@ -1,10 +1,10 @@
 """Declarative configuration search spaces for the staged autotuner.
 
 A :class:`SearchSpace` names the candidate axes — ``(method, m, isa,
-tiling, pass pipeline, backend)`` — and :func:`expand_candidates` turns it
-into the flat, deterministic candidate list the tuner's predict stage
-scores.  Defaults are derived, not hard-coded: the method axis comes from
-the registry's :class:`~repro.registry.MethodDescriptor` capability flags
+tiling)`` — and :func:`expand_candidates` turns it into the flat,
+deterministic candidate list the tuner's predict stage scores.  Defaults
+are derived, not hard-coded: the method axis comes from the registry's
+:class:`~repro.registry.MethodDescriptor` capability flags
 (:func:`repro.registry.tunable_method_keys`), the unroll axis from the
 stencil's radius against the widest vector length in the ISA axis, the
 workload from the benchmark library's paper-scale problem sizes.
@@ -41,8 +41,8 @@ __all__ = [
 #: Unroll factors considered by default, before the radius/vector-length cut.
 DEFAULT_M_CANDIDATES: Tuple[int, ...] = (1, 2, 3, 4)
 
-#: Block-size ladder shared with the (deprecated) block search: paper-style
-#: round sizes, cut per dimension to the feasible window.
+#: Block-size ladder of the tiling axis: paper-style round sizes, cut per
+#: dimension to the feasible window.
 _BLOCK_LADDER: Tuple[int, ...] = (16, 32, 64, 100, 128, 200, 256, 400, 512, 1000, 2000, 4096)
 
 
@@ -124,24 +124,16 @@ class SearchSpace:
     The cross product of the axes — minus invalid combinations, which the
     predict stage records with a ``pruned_reason`` — is the candidate set.
     ``tilings`` holds :class:`TessellationConfig` objects or ``None`` (no
-    tiling); ``pipelines`` names IR pass pipelines (``"default"`` — the
-    optimizing pipeline — or ``"none"``); ``backends`` names measurement
-    engines from :data:`repro.backend.EXECUTION_BACKENDS`.
+    tiling).
     """
 
     methods: Tuple[str, ...]
     m_values: Tuple[int, ...]
     isas: Tuple[str, ...] = ("avx2", "avx512")
     tilings: Tuple[Optional[TessellationConfig], ...] = (None,)
-    pipelines: Tuple[str, ...] = ("default",)
-    backends: Tuple[str, ...] = ("kernel",)
-    #: Data layout the schedules assume; recorded per candidate as
-    #: provenance (the paper's methods all vectorize on the transpose
-    #: layout — the axis exists for plug-in layouts, not for search).
-    layout: str = "transpose"
 
     def __post_init__(self) -> None:
-        for name in ("methods", "m_values", "isas", "tilings", "pipelines", "backends"):
+        for name in ("methods", "m_values", "isas", "tilings"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.methods:
             raise ValueError("a SearchSpace needs at least one method")
@@ -157,18 +149,6 @@ class SearchSpace:
                 get_method(method)
             except KeyError:
                 raise ValueError(f"unknown method {method!r} in the search space") from None
-        for pipeline in self.pipelines:
-            if pipeline not in ("default", "none"):
-                raise ValueError(
-                    f"unknown pass pipeline {pipeline!r}; expected 'default' or 'none'"
-                )
-        from repro.backend import backend_keys
-
-        for backend in self.backends:
-            if backend not in backend_keys():
-                raise ValueError(
-                    f"unknown execution backend {backend!r}; expected one of {backend_keys()}"
-                )
 
     @classmethod
     def for_spec(
@@ -178,8 +158,6 @@ class SearchSpace:
         methods: Optional[Sequence[str]] = None,
         m_values: Optional[Sequence[int]] = None,
         tilings: Optional[Sequence[Optional[TessellationConfig]]] = None,
-        pipelines: Optional[Sequence[str]] = None,
-        backends: Optional[Sequence[str]] = None,
     ) -> "SearchSpace":
         """Registry- and stencil-derived default space for ``spec``.
 
@@ -204,28 +182,16 @@ class SearchSpace:
             m_values=tuple(m_values),
             isas=isas,
             tilings=tuple(tilings) if tilings is not None else (None,),
-            pipelines=tuple(pipelines) if pipelines is not None else ("default",),
-            backends=tuple(backends) if backends is not None else ("kernel",),
         )
 
     def constrain(self, **axes: Any) -> "SearchSpace":
         """A copy with the named axes replaced (``methods=``, ``isas=``, ...)."""
-        coerced = {
-            name: tuple(value) if name != "layout" else value for name, value in axes.items()
-        }
-        return replace(self, **coerced)
+        return replace(self, **{name: tuple(value) for name, value in axes.items()})
 
     @property
     def size(self) -> int:
         """Upper bound on the candidate count (before unroll deduplication)."""
-        return (
-            len(self.methods)
-            * len(self.m_values)
-            * len(self.isas)
-            * len(self.tilings)
-            * len(self.pipelines)
-            * len(self.backends)
-        )
+        return len(self.methods) * len(self.m_values) * len(self.isas) * len(self.tilings)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready provenance record of the axes."""
@@ -234,9 +200,6 @@ class SearchSpace:
             "m_values": list(self.m_values),
             "isas": list(self.isas),
             "tilings": [_tiling_dict(t) for t in self.tilings],
-            "pipelines": list(self.pipelines),
-            "backends": list(self.backends),
-            "layout": self.layout,
         }
 
 
@@ -266,10 +229,10 @@ def expand_candidates(
 ) -> List[Dict[str, Any]]:
     """The space's flat candidate list, in deterministic generation order.
 
-    Axis nesting (slowest to fastest): isa, method, m, tiling, pipeline,
-    backend.  Methods that do not consume the unroll factor appear once with
-    the canonical ``m=1`` instead of once per unroll value — the profile is
-    ``m``-independent, so extra rows would only be duplicates.  Every
+    Axis nesting (slowest to fastest): isa, method, m, tiling.  Methods that
+    do not consume the unroll factor appear once with the canonical ``m=1``
+    instead of once per unroll value — the profile is ``m``-independent, so
+    extra rows would only be duplicates.  Every
     candidate carries its generation ``index``; no validity filtering
     happens here (the predict stage records ``pruned_reason`` instead, so
     the ledger accounts for every generated candidate).
@@ -282,20 +245,15 @@ def expand_candidates(
             m_axis = space.m_values if descriptor.uses_unroll else (1,)
             for m in m_axis:
                 for tiling in space.tilings:
-                    for pipeline in space.pipelines:
-                        for backend in space.backends:
-                            candidates.append(
-                                {
-                                    "index": len(candidates),
-                                    "method": method,
-                                    "isa": isa,
-                                    "m": int(m),
-                                    "tiling": _tiling_dict(tiling),
-                                    "pipeline": pipeline,
-                                    "backend": backend,
-                                    "layout": space.layout,
-                                }
-                            )
+                    candidates.append(
+                        {
+                            "index": len(candidates),
+                            "method": method,
+                            "isa": isa,
+                            "m": int(m),
+                            "tiling": _tiling_dict(tiling),
+                        }
+                    )
     return candidates
 
 
@@ -310,8 +268,7 @@ def candidate_validity(
     ISA's vector length have no register-level schedule, and their
     closed-form fallback profile is not comparable with the optimized-IR
     costs the rest of the ranking uses — they are marked invalid rather
-    than silently scored on a different model (the historical `foldsearch`
-    scoring drift).
+    than silently scored on a different model.
     """
     descriptor = get_method(candidate["method"])
     isa = isa_for(candidate["isa"])
@@ -347,7 +304,7 @@ def candidate_validity(
 def measurability(spec: StencilSpec, candidate: Dict[str, Any]) -> Optional[str]:
     """Why ``candidate`` cannot reach the measure stage, or ``None``.
 
-    Measurement replays the register-level schedule through an execution
+    Measurement replays the register-level schedule through the kernel
     backend, so it needs everything simulation needs; candidates that fail
     here can still win on predicted cost — they are pruned from
     *measurement*, with this reason, not from the ranking.
@@ -361,8 +318,6 @@ def measurability(spec: StencilSpec, candidate: Dict[str, Any]) -> Optional[str]
         return (
             f"method {descriptor.key!r} has no {spec.dims}-D register-level schedule"
         )
-    if candidate["pipeline"] != "none" and candidate["backend"] == "interpret":
-        return "the interpret backend executes unoptimized schedules only"
     if tiling_config(candidate) is not None:
         return "backend replay bypasses tessellation tiling"
     return None

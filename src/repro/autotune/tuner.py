@@ -12,8 +12,9 @@ vectorizer's ``profitable()`` discipline applied to stencil configuration:
    records a ``pruned_reason`` for everything that will not be measured
    (invalid, unprofitable, unmeasurable, or beyond the top-K budget);
 3. **measure** — the surviving top-``budget`` candidates run through
-   :meth:`CompiledPlan.measure` on their execution backend, content-keyed in
-   the same cache so re-running a search measures nothing twice.
+   :meth:`CompiledPlan.measure` on the kernel backend with the default pass
+   pipeline, content-keyed in the same cache so re-running a search
+   measures nothing twice.
 
 All three stages operate on plain candidate-row dicts so the service worker
 pool can shard them; :func:`autotune` is the in-process orchestration and
@@ -81,9 +82,6 @@ def candidate_hash(spec: StencilSpec, candidate: Mapping[str, Any]) -> str:
         candidate["isa"],
         int(candidate["m"]),
         candidate.get("tiling"),
-        candidate.get("pipeline", "default"),
-        candidate.get("backend", "kernel"),
-        candidate.get("layout", "transpose"),
     )
 
 
@@ -112,9 +110,6 @@ def predict_row(
     :func:`prune_rows`.
     """
     row: Dict[str, Any] = dict(candidate)
-    row.setdefault("pipeline", "default")
-    row.setdefault("backend", "kernel")
-    row.setdefault("layout", "transpose")
     row["config_hash"] = candidate_hash(spec, row)
     reason = candidate_validity(spec, row, workload)
     if reason is not None:
@@ -255,8 +250,8 @@ def measure_row(
         measurement = built.measure(
             grid,
             run_steps,
-            backend=row["backend"],
-            optimize=row["pipeline"] == "default",
+            backend="kernel",
+            optimize=True,
             warmup=warmup,
             repeats=repeats,
             clock=clock,
@@ -322,6 +317,12 @@ def assemble_result(
         # optimized IR; pin the pass line-up so a ledger is reproducible
         # against the exact pipeline that ranked it.
         "ir_passes": list(DEFAULT_PASSES),
+        # Every candidate shares these: the schedules vectorize on the
+        # transpose layout and the measure stage replays the optimized
+        # program on the kernel backend.
+        "layout": "transpose",
+        "pipeline": "default",
+        "backend": "kernel",
     }
     return TuneResult(
         stencil=stencil,
@@ -355,8 +356,6 @@ def autotune(
     methods: Optional[Sequence[str]] = None,
     m_values: Optional[Sequence[int]] = None,
     tilings: Optional[Sequence[Any]] = None,
-    pipelines: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
 ) -> TuneResult:
     """Run the staged search and return its :class:`TuneResult`.
 
@@ -385,8 +384,6 @@ def autotune(
             ("methods", methods),
             ("m_values", m_values),
             ("tilings", tilings),
-            ("pipelines", pipelines),
-            ("backends", backends),
         )
         if value is not None
     }

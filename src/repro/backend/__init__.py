@@ -4,8 +4,7 @@ The third execution engine next to the interpreted schedule and the batched
 trace replay: :mod:`repro.backend.codegen` walks an optimized
 :class:`~repro.ir.ops.ScheduleIR` and emits one fused NumPy megakernel per
 program — generated Python source compiled with ``exec``, cached by content
-key, with an optional ``numba`` njit target behind the ``[numba]`` extra
-that falls back cleanly when the package is absent.
+key.
 :mod:`repro.backend.measure` times any backend (warmup / repeats / median,
 injectable clock) and puts measured cycles-per-point on the cost model's
 estimated axis.

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import backend_keys
+from repro.backend import ExecutionOptions, backend_keys
 from repro.backend.measure import measured_vs_estimated
 from repro.core.plan import plan
 from repro.stencils.boundary import BoundaryCondition
@@ -120,15 +120,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         steps = args.steps if args.steps is not None else 4 * compiled.steps_per_update
         values = np.random.default_rng(args.seed).random(shape)
         grid = Grid(values, boundary=BoundaryCondition.PERIODIC)
-        optimize = bool(args.optimize)
-        if optimize and args.backend == "interpret":
-            raise ValueError("--optimize applies to the trace and kernel backends only")
+        opts = ExecutionOptions.normalize(
+            backend=args.backend, optimize=args.optimize, context="run"
+        )
         report = measured_vs_estimated(
             compiled,
             grid,
             steps,
-            backend=args.backend,
-            optimize=optimize,
+            backend=opts.backend,
+            optimize=opts.optimize,
             warmup=args.warmup,
             repeats=args.repeats,
         )

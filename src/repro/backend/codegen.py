@@ -15,21 +15,10 @@ output is bit-identical to both the trace replay and the interpreted
 simulated machine (asserted stencil-by-stencil in the test suite).
 
 Kernels are cached by *content key*: the canonical hash of the lowered
-program (ops, immediates, tags, wiring) plus the target, via
+program (ops, immediates, tags, wiring), via
 :func:`repro.study.hashing.config_hash`.  Two plans whose schedules lower to
 the same program — or whose pass pipelines converge on the same optimized
 program — share one compiled kernel.
-
-Targets
--------
-``"numpy"``
-    The generated source executed as-is (the default, always available).
-``"numba"``
-    The same generated function wrapped in ``numba.njit`` when the optional
-    ``[numba]`` extra is installed.  When numba is missing — or rejects the
-    generated code at compile time — the kernel *falls back cleanly* to the
-    numpy target and records why in :attr:`KernelProgram.fallback_reason`;
-    results are identical either way.
 """
 
 from __future__ import annotations
@@ -75,8 +64,8 @@ def _op_fingerprint(op: IrOp) -> Tuple:
     )
 
 
-def kernel_content_key(ir: ScheduleIR, target: str = "numpy") -> str:
-    """Canonical content hash of one lowered program for one target.
+def kernel_content_key(ir: ScheduleIR) -> str:
+    """Canonical content hash of one lowered program.
 
     Everything the generated source (and its hoisted constants) derives from
     is folded in: the full op stream with immediates and tags, the register
@@ -97,7 +86,7 @@ def kernel_content_key(ir: ScheduleIR, target: str = "numpy") -> str:
             for seg in ir.segments
         ),
     )
-    return config_hash("megakernel", target, parts)
+    return config_hash("megakernel", parts)
 
 
 # --------------------------------------------------------------------------- #
@@ -362,13 +351,11 @@ class KernelProgram:
         source: str,
         namespace: Dict[str, object],
         key: str,
-        target: str = "numpy",
         pass_reports: Tuple[PassReport, ...] = (),
     ):
         self.ir = ir
         self.source = source
         self.key = key
-        self.requested_target = target
         self.pass_reports = tuple(pass_reports)
         self.isa = ir.isa
         self.vl = ir.vl
@@ -377,35 +364,10 @@ class KernelProgram:
         code = compile(source, f"<megakernel {key}>", "exec")
         exec(code, namespace)
         self._fn = namespace["megakernel"]
-        self._jit = None
-        self.fallback_reason: Optional[str] = None
-        if target == "numba":
-            self._jit, self.fallback_reason = _numba_compile(self._fn)
-        elif target != "numpy":
-            raise ValueError(f"unknown kernel target {target!r}; expected 'numpy' or 'numba'")
-
-    @property
-    def target(self) -> str:
-        """Effective target: ``"numba"`` only while the jitted form is live."""
-        return "numba" if self._jit is not None else "numpy"
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _execute(self, values: np.ndarray, out: np.ndarray) -> None:
-        jit = self._jit
-        if jit is not None:
-            try:
-                jit(values, out)
-                return
-            except Exception as exc:  # numba typing/compile failure at first call
-                self._jit = None
-                self.fallback_reason = (
-                    f"numba rejected the generated kernel ({type(exc).__name__}); "
-                    "using the numpy target"
-                )
-        self._fn(values, out)
-
     def replay(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """One fused sweep over every block position — bit-identical to the
         IR executor's replay (1-D grids in the transpose layout)."""
@@ -418,7 +380,7 @@ class KernelProgram:
             self.ir.block_axes(values.shape)
         values = np.ascontiguousarray(values)
         out = _check_contiguous_out(out, values)
-        self._execute(values, out)
+        self._fn(values, out)
         if self.dims > 1 and not self.transpose_back:
             from repro.core.vectorized_folding import (
                 _untranspose_plane_tiles,
@@ -451,7 +413,7 @@ class KernelProgram:
             return cur
         buf = np.empty_like(cur)
         for _ in range(sweeps - 1):
-            self._execute(cur, buf)
+            self._fn(cur, buf)
             cur, buf = buf, cur
         return cur
 
@@ -466,28 +428,7 @@ class KernelProgram:
         return self.ir.sweep_counts(shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"KernelProgram(key={self.key!r}, isa={self.isa.name!r}, dims={self.dims}, "
-            f"target={self.target!r})"
-        )
-
-
-def _numba_compile(fn):
-    """``(jitted, None)`` when numba accepts ``fn``; ``(None, reason)`` otherwise."""
-    try:
-        import numba
-    except ImportError:
-        return None, (
-            "numba is not installed; using the numpy target "
-            "(pip install repro-folding[numba])"
-        )
-    try:
-        return numba.njit(cache=False)(fn), None
-    except Exception as exc:  # pragma: no cover - depends on numba's version
-        return None, (
-            f"numba rejected the generated kernel ({type(exc).__name__}); "
-            "using the numpy target"
-        )
+        return f"KernelProgram(key={self.key!r}, isa={self.isa.name!r}, dims={self.dims})"
 
 
 # --------------------------------------------------------------------------- #
@@ -519,7 +460,6 @@ def compile_kernel(
     isa: IsaSpec,
     transpose_back: bool = True,
     optimize: Union[bool, Sequence, None] = False,
-    target: str = "numpy",
 ) -> KernelProgram:
     """Lower ``schedule``, optionally optimize, and fetch/build its megakernel.
 
@@ -540,14 +480,14 @@ def compile_kernel(
     reports: Tuple[PassReport, ...] = ()
     if optimize is not False and optimize is not None:
         ir, reports = PassManager(optimize).run(ir)
-    key = kernel_content_key(ir, target)
+    key = kernel_content_key(ir)
     with _CACHE_LOCK:
         program = _KERNEL_CACHE.get(key)
         if program is not None:
             _CACHE_HITS += 1
             return program
     source, namespace = generate_kernel_source(ir)
-    program = KernelProgram(ir, source, namespace, key, target=target, pass_reports=reports)
+    program = KernelProgram(ir, source, namespace, key, pass_reports=reports)
     with _CACHE_LOCK:
         existing = _KERNEL_CACHE.get(key)
         if existing is not None:

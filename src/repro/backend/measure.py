@@ -161,7 +161,6 @@ def measure_backend(
     warmup: int = 1,
     repeats: int = 5,
     clock: Optional[Clock] = None,
-    options: Any = None,
 ) -> BackendMeasurement:
     """Measure ``plan.run(grid, steps, backend=backend)`` wall-clock.
 
@@ -170,19 +169,13 @@ def measure_backend(
     their caches before the first timed sample.  ``steps`` must be positive —
     measuring an empty run says nothing.  ``optimize`` selects the IR pass
     pipeline of a trace/kernel backend, as in :meth:`CompiledPlan.simulate`;
-    ``options`` passes a pre-validated
-    :class:`~repro.backend.ExecutionOptions` instead of the keyword pair.
+    both keywords validate like :meth:`CompiledPlan.run`'s.
     """
     from repro.backend.options import ExecutionOptions
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    opts = ExecutionOptions.normalize(
-        backend=None if backend == "kernel" else backend,
-        optimize=optimize,
-        options=options,
-        context="measure",
-    )
+    opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="run")
     backend, optimize = opts.backend, opts.optimize
     m = plan.steps_per_update
     fn = lambda: plan.run(grid, steps, backend=backend, optimize=optimize)  # noqa: E731

@@ -1,24 +1,18 @@
 """Validated execution options shared by every backend-selecting surface.
 
-``CompiledPlan.run``/``simulate``/``measure``, the measurement harness and
-the service protocol all accept the same keyword trio — ``backend=`` (which
-execution engine), ``optimize=`` (which IR pass pipeline) and ``passes=``
-(an explicit pass list, sugar for ``optimize=<sequence>``).  Historically
-each entry point validated the trio separately; :class:`ExecutionOptions`
-is now the single source of truth for the allowed combinations:
+``CompiledPlan.run``/``simulate``/``measure``, the measurement harness, the
+``repro-measure`` CLI and the service protocol all accept the same keyword
+pair — ``backend=`` (which execution engine) and ``optimize=`` (which IR pass
+pipeline).  :meth:`ExecutionOptions.normalize` is the single source of truth
+for the allowed combinations:
 
 * ``backend`` must name a registered execution backend
   (:data:`repro.backend.EXECUTION_BACKENDS`), plus ``"auto"`` where the
-  context supports method-native execution (``run``/``measure``);
+  context supports method-native execution (``run``, which ``measure``
+  times);
 * ``optimize`` only applies to backends that compile the typed IR (trace,
   kernel) — the interpreter executes the schedule as recorded, and the
-  ``auto`` path has no IR to optimize;
-* ``passes`` and a non-default ``optimize`` are mutually exclusive
-  spellings of the same decision.
-
-Old keyword spellings keep working everywhere: the entry points normalize
-them through :meth:`ExecutionOptions.normalize` and then agree, to the
-character, on what is allowed and what the error says.
+  ``auto`` path has no IR to optimize.
 """
 
 from __future__ import annotations
@@ -28,13 +22,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 __all__ = ["ExecutionOptions"]
 
-#: Per-entry-point defaults: the backend used when none is named, whether
-#: the method-native ``"auto"`` engine is allowed, and the noun used in
-#: error messages (kept identical to the pre-unification messages).
-_CONTEXTS: Dict[str, Dict[str, Any]] = {
-    "run": {"default": "auto", "allow_auto": True, "label": "execution"},
-    "simulate": {"default": "trace", "allow_auto": False, "label": "simulation"},
-    "measure": {"default": "kernel", "allow_auto": True, "label": "execution"},
+#: Per-entry-point ``(default backend, noun used in error messages)``.  The
+#: method-native ``"auto"`` engine is allowed exactly where it is the default.
+_CONTEXTS: Dict[str, Tuple[str, str]] = {
+    "run": ("auto", "execution"),
+    "simulate": ("trace", "simulation"),
 }
 
 
@@ -62,46 +54,33 @@ class ExecutionOptions:
         cls,
         backend: Optional[str] = None,
         optimize: Union[bool, Sequence, None] = False,
-        passes: Optional[Sequence] = None,
-        options: Optional["ExecutionOptions"] = None,
         context: str = "run",
     ) -> "ExecutionOptions":
-        """Validate the keyword trio (or re-validate ``options``) for ``context``.
+        """Validate ``backend``/``optimize`` for ``context``.
 
-        ``context`` is ``"run"``, ``"simulate"`` or ``"measure"`` — it picks
-        the default backend and whether ``"auto"`` is allowed.  Raises
-        ``ValueError`` with the entry point's historical message for every
-        disallowed combination.
+        ``context`` is ``"run"`` or ``"simulate"`` — it picks the backend
+        used for ``backend=None`` and whether ``"auto"`` is allowed.  Raises
+        ``ValueError`` naming the offending keyword for every disallowed
+        combination.
         """
         try:
-            spec = _CONTEXTS[context]
+            default, label = _CONTEXTS[context]
         except KeyError:
             raise ValueError(
                 f"unknown execution context {context!r}; expected one of {tuple(_CONTEXTS)}"
             ) from None
-        if options is not None:
-            if backend is not None or optimize is not False or passes is not None:
-                raise ValueError(
-                    "pass an ExecutionOptions or the backend=/optimize=/passes= "
-                    "keywords, not both"
-                )
-            backend, optimize = options.backend, options.optimize
-        if passes is not None:
-            if optimize is not False and optimize is not None:
-                raise ValueError("pass either optimize= or passes=, not both")
-            optimize = tuple(passes)
         # False, None and an explicitly empty pass sequence all mean "no
         # optimization" — one spelling, one cache entry.
         if optimize is not True and not optimize:
             optimize = False
         elif optimize is not True:
             optimize = tuple(optimize)
-        backend = spec["default"] if backend is None else str(backend).strip().lower()
+        backend = default if backend is None else str(backend).strip().lower()
         allowed = cls.allowed_backends(context)
         if backend not in allowed:
             quoted = [f"'{name}'" for name in allowed]
             raise ValueError(
-                f"unknown {spec['label']} backend {backend!r}; "
+                f"unknown {label} backend {backend!r}; "
                 f"expected {', '.join(quoted[:-1])} or {quoted[-1]}"
             )
         if optimize is not False:
@@ -117,10 +96,9 @@ class ExecutionOptions:
         truth is the :data:`repro.backend.EXECUTION_BACKENDS` registry)."""
         from repro.backend import backend_keys
 
-        spec = _CONTEXTS[context]
-        ordered = [spec["default"]] if spec["allow_auto"] else []
-        for key in (spec["default"], *reversed(backend_keys())):
-            if key not in ordered and (spec["allow_auto"] or key != "auto"):
+        ordered = [_CONTEXTS[context][0]]
+        for key in reversed(backend_keys()):
+            if key not in ordered:
                 ordered.append(key)
         return tuple(ordered)
 
@@ -128,11 +106,3 @@ class ExecutionOptions:
     def explicit(self) -> bool:
         """Whether a register-level engine was named (not method-native)."""
         return self.backend != "auto"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (callable pipelines degrade to their names)."""
-        if isinstance(self.optimize, bool):
-            optimize: Any = self.optimize
-        else:
-            optimize = [getattr(p, "__name__", p) if callable(p) else p for p in self.optimize]
-        return {"backend": self.backend, "optimize": optimize}

@@ -19,14 +19,13 @@ with the method registry in :mod:`repro.methods`.
 
 from repro.baselines.multiple_loads import profile_multiple_loads
 from repro.baselines.data_reorg import profile_data_reorg
-from repro.baselines.dlt import profile_dlt, dlt_run_1d, dlt_run
+from repro.baselines.dlt import profile_dlt, dlt_run
 from repro.baselines.sdsl import profile_sdsl
 
 __all__ = [
     "profile_multiple_loads",
     "profile_data_reorg",
     "profile_dlt",
-    "dlt_run_1d",
     "dlt_run",
     "profile_sdsl",
 ]

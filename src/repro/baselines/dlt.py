@@ -204,13 +204,6 @@ def dlt_run(spec: StencilSpec, grid: Grid, steps: int, vl: int = 4) -> np.ndarra
     return from_dlt_layout(values, vl)
 
 
-def dlt_run_1d(spec: StencilSpec, grid: Grid, steps: int, vl: int = 4) -> np.ndarray:
-    """Backward-compatible alias of :func:`dlt_run` for 1-D grids."""
-    if grid.dims != 1:
-        raise ValueError("dlt_run_1d expects a 1-D grid")
-    return dlt_run(spec, grid, steps, vl)
-
-
 # --------------------------------------------------------------------------- #
 # registry executor
 # --------------------------------------------------------------------------- #

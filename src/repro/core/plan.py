@@ -39,9 +39,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.backend import codegen
 from repro.backend.options import ExecutionOptions
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
+from repro.ir.executor import compile_sweep
+from repro.ir.passes import pipeline_key
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.machine import MachineSpec, machine_for_isa
 import repro.methods  # noqa: F401  (imports register the built-in methods)
@@ -58,7 +61,6 @@ from repro.stencils.library import BenchmarkCase, get_benchmark
 from repro.stencils.reference import reference_run, reference_step
 from repro.stencils.spec import StencilSpec
 from repro.tiling.tessellate import TessellationConfig, tessellate_run
-from repro.trace.compiler import compile_sweep
 
 
 @dataclass(frozen=True)
@@ -328,11 +330,12 @@ class CompiledPlan:
         self.schedule = schedule
         self._lazy_schedule: Optional[FoldingSchedule] = None
         self._lazy_schedule_lock = threading.Lock()
-        # Compiled sweep traces for the trace-replay simulation backend,
-        # keyed by (isa name, dims).  Built lazily on the first simulate()
-        # call and reused across steps, repeated calls and batch runs.
-        self._trace_cache: dict = {}
-        self._trace_lock = threading.Lock()
+        # Compiled sweeps of the trace and kernel engines, keyed by (engine,
+        # isa name, dims, pass selection).  Built lazily on the first
+        # simulate() call and reused across steps, repeated calls and batch
+        # runs.
+        self._engine_cache: dict = {}
+        self._engine_lock = threading.Lock()
         self._frozen = True
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -376,8 +379,6 @@ class CompiledPlan:
         steps: int,
         backend: Optional[str] = None,
         optimize: Union[bool, Sequence, None] = False,
-        passes: Optional[Sequence] = None,
-        options: Optional[ExecutionOptions] = None,
     ) -> np.ndarray:
         """Advance ``grid`` by ``steps`` time steps and return the final values.
 
@@ -397,16 +398,13 @@ class CompiledPlan:
         chosen engine and any ``steps % m`` remainder finishes with exact
         reference steps, so every backend returns bit-identical values.
         ``optimize`` selects the IR pass pipeline of an explicit trace or
-        kernel backend (see :meth:`simulate`); it requires one.  ``passes``
-        is sugar for ``optimize=<sequence>``; ``options`` passes a
-        pre-validated :class:`~repro.backend.ExecutionOptions` instead of the
-        keyword trio.  All spellings normalize through the same validator.
+        kernel backend (see :meth:`simulate`); it requires one.  Both
+        keywords validate through :meth:`ExecutionOptions.normalize
+        <repro.backend.ExecutionOptions.normalize>`.
         """
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        opts = ExecutionOptions.normalize(
-            backend=backend, optimize=optimize, passes=passes, options=options, context="run"
-        )
+        opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="run")
         if opts.explicit:
             return self._run_backend(grid, steps, opts.backend, opts.optimize)
         if steps == 0:
@@ -481,8 +479,6 @@ class CompiledPlan:
         machine: Optional[SimdMachine] = None,
         backend: Optional[str] = "trace",
         optimize: Union[bool, Sequence, None] = False,
-        passes: Optional[Sequence] = None,
-        options: Optional[ExecutionOptions] = None,
     ) -> Tuple[np.ndarray, InstructionCounts]:
         """Execute the register-level schedule on the simulated SIMD machine.
 
@@ -530,21 +526,8 @@ class CompiledPlan:
             compiled at most once and cached side by side on the plan;
             pipelines containing custom callables are compiled per call (an
             empty pass selection means "no optimization").
-        passes:
-            Sugar for ``optimize=<sequence>``.
-        options:
-            A pre-validated :class:`~repro.backend.ExecutionOptions`
-            replacing the ``backend``/``optimize``/``passes`` trio.
         """
-        # simulate()'s keyword default is its context default; map it to None
-        # so one validator owns the defaulting for every entry point.
-        opts = ExecutionOptions.normalize(
-            backend=None if backend == "trace" else backend,
-            optimize=optimize,
-            passes=passes,
-            options=options,
-            context="simulate",
-        )
+        opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="simulate")
         backend, optimize = opts.backend, opts.optimize
         if not self.descriptor.supports_simulation:
             raise ValueError(
@@ -569,10 +552,7 @@ class CompiledPlan:
 
         if backend in ("trace", "kernel"):
             sweeps = steps // m
-            if backend == "kernel":
-                compiled = self._compiled_kernel(schedule, machine.isa, grid.dims, optimize)
-            else:
-                compiled = self._compiled_sweep(schedule, machine.isa, grid.dims, optimize)
+            compiled = self._compiled(backend, schedule, machine.isa, grid.dims, optimize)
             if grid.dims == 1:
                 data = to_transpose_layout(values, vl)
                 for _ in range(sweeps):
@@ -597,73 +577,39 @@ class CompiledPlan:
             values = sweep(machine, values)
         return values, machine.counts
 
-    def _compiled_sweep(
+    def _compiled(
         self,
+        engine: str,
         schedule: FoldingSchedule,
         isa: IsaSpec,
         dims: int,
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: Union[bool, Sequence] = False,
     ):
-        """The cached IR-compiled sweep for ``(isa, dims, optimize)``.
+        """The cached compiled sweep of ``engine`` for ``(isa, dims, optimize)``.
 
-        Compiled at most once per plan, ISA and pass selection — the
-        lower/optimize/compile step is grid-shape independent, so every
-        subsequent simulate() call (and every step within one) reuses it.
-        Unoptimized and optimized variants are cached side by side.
+        ``engine`` is ``"trace"`` (:func:`~repro.ir.executor.compile_sweep`)
+        or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`, whose
+        kernels are additionally shared process-wide through their content-key
+        cache).  Compiled at most once per plan, engine, ISA and pass
+        selection — the lower/optimize/compile step is grid-shape
+        independent, so every subsequent simulate() call (and every step
+        within one) reuses it.
         """
-        if optimize is False or optimize is None:
-            opt_key: object = "none"
-        else:
-            from repro.ir.passes import pipeline_key
-
-            opt_key = pipeline_key(optimize)
+        build = compile_sweep if engine == "trace" else codegen.compile_kernel
+        opt_key = "none" if optimize is False else pipeline_key(optimize)
         if isinstance(opt_key, tuple) and not all(isinstance(p, str) for p in opt_key):
             # Pipelines containing custom callables are compiled fresh —
-            # caching them would retain one CompiledSweep (and the closure it
-            # keys on) per distinct callable for the plan's lifetime.
-            return compile_sweep(schedule, isa, optimize=optimize)
-        key = (isa.name, dims, opt_key)
-        compiled = self._trace_cache.get(key)
+            # caching them would retain one compiled sweep (and the closure
+            # it keys on) per distinct callable for the plan's lifetime.
+            return build(schedule, isa, optimize=optimize)
+        key = (engine, isa.name, dims, opt_key)
+        compiled = self._engine_cache.get(key)
         if compiled is None:
-            with self._trace_lock:
-                compiled = self._trace_cache.get(key)
+            with self._engine_lock:
+                compiled = self._engine_cache.get(key)
                 if compiled is None:
-                    compiled = compile_sweep(schedule, isa, optimize=optimize)
-                    self._trace_cache[key] = compiled
-        return compiled
-
-    def _compiled_kernel(
-        self,
-        schedule: FoldingSchedule,
-        isa: IsaSpec,
-        dims: int,
-        optimize: Union[bool, Sequence, None] = False,
-    ):
-        """The cached generated megakernel for ``(isa, dims, optimize)``.
-
-        Mirrors :meth:`_compiled_sweep` (same per-plan cache, disjoint key
-        prefix); the kernel itself is additionally shared process-wide
-        through :mod:`repro.backend`'s content-key cache, so two plans whose
-        schedules lower to the same program compile one kernel.
-        """
-        from repro.backend.codegen import compile_kernel
-
-        if optimize is False or optimize is None:
-            opt_key: object = "none"
-        else:
-            from repro.ir.passes import pipeline_key
-
-            opt_key = pipeline_key(optimize)
-        if isinstance(opt_key, tuple) and not all(isinstance(p, str) for p in opt_key):
-            return compile_kernel(schedule, isa, optimize=optimize)
-        key = ("kernel", isa.name, dims, opt_key)
-        compiled = self._trace_cache.get(key)
-        if compiled is None:
-            with self._trace_lock:
-                compiled = self._trace_cache.get(key)
-                if compiled is None:
-                    compiled = compile_kernel(schedule, isa, optimize=optimize)
-                    self._trace_cache[key] = compiled
+                    compiled = build(schedule, isa, optimize=optimize)
+                    self._engine_cache[key] = compiled
         return compiled
 
     def measure(
@@ -672,8 +618,6 @@ class CompiledPlan:
         steps: int,
         backend: Optional[str] = "kernel",
         optimize: Union[bool, Sequence, None] = False,
-        passes: Optional[Sequence] = None,
-        options: Optional[ExecutionOptions] = None,
         **kwargs,
     ):
         """Measured wall-clock execution of the plan on one backend.
@@ -682,24 +626,13 @@ class CompiledPlan:
         :func:`repro.backend.measure.measure_backend`: warmup + repeated
         timed runs of ``run(grid, steps, backend=backend)``, reported as a
         :class:`~repro.backend.measure.BackendMeasurement` (median seconds,
-        measured cycles per point for any assumed frequency).  The
-        ``backend``/``optimize``/``passes``/``options`` spellings validate
-        through :class:`~repro.backend.ExecutionOptions` like :meth:`run`;
-        the remaining keywords — ``warmup``, ``repeats``, ``clock`` — pass
-        through.
+        measured cycles per point for any assumed frequency).  ``backend``
+        and ``optimize`` validate like :meth:`run`'s; the remaining keywords
+        — ``warmup``, ``repeats``, ``clock`` — pass through.
         """
         from repro.backend.measure import measure_backend
 
-        opts = ExecutionOptions.normalize(
-            backend=None if backend == "kernel" else backend,
-            optimize=optimize,
-            passes=passes,
-            options=options,
-            context="measure",
-        )
-        return measure_backend(
-            self, grid, steps, backend=opts.backend, optimize=opts.optimize, **kwargs
-        )
+        return measure_backend(self, grid, steps, backend=backend, optimize=optimize, **kwargs)
 
     def _simulation_schedule(self) -> FoldingSchedule:
         """The folding schedule backing simulated execution.
@@ -855,8 +788,8 @@ class CompiledPlan:
         ):
             return None
         try:
-            compiled = self._compiled_sweep(
-                self.schedule, self.isa_spec, self.spec.dims, optimize=True
+            compiled = self._compiled(
+                "trace", self.schedule, self.isa_spec, self.spec.dims, optimize=True
             )
         except ValueError:
             return None
@@ -890,8 +823,8 @@ class CompiledPlan:
         ):
             return None
         try:
-            compiled = self._compiled_sweep(
-                self.schedule, self.isa_spec, self.spec.dims, optimize=True
+            compiled = self._compiled(
+                "trace", self.schedule, self.isa_spec, self.spec.dims, optimize=True
             )
         except ValueError:
             return None

@@ -35,7 +35,7 @@ All SIMD sweeps are built from per-block pipeline pieces
 :meth:`FoldingSchedule._sweep_square_horizontal`, ...) that take the target
 machine plus abstract ``load``/``store`` callables.  The interpreted sweeps
 bind them to concrete :class:`~repro.simd.machine.SimdMachine` memory
-operations; the trace compiler in :mod:`repro.trace` runs the very same
+operations; the IR lowering in :mod:`repro.ir` runs the very same
 pieces once against a recording proxy to capture the per-block instruction
 trace it replays in bulk.  Because both backends execute the same schedule
 code, they cannot drift apart.

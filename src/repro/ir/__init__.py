@@ -6,6 +6,9 @@ register-level folding schedule:
 * :mod:`repro.ir.ops` — the typed IR (:class:`IrOp` /
   :class:`IrSegment` / :class:`ScheduleIR`) with derived instruction
   accounting,
+* :mod:`repro.ir.recorder` — :class:`TraceRecorder`, the
+  :class:`~repro.simd.machine.SimdMachine` proxy that records a schedule's
+  instruction stream as IR segments instead of executing it,
 * :mod:`repro.ir.lower` — :func:`lower_schedule`, producing the IR once per
   ``(schedule, isa, dims)`` by running the schedule's own pipeline pieces
   against the trace recorder,
@@ -40,6 +43,7 @@ from repro.ir.dependency import (
 from repro.ir.executor import CompiledSweep, compile_sweep
 from repro.ir.lower import lower_schedule
 from repro.ir.ops import IrOp, IrSegment, ScheduleIR
+from repro.ir.recorder import TraceRecorder, TraceReg
 from repro.ir.passes import (
     DEFAULT_PASSES,
     SPLIT_ACCUM_MIN_LINKS,
@@ -59,6 +63,8 @@ __all__ = [
     "IrOp",
     "IrSegment",
     "ScheduleIR",
+    "TraceRecorder",
+    "TraceReg",
     "lower_schedule",
     "CompiledSweep",
     "compile_sweep",

@@ -4,7 +4,7 @@ Lowering runs the schedule's own per-block pipeline pieces
 (:meth:`~repro.core.vectorized_folding.FoldingSchedule._sweep_1d_block`,
 ``_sweep_2d_vertical`` / ``_sweep_3d_vertical``,
 ``_sweep_square_horizontal``, ``_sweep_square_store``) once against a
-:class:`~repro.trace.recorder.TraceRecorder`, so the IR and the interpreted
+:class:`~repro.ir.recorder.TraceRecorder`, so the IR and the interpreted
 sweeps execute the *same* schedule code and cannot drift apart.  The result
 is produced once per ``(schedule, isa, dims)`` — recording is symbolic, its
 cost is independent of any grid size.
@@ -23,6 +23,7 @@ Memory tags
 from __future__ import annotations
 
 from repro.ir.ops import ScheduleIR
+from repro.ir.recorder import TraceRecorder
 from repro.simd.isa import IsaSpec
 
 __all__ = ["lower_schedule"]
@@ -50,10 +51,6 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
         vector / square constructions support ``radius <= vl``) or the
         dimensionality is unsupported.
     """
-    # Imported here: repro.trace's package façade re-exports the IR executor,
-    # so a module-level import would be circular.
-    from repro.trace.recorder import TraceRecorder
-
     vl = isa.vector_lanes
     if schedule.dims not in (1, 2, 3):
         raise ValueError("lowering supports 1-D, 2-D and 3-D schedules only")

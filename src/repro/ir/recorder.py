@@ -39,10 +39,7 @@ from repro.simd.isa import InstructionClass, IsaSpec
 from repro.simd.machine import SimdMachine
 from repro.simd.vector import Vector
 
-#: Back-compat aliases: the recorder's op/segment types were promoted into
-#: the typed IR of :mod:`repro.ir.ops`.
-TraceOp = IrOp
-TraceSegment = IrSegment
+__all__ = ["TraceRecorder", "TraceReg"]
 
 
 class TraceReg:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.backend import backend_keys
+from repro.backend import ExecutionOptions
 from repro.registry import get_method, is_registered
 from repro.stencils.library import BENCHMARKS, get_benchmark
 from repro.study.hashing import config_hash
@@ -203,18 +203,22 @@ def _isa_field(params: Mapping[str, Any]) -> str:
     return isa
 
 
-def _backend_field(params: Mapping[str, Any], default: str, allow_auto: bool) -> str:
-    """Validate ``backend`` against the execution-backend registry.
+def _backend_field(params: Mapping[str, Any], context: str, optimize: bool = False) -> str:
+    """Validate ``backend`` (and ``optimize``) exactly as the plan API does.
 
-    The normalized value lands in ``params`` and therefore in the request's
+    :meth:`ExecutionOptions.normalize <repro.backend.ExecutionOptions.normalize>`
+    for ``context`` decides — ``"simulate"`` defaults to ``"trace"``,
+    ``"run"`` to ``"auto"`` — so requests fail here, before they cost a
+    queue slot, on every combination the plan verbs would reject.  The
+    normalized value lands in ``params`` and therefore in the request's
     ``config_hash`` identity: kernel and interpret executions of the same
     configuration are distinct store entries, never collisions.
     """
-    backend = _str_field(params, "backend", default)
-    allowed = (("auto",) if allow_auto else ()) + backend_keys()
-    if backend not in allowed:
-        raise _invalid(f"'backend' must be one of {allowed}")
-    return backend
+    backend = _str_field(params, "backend", ExecutionOptions.allowed_backends(context)[0])
+    try:
+        return ExecutionOptions.normalize(backend, optimize, context=context).backend
+    except ValueError as exc:
+        raise _invalid(str(exc)) from None
 
 
 # --------------------------------------------------------------------------- #
@@ -252,19 +256,8 @@ def _normalize_simulate(params: Mapping[str, Any]) -> Dict[str, Any]:
         "steps": _int_field(params, "steps", None, 1),
         "seed": _int_field(params, "seed", 0, 0),
         "optimize": _bool_field(params, "optimize", False),
-        "backend": _backend_field(params, default="trace", allow_auto=False),
     }
-    # Cross-field validation mirrors the plan API exactly: the combinations
-    # CompiledPlan.simulate() rejects (e.g. optimize on the interpret
-    # backend) fail here, before the request costs a queue slot.
-    from repro.backend.options import ExecutionOptions
-
-    try:
-        ExecutionOptions.normalize(
-            backend=out["backend"], optimize=out["optimize"], context="simulate"
-        )
-    except ValueError as exc:
-        raise _invalid(str(exc)) from None
+    out["backend"] = _backend_field(params, "simulate", out["optimize"])
     return out
 
 
@@ -277,7 +270,7 @@ def _normalize_run(params: Mapping[str, Any]) -> Dict[str, Any]:
         "shape": _shape_field(params, max_points=1 << 22),
         "steps": _int_field(params, "steps", None, 1),
         "seed": _int_field(params, "seed", 0, 0),
-        "backend": _backend_field(params, default="auto", allow_auto=True),
+        "backend": _backend_field(params, "run"),
     }
 
 

@@ -179,7 +179,7 @@ class SimdMachine:
     def absorb(self, counts: InstructionCounts, peak_live: int = 0, spills: float = 0.0) -> None:
         """Fold an externally derived tally into this machine's accounting.
 
-        Used by the trace-replay backend (:mod:`repro.trace`), which executes
+        Used by the trace-replay backend (:mod:`repro.ir`), which executes
         schedules in bulk and derives the instruction tally analytically from
         the recorded trace instead of counting one instruction at a time.
         The spill stores/reloads charged by :meth:`note_live_registers` must

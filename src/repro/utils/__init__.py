@@ -11,12 +11,10 @@ from repro.utils.validation import (
     relative_l2_error,
 )
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 __all__ = [
     "assert_allclose",
     "max_abs_error",
     "relative_l2_error",
     "format_table",
-    "Timer",
 ]

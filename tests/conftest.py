@@ -7,6 +7,7 @@ on the behaviour they verify.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simd.isa import AVX2, AVX512
@@ -24,6 +25,7 @@ from repro.stencils.library import (
     heat_3d,
     symmetric_box_2d9p,
 )
+from repro.stencils.spec import StencilSpec
 
 
 @pytest.fixture
@@ -67,6 +69,26 @@ def small_grid(spec, boundary=BoundaryCondition.PERIODIC, seed=0) -> Grid:
 def linear_spec(request):
     """Parametrised fixture yielding every linear stencil of the suite."""
     return LINEAR_SPECS[request.param]()
+
+
+@pytest.fixture
+def combination_3d() -> StencilSpec:
+    """A 3-D stencil whose m=1 schedule materializes a combination
+    counterpart with both reuse weights and a bias.
+
+    No library stencil's exact folding matrix needs one, so the
+    vertical-fold surface is pinned with this integer kernel, normalised by
+    the sum of its absolute weights.
+    """
+    kernel = np.array(
+        [
+            [[-1, 1, -1], [1, 0, 1], [-1, 0, -1]],
+            [[1, 2, 1], [1, -1, 2], [2, -1, 2]],
+            [[0, 1, -1], [2, 1, 1], [1, 1, 1]],
+        ],
+        dtype=np.float64,
+    )
+    return StencilSpec(name="comb3d", kernel=kernel / np.abs(kernel).sum())
 
 
 @pytest.fixture(params=sorted(BENCHMARKS))

@@ -26,7 +26,7 @@ from repro.autotune import (
     TuningWorkload,
     autotune,
     expand_candidates,
-    search_unroll,
+    tiling_candidates,
 )
 from repro.machine import machine_for_isa
 from repro.stencils.library import BENCHMARKS, get_benchmark
@@ -199,23 +199,15 @@ class TestAcceptance:
         return EvalCache()
 
 
-class TestFoldsearchRankingAgreement:
-    """Satellite: the deprecated sweep and the tuner rank identically.
-
-    ``search_unroll`` used to score fold factors whose register schedule
-    does not exist via the closed-form profile — a different model than the
-    optimized-IR path, so its ranking could drift from the stack's.  Both
-    now route through the same IR-backed predict stage.
-    """
+class TestInexpressibleFolds:
+    """Fold factors whose folded radius ``m·r`` exceeds the vector length
+    have no register-level schedule, so the tuner leaves them out of the
+    scoring instead of ranking them on the closed-form profile."""
 
     @pytest.mark.parametrize("stencil", ("1d5p", "3d-heat"))
     @pytest.mark.parametrize("isa", ("avx2", "avx512"))
-    def test_rankings_agree(self, stencil, isa):
-        from repro.autotune.foldsearch import shape_for_npoints
-
+    def test_left_out_of_scoring(self, stencil, isa):
         spec = get_benchmark(stencil).spec
-        with pytest.warns(DeprecationWarning):
-            legacy = search_unroll(spec, isa=isa, candidates=(1, 2, 3, 4))
         result = autotune(
             spec,
             budget=0,
@@ -223,26 +215,39 @@ class TestFoldsearchRankingAgreement:
             methods=("folded",),
             isas=(isa,),
             m_values=(1, 2, 3, 4),
-            shape=shape_for_npoints(spec.dims, 1 << 22),
-            time_steps=1000,
         )
-        tuner_scores = {
-            rec.m: rec.predicted_gflops
-            for rec in result.ledger
-            if rec.predicted_gflops is not None
-        }
-        assert legacy.scores == tuner_scores
-        assert legacy.best_m == result.winner.m
-        # Inexpressible factors are excluded, not scored on another model.
         vl = 4 if isa == "avx2" else 8
-        for m in (1, 2, 3, 4):
-            if m * spec.radius > vl:
-                assert m not in legacy.scores
+        scored = {rec.m for rec in result.ledger if rec.predicted_gflops is not None}
+        assert scored == {m for m in (1, 2, 3, 4) if m * spec.radius <= vl}
 
-    def test_deprecated_wrappers_warn(self):
-        spec = get_benchmark("1d-heat").spec
-        with pytest.warns(DeprecationWarning, match="autotune"):
-            search_unroll(spec, candidates=(1, 2))
+
+class TestTilingAxis:
+    """Block sizes are searched as the tuner's tiling axis, with candidates
+    from :func:`tiling_candidates`."""
+
+    def test_winner_is_a_feasible_tiling(self):
+        spec = get_benchmark("2d-heat").spec
+        shape = (2048, 2048)
+        tilings = tiling_candidates(shape, spec.radius, time_ranges=(8, 16))
+        result = autotune(
+            spec,
+            budget=0,
+            methods=("folded",),
+            isas=("avx2",),
+            m_values=(2,),
+            tilings=tilings,
+            shape=shape,
+            cores=8,
+        )
+        assert result.generated == len(tilings)
+        assert result.winner.tiling is not None
+        result.plan().config.tiling.validate(shape, radius=spec.radius)
+
+    def test_no_feasible_tiling_leaves_nothing_to_score(self):
+        tilings = tiling_candidates((4, 4), 3, time_ranges=(64,))
+        assert tilings == []
+        with pytest.raises(ValueError, match="no scoreable candidate"):
+            autotune("2d-heat", budget=0, tilings=tilings)
 
 
 class TestFluentApi:

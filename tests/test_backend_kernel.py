@@ -6,16 +6,12 @@
   pipeline — and its derived accounting reproduces the interpreted machine.
 * Kernels are content-key cached: identical programs share one compiled
   function, and the cache is observable (stats) and clearable.
-* The numba target falls back cleanly to the numpy target when numba is
-  absent (or rejects the source), recording why — results identical.
 * The plan layer exposes the backend (``simulate(backend="kernel")``,
   ``run(backend=...)``, ``measure()``), the backend registry names exactly
   the engines the service validates against.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 import pytest
@@ -158,41 +154,12 @@ class TestKernelCache:
         stats = kernel_cache_stats()
         assert stats["entries"] == 1 and stats["misses"] == 1 and stats["hits"] == 2
 
-    def test_key_depends_on_program_and_target(self):
+    def test_key_depends_on_program(self):
         sched = FoldingSchedule(BENCHMARKS["1d-heat"].spec, 2)
         ir = lower_schedule(sched, AVX2)
         assert kernel_content_key(ir) == kernel_content_key(ir)
-        assert kernel_content_key(ir) != kernel_content_key(ir, target="numba")
         other = lower_schedule(sched, AVX512)
         assert kernel_content_key(ir) != kernel_content_key(other)
-
-    def test_unknown_target_rejected(self):
-        sched = FoldingSchedule(BENCHMARKS["1d-heat"].spec, 2)
-        with pytest.raises(ValueError, match="target"):
-            compile_kernel(sched, AVX2, target="cuda")
-
-
-# --------------------------------------------------------------------------- #
-# numba target fallback
-# --------------------------------------------------------------------------- #
-class TestNumbaFallback:
-    def test_missing_numba_falls_back_to_numpy(self, monkeypatch):
-        # Forcing the import to fail makes the test deterministic whether or
-        # not the optional extra happens to be installed.
-        monkeypatch.setitem(sys.modules, "numba", None)
-        clear_kernel_cache()
-        sched, values, _ = _schedule_inputs(BENCHMARKS["1d-heat"].spec, AVX2)
-        kernel = compile_kernel(sched, AVX2, target="numba")
-        assert kernel.requested_target == "numba"
-        assert kernel.target == "numpy"
-        assert "numba is not installed" in kernel.fallback_reason
-        ref = _interpret(sched, SimdMachine(AVX2), values)
-        np.testing.assert_array_equal(kernel.replay(values.copy()), ref)
-
-    def test_numpy_target_records_no_fallback(self):
-        sched, _, _ = _schedule_inputs(BENCHMARKS["1d-heat"].spec, AVX2)
-        kernel = compile_kernel(sched, AVX2)
-        assert kernel.target == "numpy" and kernel.fallback_reason is None
 
 
 # --------------------------------------------------------------------------- #

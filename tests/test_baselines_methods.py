@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.common import innermost_width, kernel_rows, streamed_arrays
 from repro.baselines.data_reorg import profile_data_reorg
-from repro.baselines.dlt import dlt_run, dlt_run_1d, profile_dlt
+from repro.baselines.dlt import dlt_run, profile_dlt
 from repro.baselines.multiple_loads import profile_multiple_loads
 from repro.baselines.sdsl import profile_sdsl
 from repro.machine import XEON_GOLD_6140_AVX2
@@ -57,7 +57,7 @@ class TestDltExecutor:
     def test_1d_matches_reference(self, boundary):
         spec = heat_1d()
         grid = Grid.random((128,), boundary=boundary, seed=30)
-        out = dlt_run_1d(spec, grid, 6, vl=4)
+        out = dlt_run(spec, grid, 6, vl=4)
         assert_allclose(out, reference_run(spec, grid, 6))
 
     @pytest.mark.parametrize("boundary", [BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET])
@@ -88,10 +88,6 @@ class TestDltExecutor:
     def test_requires_divisible_innermost_extent(self):
         with pytest.raises(ValueError):
             dlt_run(heat_1d(), Grid.random((30,)), 1, vl=4)
-
-    def test_1d_alias_rejects_2d(self):
-        with pytest.raises(ValueError):
-            dlt_run_1d(box_2d9p(), Grid.random((8, 8)), 1)
 
 
 class TestProfiles:

@@ -1,10 +1,9 @@
-"""The unified backend=/optimize=/passes= trio (:class:`ExecutionOptions`).
+"""The one backend=/optimize= validator (:class:`ExecutionOptions`).
 
-Historically ``CompiledPlan.run``/``simulate``/``measure`` each validated
-the execution keywords separately; they now all normalize through one
-validator.  These tests pin the contract: per-context defaults, the
-historical error messages, the old keyword spellings, and the new
-``options=``/``passes=`` forms.
+``CompiledPlan.run``/``simulate``/``measure``, the measurement harness and
+the service protocol all normalize the execution keywords through
+:meth:`ExecutionOptions.normalize`.  These tests pin the contract:
+per-context defaults, the error messages and the cross-surface agreement.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ class TestNormalize:
     def test_context_defaults(self):
         assert ExecutionOptions.normalize(context="run").backend == "auto"
         assert ExecutionOptions.normalize(context="simulate").backend == "trace"
-        assert ExecutionOptions.normalize(context="measure").backend == "kernel"
 
     def test_unknown_context(self):
         with pytest.raises(ValueError, match="unknown execution context"):
@@ -44,16 +42,6 @@ class TestNormalize:
         with pytest.raises(ValueError, match="trace and kernel backends only"):
             ExecutionOptions.normalize(backend="interpret", optimize=True, context="run")
 
-    def test_passes_is_sugar_for_optimize(self):
-        opts = ExecutionOptions.normalize(
-            backend="trace", passes=["fold_constants"], context="simulate"
-        )
-        assert opts.optimize == ("fold_constants",)
-        with pytest.raises(ValueError, match="either optimize= or passes="):
-            ExecutionOptions.normalize(
-                backend="trace", optimize=True, passes=["x"], context="simulate"
-            )
-
     def test_falsy_optimize_spellings_collapse_to_false(self):
         for spelling in (False, None, (), []):
             opts = ExecutionOptions.normalize(
@@ -61,40 +49,14 @@ class TestNormalize:
             )
             assert opts.optimize is False
 
-    def test_options_object_is_revalidated_and_exclusive(self):
-        opts = ExecutionOptions(backend="kernel", optimize=True)
-        again = ExecutionOptions.normalize(options=opts, context="measure")
-        assert again == opts
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionOptions.normalize(options=opts, backend="trace", context="run")
-        # Re-validation applies the target context's rules: an options object
-        # carrying "auto" is rejected where simulate would reject the keyword.
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            ExecutionOptions.normalize(
-                options=ExecutionOptions(backend="auto"), context="simulate"
-            )
-
     def test_allowed_backends_lead_with_the_default(self):
         assert ExecutionOptions.allowed_backends("run")[0] == "auto"
         assert ExecutionOptions.allowed_backends("simulate")[0] == "trace"
         assert "auto" not in ExecutionOptions.allowed_backends("simulate")
-        assert ExecutionOptions.allowed_backends("measure")[0] == "kernel"
-
-    def test_to_dict_is_json_ready(self):
-        def my_pass(ir):  # pragma: no cover - never invoked
-            return ir
-
-        opts = ExecutionOptions.normalize(
-            backend="kernel", passes=[my_pass, "fold"], context="measure"
-        )
-        assert opts.to_dict() == {"backend": "kernel", "optimize": ["my_pass", "fold"]}
-
-    def test_exported_from_the_package_root(self):
-        assert repro.ExecutionOptions is ExecutionOptions
 
 
 class TestPlanEntryPoints:
-    """The plan verbs accept both the old keywords and options= objects."""
+    """The plan verbs validate backend=/optimize= through the same validator."""
 
     @pytest.fixture(scope="class")
     def compiled(self):
@@ -113,26 +75,24 @@ class TestPlanEntryPoints:
         with pytest.raises(ValueError, match="trace and kernel backends only"):
             compiled.simulate(grid, 2, backend="interpret", optimize=True)
 
-    def test_options_object_matches_keywords(self, compiled):
-        grid = Grid.random((256,), seed=0)
-        by_keyword = compiled.run(grid, 2, backend="trace")
-        by_options = compiled.run(
-            Grid.random((256,), seed=0), 2, options=ExecutionOptions(backend="trace")
-        )
-        assert (by_keyword == by_options).all()
-
-    def test_passes_keyword_reaches_the_simulation(self, compiled):
-        grid = Grid.random((256,), seed=0)
-        default_values, _ = compiled.simulate(grid, 2, optimize=True)
-        passes_values, _ = compiled.simulate(
-            Grid.random((256,), seed=0), 2, passes=repro.DEFAULT_PASSES
-        )
-        assert (default_values == passes_values).all()
-
     def test_measure_normalizes_through_the_same_validator(self, compiled):
         grid = Grid.random((256,), seed=0)
         with pytest.raises(ValueError, match="trace and kernel backends only"):
             compiled.measure(grid, 2, backend="interpret", optimize=True)
+
+    def test_measure_accepts_the_run_backends(self, compiled):
+        """measure() times run(), so it validates in run()'s context."""
+        grid = Grid.random((256,), seed=0)
+        measured = compiled.measure(grid, 2, backend="auto", warmup=0, repeats=1)
+        assert measured.backend == "auto"
+
+
+class TestMeasureCli:
+    def test_optimize_on_interpret_is_rejected_by_the_validator(self, capsys):
+        from repro.backend.cli import main
+
+        assert main(["1d-heat", "--backend", "interpret", "--optimize"]) == 2
+        assert "trace and kernel backends only" in capsys.readouterr().err
 
 
 class TestServiceCrossCheck:

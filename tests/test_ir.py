@@ -169,10 +169,10 @@ class TestEquivalenceAcrossLibrary:
         opt = compile_sweep(sched, isa, transpose_back=False, optimize=True)
         np.testing.assert_array_equal(opt.replay(values.copy()), ref)
 
-    def test_combination_counterparts_survive_fusion(self):
-        """heat_3d at m=3 materializes combination counterparts (mul+add
-        chains) — the multiply–add fusion's main target."""
-        sched = FoldingSchedule(heat_3d(), 3)
+    def test_combination_counterparts_survive_fusion(self, combination_3d):
+        """Combination counterparts (mul+add chains) — the multiply–add
+        fusion's main target."""
+        sched = FoldingSchedule(combination_3d, 1)
         assert any(cp.mode == "combination" and cp.omega for cp in sched.materialized)
         grid = Grid.random((4, 8, 8), seed=24)
         ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
@@ -280,12 +280,12 @@ class TestPlanIntegration:
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
         p.simulate(grid, 2, optimize=True)
-        assert p._trace_cache[("avx2", 1, "none")] is not (
-            p._trace_cache[("avx2", 1, DEFAULT_PASSES)]
+        assert p._engine_cache[("trace", "avx2", 1, "none")] is not (
+            p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)]
         )
-        first = p._trace_cache[("avx2", 1, DEFAULT_PASSES)]
+        first = p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)]
         p.simulate(grid, 4, optimize=True)
-        assert p._trace_cache[("avx2", 1, DEFAULT_PASSES)] is first
+        assert p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)] is first
 
     def test_custom_pass_list(self):
         p = plan("1d-heat").method("folded").unroll(2).compile()
@@ -293,7 +293,7 @@ class TestPlanIntegration:
         ref, _ = p.simulate(grid, 2, backend="interpret")
         out, _ = p.simulate(grid, 2, optimize=("cse", "dce"))
         np.testing.assert_array_equal(out, ref)
-        assert ("avx2", 1, ("cse", "dce")) in p._trace_cache
+        assert ("trace", "avx2", 1, ("cse", "dce")) in p._engine_cache
 
     def test_custom_callables_with_same_name_do_not_collide(self):
         """Two distinct callables share __name__; the cache must still run both."""
@@ -319,13 +319,13 @@ class TestPlanIntegration:
         out, _ = p.simulate(grid, 2, backend="interpret", optimize=())
         np.testing.assert_array_equal(out, ref)
         p.simulate(grid, 2, optimize=())
-        assert set(p._trace_cache) == {("avx2", 1, "none")}
+        assert set(p._engine_cache) == {("trace", "avx2", 1, "none")}
 
     def test_legacy_constructor_misuse_gets_clear_error(self):
-        from repro.trace import CompiledSweep1D
+        from repro.ir import CompiledSweep
 
         with pytest.raises(TypeError, match="compile_sweep"):
-            CompiledSweep1D(FoldingSchedule(heat_1d(), 2), AVX2)
+            CompiledSweep(FoldingSchedule(heat_1d(), 2), AVX2)
 
     def test_optimize_with_interpret_backend_rejected(self):
         p = plan("1d-heat").method("folded").unroll(2).compile()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.library import (
+    BENCHMARKS,
     apop,
     box_2d9p,
     game_of_life,
@@ -16,6 +17,7 @@ from repro.stencils.library import (
     heat_1d,
     heat_2d,
     heat_3d,
+    get_benchmark,
     symmetric_box_2d9p,
 )
 from repro.stencils.reference import reference_run
@@ -159,3 +161,20 @@ class TestComposition:
         stepwise = reference_run(spec, grid, 2)
         folded = reference_run(spec.compose(2), grid, 1)
         np.testing.assert_allclose(folded, stepwise, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("key", [k for k in BENCHMARKS if BENCHMARKS[k].spec.linear])
+    def test_folding_matrix_is_the_exact_direct_convolution(self, key):
+        """Λ is bit-equal to scipy's direct convolution for m = 2..8 — no
+        FFT round-off entries standing in for exact zeros."""
+        from scipy import signal
+
+        spec = BENCHMARKS[key].spec
+        expected = spec.kernel
+        for m in range(2, 9):
+            expected = signal.convolve(expected, spec.kernel, mode="full", method="direct")
+            np.testing.assert_array_equal(spec.compose(m).kernel, expected)
+
+    def test_3d_heat_folding_matrix_keeps_its_zeros(self):
+        spec = get_benchmark("3d-heat").spec
+        assert spec.compose(3).npoints == 63
+        assert spec.compose(4).npoints == 129

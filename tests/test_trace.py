@@ -1,4 +1,4 @@
-"""Tests for the trace-compiled simulation backend (repro.trace).
+"""Tests for the trace-compiled simulation backend (repro.ir replay).
 
 The contract under test is strict: trace replay must be *bit-identical* to
 the interpreted SIMD sweeps (not merely allclose) and must reproduce the
@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
+from repro.ir import CompiledSweep, TraceRecorder, compile_sweep
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import AVX2, AVX512
 from repro.simd.machine import InstructionCounts, SimdMachine
@@ -28,12 +29,6 @@ from repro.stencils.library import (
     heat_2d,
     heat_3d,
     symmetric_box_2d9p,
-)
-from repro.trace import (
-    CompiledSweep,
-    CompiledSweep3D,
-    TraceRecorder,
-    compile_sweep,
 )
 
 SPECS_1D = [heat_1d, box_1d5p]
@@ -143,10 +138,10 @@ class TestBitIdentity3D:
         got = compiled.replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
 
-    def test_combination_counterparts_bit_identical(self):
-        """heat_3d at m=3 materializes combination counterparts with both
-        reuse coefficients and a bias — the full vertical-fold surface."""
-        sched = FoldingSchedule(heat_3d(), 3)
+    def test_combination_counterparts_bit_identical(self, combination_3d):
+        """A combination counterpart with both reuse coefficients and a
+        bias — the full vertical-fold surface."""
+        sched = FoldingSchedule(combination_3d, 1)
         assert any(cp.mode == "combination" and cp.omega for cp in sched.materialized)
         grid = Grid.random((4, 8, 8), seed=24)
         ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
@@ -279,9 +274,9 @@ class TestPlanBackend:
         p = plan(heat_1d()).method("folded").unroll(2).compile()
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
-        first = p._trace_cache[("avx2", 1, "none")]
+        first = p._engine_cache[("trace", "avx2", 1, "none")]
         p.simulate(grid, 4)
-        assert p._trace_cache[("avx2", 1, "none")] is first
+        assert p._engine_cache[("trace", "avx2", 1, "none")] is first
 
     def test_zero_sweeps_leave_machine_untouched(self):
         p = plan(heat_1d()).method("folded").unroll(2).compile()
@@ -300,7 +295,6 @@ class TestPlanBackend:
 class TestValidation:
     def test_3d_schedules_compile(self):
         compiled = compile_sweep(FoldingSchedule(box_3d27p(), 1), AVX2)
-        assert isinstance(compiled, CompiledSweep3D)  # historical alias
         assert isinstance(compiled, CompiledSweep)
         assert compiled.dims == 3
 

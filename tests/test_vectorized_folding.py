@@ -274,16 +274,16 @@ class TestCombinationCounterparts:
         ref = reference_run(self._spec(), grid, 2)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-    def test_3d_combination_with_bias_matches_reference(self):
-        """heat_3d at m=3 yields combinations with reuse weights AND a bias."""
-        sched = FoldingSchedule(heat_3d(), 3)
+    def test_3d_combination_with_bias_matches_reference(self, combination_3d):
+        """A 3-D combination with reuse weights AND a bias."""
+        sched = FoldingSchedule(combination_3d, 1)
         assert any(
             cp.mode == "combination" and cp.omega and np.any(cp.bias)
             for cp in sched.materialized
         )
         grid = Grid.random((4, 8, 8), seed=23)
         out = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
-        ref = reference_run(heat_3d(), grid, 3)
+        ref = reference_run(combination_3d, grid, 1)
         np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-11)
 
 
