@@ -10,7 +10,9 @@
 * :mod:`repro.core.shifts_reuse` — the shifts-reusing optimisation of
   Section 3.4,
 * :mod:`repro.core.vectorized_folding` — the vectorised multi-step schedules
-  (Figure 5) on both the simulated SIMD machine and a fast NumPy path,
+  (Figure 5) on both the simulated SIMD machine and a fast numeric path,
+* :mod:`repro.core.fold_kernel` — the compiled C fold kernel that numeric
+  path runs, bit-identical to its NumPy body,
 * :mod:`repro.core.plan` — the compile-once/run-many public API:
   :func:`~repro.core.plan.plan` (fluent builder) and
   :class:`~repro.core.plan.CompiledPlan` tying methods, tiling, batching and

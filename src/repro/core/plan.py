@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.backend import codegen
 from repro.backend.options import ExecutionOptions
+from repro.core.fold_kernel import fold_kernel_status
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
@@ -390,7 +391,12 @@ class CompiledPlan:
         deterministic under thread fan-out.
 
         ``backend`` selects the execution engine: ``None`` / ``"auto"`` (the
-        default) runs the method's own numeric executor; ``"kernel"``,
+        default) runs the method's own numeric executor — for the folded
+        method one :meth:`FoldingSchedule.numpy_step
+        <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` per ``m``
+        steps, on the compiled fold kernel when the process could build one
+        (``explain()`` prints which) and bit-identical to the NumPy fold
+        either way; ``"kernel"``,
         ``"trace"`` or ``"interpret"`` force the register-level schedule
         through the named engine (periodic linear stencils on simulation-
         capable methods only, grid extents in the schedule's block multiples;
@@ -747,6 +753,7 @@ class CompiledPlan:
                 f"  schedule       : folded radius {self.schedule.radius}, "
                 f"{self.schedule.num_materialized} materialized counterpart(s), {variant}"
             )
+            lines.append(f"  fold kernel    : {fold_kernel_status()}")
         ir_line = self._ir_pipeline_description()
         if ir_line is not None:
             lines.append(f"  ir pipeline    : {ir_line}")

@@ -9,10 +9,14 @@ folded update of a linear stencil:
   horizontal weight each relative position contributes,
 * three executors:
 
-  - :meth:`FoldingSchedule.numpy_step` — a fast NumPy path that mirrors the
+  - :meth:`FoldingSchedule.numpy_step` — the fast numeric path: the
     vertical-folding → horizontal-folding structure (including counterpart
-    reuse) and is exact for periodic boundaries; the engine adds the
-    Dirichlet boundary-band handling,
+    reuse), exact for periodic boundaries; the engine adds the Dirichlet
+    boundary-band handling.  It runs the compiled fold kernel of
+    :mod:`repro.core.fold_kernel` on the flat tables
+    :meth:`FoldingSchedule.fold_tables` packs, which returns the same bits
+    as the NumPy body :meth:`FoldingSchedule.numpy_fold`; that body runs
+    instead when no kernel can be built or loaded,
   - :meth:`FoldingSchedule.simd_sweep_1d` — the register-level schedule for
     1-D stencils stored in the transpose layout, executed on the simulated
     SIMD machine (vector sets, assembled dependence vectors, Figure 2),
@@ -53,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
+from repro.core.fold_kernel import load_fold_kernel
 from repro.core.regression import CounterpartPlan, plan_counterparts
 from repro.simd.isa import InstructionClass
 from repro.simd.kernels import neighbor_vectors_1d
@@ -85,6 +90,45 @@ class MaterializedCounterpart:
     mode: str
     omega: Dict[int, float]
     bias: np.ndarray
+
+
+#: ``ndimage.correlate`` drops weights with ``|w| <= DBL_EPSILON`` from its footprint.
+_DBL_EPSILON = float(np.finfo(np.float64).eps)
+
+# Counterpart modes of FoldTables.cp (the CP_* enum of fold_kernel.c).
+_CP_DIRECT, _CP_COMBINATION, _CP_COMBINATION_BIAS = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class FoldTables:
+    """One folded update as the flat tables ``fold_kernel.c`` executes.
+
+    Attributes
+    ----------
+    cp:
+        ``(ncp, 5)`` int64, per materialised counterpart: mode (direct,
+        combination, combination with bias), then the ``[lo, hi)`` ranges of
+        its taps (the direct weights or the bias) and of its reuse terms.
+        Empty for 1-D stencils, which have no vertical phase.
+    tap_off, tap_w:
+        ``(ntaps, 2)`` (plane, row) offsets and the weights of the vertical
+        taps, in C order over the leading offsets, ``|w| <= DBL_EPSILON``
+        dropped.
+    omega_src, omega_w:
+        Reuse terms: the earlier counterpart read and its coefficient.
+    pos, pos_w:
+        ``(npos, 2)`` horizontal positions in order: source counterpart
+        (``-1`` for the input row of a 1-D stencil) and column offset, with
+        their weights.
+    """
+
+    cp: np.ndarray
+    tap_off: np.ndarray
+    tap_w: np.ndarray
+    omega_src: np.ndarray
+    omega_w: np.ndarray
+    pos: np.ndarray
+    pos_w: np.ndarray
 
 
 @dataclass
@@ -219,12 +263,39 @@ class FoldingSchedule:
         distance ``>= (m-1)·r`` from the boundary are exact and the engine
         recomputes the remaining band (see
         the folded executor in :mod:`repro.core.plan`).
+
+        The update runs on the compiled fold kernel
+        (:mod:`repro.core.fold_kernel`) fed with :meth:`fold_tables`, which
+        returns the same bits as :meth:`numpy_fold`; the NumPy body runs
+        when the process has no kernel (no C compiler, or a failed build or
+        load).
         """
+        values = self._grid_values(values)
+        kernel = load_fold_kernel()
+        if kernel is None:
+            return self.numpy_fold(values, boundary)
+        return kernel(self.fold_tables(), values, boundary)
+
+    def _grid_values(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != self.dims:
             raise ValueError(
                 f"grid has {values.ndim} dimensions, folded stencil has {self.dims}"
             )
+        return values
+
+    def numpy_fold(self, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
+        """:meth:`numpy_step` in NumPy and ``scipy.ndimage``.
+
+        The path of processes without a compiled fold kernel, and the
+        reference the kernel is tested against bit for bit.  Its operation
+        order is the contract :meth:`fold_tables` encodes: every
+        ``ndimage.correlate`` sums ``0 + w·x`` over the kernel's weights with
+        ``|w| > DBL_EPSILON`` in C order; a combination adds its reuse terms
+        to zero in ``omega`` order, then its bias correlation; the
+        horizontal fold adds ``w·V[j + Δ]`` to zero in position order.
+        """
+        values = self._grid_values(values)
         mode = boundary.ndimage_mode
 
         if self.dims == 1:
@@ -263,6 +334,72 @@ class FoldingSchedule:
             shifted = _shift_along_axis(vertical[mat_idx], offset, axis, boundary)
             out += weight * shifted
         return out
+
+    def fold_tables(self) -> FoldTables:
+        """:meth:`numpy_fold`'s operations as flat tables for the fold kernel.
+
+        Packed on first use and cached on the schedule.
+        """
+        tables = getattr(self, "_fold_tables", None)
+        if tables is None:
+            tables = self._pack_fold_tables()
+            self._fold_tables = tables
+        return tables
+
+    def _pack_fold_tables(self) -> FoldTables:
+        leading = self.matrix.shape[:-1]
+        centre = [(k - 1) // 2 for k in leading]
+
+        def footprint(weights) -> List[Tuple[int, int, float]]:
+            """(plane, row) offsets and weights ndimage keeps, in C order."""
+            kept = []
+            for flat, w in enumerate(np.asarray(weights, dtype=np.float64).ravel()):
+                if abs(w) > _DBL_EPSILON:
+                    index = np.unravel_index(flat, leading)
+                    dz, dy = ([0] + [int(i) - c for i, c in zip(index, centre)])[-2:]
+                    kept.append((dz, dy, float(w)))
+            return kept
+
+        cp_rows: List[Tuple[int, ...]] = []
+        taps: List[Tuple[int, int, float]] = []
+        omegas: List[Tuple[int, float]] = []
+        # A 1-D fold has no vertical phase: it is one correlation of the input.
+        for cp in self.materialized if self.dims > 1 else ():
+            tap_lo, omega_lo = len(taps), len(omegas)
+            if cp.mode == "direct":
+                mode = _CP_DIRECT
+                taps.extend(footprint(cp.vector))
+            else:
+                mode = _CP_COMBINATION_BIAS if np.any(cp.bias) else _CP_COMBINATION
+                omegas.extend(cp.omega.items())
+                if mode == _CP_COMBINATION_BIAS:
+                    taps.extend(footprint(cp.bias))
+            cp_rows.append((mode, tap_lo, len(taps), omega_lo, len(omegas)))
+
+        if self.dims == 1:
+            # Source -1 is the input row, summed over the correlation's footprint.
+            radius = (self.matrix.shape[0] - 1) // 2
+            positions = [
+                (-1, pos - radius, float(w))
+                for pos, w in enumerate(self.matrix)
+                if abs(w) > _DBL_EPSILON
+            ]
+        else:
+            radius = (self.matrix.shape[-1] - 1) // 2
+            positions = [
+                (entry[0], pos - radius, float(entry[1]))
+                for pos, entry in enumerate(self.position_map)
+                if entry is not None
+            ]
+        return FoldTables(
+            cp=np.array(cp_rows, dtype=np.int64).reshape(-1, 5),
+            tap_off=np.array([t[:2] for t in taps], dtype=np.int64).reshape(-1, 2),
+            tap_w=np.array([t[2] for t in taps], dtype=np.float64),
+            omega_src=np.array([o[0] for o in omegas], dtype=np.int64),
+            omega_w=np.array([o[1] for o in omegas], dtype=np.float64),
+            pos=np.array([p[:2] for p in positions], dtype=np.int64).reshape(-1, 2),
+            pos_w=np.array([p[2] for p in positions], dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------ #
     # simulated SIMD execution: 1-D (transpose layout)
@@ -922,6 +1059,9 @@ def _shift_along_axis(
         return np.roll(array, -offset, axis=axis)
     out = np.full_like(array, DIRICHLET_VALUE)
     n = array.shape[axis]
+    if abs(offset) >= n:
+        # Every sample lies outside the grid.
+        return out
     src = [slice(None)] * array.ndim
     dst = [slice(None)] * array.ndim
     if offset > 0:

@@ -38,6 +38,16 @@ from repro.stencils.library import BENCHMARKS
 #: Every registered linear library stencil (the non-linear ones cannot fold).
 LINEAR_KEYS = tuple(key for key, case in BENCHMARKS.items() if case.spec.linear)
 ISAS = [AVX2, AVX512]
+#: Every (stencil, m, ISA) the engines accept: the folded radius fits the lanes.
+ENGINE_CONFIGS = [
+    pytest.param(key, m, isa, id=f"{key}-m{m}-{isa.name}")
+    for key in LINEAR_KEYS
+    for m in (1, 2, 3, 4)
+    for isa in ISAS
+    if m * BENCHMARKS[key].spec.radius <= isa.vector_lanes
+]
+#: Periodic grids in the engines' block multiples on both ISAs.
+ENGINE_SHAPES = {1: (128,), 2: (16, 16), 3: (3, 8, 8)}
 
 
 def _schedule_inputs(spec, isa, m=2, seed=5):
@@ -184,10 +194,11 @@ class TestPlanBackend:
         np.testing.assert_array_equal(out, ref)
         assert opt_counts.total < base_counts.total
 
-    def test_run_backend_matches_auto_including_remainder(self):
-        p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
-        grid = Grid.random((8, 8), seed=1)
-        for steps in (2, 4, 5):  # 5 = two folded sweeps + one reference step
+    @pytest.mark.parametrize("key,m,isa", ENGINE_CONFIGS)
+    def test_run_backend_matches_auto_including_remainder(self, key, m, isa):
+        p = plan(key).method("folded").isa(isa.name).unroll(m).compile()
+        grid = Grid.random(ENGINE_SHAPES[p.spec.dims], seed=1)
+        for steps in (m, 2 * m + 1):  # one folded sweep; two plus one reference step
             expected = p.run(grid, steps)
             for backend in ("kernel", "trace", "interpret"):
                 np.testing.assert_array_equal(
