@@ -36,7 +36,7 @@ must still exist, every case must show forward progress (finite positive
 (``hit_rate`` ≥ 0.75, the bar the 90/10 load mix is designed to clear).
 
 With ``--kernel BENCH_kernel.json --kernel-baseline <previous>`` the gate
-additionally checks the generated-megakernel artifact: every baseline case
+additionally checks the kernel-backend artifact: every baseline case
 must still exist, the artifact must not be empty, and every case's
 kernel-over-interpret speedup must clear the floor (default 5×, matching
 ``benchmarks/test_kernel_speed.py``'s asserted bar).

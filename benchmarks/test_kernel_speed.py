@@ -1,4 +1,4 @@
-"""Kernel-backend benchmark: the generated megakernel vs the interpreter.
+"""Kernel-backend benchmark: content-key-cached IR replay vs the interpreter.
 
 Times ``CompiledPlan.simulate()`` under the interpret, trace and kernel
 backends on a 1-D, a 2-D and a 3-D grid, asserts the acceptance bar

@@ -1,4 +1,4 @@
-"""Measured vs estimated: run the generated megakernel, compare to the model.
+"""Measured vs estimated: time the kernel backend, compare to the model.
 
 Run with::
 
@@ -6,8 +6,8 @@ Run with::
 
 The example puts the two halves of the reproduction side by side:
 
-1. compile a plan for each benchmark stencil and code-generate its optimized
-   schedule IR into one fused NumPy megakernel (``backend="kernel"``),
+1. compile a plan for each benchmark stencil and replay its schedule IR on
+   the kernel backend (``backend="kernel"``),
 2. check the kernel's output is bit-identical to the instruction-level
    interpreter on the same grid,
 3. measure the kernel's wall-clock cycles per point update
@@ -44,7 +44,7 @@ def main() -> None:
         grid = Grid.random(shape, seed=0)
         steps = 2 * p.steps_per_update
 
-        # The megakernel must agree with the interpreter bit for bit.
+        # The kernel must agree with the interpreter bit for bit.
         ref, _ = p.simulate(grid, steps, backend="interpret")
         out, _ = p.simulate(grid, steps, backend="kernel")
         assert np.array_equal(out, ref), key
@@ -66,7 +66,7 @@ def main() -> None:
     print(
         format_table(
             rows,
-            title="Estimated (cost model) vs measured (generated megakernel) cycles per point",
+            title="Estimated (cost model) vs measured (kernel backend) cycles per point",
         )
     )
 

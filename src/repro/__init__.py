@@ -30,8 +30,8 @@ to the trace-replay backend of :mod:`repro.ir`: the register-level
 schedule is recorded once, compiled into a batched NumPy program and replayed
 over all block positions per sweep — bit-identical to the instruction-level
 interpreter (``backend="interpret"``) and typically orders of magnitude
-faster.  ``backend="kernel"`` goes one step further: :mod:`repro.backend`
-code-generates the typed IR into one fused megakernel (content-key cached)
+faster.  ``backend="kernel"`` runs the same replay from
+:mod:`repro.backend`'s process-wide cache keyed by the program's content,
 and :mod:`repro.backend.measure` puts its measured wall-clock cycles per
 point next to the cost model's estimate.
 
@@ -113,7 +113,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "MachineSpec",

@@ -1,10 +1,10 @@
-"""Generated-megakernel execution backend and its measurement harness.
+"""The ``kernel`` execution backend and its measurement harness.
 
 The third execution engine next to the interpreted schedule and the batched
-trace replay: :mod:`repro.backend.codegen` walks an optimized
-:class:`~repro.ir.ops.ScheduleIR` and emits one fused NumPy megakernel per
-program — generated Python source compiled with ``exec``, cached by content
-key.
+trace replay: :mod:`repro.backend.codegen` compiles a
+:class:`~repro.ir.ops.ScheduleIR`, optionally after the IR pass pipeline,
+into a :class:`~repro.backend.codegen.KernelProgram` — the IR executor,
+shared process-wide through a cache keyed by the program's content.
 :mod:`repro.backend.measure` times any backend (warmup / repeats / median,
 injectable clock) and puts measured cycles-per-point on the cost model's
 estimated axis.
@@ -23,7 +23,6 @@ from repro.backend.codegen import (
     KernelProgram,
     clear_kernel_cache,
     compile_kernel,
-    generate_kernel_source,
     kernel_cache_stats,
     kernel_content_key,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionOptions",
     "KernelProgram",
     "compile_kernel",
-    "generate_kernel_source",
     "kernel_content_key",
     "kernel_cache_stats",
     "clear_kernel_cache",
@@ -65,8 +63,8 @@ EXECUTION_BACKENDS: Dict[str, str] = {
         "(per-op dispatch loop)"
     ),
     "kernel": (
-        "generated fused megakernel compiled from the IR — same NumPy ops as "
-        "trace replay, zero per-op dispatch, content-key cached"
+        "the trace replay of the IR, shared process-wide by the program's "
+        "content key"
     ),
 }
 

@@ -11,7 +11,7 @@ prints the estimated vs measured cycles per point as one JSON document::
 The measured figure is converted with the estimate's effective frequency,
 so both numbers sit on the cost model's cycles-per-point axis; the
 ``measured_over_estimated`` ratio is the Python/NumPy interpretation gap
-the generated megakernel (and any future native target) is closing.
+of replaying the simulated SIMD program.
 """
 
 from __future__ import annotations

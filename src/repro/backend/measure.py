@@ -39,7 +39,7 @@ class Measurement:
 
     ``samples`` holds only the timed repeats; the ``warmup`` calls ran before
     the first sample and are never included (they absorb one-time costs —
-    kernel code generation, cache population, allocator warmup).
+    kernel builds, cache population, allocator warmup).
     """
 
     samples: Tuple[float, ...]
@@ -165,7 +165,7 @@ def measure_backend(
     """Measure ``plan.run(grid, steps, backend=backend)`` wall-clock.
 
     The warmup runs trigger (and therefore exclude) one-time compilation:
-    schedule lowering, pass pipelines and kernel code generation all hit
+    schedule lowering, pass pipelines and engine builds all hit
     their caches before the first timed sample.  ``steps`` must be positive —
     measuring an empty run says nothing.  ``optimize`` selects the IR pass
     pipeline of a trace/kernel backend, as in :meth:`CompiledPlan.simulate`;
@@ -206,7 +206,7 @@ def measured_vs_estimated(
     Runs the cost model (:meth:`CompiledPlan.estimate`) and the measurement
     harness on the same workload, converting the measured seconds with the
     *estimate's* effective frequency, and reports both figures side by side
-    with their ratio (``> 1`` means the generated code is slower than the
+    with their ratio (``> 1`` means the measured backend is slower than the
     hardware model predicts — the Python/NumPy interpretation gap the native
     targets exist to close).
     """

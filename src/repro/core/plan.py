@@ -45,6 +45,7 @@ from repro.core.fold_kernel import fold_kernel_status
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
+from repro.ir.ops import block_axes
 from repro.ir.passes import pipeline_key
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.machine import MachineSpec, machine_for_isa
@@ -396,12 +397,12 @@ class CompiledPlan:
         <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` per ``m``
         steps, on the compiled fold kernel when the process could build one
         (``explain()`` prints which) and bit-identical to the NumPy fold
-        either way; ``"kernel"``,
-        ``"trace"`` or ``"interpret"`` force the register-level schedule
-        through the named engine (periodic linear stencils on simulation-
-        capable methods only, grid extents in the schedule's block multiples;
-        tiling configuration is bypassed).  Whole folded updates run on the
-        chosen engine and any ``steps % m`` remainder finishes with exact
+        either way; ``"kernel"``, ``"trace"`` or ``"interpret"`` force the
+        register-level schedule through the named engine (periodic linear
+        stencils on simulation-capable methods only, grid extents in the
+        schedule's block multiples, checked whatever ``steps`` is; tiling
+        configuration is bypassed).  Whole folded updates run on the chosen
+        engine and any ``steps % m`` remainder finishes with exact
         reference steps, so every backend returns bit-identical values.
         ``optimize`` selects the IR pass pipeline of an explicit trace or
         kernel backend (see :meth:`simulate`); it requires one.  Both
@@ -431,8 +432,7 @@ class CompiledPlan:
         ``backend``/``optimize`` arrive pre-validated by
         :meth:`ExecutionOptions.normalize` in :meth:`run`.
         """
-        if steps == 0:
-            return grid.values.copy()
+        self._check_engine_support(grid, self.isa_spec.vector_lanes)
         m = self.steps_per_update
         sweeps, remainder = divmod(steps, m)
         if sweeps > 0:
@@ -512,13 +512,12 @@ class CompiledPlan:
             once, compiles it to a batched NumPy program (cached on the plan)
             and replays it over all block positions per sweep — bit-identical
             values and identical instruction counts, typically orders of
-            magnitude faster.  ``"kernel"`` additionally code-generates the
-            IR into one fused megakernel (:mod:`repro.backend`) — the same
-            NumPy operations as trace replay emitted as straight-line source
-            with no per-op dispatch, so values and counts stay bit-identical
-            while the per-sweep overhead drops further.  ``"interpret"``
-            executes the schedule one simulated instruction at a time (the
-            oracle the other backends are tested against).
+            magnitude faster.  ``"kernel"`` runs the same replay from
+            :mod:`repro.backend`'s process-wide cache, keyed by the
+            program's content, so plans whose programs agree share one
+            compiled kernel; values and counts stay bit-identical.
+            ``"interpret"`` executes the schedule one simulated instruction
+            at a time (the oracle the other backends are tested against).
         optimize:
             IR pass-pipeline selection for the trace and kernel backends.
             ``False`` (the
@@ -535,25 +534,13 @@ class CompiledPlan:
         """
         opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="simulate")
         backend, optimize = opts.backend, opts.optimize
-        if not self.descriptor.supports_simulation:
-            raise ValueError(
-                f"method {self.config.method!r} does not support simulated execution"
-            )
-        if not self.spec.linear:
-            raise ValueError("simulated execution requires a linear stencil")
-        if grid.boundary is not BoundaryCondition.PERIODIC:
-            raise ValueError("simulated execution requires periodic boundaries")
         machine = machine or SimdMachine(self.isa_spec)
+        vl = machine.vl
+        self._check_engine_support(grid, vl)
         m = self.steps_per_update
         if steps % m != 0:
             raise ValueError(f"steps ({steps}) must be a multiple of the unroll factor {m}")
-        if grid.dims not in self.descriptor.simulation_dims:
-            raise ValueError(
-                f"method {self.config.method!r} cannot simulate a {grid.dims}-D grid; "
-                + _describe_simulation_support()
-            )
         schedule = self._simulation_schedule()
-        vl = machine.vl
         values = grid.values.copy()
 
         if backend in ("trace", "kernel"):
@@ -583,6 +570,35 @@ class CompiledPlan:
             values = sweep(machine, values)
         return values, machine.counts
 
+    def _check_engine_support(self, grid: Grid, vl: int) -> None:
+        """Raise ``ValueError`` unless the register-level engines at ``vl``
+        lanes can advance ``grid``.
+
+        :meth:`simulate` and :meth:`run` with an explicit backend call it
+        before anything else, so an unsupported grid fails the same way
+        whatever ``steps`` is — never with a silent reference fallback.
+        """
+        if not self.descriptor.supports_simulation:
+            raise ValueError(
+                f"method {self.config.method!r} does not support simulated execution"
+            )
+        if not self.spec.linear:
+            raise ValueError("simulated execution requires a linear stencil")
+        if grid.boundary is not BoundaryCondition.PERIODIC:
+            raise ValueError("simulated execution requires periodic boundaries")
+        if grid.dims not in self.descriptor.simulation_dims:
+            raise ValueError(
+                f"method {self.config.method!r} cannot simulate a {grid.dims}-D grid; "
+                + _describe_simulation_support()
+            )
+        block_axes(grid.values.shape, vl, grid.dims)  # raises outside the block multiples
+        radius = self._simulation_schedule().radius
+        if radius > vl:
+            raise ValueError(
+                f"folded radius {radius} exceeds the vector length {vl}; "
+                "the register-level schedules support radius <= vl"
+            )
+
     def _compiled(
         self,
         engine: str,
@@ -594,9 +610,9 @@ class CompiledPlan:
         """The cached compiled sweep of ``engine`` for ``(isa, dims, optimize)``.
 
         ``engine`` is ``"trace"`` (:func:`~repro.ir.executor.compile_sweep`)
-        or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`, whose
-        kernels are additionally shared process-wide through their content-key
-        cache).  Compiled at most once per plan, engine, ISA and pass
+        or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`: the
+        same executor, additionally shared process-wide through its
+        content-key cache).  Compiled at most once per plan, engine, ISA and pass
         selection — the lower/optimize/compile step is grid-shape
         independent, so every subsequent simulate() call (and every step
         within one) reuses it.

@@ -911,36 +911,35 @@ class FoldingSchedule:
         """The schedule's cached :class:`~repro.ir.ops.ScheduleIR` for a lane width.
 
         This is the canonical per-schedule lowering cache — the instruction
-        profile reads it and :func:`repro.ir.executor.compile_sweep` shares
-        it, so the recording runs once per (schedule, ISA).  Returns ``None``
-        when the register-level constructions cannot express the schedule
-        (unknown lane width, or folded radius beyond ``vl``).
-        ``optimize=True`` returns the default-pipeline-optimized program
-        (cached separately from the raw recording).
+        profile reads it and both compiled engines share it, so the
+        recording runs once per (schedule, ISA).  Returns ``None`` when the
+        register-level constructions cannot express the schedule (unknown
+        lane width, or folded radius beyond ``vl``).  ``optimize=True``
+        returns the default-pipeline-optimized program (cached separately
+        from the raw recording, together with its pass reports).
         """
+        lowered = self._lowered_ir(vl, optimize)
+        return None if lowered is None else lowered[0]
+
+    def _lowered_ir(self, vl: int, optimize: bool = False):
+        """``(ir, pass reports)`` behind :meth:`schedule_ir`; the raw
+        recording has no reports."""
         from repro.simd.isa import AVX2, AVX512
 
         isa = {4: AVX2, 8: AVX512}.get(int(vl))
         if isa is None or self.radius > vl:
             return None
-        cache = getattr(self, "_ir_cache", None)
-        if cache is None:
-            cache = {}
-            self._ir_cache = cache
-        key = (isa.name, bool(optimize))
-        ir = cache.get(key)
-        if ir is None:
+        cache = self.__dict__.setdefault("_ir_cache", {})
+        raw, key = (isa.name, False), (isa.name, bool(optimize))
+        if raw not in cache:
             from repro.ir.lower import lower_schedule
+
+            cache[raw] = (lower_schedule(self, isa), ())
+        if key not in cache:
             from repro.ir.passes import PassManager
 
-            ir = cache.get((isa.name, False))
-            if ir is None:
-                ir = lower_schedule(self, isa)
-                cache[(isa.name, False)] = ir
-            if optimize:
-                ir, _reports = PassManager(True).run(ir)
-                cache[key] = ir
-        return ir
+            cache[key] = PassManager(True).run(cache[raw][0])
+        return cache[key]
 
     def _ir_instruction_profile(self, ir, shifts_reuse: bool) -> InstructionCounts:
         """Steady-state per-point counts derived from the lowered IR.

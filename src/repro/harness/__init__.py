@@ -17,7 +17,7 @@ Table 3     :func:`repro.harness.experiments.table3` — 36-core speedups over
 (extra)     :func:`repro.harness.experiments.pass_ablation` — IR
             pass-pipeline count reductions per stencil × ISA
 (extra)     :func:`repro.harness.experiments.measured_vs_estimated` —
-            cost-model validation on the generated-kernel backend
+            cost-model validation on the kernel backend
 ==========  ===============================================================
 
 :mod:`repro.harness.runner` exposes a registry keyed by those names and

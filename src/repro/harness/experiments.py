@@ -717,7 +717,7 @@ def measured_vs_estimated(
 
     Every cell compiles the folded plan, asks the cost model for its
     predicted cycles per point, then *measures* the same workload on the
-    generated-megakernel backend (:mod:`repro.backend`) — warmup + repeated
+    kernel backend (:mod:`repro.backend`) — warmup + repeated
     timed runs, median — and converts the measurement with the estimate's
     effective frequency so both figures sit on the cost model's axis.  The
     ``measured_over_estimated`` ratio is the Python/NumPy interpretation gap;

@@ -196,6 +196,10 @@ class CompiledSweep:
         1-D grids are expected (and returned) in the transpose layout; 2-D
         and 3-D grids stay in the original row-major layout.
         """
+        return self._replay(values, out)
+
+    def _replay(self, values: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        # The body of replay(), which KernelProgram.replay calls as well.
         values = np.asarray(values, dtype=np.float64)
         if self.dims == 1:
             return self._replay_sets(values, out)
@@ -296,6 +300,35 @@ class CompiledSweep:
         return self.ir.sweep_counts(shape)
 
 
+def _lower_and_optimize(
+    schedule,
+    isa: IsaSpec,
+    transpose_back: bool = True,
+    optimize: Union[bool, Sequence, None] = False,
+) -> Tuple[ScheduleIR, Tuple[PassReport, ...]]:
+    """``(ir, pass reports)`` of ``schedule`` after the ``optimize`` pipeline:
+    the front end of :func:`compile_sweep` and
+    :func:`repro.backend.codegen.compile_kernel`.
+
+    The default store layout reads the schedule's per-ISA cache, which the
+    cost model's instruction profile shares, so the recording and the
+    default pipeline run once per (schedule, ISA) however many engines are
+    built from it.
+    """
+    ir = None
+    if transpose_back and isa in (AVX2, AVX512):
+        if optimize is True:
+            lowered = schedule._lowered_ir(isa.vector_lanes, optimize=True)
+            if lowered is not None:
+                return lowered
+        ir = schedule.schedule_ir(isa.vector_lanes)
+    if ir is None:
+        ir = lower_schedule(schedule, isa, transpose_back=transpose_back)
+    if optimize is False or optimize is None:
+        return ir, ()
+    return PassManager(optimize).run(ir)
+
+
 def compile_sweep(
     schedule,
     isa: IsaSpec,
@@ -323,17 +356,5 @@ def compile_sweep(
         counts; the applied :class:`~repro.ir.passes.PassReport` deltas are
         exposed as ``CompiledSweep.pass_reports``.
     """
-    ir = None
-    if transpose_back and isa in (AVX2, AVX512):
-        # Share the schedule's canonical lowering cache (also read by the
-        # cost model's instruction profile) instead of re-recording the
-        # program; the getattr keeps duck-typed schedule stand-ins working.
-        cached = getattr(schedule, "schedule_ir", None)
-        if cached is not None:
-            ir = cached(isa.vector_lanes)
-    if ir is None:
-        ir = lower_schedule(schedule, isa, transpose_back=transpose_back)
-    reports: Tuple[PassReport, ...] = ()
-    if optimize is not False and optimize is not None:
-        ir, reports = PassManager(optimize).run(ir)
+    ir, reports = _lower_and_optimize(schedule, isa, transpose_back, optimize)
     return CompiledSweep(ir, schedule=schedule, pass_reports=reports)

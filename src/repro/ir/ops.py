@@ -55,6 +55,31 @@ __all__ = ["IrOp", "IrSegment", "ScheduleIR", "TRIP_ROLES"]
 TRIP_ROLES = ("once", "block", "vertical", "horizontal", "prime", "pipelined")
 
 
+def block_axes(shape: Union[int, Sequence[int]], vl: int, dims: int) -> Tuple[int, ...]:
+    """Block axes of a ``dims``-D batched replay at ``vl`` lanes for a grid ``shape``.
+
+    ``(vector sets,)`` for 1-D programs, ``(planes, row blocks, column
+    blocks)`` for 2-D/3-D programs (a 2-D grid is a single plane).  Raises
+    ``ValueError`` for a shape outside the schedules' block multiples.
+    """
+    if dims == 1:
+        n = int(shape if np.isscalar(shape) else tuple(shape)[0])
+        if n % (vl * vl) != 0:
+            raise ValueError(f"array length {n} must be a multiple of vl²={vl * vl}")
+        return (n // (vl * vl),)
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != dims:
+        raise ValueError(f"shape {shape} does not match a {dims}-D program")
+    planes = shape[0] if dims == 3 else 1
+    rows, cols = shape[-2], shape[-1]
+    if rows % vl != 0 or cols % vl != 0:
+        raise ValueError(
+            f"grid shape {shape} must be a multiple of vl={vl} "
+            "along its two innermost extents"
+        )
+    return (planes, rows // vl, cols // vl)
+
+
 @dataclass(frozen=True)
 class IrOp:
     """One typed IR instruction.
@@ -215,28 +240,9 @@ class ScheduleIR:
     # trip counts and accounting
     # ------------------------------------------------------------------ #
     def block_axes(self, shape: Union[int, Sequence[int]]) -> Tuple[int, ...]:
-        """Block axes of the batched replay for a concrete grid ``shape``.
-
-        ``(vector sets,)`` for 1-D programs, ``(planes, row blocks, column
-        blocks)`` for 2-D/3-D programs (a 2-D grid is a single plane).
-        """
-        vl = self.vl
-        if self.dims == 1:
-            n = int(shape if np.isscalar(shape) else tuple(shape)[0])
-            if n % (vl * vl) != 0:
-                raise ValueError(f"array length {n} must be a multiple of vl²={vl * vl}")
-            return (n // (vl * vl),)
-        shape = tuple(int(s) for s in shape)
-        if len(shape) != self.dims:
-            raise ValueError(f"shape {shape} does not match a {self.dims}-D program")
-        planes = shape[0] if self.dims == 3 else 1
-        rows, cols = shape[-2], shape[-1]
-        if rows % vl != 0 or cols % vl != 0:
-            raise ValueError(
-                f"grid shape {shape} must be a multiple of vl={vl} "
-                "along its two innermost extents"
-            )
-        return (planes, rows // vl, cols // vl)
+        """Block axes of the batched replay for a concrete grid ``shape`` —
+        see :func:`block_axes`."""
+        return block_axes(shape, self.vl, self.dims)
 
     def trip_counts(self, shape: Union[int, Sequence[int]]) -> Dict[str, int]:
         """Executions of each trip role for one interpreted sweep of ``shape``.

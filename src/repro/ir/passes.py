@@ -39,8 +39,8 @@ The built-in passes:
 ``hoist``
     Loop-invariant code motion: pure per-block ops whose operands are all
     block-invariant (prologue values, or themselves hoisted) move into the
-    hoisted prologue, which the replay executor evaluates once at build
-    time and the kernel backend bakes in as namespace constants.
+    hoisted prologue, which the replay executor (trace and kernel backends)
+    evaluates once at build time.
 ``pipeline``
     Software-pipelines the vertical/horizontal stage boundary of 2-D/3-D
     programs: where the dependency graph proves the vertical loads
@@ -503,8 +503,8 @@ def hoist_loop_invariants(ir: ScheduleIR) -> ScheduleIR:
     An op is invariant when it is pure (:data:`_HOISTABLE_OPCODES`) and every
     operand is defined in a ``once`` segment — or is itself hoisted.  Hoisted
     ops run once per sweep instead of once per block (the replay executor
-    evaluates the prologue at compile time and the kernel backend bakes its
-    values in as namespace constants), so group-wise counts only shrink.
+    evaluates the prologue at compile time), so group-wise counts only
+    shrink.
 
     The lowering already computes the stencil weights in the prologue, so on
     freshly lowered programs this is a safety net; its concrete feed is the

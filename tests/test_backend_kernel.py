@@ -1,17 +1,19 @@
-"""Generated-megakernel backend (repro.backend): the contract under test.
+"""The kernel backend (repro.backend): the contract under test.
 
 * The kernel's replay is **bit-identical** to the interpreted SIMD sweep on
   every linear library stencil, both ISAs, both store layouts and all
   supported dimensionalities — unoptimized and through the default pass
   pipeline — and its derived accounting reproduces the interpreted machine.
 * Kernels are content-key cached: identical programs share one compiled
-  function, and the cache is observable (stats) and clearable.
+  kernel, and the cache is observable (stats) and clearable.
 * The plan layer exposes the backend (``simulate(backend="kernel")``,
   ``run(backend=...)``, ``measure()``), the backend registry names exactly
   the engines the service validates against.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -25,15 +27,17 @@ from repro.backend import (
     kernel_cache_stats,
     kernel_content_key,
 )
-from repro.backend.codegen import generate_kernel_source
 from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import lower_schedule
 from repro.layout.transpose_layout import to_transpose_layout
 from repro.simd.isa import AVX2, AVX512
 from repro.simd.machine import SimdMachine
+from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS
+
+PERIODIC, DIRICHLET = BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET
 
 #: Every registered linear library stencil (the non-linear ones cannot fold).
 LINEAR_KEYS = tuple(key for key, case in BENCHMARKS.items() if case.spec.linear)
@@ -121,16 +125,6 @@ class TestKernelEquivalence:
 
 
 class TestKernelExecution:
-    def test_run_sweeps_matches_repeated_replay(self):
-        for isa in ISAS:
-            sched, values, _ = _schedule_inputs(BENCHMARKS["2d9p"].spec, isa)
-            kernel = compile_kernel(sched, isa)
-            expected = values.copy()
-            for _ in range(3):
-                expected = kernel.replay(expected)
-            np.testing.assert_array_equal(kernel.run_sweeps(values.copy(), 3), expected)
-            np.testing.assert_array_equal(kernel.run_sweeps(values.copy(), 0), values)
-
     def test_shape_validation(self):
         sched, _, _ = _schedule_inputs(BENCHMARKS["2d9p"].spec, AVX2)
         kernel = compile_kernel(sched, AVX2)
@@ -138,14 +132,6 @@ class TestKernelExecution:
             kernel.replay(np.zeros((5, 7)))
         with pytest.raises(ValueError, match="2-D"):
             kernel.replay(np.zeros(64))
-
-    def test_generated_source_is_deterministic(self):
-        ir = lower_schedule(FoldingSchedule(BENCHMARKS["2d9p"].spec, 2), AVX2)
-        src_a, ns_a = generate_kernel_source(ir)
-        src_b, ns_b = generate_kernel_source(ir)
-        assert src_a == src_b
-        assert set(ns_a) == set(ns_b)
-        assert "def megakernel(values, out):" in src_a
 
 
 # --------------------------------------------------------------------------- #
@@ -204,6 +190,32 @@ class TestPlanBackend:
                 np.testing.assert_array_equal(
                     p.run(grid, steps, backend=backend), expected
                 )
+
+    @pytest.mark.parametrize(
+        "key,method,m,shape,boundary,message",
+        [
+            ("2d9p", "folded", 2, (8, 8), DIRICHLET, "requires periodic boundaries"),
+            ("2d9p", "folded", 2, (6, 6), PERIODIC, "grid shape (6, 6) must be a multiple of vl=4"),
+            ("1d-heat", "folded", 2, (24,), PERIODIC, "array length 24 must be a multiple of vl²=16"),
+            ("game-of-life", "folded", 2, (8, 8), PERIODIC, "requires a linear stencil"),
+            ("2d9p", "multiple_loads", 2, (8, 8), PERIODIC, "does not support simulated execution"),
+            ("1d5p", "folded", 3, (64,), PERIODIC, "folded radius 6 exceeds the vector length 4"),
+        ],
+        ids=["dirichlet", "2d-extent", "1d-extent", "non-linear", "no-simulation", "radius"],
+    )
+    def test_engine_preconditions_checked_whatever_steps(
+        self, key, method, m, shape, boundary, message
+    ):
+        """An unsupported grid raises the same error for every steps, never a
+        silent reference step when steps < m."""
+        p = plan(key).method(method).isa("avx2").unroll(m).compile()
+        grid = Grid.random(shape, boundary=boundary, seed=0)
+        for backend in ("kernel", "trace", "interpret"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                p.simulate(grid, m, backend=backend)
+            for steps in (0, 1, m):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    p.run(grid, steps, backend=backend)
 
     def test_run_rejects_unknown_backend_and_stray_optimize(self):
         p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.backend.codegen import KernelProgram
 from repro.stencils.grid import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +78,27 @@ class TestGridHooks:
         # restore() put the library's own functions back.
         plan_module = importlib.import_module("repro.core.plan")
         assert plan_module.compile_sweep is repro.ir.executor.compile_sweep
+
+    def test_kernel_sweep_span_is_its_own_and_restored(self):
+        """The kernel subclasses the trace executor; patching both replays
+        must still time a kernel sweep once, and restore() must put the
+        kernel's own replay back rather than the trace's wrapper."""
+        plan = repro.plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
+        grid = Grid.random((8, 8), seed=0)
+        tracer = Tracer()
+        install_hooks(tracer)
+        try:
+            plan.simulate(grid, 2, backend="kernel", optimize=True)
+        finally:
+            tracer.restore()
+        (sweep,) = tracer.named("backend.kernel_sweep")
+        assert [s.name for s in tracer.spans if s.parent == sweep.index] == []
+        replay = KernelProgram.__dict__["replay"]
+        assert replay.__qualname__ == "KernelProgram.replay"
+        assert not hasattr(replay, "__wrapped__")
+        recorded = len(tracer.spans)
+        plan.simulate(grid, 2, backend="kernel", optimize=True)
+        assert len(tracer.spans) == recorded
 
 
 class TestTracedServerPatches:

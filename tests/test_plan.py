@@ -7,8 +7,10 @@ import pytest
 
 from repro.core import vectorized_folding
 from repro.core.plan import CompiledPlan, plan
+from repro.ir import PassManager, lower_schedule
 from repro.methods import profile_folded
 from repro.perfmodel.costmodel import PerformanceEstimate
+from repro.simd.isa import AVX2
 from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS, box_2d9p, get_benchmark, heat_1d, heat_2d
@@ -190,6 +192,31 @@ class TestScheduleCaching:
             out, _ = p.simulate(grid, 3)
         assert schedule_counter["n"] == 1
         assert_allclose(out, reference_run(spec, grid, 3))
+
+
+    def test_default_pipeline_runs_once_per_schedule_and_isa(self, monkeypatch):
+        """The profile, both engine builds and explain() share one run of the
+        default IR pipeline, whose reports equal an independent run's."""
+        schedule = vectorized_folding.FoldingSchedule(box_2d9p(), 2)
+        _, expected = PassManager(True).run(lower_schedule(schedule, AVX2))
+        runs = []
+        original = PassManager.run
+
+        def counting(self, ir):
+            runs.append(ir.isa.name)
+            return original(self, ir)
+
+        monkeypatch.setattr(PassManager, "run", counting)
+        p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
+        p.profile()
+        grid = Grid.random((8, 8), seed=4)
+        for backend in ("trace", "kernel"):
+            p.simulate(grid, 2, backend=backend, optimize=True)
+        assert "ir pipeline" in p.explain()
+        assert runs == ["avx2"]
+        for engine in ("trace", "kernel"):
+            compiled = p._compiled(engine, p.schedule, AVX2, 2, optimize=True)
+            assert compiled.pass_reports == expected
 
 
 class TestImmutabilityAndIntrospection:
