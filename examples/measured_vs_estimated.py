@@ -6,16 +6,20 @@ Run with::
 
 The example puts the two halves of the reproduction side by side:
 
-1. compile a plan for each benchmark stencil and replay its schedule IR on
-   the kernel backend (``backend="kernel"``),
+1. compile a plan for each benchmark stencil and run its schedule IR on the
+   kernel backend (``backend="kernel"``): native SIMD code the system C
+   compiler built from the IR, or IR replay on NumPy on a host without one
+   (``p.explain()`` says which),
 2. check the kernel's output is bit-identical to the instruction-level
    interpreter on the same grid,
 3. measure the kernel's wall-clock cycles per point update
    (:func:`repro.measured_vs_estimated`) and print it next to the analytic
    cost model's estimate for the paper's Xeon Gold 6140.
 
-The measured column times NumPy executing a simulated SIMD program, so it
-sits orders of magnitude above the modelled native figure — the point is the
+The measured column times whole ``run()`` calls on grids of 1024 points, so
+each call's fixed cost (argument checks, layout transforms, the ``ctypes``
+call) is a large share, and it runs on this host rather than the modelled
+Xeon; on NumPy replay it sits orders of magnitude higher.  The point is the
 shared axis (cycles per point) and the per-stencil *shape* of the two
 columns, not parity.  The same numbers are available from the command line
 via ``repro-measure <stencil> --isa avx512 --optimize``.

@@ -30,10 +30,12 @@ to the trace-replay backend of :mod:`repro.ir`: the register-level
 schedule is recorded once, compiled into a batched NumPy program and replayed
 over all block positions per sweep — bit-identical to the instruction-level
 interpreter (``backend="interpret"``) and typically orders of magnitude
-faster.  ``backend="kernel"`` runs the same replay from
-:mod:`repro.backend`'s process-wide cache keyed by the program's content,
-and :mod:`repro.backend.measure` puts its measured wall-clock cycles per
-point next to the cost model's estimate.
+faster.  ``backend="kernel"`` runs the same program as native SIMD code,
+emitted as C and built by the system compiler on first use, from
+:mod:`repro.backend`'s process-wide cache keyed by the program's content
+(IR replay on a host without a compiler), and :mod:`repro.backend.measure`
+puts its measured wall-clock cycles per point next to the cost model's
+estimate.
 
 Configuration search is first-class too: ``repro.plan(spec).autotune()``
 (or :func:`repro.autotune.autotune`) runs a staged search over
@@ -113,7 +115,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "MachineSpec",

@@ -3,11 +3,13 @@
 The third execution engine next to the interpreted schedule and the batched
 trace replay: :mod:`repro.backend.codegen` compiles a
 :class:`~repro.ir.ops.ScheduleIR`, optionally after the IR pass pipeline,
-into a :class:`~repro.backend.codegen.KernelProgram` — the IR executor,
-shared process-wide through a cache keyed by the program's content.
-:mod:`repro.backend.measure` times any backend (warmup / repeats / median,
-injectable clock) and puts measured cycles-per-point on the cost model's
-estimated axis.
+into a :class:`~repro.backend.codegen.KernelProgram` — the program emitted
+as C, built by :mod:`repro.backend.native` with the ISA flags the host
+supports and run natively, shared process-wide through a cache keyed by the
+program's content.  Without a C compiler the program replays the IR on
+NumPy and says why.  :mod:`repro.backend.measure` times any backend
+(warmup / repeats / median, injectable clock) and puts measured
+cycles-per-point on the cost model's estimated axis.
 
 :data:`EXECUTION_BACKENDS` is the one registry of backend names the whole
 stack validates against — ``CompiledPlan.simulate``/``run``, the service
@@ -63,8 +65,9 @@ EXECUTION_BACKENDS: Dict[str, str] = {
         "(per-op dispatch loop)"
     ),
     "kernel": (
-        "the trace replay of the IR, shared process-wide by the program's "
-        "content key"
+        "the IR compiled to native SIMD code through the system C compiler, "
+        "shared process-wide by the program's content key (IR replay "
+        "without a compiler)"
     ),
 }
 

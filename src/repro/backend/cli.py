@@ -10,8 +10,10 @@ prints the estimated vs measured cycles per point as one JSON document::
 
 The measured figure is converted with the estimate's effective frequency,
 so both numbers sit on the cost model's cycles-per-point axis; the
-``measured_over_estimated`` ratio is the Python/NumPy interpretation gap
-of replaying the simulated SIMD program.
+``measured_over_estimated`` ratio is the gap between the model's Xeon and
+this host running the backend's program (native code for ``kernel`` when a
+C compiler is available, NumPy replay for ``trace``), per-call overhead
+included.
 """
 
 from __future__ import annotations

@@ -207,8 +207,8 @@ def measured_vs_estimated(
     harness on the same workload, converting the measured seconds with the
     *estimate's* effective frequency, and reports both figures side by side
     with their ratio (``> 1`` means the measured backend is slower than the
-    hardware model predicts — the Python/NumPy interpretation gap the native
-    targets exist to close).
+    hardware model predicts: per-call overhead, this host against the
+    model's, and NumPy replay on engines that do not run native code).
     """
     estimate = plan.estimate(grid.values.shape, steps, cores=cores, machine=machine)
     measured = measure_backend(

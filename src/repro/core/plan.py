@@ -45,6 +45,7 @@ from repro.core.fold_kernel import fold_kernel_status
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
+from repro.ir.lower import check_lowerable
 from repro.ir.ops import block_axes
 from repro.ir.passes import pipeline_key
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
@@ -512,7 +513,9 @@ class CompiledPlan:
             once, compiles it to a batched NumPy program (cached on the plan)
             and replays it over all block positions per sweep — bit-identical
             values and identical instruction counts, typically orders of
-            magnitude faster.  ``"kernel"`` runs the same replay from
+            magnitude faster.  ``"kernel"`` runs the same program as native
+            SIMD code built from C by the system compiler (IR replay
+            without one; ``explain()`` says which), from
             :mod:`repro.backend`'s process-wide cache, keyed by the
             program's content, so plans whose programs agree share one
             compiled kernel; values and counts stay bit-identical.
@@ -592,12 +595,7 @@ class CompiledPlan:
                 + _describe_simulation_support()
             )
         block_axes(grid.values.shape, vl, grid.dims)  # raises outside the block multiples
-        radius = self._simulation_schedule().radius
-        if radius > vl:
-            raise ValueError(
-                f"folded radius {radius} exceeds the vector length {vl}; "
-                "the register-level schedules support radius <= vl"
-            )
+        check_lowerable(self._simulation_schedule(), vl)
 
     def _compiled(
         self,
@@ -611,7 +609,7 @@ class CompiledPlan:
 
         ``engine`` is ``"trace"`` (:func:`~repro.ir.executor.compile_sweep`)
         or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`: the
-        same executor, additionally shared process-wide through its
+        program's native C form, shared process-wide through its
         content-key cache).  Compiled at most once per plan, engine, ISA and pass
         selection — the lower/optimize/compile step is grid-shape
         independent, so every subsequent simulate() call (and every step
@@ -773,6 +771,7 @@ class CompiledPlan:
         ir_line = self._ir_pipeline_description()
         if ir_line is not None:
             lines.append(f"  ir pipeline    : {ir_line}")
+            lines.append(f"  kernel backend : {self._kernel_backend_description()}")
         graph_line = self._dependency_graph_description()
         if graph_line is not None:
             lines.append(f"  dep graph      : {graph_line}")
@@ -831,6 +830,14 @@ class CompiledPlan:
         if cp_before or cp_after:
             line += f"; critical path {cp_before:g} → {cp_after:g} cyc"
         return line
+
+    def _kernel_backend_description(self) -> str:
+        """How ``backend="kernel"`` runs the plan's default-pipeline program:
+        :attr:`KernelProgram.status <repro.backend.codegen.KernelProgram.status>`,
+        ``native (<cached .so>, <ISA flags>)`` or ``ir replay (<reason>)``."""
+        return self._compiled(
+            "kernel", self.schedule, self.isa_spec, self.spec.dims, optimize=True
+        ).status
 
     def _dependency_graph_description(self) -> Optional[str]:
         """Per-segment dependency-graph statistics of the optimized program.

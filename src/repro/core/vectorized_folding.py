@@ -914,7 +914,9 @@ class FoldingSchedule:
         profile reads it and both compiled engines share it, so the
         recording runs once per (schedule, ISA).  Returns ``None`` when the
         register-level constructions cannot express the schedule (unknown
-        lane width, or folded radius beyond ``vl``).  ``optimize=True``
+        lane width, or :func:`~repro.ir.lower.check_lowerable` rejects it:
+        a folded radius beyond ``vl`` or radii that differ between axes).
+        ``optimize=True``
         returns the default-pipeline-optimized program (cached separately
         from the raw recording, together with its pass reports).
         """
@@ -924,16 +926,19 @@ class FoldingSchedule:
     def _lowered_ir(self, vl: int, optimize: bool = False):
         """``(ir, pass reports)`` behind :meth:`schedule_ir`; the raw
         recording has no reports."""
+        from repro.ir.lower import check_lowerable, lower_schedule
         from repro.simd.isa import AVX2, AVX512
 
         isa = {4: AVX2, 8: AVX512}.get(int(vl))
-        if isa is None or self.radius > vl:
+        if isa is None:
+            return None
+        try:
+            check_lowerable(self, vl)
+        except ValueError:
             return None
         cache = self.__dict__.setdefault("_ir_cache", {})
         raw, key = (isa.name, False), (isa.name, bool(optimize))
         if raw not in cache:
-            from repro.ir.lower import lower_schedule
-
             cache[raw] = (lower_schedule(self, isa), ())
         if key not in cache:
             from repro.ir.passes import PassManager

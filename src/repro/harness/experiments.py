@@ -720,9 +720,10 @@ def measured_vs_estimated(
     kernel backend (:mod:`repro.backend`) — warmup + repeated
     timed runs, median — and converts the measurement with the estimate's
     effective frequency so both figures sit on the cost model's axis.  The
-    ``measured_over_estimated`` ratio is the Python/NumPy interpretation gap;
-    rows where it approaches 1 are where the model is validated against the
-    hardware rather than merely predictive.  Cells the register-level
+    ``measured_over_estimated`` ratio is the gap between the model and the
+    kernel's native program on this host (NumPy replay on a host without a
+    C compiler); rows where it approaches 1 are where the model is
+    validated against the hardware rather than merely predictive.  Cells the register-level
     schedule cannot express (non-linear stencils, folded radius beyond the
     vector length) are skipped.
 

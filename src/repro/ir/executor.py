@@ -115,13 +115,22 @@ class _SegmentProgram:
                 env[src] = None
 
 
-def _check_contiguous_out(out: Optional[np.ndarray], template: np.ndarray) -> np.ndarray:
+def _check_contiguous_out(out: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``out``, or a new array, once it is safe to write ``values``' sweep into:
+    a writeable C-contiguous ``float64`` array of their shape that shares no
+    memory with them."""
     if out is None:
-        return np.empty_like(template)
+        return np.empty_like(values)
+    if out.dtype != np.float64:
+        raise ValueError(f"IR replay writes float64, not into a {out.dtype} output array")
     if not out.flags.c_contiguous:
         raise ValueError("IR replay requires a C-contiguous output array")
-    if out.shape != template.shape:
-        raise ValueError(f"output shape {out.shape} does not match grid shape {template.shape}")
+    if not out.flags.writeable:
+        raise ValueError("IR replay requires a writeable output array")
+    if out.shape != values.shape:
+        raise ValueError(f"output shape {out.shape} does not match grid shape {values.shape}")
+    if np.may_share_memory(out, values):
+        raise ValueError("IR replay cannot write its output over its input")
     return out
 
 
@@ -200,16 +209,40 @@ class CompiledSweep:
 
     def _replay(self, values: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         # The body of replay(), which KernelProgram.replay calls as well.
-        values = np.asarray(values, dtype=np.float64)
+        values, out, axes = self._operands(values, out)
         if self.dims == 1:
-            return self._replay_sets(values, out)
-        return self._replay_squares(values, out)
+            self._replay_sets(values, out, axes)
+        else:
+            self._replay_squares(values, out, axes)
+        return self._stored(out)
 
-    def _replay_sets(self, values_t: np.ndarray, out_t: Optional[np.ndarray]) -> np.ndarray:
+    def _operands(
+        self, values: np.ndarray, out: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+        """``(values, out, block axes)`` of one sweep: a C-contiguous ``float64``
+        grid of the program's dimensionality in its block multiples, and an
+        output array :func:`_check_contiguous_out` accepts."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.ndim != self.dims:
+            raise ValueError(f"CompiledSweep.replay expects a {self.dims}-D grid")
+        axes = self.ir.block_axes(values.shape)
+        return values, _check_contiguous_out(out, values), axes
+
+    def _stored(self, out: np.ndarray) -> np.ndarray:
+        """The sweep's result from its output array: row-oriented tiles of a
+        program that stores transposed ones (``transpose_back=False``)."""
+        if self.dims == 1 or self.transpose_back:
+            return out
+        from repro.core.vectorized_folding import _untranspose_plane_tiles, _untranspose_tiles
+
+        if self.dims == 2:
+            return _untranspose_tiles(out, self.vl)
+        return _untranspose_plane_tiles(out, self.vl)
+
+    def _replay_sets(self, values_t: np.ndarray, out_t: np.ndarray, axes: Tuple[int, ...]) -> None:
         vl = self.vl
-        (nsets,) = self.ir.block_axes(values_t.size)
-        v3 = np.ascontiguousarray(values_t).reshape(nsets, vl, vl)
-        out_t = _check_contiguous_out(out_t, values_t)
+        (nsets,) = axes
+        v3 = values_t.reshape(nsets, vl, vl)
         out3 = out_t.reshape(nsets, vl, vl)
 
         def load_fn(tag):
@@ -225,16 +258,11 @@ class CompiledSweep:
 
         env = list(self._base_env)
         self._block_prog.run(env, load_fn=load_fn, store_fn=store_fn)
-        return out_t
 
-    def _replay_squares(self, values: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    def _replay_squares(self, values: np.ndarray, out: np.ndarray, axes: Tuple[int, ...]) -> None:
         vl = self.vl
-        if values.ndim != self.dims:
-            raise ValueError(f"CompiledSweep.replay expects a {self.dims}-D grid")
-        planes, nrb, ncb = self.ir.block_axes(values.shape)
+        planes, nrb, ncb = axes
         rows, cols = values.shape[-2], values.shape[-1]
-        values = np.ascontiguousarray(values)
-        out = _check_contiguous_out(out, values)
         v5 = values.reshape(planes, nrb, vl, ncb, vl)
         out5 = out.reshape(planes, nrb, vl, ncb, vl)
         grid3 = values.reshape(planes, rows, cols)
@@ -253,41 +281,22 @@ class CompiledSweep:
             _, oi = tag
             out5[:, :, oi] = val
 
+        def input_fn(tag):
+            _, delta, ci, k = tag
+            column = env[self.ir.vt_out[ci][k]]
+            # A block-invariant column (a constant, with no block axes) is
+            # its own neighbour.
+            if delta == 0 or column.ndim == 1:
+                return column
+            return np.roll(column, -delta, axis=2)
+
         if self._pipelined_prog is not None:
-
-            def input_fn(tag):
-                _, delta, ci, k = tag
-                arr = env[self.ir.vt_out[ci][k]]
-                if delta == 0:
-                    return arr
-                return np.roll(arr, -delta, axis=2)
-
             self._pipelined_prog.run(
                 env, load_fn=load_fn, store_fn=store_fn, input_fn=input_fn
             )
         else:
             self._vertical_prog.run(env, load_fn=load_fn)
-            vt_arrays = [[env[vid] for vid in col_vids] for col_vids in self.ir.vt_out]
-
-            def input_fn(tag):
-                _, delta, ci, k = tag
-                arr = vt_arrays[ci][k]
-                if delta == 0:
-                    return arr
-                return np.roll(arr, -delta, axis=2)
-
             self._horizontal_prog.run(env, store_fn=store_fn, input_fn=input_fn)
-        if not self.transpose_back:
-            from repro.core.vectorized_folding import (
-                _untranspose_plane_tiles,
-                _untranspose_tiles,
-            )
-
-            if self.dims == 2:
-                out = _untranspose_tiles(out, vl)
-            else:
-                out = _untranspose_plane_tiles(out, vl)
-        return out
 
     # ------------------------------------------------------------------ #
     # accounting

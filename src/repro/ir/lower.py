@@ -26,7 +26,25 @@ from repro.ir.ops import ScheduleIR
 from repro.ir.recorder import TraceRecorder
 from repro.simd.isa import IsaSpec
 
-__all__ = ["lower_schedule"]
+__all__ = ["check_lowerable", "lower_schedule"]
+
+
+def check_lowerable(schedule, vl: int) -> None:
+    """Raise ``ValueError`` unless the register-level schedules can run
+    ``schedule`` at ``vl`` lanes: the assembled vector and square
+    constructions need a folded radius of at most ``vl``, the same along
+    every axis."""
+    if schedule.radius > vl:
+        raise ValueError(
+            f"folded radius {schedule.radius} exceeds the vector length {vl}; "
+            "the register-level schedules support radius <= vl"
+        )
+    radii = schedule.folded.radii
+    if len(set(radii)) > 1:
+        raise ValueError(
+            f"folded radii {radii} differ between axes; "
+            "the register-level schedules support one radius along every axis"
+        )
 
 
 def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> ScheduleIR:
@@ -47,18 +65,13 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
     Raises
     ------
     ValueError
-        When the folded radius exceeds the vector length (the assembled
-        vector / square constructions support ``radius <= vl``) or the
+        When :func:`check_lowerable` rejects the schedule or the
         dimensionality is unsupported.
     """
     vl = isa.vector_lanes
     if schedule.dims not in (1, 2, 3):
         raise ValueError("lowering supports 1-D, 2-D and 3-D schedules only")
-    if schedule.radius > vl:
-        raise ValueError(
-            f"folded radius {schedule.radius} exceeds the vector length {vl}; "
-            "the register-level schedules support radius <= vl"
-        )
+    check_lowerable(schedule, vl)
     rec = TraceRecorder(isa)
     source = f"{schedule.spec.name} m={schedule.m} {isa.name}"
 

@@ -53,16 +53,14 @@ def to_transpose_layout(array: np.ndarray, vl: int) -> np.ndarray:
     """
     _check_vl(vl)
     arr = np.asarray(array, dtype=np.float64)
-    out = arr.copy()
-    n = arr.shape[-1]
-    block = vl * vl
-    nblocks = n // block
-    if nblocks == 0:
-        return out
-    body = out[..., : nblocks * block]
-    shape = body.shape[:-1] + (nblocks, vl, vl)
-    transposed = body.reshape(shape).swapaxes(-1, -2).reshape(body.shape)
-    out[..., : nblocks * block] = transposed
+    out = np.empty(arr.shape)
+    blocked = arr.shape[-1] // (vl * vl) * (vl * vl)
+    shape = arr.shape[:-1] + (blocked // (vl * vl), vl, vl)
+    # One pass: each block's transpose is written straight into the result
+    # through a view (splitting the innermost axis never copies); only the
+    # tail is copied as it is.
+    out[..., :blocked].reshape(shape)[...] = arr[..., :blocked].reshape(shape).swapaxes(-1, -2)
+    out[..., blocked:] = arr[..., blocked:]
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.simd.isa import AVX2, AVX512
 from repro.simd.machine import SimdMachine
@@ -95,3 +96,35 @@ def combination_3d() -> StencilSpec:
 def benchmark_case(request):
     """Parametrised fixture yielding every paper benchmark."""
     return BENCHMARKS[request.param]
+
+
+# --------------------------------------------------------------------------- #
+# legal linear stencils for the property tests
+# --------------------------------------------------------------------------- #
+EPS = float(np.finfo(np.float64).eps)
+
+#: Sparse and small-integer weights (these make counterparts reusable),
+#: general and negative ones, and weights at or below DBL_EPSILON, which the
+#: NumPy correlations drop from their footprint.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, 0.5]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([EPS, -EPS, EPS / 2, 2 * EPS, 1e-300, 5e-324]),
+)
+
+
+@st.composite
+def stencil_weights(draw, dims: int, isotropic: bool = False) -> np.ndarray:
+    """The weights of a legal ``dims``-D linear stencil: radius 0 to 2 per
+    axis (one radius for all axes when ``isotropic``), :data:`WEIGHTS` off
+    the centre and a non-zero centre, so the folded matrix is never all
+    zero.  Zero weights still give anisotropic footprints."""
+    if isotropic:
+        radii = (draw(st.integers(0, 2)),) * dims
+    else:
+        radii = tuple(draw(st.integers(0, 2)) for _ in range(dims))
+    shape = tuple(2 * r + 1 for r in radii)
+    size = int(np.prod(shape))
+    kernel = np.array(draw(st.lists(WEIGHTS, min_size=size, max_size=size))).reshape(shape)
+    kernel[radii] = draw(st.floats(0.25, 1.0))
+    return kernel

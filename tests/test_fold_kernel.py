@@ -34,8 +34,8 @@ from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.reference import reference_run
 from repro.stencils.spec import StencilSpec
+from tests.conftest import EPS, stencil_weights
 
-EPS = float(np.finfo(np.float64).eps)
 PERIODIC, DIRICHLET = BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET
 
 
@@ -68,16 +68,6 @@ def bits(array: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # compiled fold == NumPy fold, bit for bit
 # --------------------------------------------------------------------------- #
-#: Sparse and small-integer weights (these make counterparts reusable),
-#: general and negative ones, and weights at or below DBL_EPSILON, which the
-#: NumPy correlations drop from their footprint.
-WEIGHTS = st.one_of(
-    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, 0.5]),
-    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
-    st.sampled_from([EPS, -EPS, EPS / 2, 2 * EPS, 1e-300, 5e-324]),
-)
-
-
 @st.composite
 def fold_cases(draw):
     """(kernel, m, grid shape, boundary, seed): radius <= 2 per axis, m <= 3.
@@ -86,11 +76,7 @@ def fold_cases(draw):
     several of the kernel's chunks.
     """
     dims = draw(st.integers(1, 3))
-    radii = tuple(draw(st.integers(0, 2)) for _ in range(dims))
-    shape = tuple(2 * r + 1 for r in radii)
-    size = int(np.prod(shape))
-    kernel = np.array(draw(st.lists(WEIGHTS, min_size=size, max_size=size))).reshape(shape)
-    kernel[radii] = draw(st.floats(0.25, 1.0))  # a non-zero folded matrix
+    kernel = draw(stencil_weights(dims))
     m = draw(st.integers(1, 3))
     leading = {1: 1, 2: 12, 3: 6}[dims]
     grid = tuple(draw(st.integers(1, leading)) for _ in range(dims - 1))
@@ -179,6 +165,15 @@ def test_explain_names_the_cached_library(compiled):
     assert compiled.path.parent == native.cache_dir()
 
 
+def test_explain_names_the_decision_whatever_the_host():
+    """The line names the library, or why there is none: the only check
+    that holds both with and without a compiler on ``PATH``."""
+    if native.find_c_compiler() is None:
+        assert fold_kernel_line() == "numpy (no C compiler on PATH)"
+    else:
+        assert fold_kernel_line().startswith("compiled (")
+
+
 def test_explain_has_no_fold_kernel_line_without_a_schedule():
     assert "fold kernel" not in plan("2d9p").method("dlt").compile().explain()
 
@@ -253,11 +248,14 @@ def test_builds_are_cached_by_a_hash_of_source_and_flags(monkeypatch, tmp_path):
     source = "int answer(void) { return 42; }\n"
     path = native.build_library("probe", source, compiler)
     other = native.build_library("probe", source.replace("42", "43"), compiler)
+    flagged = native.build_library("probe", source, compiler, flags=("-DFLAGGED",))
     assert path.parent == tmp_path / "repro" and path.name.startswith("probe-")
-    assert other != path
-    assert sorted(path.parent.iterdir()) == sorted([path, other])  # no temporary files left
+    assert len({path, other, flagged}) == 3
+    # no temporary files left
+    assert sorted(path.parent.iterdir()) == sorted([path, other, flagged])
     assert ctypes.CDLL(str(path)).answer() == 42
     runs = []
     monkeypatch.setattr(native.subprocess, "run", lambda *args, **kwargs: runs.append(args))
     assert native.build_library("probe", source, compiler) == path
+    assert native.build_library("probe", source, compiler, flags=("-DFLAGGED",)) == flagged
     assert runs == []
