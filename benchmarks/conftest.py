@@ -17,6 +17,10 @@ import json
 from pathlib import Path
 from typing import Any
 
+import pytest
+
+from repro.backend.codegen import wait_for_builds
+
 #: Directory the perf-trajectory artifacts (``BENCH_*.json``) are written to.
 #: It is git-ignored: the committed copies at the repository root are the
 #: gate's fallback baselines and stay untouched when the suite runs.
@@ -32,3 +36,16 @@ def write_artifact(name: str, payload: Any) -> None:
 def run_once(benchmark, fn, *args, **kwargs):
     """Time ``fn`` with a single round (the experiment functions are heavy)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
+
+
+@pytest.fixture(autouse=True)
+def no_background_builds():
+    """Start and end every benchmark with no kernel build running behind it.
+
+    The default folded ``run()`` queues its native program's build on a
+    background thread; a build an earlier test queued must not compete with
+    a timed section for the host's cores.
+    """
+    wait_for_builds()
+    yield
+    wait_for_builds()

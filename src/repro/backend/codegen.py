@@ -5,14 +5,18 @@
 register-level schedule as SIMD code:
 
 * every virtual register is a GCC vector of ``vl`` doubles;
-* loads and stores are ``memcpy``s through vector-set or row pointers that
-  are computed, with periodic wrap, once per vector set or block row;
+* 2-D/3-D loads and stores are ``memcpy``s through row pointers that are
+  computed, with periodic wrap, once per block row;
 * ``shuf1``/``shuf2`` are ``__builtin_shuffle``; ``fma`` is ``a*b + c``,
   because the simulated FMA rounds twice, and ``-ffp-contract=off`` keeps
   both roundings;
 * the horizontal phase's ``("vt", δ, ci, k)`` inputs read a three-slot ring
   over column blocks — the paper's shifts reuse: each square's vertical
-  phase runs once per sweep, plus the two priming squares of a block row.
+  phase runs once per sweep, plus the two priming squares of a block row;
+* a 1-D program reads its vector sets from a three-set ring, each set
+  loaded once per sweep — and transposed in registers when the grid is in
+  the original layout — and transposes its results back before the store
+  when the output is.
 
 :func:`compile_kernel` builds the source through :mod:`repro.backend.native`
 with the ISA flags of the program's ISA that the host supports, loads it
@@ -29,14 +33,21 @@ via :func:`repro.study.hashing.config_hash`.  Two plans whose schedules
 lower to the same program — or whose pass pipelines converge on the same
 optimized program — share one kernel.  Instruction counts always come from
 the IR.
+
+The default folded ``CompiledPlan.run()`` takes a schedule's raw program
+too, built off the caller's thread: :func:`background_build` queues it on
+one daemon thread, once per configuration, and :func:`wait_for_builds`
+waits for that thread to go idle.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import threading
+from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -44,10 +55,12 @@ from repro.backend import native
 from repro.ir.executor import CompiledSweep, _lower_and_optimize
 from repro.ir.ops import IrOp, ScheduleIR
 from repro.ir.passes import PassReport
+from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import IsaSpec
 from repro.study.hashing import config_hash
 
 __all__ = [
+    "BackgroundBuild",
     "KernelProgram",
     "NativeProgram",
     "emit_c",
@@ -55,6 +68,8 @@ __all__ = [
     "kernel_content_key",
     "kernel_cache_stats",
     "clear_kernel_cache",
+    "background_build",
+    "wait_for_builds",
 ]
 
 
@@ -110,10 +125,13 @@ _C_PRELUDE = """\
 
 typedef double vec __attribute__((vector_size({bytes})));
 typedef int64_t vmask __attribute__((vector_size({bytes})));
+"""
 
+_C_SIGNATURE = """\
 /* {source} */
 int repro_kernel(const double *restrict x, double *restrict out,
-                 int64_t n0, int64_t n1, int64_t n2)
+                 int64_t n0, int64_t n1, int64_t n2,
+                 int32_t x_original, int32_t out_original)
 {{
 """
 
@@ -195,39 +213,99 @@ def _stages(ir: ScheduleIR) -> Tuple[List[IrOp], List[IrOp]]:
     return vertical, _slice(horizontal_ops, {-1})
 
 
+def _transpose_sets(vl: int) -> List[str]:
+    """C helpers that move one 1-D vector set between the layouts.
+
+    ``repro_transpose`` transposes ``vl`` registers in ``log2(vl)`` stages of
+    two-source shuffles; stage ``b`` swaps bit ``b`` of the register index
+    with bit ``b`` of the lane index.  ``repro_load_set`` and
+    ``repro_store_set`` copy a set of ``vl²`` doubles, transposing it when
+    memory holds it in the original layout.
+    """
+    regs = [f"a{i}" for i in range(vl)]
+    lines = ["static inline void repro_transpose(vec *r)", "{"]
+    lines += [f"    vec {reg} = r[{i}];" for i, reg in enumerate(regs)]
+    b, stage = 1, 0
+    while b < vl:
+        new = [f"s{stage}_{i}" for i in range(vl)]
+        low = ", ".join(str(lane if not lane & b else vl + lane - b) for lane in range(vl))
+        high = ", ".join(str(lane + b if not lane & b else vl + lane) for lane in range(vl))
+        for i in range(vl):
+            if i & b:
+                continue
+            pair = f"{regs[i]}, {regs[i | b]}"
+            lines.append(f"    vec {new[i]} = __builtin_shuffle({pair}, (vmask){{{low}}});")
+            lines.append(f"    vec {new[i | b]} = __builtin_shuffle({pair}, (vmask){{{high}}});")
+        regs, b, stage = new, 2 * b, stage + 1
+    lines += [f"    r[{i}] = {reg};" for i, reg in enumerate(regs)]
+    lines += ["}", ""]
+    lines += [
+        "static inline void repro_load_set(vec *set, const double *x, int32_t original)",
+        "{",
+        f"    memcpy(set, x, {vl} * sizeof(vec));",
+        "    if (original)",
+        "        repro_transpose(set);",
+        "}",
+        "",
+        "static inline void repro_store_set(double *o, vec *set, int32_t original)",
+        "{",
+        "    if (original)",
+        "        repro_transpose(set);",
+        f"    memcpy(o, set, {vl} * sizeof(vec));",
+        "}",
+        "",
+    ]
+    return lines
+
+
 def emit_c(ir: ScheduleIR) -> str:
-    """C source of ``ir``: ``int repro_kernel(x, out, n0, n1, n2)``, one sweep.
+    """C source of ``ir``: ``int repro_kernel(x, out, n0, n1, n2, x_original,
+    out_original)``, one sweep.
 
     ``(n0, n1, n2)`` are the block axes (:meth:`ScheduleIR.block_axes`):
-    ``(vector sets, 0, 0)`` of a 1-D grid in the transpose layout, or
-    ``(planes, row blocks, column blocks)`` of a 2-D/3-D grid.  ``out``
-    receives exactly what the trace replay's stores write.  Raises
-    ``ValueError`` for a program with an op that has no C form.
+    ``(vector sets, 0, 0)`` of a 1-D grid, or ``(planes, row blocks, column
+    blocks)`` of a 2-D/3-D grid.  A 1-D program reads ``x`` and writes
+    ``out`` in the transpose layout, or in the original layout where
+    ``x_original``/``out_original`` is non-zero: it transposes each vector
+    set once in registers into a three-set ring, and each result set before
+    it stores it.  2-D/3-D grids are in the original layout and ignore both
+    flags.  ``out`` receives exactly what the trace replay's stores write.
+    Raises ``ValueError`` for a program with an op that has no C form.
     """
     vl = ir.vl
     prologue = ir.segments[0]
     body = _emit_ops(prologue.ops, vl, None, None, None)
     source = ir.source.replace("*/", "* /")
-    head = _C_PRELUDE.format(bytes=8 * vl, source=source).splitlines()
+    head = _C_PRELUDE.format(bytes=8 * vl).splitlines() + [""]
     if ir.dims == 1:
-        block = ir.segment("block").ops
-        deltas = sorted({op.tag[1] for op in block if op.opcode == "load"})
-        sets = [
-            f"const double *{_offset_name('set_', d)} = x + {_wrap(f's + {d}', 'n0')} * {vl * vl};"
-            for d in deltas
-        ]
+        head += _transpose_sets(vl)
+    head += _C_SIGNATURE.format(source=source).splitlines()
+    if ir.dims == 1:
+        ring = {-1: "prev", 0: "cur", 1: "next"}
         ops = _emit_ops(
-            block,
+            ir.segment("block").ops,
             vl,
-            load=lambda tag: f"{_offset_name('set_', tag[1])} + {tag[2] * vl}",
-            store=lambda tag: f"o + {tag[1] * vl}",
+            load=lambda tag: f"{ring[tag[1]]} + {tag[2]}",
+            store=lambda tag: f"result + {tag[1]}",
             stage_input=None,
         )
-        loop = (
-            ["(void)n1; (void)n2;", "for (int64_t s = 0; s < n0; ++s) {"]
-            + _indent(sets + [f"double *o = out + s * {vl * vl};"] + ops)
-            + ["}"]
-        )
+        loop = [
+            "(void)n1; (void)n2;",
+            f"vec ring[3][{vl}], result[{vl}];",
+            "vec *prev = ring[0], *cur = ring[1], *next = ring[2];",
+            f"repro_load_set(prev, x + (n0 - 1) * {vl * vl}, x_original);",
+            "repro_load_set(cur, x, x_original);",
+            "for (int64_t s = 0; s < n0; ++s) {",
+            *_indent(
+                [f"repro_load_set(next, x + (s + 1 < n0 ? s + 1 : 0) * {vl * vl}, x_original);"]
+                + ops
+                + [
+                    f"repro_store_set(out + s * {vl * vl}, result, out_original);",
+                    "vec *spent = prev; prev = cur; cur = next; next = spent;",
+                ]
+            ),
+            "}",
+        ]
     else:
         vertical, horizontal = _stages(ir)
         slots = {}
@@ -260,6 +338,7 @@ def emit_c(ir: ScheduleIR) -> str:
             stage_input=lambda tag: f"{ring[tag[1]]}[{slots[tag[2:]]}]",
         )
         loop = [
+            "(void)x_original; (void)out_original;",
             f"const int64_t rows = n1 * {vl}, cols = n2 * {vl};",
             f"vec ring[3][{max(1, len(slots))}];",
             "for (int64_t p = 0; p < n0; ++p) {",
@@ -301,38 +380,51 @@ class NativeProgram:
 
     def __init__(self, library: ctypes.CDLL, path: Path):
         fn = library.repro_kernel
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 3
+        fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_int32] * 2
         fn.restype = ctypes.c_int
         self._fn = fn
         self._library = library
         self.path = path
 
-    def __call__(self, values: np.ndarray, out: np.ndarray, axes: Tuple[int, ...]) -> None:
+    def __call__(
+        self,
+        values: np.ndarray,
+        out: np.ndarray,
+        axes: Tuple[int, ...],
+        originals: Tuple[bool, bool] = (False, False),
+    ) -> None:
         """One sweep of ``values`` into ``out``, both already checked by
-        :meth:`CompiledSweep._operands <repro.ir.executor.CompiledSweep._operands>`."""
+        :meth:`CompiledSweep._operands <repro.ir.executor.CompiledSweep._operands>`;
+        ``originals`` says whether a 1-D program's grid and result are in
+        the original layout."""
         n0, n1, n2 = (*axes, 0, 0)[:3]
-        status = self._fn(values.ctypes.data, out.ctypes.data, n0, n1, n2)
+        status = self._fn(values.ctypes.data, out.ctypes.data, n0, n1, n2, *originals)
         if status != 0:
             raise RuntimeError(f"native kernel {self.path.name} failed with status {status}")
 
 
 def _build_native(ir: ScheduleIR) -> Tuple[Optional[NativeProgram], str]:
-    """``(program, status)``: the loaded C form of ``ir``, or ``None`` and why not."""
+    """``(program, detail)``: the loaded C form of ``ir`` with its library and
+    ISA flags, or ``None`` and why not."""
     compiler = native.find_c_compiler()
     if compiler is None:
-        return None, "ir replay (no C compiler on PATH)"
+        return None, "no C compiler on PATH"
     try:
         source = emit_c(ir)
     except ValueError as exc:
-        return None, f"ir replay ({exc})"
+        return None, str(exc)
     flags, note = native.isa_flags(ir.isa.name, compiler)
     try:
         path = native.build_library("kernel", source, compiler, flags)
         program = NativeProgram(ctypes.CDLL(str(path)), path)
     except (native.NativeBuildError, OSError, AttributeError) as exc:
-        return None, f"ir replay ({exc})"
+        return None, str(exc)
     detail = " ".join(flags) or "no ISA flags"
-    return program, f"native ({path}, {detail}{'; ' + note if note else ''})"
+    return program, f"{path}, {detail}{'; ' + note if note else ''}"
+
+
+#: Layout names of :meth:`KernelProgram.replay`'s ``layouts``: is it the original?
+_LAYOUTS = {"transpose": False, "original": True}
 
 
 class KernelProgram(CompiledSweep):
@@ -340,7 +432,8 @@ class KernelProgram(CompiledSweep):
 
     :attr:`native` is the loaded C program, or ``None`` when the process
     could not build it; :attr:`status` reads ``native (<.so>, <ISA flags>)``
-    or ``ir replay (<reason>)``.  Counts come from the IR either way.
+    or ``ir replay (<reason>)``, and :attr:`detail` is what the parentheses
+    hold.  Counts come from the IR either way.
     """
 
     def __init__(
@@ -351,18 +444,45 @@ class KernelProgram(CompiledSweep):
     ):
         super().__init__(ir, pass_reports=pass_reports)
         self.key = key
-        self.native, self.status = _build_native(ir)
+        self.native, self.detail = _build_native(ir)
+        self.status = f"{'native' if self.native else 'ir replay'} ({self.detail})"
 
-    def replay(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def replay(
+        self,
+        values: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        layouts: Tuple[str, str] = ("transpose", "transpose"),
+    ) -> np.ndarray:
         """One sweep over every block position — the contract of
-        :meth:`CompiledSweep.replay <repro.ir.executor.CompiledSweep.replay>`."""
+        :meth:`CompiledSweep.replay <repro.ir.executor.CompiledSweep.replay>`.
+
+        ``layouts`` names the layouts of a 1-D grid and of its result, each
+        ``"transpose"`` (the contract's) or ``"original"``: the native
+        program transposes in registers, IR replay on NumPy.  2-D/3-D grids
+        are in the original layout whatever ``layouts`` says.
+        """
         # Defined here rather than inherited, so patching one engine's
         # replay (perfbench's timing hooks) leaves the other's alone.
-        if self.native is None:
+        try:
+            originals = tuple(_LAYOUTS[name] for name in layouts)
+        except KeyError:
+            raise ValueError(f"unknown layouts {layouts!r}; use 'transpose' or 'original'")
+        if self.dims > 1:
+            originals = (False, False)
+        if self.native is not None:
+            values, out, axes = self._operands(values, out)
+            self.native(values, out, axes, originals)
+            return self._stored(out)
+        if not any(originals):
             return self._replay(values, out)
-        values, out, axes = self._operands(values, out)
-        self.native(values, out, axes)
-        return self._stored(out)
+        # IR replay sweeps the transpose layout; transform around it.
+        values, out, _ = self._operands(values, out)
+        if originals[0]:
+            values = to_transpose_layout(values, self.vl)
+        if not originals[1]:
+            return self._replay(values, out)
+        out[...] = from_transpose_layout(self._replay(values, None), self.vl)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelProgram(key={self.key!r}, isa={self.isa.name!r}, dims={self.dims})"
@@ -384,12 +504,19 @@ def kernel_cache_stats() -> Dict[str, int]:
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached kernel and reset the accounting (test isolation)."""
+    """Drop every cached kernel and reset the accounting (test isolation).
+
+    The registry of background builds is dropped too, so the next
+    :func:`background_build` of any configuration queues a new build.  A
+    build already handed out keeps its program, and a queued one still runs.
+    """
     global _CACHE_HITS, _CACHE_MISSES
     with _CACHE_LOCK:
         _KERNEL_CACHE.clear()
         _CACHE_HITS = 0
         _CACHE_MISSES = 0
+    with _BUILDS_CV:
+        _BUILDS.clear()
 
 
 def compile_kernel(
@@ -423,3 +550,111 @@ def compile_kernel(
         _CACHE_MISSES += 1
         _KERNEL_CACHE[key] = program
     return program
+
+
+# --------------------------------------------------------------------------- #
+# background builds of the default run()'s programs
+# --------------------------------------------------------------------------- #
+class BackgroundBuild:
+    """The raw program of one configuration, built on the background thread.
+
+    :attr:`status` reads ``queued``, then ``building``, then the built
+    program's :attr:`KernelProgram.status` when it loaded natively, or
+    ``failed (<reason>)``; :attr:`done` is set once it finished, and
+    :attr:`error` holds an exception the build raised, with its traceback.
+    """
+
+    def __init__(self) -> None:
+        self.program: Optional[KernelProgram] = None
+        self.status = "queued"
+        self.error: Optional[Exception] = None
+        self.done = threading.Event()
+
+    @property
+    def native(self) -> Optional[KernelProgram]:
+        """The program once it loaded natively, else ``None``."""
+        program = self.program
+        return program if program is not None and program.native is not None else None
+
+
+_BUILDS_CV = threading.Condition()
+#: Configuration key -> its build, queued or finished.
+_BUILDS: Dict[Tuple, BackgroundBuild] = {}
+_BUILD_JOBS: Deque[Tuple[BackgroundBuild, object, IsaSpec]] = deque()
+_builder: Optional[threading.Thread] = None
+
+
+def _configuration_key(schedule, isa: IsaSpec) -> Tuple:
+    """What a raw program depends on: the stencil's weights (never its name),
+    the fold factor, the ISA and the dimensionality."""
+    kernel = np.ascontiguousarray(schedule.spec.kernel, dtype=np.float64)
+    return (kernel.shape, kernel.tobytes(), schedule.m, isa.name, schedule.dims)
+
+
+def background_build(schedule, isa: IsaSpec, queue: bool = True) -> Optional[BackgroundBuild]:
+    """The process's build of ``schedule``'s raw, pass-free program at ``isa``.
+
+    The first call for a configuration (:func:`_configuration_key`) queues
+    the build on the one background thread and returns at once; later calls,
+    from any plan, return the same build.  With ``queue=False`` a
+    configuration without a build returns ``None`` instead.  The thread runs
+    :func:`compile_kernel`, so the program lands in the content-key cache as
+    well; it is a daemon, and exits once the queue is empty.
+    """
+    global _builder
+    key = _configuration_key(schedule, isa)
+    with _BUILDS_CV:
+        build = _BUILDS.get(key)
+        if build is None and queue:
+            build = _BUILDS[key] = BackgroundBuild()
+            _BUILD_JOBS.append((build, schedule, isa))
+            if _builder is None:
+                _builder = threading.Thread(
+                    target=_run_builds, name="repro-kernel-builds", daemon=True
+                )
+                _builder.start()
+    return build
+
+
+def _run_builds() -> None:
+    global _builder
+    while True:
+        with _BUILDS_CV:
+            if not _BUILD_JOBS:
+                _builder = None
+                _BUILDS_CV.notify_all()
+                return
+            build, schedule, isa = _BUILD_JOBS.popleft()
+            build.status = "building"
+        error = None
+        try:
+            program = compile_kernel(schedule, isa)
+            status = program.status if program.native else f"failed ({program.detail})"
+        except Exception as exc:  # noqa: BLE001 - the thread serves every later build
+            program, status, error = None, f"failed ({type(exc).__name__}: {exc})", exc
+        with _BUILDS_CV:
+            build.program, build.status, build.error = program, status, error
+            build.done.set()
+
+
+def wait_for_builds(timeout: Optional[float] = None) -> bool:
+    """Block until no background build is queued or running; ``False`` when
+    ``timeout`` seconds passed first."""
+    with _BUILDS_CV:
+        return _BUILDS_CV.wait_for(lambda: _builder is None, timeout)
+
+
+def _forget_builds_in_child() -> None:
+    """A forked child has no builder thread and may inherit held locks:
+    start with fresh locks, no queue and no unfinished builds."""
+    global _BUILDS_CV, _CACHE_LOCK, _builder
+    _BUILDS_CV = threading.Condition()
+    _CACHE_LOCK = threading.Lock()
+    _builder = None
+    _BUILD_JOBS.clear()
+    for key in [key for key, build in _BUILDS.items() if not build.done.is_set()]:
+        del _BUILDS[key]
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_builds_in_child)

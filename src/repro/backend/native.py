@@ -116,6 +116,16 @@ _probe_lock = threading.Lock()
 _probed: Dict[str, Tuple[FrozenSet[str], str]] = {}
 
 
+def _fresh_probe_lock() -> None:
+    """A forked child may inherit the lock held by a background build."""
+    global _probe_lock
+    _probe_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_probe_lock)
+
+
 def host_features(compiler: str) -> Tuple[FrozenSet[str], str]:
     """``(features, reason)``: the :data:`ISA_FLAGS` features the host's CPU
     supports, and why the probe found none when it could not run.

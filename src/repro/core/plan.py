@@ -393,16 +393,24 @@ class CompiledPlan:
         deterministic under thread fan-out.
 
         ``backend`` selects the execution engine: ``None`` / ``"auto"`` (the
-        default) runs the method's own numeric executor — for the folded
-        method one :meth:`FoldingSchedule.numpy_step
-        <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` per ``m``
-        steps, on the compiled fold kernel when the process could build one
-        (``explain()`` prints which) and bit-identical to the NumPy fold
-        either way; ``"kernel"``, ``"trace"`` or ``"interpret"`` force the
-        register-level schedule through the named engine (periodic linear
-        stencils on simulation-capable methods only, grid extents in the
-        schedule's block multiples, checked whatever ``steps`` is; tiling
-        configuration is bypassed).  Whole folded updates run on the chosen
+        default) runs the method's own numeric executor.  For the folded
+        method that is one sweep of the register-level schedule per ``m``
+        steps, as the plan's native program (the raw, pass-free one
+        ``backend="kernel"`` runs), on every grid the engines accept (see
+        below).  The first such ``run()`` of a configuration — stencil
+        weights, ``m``, ISA and dimensionality — queues the program's build
+        on a background thread and returns without waiting for it.  Until
+        the program loads, and for good when it cannot be built, and on every
+        other grid (Dirichlet boundaries, other extents, radii the engines
+        refuse), the sweep is one :meth:`FoldingSchedule.numpy_step
+        <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` on the
+        compiled fold kernel, or the NumPy fold without one.  Every one of
+        these engines returns the same bits, so the result never depends on
+        which ran; ``explain()`` names them.  ``"kernel"``, ``"trace"`` or
+        ``"interpret"`` force the register-level schedule through the named
+        engine (periodic linear stencils on simulation-capable methods only,
+        grid extents in the schedule's block multiples, checked whatever
+        ``steps`` is; tiling configuration is bypassed).  Whole folded updates run on the chosen
         engine and any ``steps % m`` remainder finishes with exact
         reference steps, so every backend returns bit-identical values.
         ``optimize`` selects the IR pass pipeline of an explicit trace or
@@ -491,9 +499,12 @@ class CompiledPlan:
 
         Supported for methods with the ``supports_simulation`` capability on
         1-D grids (held in the transpose layout for the duration of the run,
-        as Section 2.2 prescribes), 2-D grids (original layout, Figure 5
-        square pipeline) and 3-D grids (original layout, plane-wise square
-        pipeline with the leading dimension folded into the vertical phase).
+        as Section 2.2 prescribes: the native kernel transposes each vector
+        set in registers as its first sweep reads it and its last sweep
+        writes it, the other engines transform the grid on NumPy around the
+        run), 2-D grids (original layout, Figure 5 square pipeline) and 3-D
+        grids (original layout, plane-wise square pipeline with the leading
+        dimension folded into the vertical phase).
         Grids must be periodic and sized in multiples of ``vl²`` (1-D) or
         ``vl`` along the two innermost extents (2-D/3-D).  Returns the final
         values together with the instruction tally of the whole run.
@@ -544,32 +555,26 @@ class CompiledPlan:
         if steps % m != 0:
             raise ValueError(f"steps ({steps}) must be a multiple of the unroll factor {m}")
         schedule = self._simulation_schedule()
-        values = grid.values.copy()
-
+        sweeps = steps // m
+        # Every sweep and layout transform writes a new array, so the grid
+        # is copied only when no sweep runs.
         if backend in ("trace", "kernel"):
-            sweeps = steps // m
             compiled = self._compiled(backend, schedule, machine.isa, grid.dims, optimize)
-            if grid.dims == 1:
-                data = to_transpose_layout(values, vl)
-                for _ in range(sweeps):
-                    data = compiled.replay(data)
-                result = from_transpose_layout(data, vl)
-            else:
-                for _ in range(sweeps):
-                    values = compiled.replay(values)
-                result = values
+            result = _replay_sweeps(compiled, grid.values, sweeps)
             if sweeps > 0:
                 counts, peak, spills = compiled.sweep_counts(grid.values.shape)
                 machine.absorb(counts.scaled(sweeps), peak, spills * sweeps)
             return result, machine.counts
-
+        if sweeps == 0:
+            return grid.values.copy(), machine.counts
         if grid.dims == 1:
-            data = to_transpose_layout(values, vl)
-            for _ in range(steps // m):
+            data = to_transpose_layout(grid.values, vl)
+            for _ in range(sweeps):
                 data = schedule.simd_sweep_1d(machine, data)
             return from_transpose_layout(data, vl), machine.counts
         sweep = schedule.simd_sweep_2d if grid.dims == 2 else schedule.simd_sweep_3d
-        for _ in range(steps // m):
+        values = grid.values
+        for _ in range(sweeps):
             values = sweep(machine, values)
         return values, machine.counts
 
@@ -579,7 +584,9 @@ class CompiledPlan:
 
         :meth:`simulate` and :meth:`run` with an explicit backend call it
         before anything else, so an unsupported grid fails the same way
-        whatever ``steps`` is — never with a silent reference fallback.
+        whatever ``steps`` is — never with a silent reference fallback.  The
+        default folded :meth:`run` sends the grids it accepts to the native
+        register-level schedule (:meth:`_native_program`).
         """
         if not self.descriptor.supports_simulation:
             raise ValueError(
@@ -596,6 +603,59 @@ class CompiledPlan:
             )
         block_axes(grid.values.shape, vl, grid.dims)  # raises outside the block multiples
         check_lowerable(self._simulation_schedule(), vl)
+
+    def _native_program(self, grid: Grid):
+        """The native raw program the default folded :meth:`run` sends
+        ``grid``'s sweeps to, or ``None`` while they fold on the fold kernel.
+
+        ``None`` for a grid :meth:`_check_engine_support` refuses.  Otherwise
+        the plan asks :func:`repro.backend.codegen.background_build` for its
+        configuration's program once, which queues the build on the first
+        ask of the process, and keeps the build it gets: ``None`` until the
+        program loaded natively, and for good when its build failed.
+        """
+        try:
+            self._check_engine_support(grid, self.isa_spec.vector_lanes)
+        except ValueError:
+            return None
+        build = self._engine_cache.get("run")
+        if build is None:
+            with self._engine_lock:
+                build = self._engine_cache.get("run")
+                if build is None:
+                    build = codegen.background_build(self.schedule, self.isa_spec)
+                    self._engine_cache["run"] = build
+        return build.native
+
+    def _native_run_description(self) -> str:
+        """Which engine the default folded :meth:`run` takes for which grids,
+        and the state of the native program's build; starts no build."""
+        vl = self.isa_spec.vector_lanes
+        rest = "folds on the fold kernel, Dirichlet grids with an exact band recompute"
+        try:
+            check_lowerable(self.schedule, vl)
+        except ValueError as exc:
+            return f"every grid {rest} ({exc})"
+        grids = {
+            1: f"periodic grids of a multiple of vl²={vl * vl} points",
+            2: f"periodic grids in multiples of vl={vl}",
+            3: f"periodic grids whose two innermost extents are multiples of vl={vl}",
+        }[self.spec.dims]
+        build = self._engine_cache.get("run") or codegen.background_build(
+            self.schedule, self.isa_spec, queue=False
+        )
+        if build is not None and build.native is not None:
+            return (
+                f"{grids} run the register-level schedule natively "
+                f"({build.native.detail}); every other grid {rest}"
+            )
+        if build is not None and build.done.is_set():
+            return f"every grid {rest}; the native build {build.status}"
+        state = "not queued yet" if build is None else build.status
+        return (
+            f"{grids} run the register-level schedule natively once its background "
+            f"build ({state}) loads; until then every grid {rest}"
+        )
 
     def _compiled(
         self,
@@ -892,8 +952,41 @@ def describe_generic_path(plan_: CompiledPlan) -> str:
     return "reference arithmetic, one sweep per time step"
 
 
+def _replay_sweeps(compiled, values: np.ndarray, sweeps: int) -> np.ndarray:
+    """``sweeps`` sweeps of an engine program over the original-layout
+    ``values``, into new arrays.
+
+    A 1-D :class:`~repro.backend.codegen.KernelProgram` moves between the
+    layouts itself: the first sweep reads the original layout, the last
+    writes it, and the sweeps between stay in the transpose layout.  Trace
+    replay runs between NumPy layout transforms.
+    """
+    if sweeps == 0:
+        return values.copy()
+    if compiled.dims == 1 and not isinstance(compiled, codegen.KernelProgram):
+        data = to_transpose_layout(values, compiled.vl)
+        for _ in range(sweeps):
+            data = compiled.replay(data)
+        return from_transpose_layout(data, compiled.vl)
+    for i in range(sweeps):
+        if compiled.dims == 1:
+            layouts = (
+                "original" if i == 0 else "transpose",
+                "original" if i == sweeps - 1 else "transpose",
+            )
+            values = compiled.replay(values, layouts=layouts)
+        else:
+            values = compiled.replay(values)
+    return values
+
+
 def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
-    """Folded fast path with exact Dirichlet boundary handling."""
+    """Folded fast path: the native register-level schedule where it loaded,
+    the fold kernel elsewhere, with exact Dirichlet boundary handling.
+
+    Both engines return the same bits, so the result never depends on
+    whether, or when, the background build finished.
+    """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
         # degenerates to the generic path (profile-wise it still models the
@@ -901,17 +994,22 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
         return plan_.execute_generic(grid, steps)
     m = plan_.config.unroll
     schedule = plan_.schedule
-    values = grid.values.copy()
-    remaining = steps
-    while remaining >= m:
-        folded = schedule.numpy_step(values, grid.boundary)
-        if grid.boundary is BoundaryCondition.DIRICHLET:
-            folded = _fix_dirichlet_band(plan_.spec, values, folded, m)
-        values = folded
-        remaining -= m
-    for _ in range(remaining):
+    sweeps, remainder = divmod(steps, m)
+    program = plan_._native_program(grid) if sweeps else None
+    if program is not None:
+        values = _replay_sweeps(program, grid.values, sweeps)
+    else:
+        # Every fold and band fix writes a new array; the grid is never
+        # written, so it is not copied either.
+        values = grid.values
+        for _ in range(sweeps):
+            folded = schedule.numpy_step(values, grid.boundary)
+            if grid.boundary is BoundaryCondition.DIRICHLET:
+                folded = _fix_dirichlet_band(plan_.spec, values, folded, m)
+            values = folded
+    for _ in range(remainder):
         values = reference_step(plan_.spec, values, grid.boundary, aux=grid.aux)
-    return values
+    return values.copy() if values is grid.values else values
 
 
 def _fix_dirichlet_band(
@@ -964,8 +1062,8 @@ def _describe_folded(plan_: CompiledPlan) -> str:
         else "counterpart reuse"
     )
     return (
-        f"{plan_.config.unroll}-step temporal folding ({variant}), "
-        "exact Dirichlet band recompute"
+        f"{plan_.config.unroll}-step temporal folding ({variant}): "
+        + plan_._native_run_description()
     )
 
 

@@ -51,6 +51,7 @@ just the transpose-layout vectorisation), so the same class also serves as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,11 +138,16 @@ class SquareWeights:
 
     Attributes
     ----------
+    zero:
+        The ``+0.0`` register the output chains start from, and the value of
+        a counterpart without taps.
     row:
-        Per materialised counterpart, the broadcast vertical-fold weights.
+        Per materialised counterpart, the broadcast vertical-fold weights,
+        ``None`` for a tap the fold drops (``|w| <= DBL_EPSILON``).
     bias:
         Per materialised counterpart, the broadcast bias weights (``None``
-        when the counterpart has no bias).
+        for a dropped tap, and instead of the list when the counterpart has
+        no bias).
     omega:
         Per materialised counterpart, broadcast reuse coefficients keyed by
         the materialised index they apply to.
@@ -150,10 +156,61 @@ class SquareWeights:
         weight)`` or ``None`` for unused positions.
     """
 
+    zero: object
     row: List[List]
     bias: List[Optional[List]]
     omega: List[Dict[int, object]]
     horiz: List[Optional[Tuple[int, object]]]
+
+
+def _broadcaster(machine: SimdMachine):
+    """``(zero, bcast)``: the ``+0.0`` register the output chains start from,
+    and ``bcast(w)``, a broadcast of ``w`` on ``machine`` that hands out
+    ``zero`` for ``+0.0`` instead of broadcasting it again.
+
+    Other equal weights are broadcast once per use, as the schedule names
+    them; merging those is the ``cse`` pass's job.
+    """
+    zero = machine.broadcast(0.0)
+
+    def bcast(w: float):
+        w = float(w)
+        if w == 0.0 and math.copysign(1.0, w) > 0:
+            return zero
+        return machine.broadcast(w)
+
+    return zero, bcast
+
+
+def _kept(w: float) -> bool:
+    """Whether the fold sums a tap of weight ``w`` (``ndimage.correlate``'s
+    footprint rule, which :meth:`FoldingSchedule.fold_tables` encodes)."""
+    return abs(float(w)) > _DBL_EPSILON
+
+
+def _taps(rows: Sequence, wvecs: Sequence) -> List[Tuple[object, object]]:
+    """``(row, weight register)`` of the taps a fold keeps (``wvecs`` holds
+    ``None`` for the dropped ones)."""
+    return [(row, w) for row, w in zip(rows, wvecs) if w is not None]
+
+
+def _chain(machine: SimdMachine, terms: Sequence[Tuple[object, object]], start=None):
+    """``((start + w0·x0) + w1·x1) + ...`` over ``terms`` of ``(x, w)``
+    registers, ``(w0·x0 + w1·x1) + ...`` without ``start``; ``None`` when
+    there is neither.
+
+    This is the fold's order of summation: the simulated ``fma`` rounds the
+    product and the sum separately, like the fold's ``acc + w·x``.  The fold
+    starts every sum from ``+0.0``; without that start only the sign of a
+    zero sum can differ (``-0.0`` when every product is ``-0.0``), which
+    never changes a non-zero value computed from it.  So the chains that
+    produce a sweep's outputs start from the ``+0.0`` register and the
+    intermediate ones need not.
+    """
+    acc = start
+    for x, w in terms:
+        acc = machine.mul(x, w) if acc is None else machine.fma(x, w, acc)
+    return acc
 
 
 class FoldingSchedule:
@@ -459,18 +516,24 @@ class FoldingSchedule:
             self._sweep_1d_block(machine, weight_vecs, load, store)
         return out_t
 
-    def _sweep_1d_weight_vectors(self, machine: SimdMachine) -> List:
-        """Broadcast the folded kernel weights (the 1-D sweep prologue)."""
-        return [machine.broadcast(float(w)) for w in self.matrix]
+    def _sweep_1d_weight_vectors(self, machine: SimdMachine) -> Tuple[object, List]:
+        """Broadcast the folded kernel weights (the 1-D sweep prologue).
 
-    def _sweep_1d_block(self, machine: SimdMachine, weight_vecs: Sequence, load, store) -> None:
+        Returns ``(zero, taps)``: the ``+0.0`` register and, per tap the fold
+        sums, ``(tap index, broadcast weight)``.
+        """
+        zero, bcast = _broadcaster(machine)
+        return zero, [(t, bcast(w)) for t, w in enumerate(self.matrix) if _kept(w)]
+
+    def _sweep_1d_block(self, machine: SimdMachine, weight_vecs: Tuple, load, store) -> None:
         """Update one vector set given abstract memory operations.
 
         ``load(delta, j)`` must return register ``j`` of the vector set at
         ``delta`` ∈ {-1, 0, +1} sets from the current one; ``store(j, vec)``
         must store register ``j`` of the result set.  The interpreted sweep
         binds these to real machine loads/stores; the trace recorder binds
-        them to tagged virtual registers.
+        them to tagged virtual registers.  Each output sums ``0 + w·x`` over
+        the taps in order, which is :meth:`numpy_fold`'s correlation.
         """
         vl = machine.vl
         radius = self.radius
@@ -488,13 +551,10 @@ class FoldingSchedule:
         previous = load_partial(-1, prev_needed)
         nxt = load_partial(+1, next_needed)
         cols = neighbor_vectors_1d(machine, current, previous, nxt, radius)
-        machine.note_live_registers(len(cols) + len(weight_vecs) + 1)
+        machine.note_live_registers(len(cols) + self.width + 1)
+        zero, taps = weight_vecs
         for j in range(vl):
-            window = cols[j : j + 2 * radius + 1]
-            acc = machine.mul(window[0], weight_vecs[0])
-            for t in range(1, len(window)):
-                acc = machine.fma(window[t], weight_vecs[t], acc)
-            store(j, acc)
+            store(j, _chain(machine, [(cols[j + t], wvec) for t, wvec in taps], start=zero))
 
     # ------------------------------------------------------------------ #
     # simulated SIMD execution: 2-D (Figure 5 squares)
@@ -584,18 +644,18 @@ class FoldingSchedule:
         run over the flattened leading offsets (kernel rows in 2-D,
         (plane, row) pairs in 3-D), so the broadcasts are dimension-generic.
         """
+        zero, bcast = _broadcaster(machine)
+
+        def taps(weights) -> List:
+            return [bcast(w) if _kept(w) else None for w in weights]
+
         return SquareWeights(
-            row=[[machine.broadcast(float(w)) for w in cp.vector] for cp in self.materialized],
-            bias=[
-                [machine.broadcast(float(w)) for w in cp.bias] if np.any(cp.bias) else None
-                for cp in self.materialized
-            ],
-            omega=[
-                {idx: machine.broadcast(float(w)) for idx, w in cp.omega.items()}
-                for cp in self.materialized
-            ],
+            zero=zero,
+            row=[taps(cp.vector) for cp in self.materialized],
+            bias=[taps(cp.bias) if np.any(cp.bias) else None for cp in self.materialized],
+            omega=[{idx: bcast(w) for idx, w in cp.omega.items()} for cp in self.materialized],
             horiz=[
-                None if entry is None else (entry[0], machine.broadcast(float(entry[1])))
+                None if entry is None else (entry[0], bcast(entry[1]))
                 for entry in self.position_map
             ],
         )
@@ -612,16 +672,29 @@ class FoldingSchedule:
         radius = self.radius
         loaded = [load_row(s) for s in range(-radius, vl + radius)]
         machine.note_live_registers(len(loaded) + vl + len(self.materialized) * vl)
+        return self._square_vertical_folds(
+            machine, weights, lambda oi: loaded[oi : oi + 2 * radius + 1]
+        )
+
+    def _square_vertical_folds(
+        self, machine: SimdMachine, weights: "SquareWeights", window
+    ) -> List[List]:
+        """Every materialised counterpart's fold of one square, transposed.
+
+        ``window(oi)`` lists the loaded rows output row ``oi`` reads, aligned
+        with the flattened counterpart vectors.  Each sum follows
+        :meth:`numpy_fold` (see :func:`_chain`): a direct counterpart sums
+        ``w·x`` over the taps it keeps; a combination sums its reuse terms,
+        then adds its bias, summed on its own.
+        """
         per_rows: List[List] = []
         per_cp: List[List] = []
         for ci, cp in enumerate(self.materialized):
             folded_rows = []
-            for oi in range(vl):
+            for oi in range(machine.vl):
+                rows = window(oi)
                 if cp.mode == "direct":
-                    window = loaded[oi : oi + 2 * radius + 1]
-                    acc = machine.mul(window[0], weights.row[ci][0])
-                    for t in range(1, len(window)):
-                        acc = machine.fma(window[t], weights.row[ci][t], acc)
+                    acc = _chain(machine, _taps(rows, weights.row[ci]))
                 else:
                     # Counterpart reuse is a relation between *fields*, so the
                     # reused operands must keep the row orientation the bias
@@ -630,17 +703,10 @@ class FoldingSchedule:
                     for idx, wvec in weights.omega[ci].items():
                         term = machine.mul(per_rows[idx][oi], wvec)
                         acc = term if acc is None else machine.add(acc, term)
-                    if weights.bias[ci] is not None:
-                        window = loaded[oi : oi + 2 * radius + 1]
-                        for t in range(len(window)):
-                            if float(cp.bias[t]) != 0.0:
-                                if acc is None:
-                                    acc = machine.mul(window[t], weights.bias[ci][t])
-                                else:
-                                    acc = machine.fma(window[t], weights.bias[ci][t], acc)
-                    if acc is None:
-                        acc = machine.broadcast(0.0)
-                folded_rows.append(acc)
+                    bias = _chain(machine, _taps(rows, weights.bias[ci] or ()))
+                    if bias is not None:
+                        acc = bias if acc is None else machine.add(acc, bias)
+                folded_rows.append(weights.zero if acc is None else acc)
             per_rows.append(folded_rows)
             per_cp.append(register_transpose(machine, folded_rows))
         return per_cp
@@ -656,7 +722,7 @@ class FoldingSchedule:
         used = np.zeros(int(np.prod(self.matrix.shape[:-1])), dtype=bool)
         for cp in self.materialized:
             src = cp.vector if cp.mode == "direct" else cp.bias
-            used |= np.asarray(src) != 0.0
+            used |= np.abs(np.asarray(src, dtype=np.float64)) > _DBL_EPSILON
         return used.reshape(self.matrix.shape[:-1])
 
     def _sweep_3d_vertical(
@@ -685,48 +751,11 @@ class FoldingSchedule:
                 loaded[dz][s] = load_row(dz - r0, s - r1)
                 n_loads += 1
         machine.note_live_registers(n_loads + vl + len(self.materialized) * vl)
-        per_rows: List[List] = []
-        per_cp: List[List] = []
-        for ci, cp in enumerate(self.materialized):
-            vec = np.asarray(cp.vector).reshape(k0, k1)
-            bias = np.asarray(cp.bias).reshape(k0, k1)
-            folded_rows = []
-            for oi in range(vl):
-                acc = None
-                if cp.mode == "direct":
-                    for dz in range(k0):
-                        for t in range(k1):
-                            if float(vec[dz, t]) == 0.0:
-                                continue
-                            wvec = weights.row[ci][dz * k1 + t]
-                            src = loaded[dz][oi + t]
-                            acc = (
-                                machine.mul(src, wvec)
-                                if acc is None
-                                else machine.fma(src, wvec, acc)
-                            )
-                else:
-                    for idx, wvec in weights.omega[ci].items():
-                        term = machine.mul(per_rows[idx][oi], wvec)
-                        acc = term if acc is None else machine.add(acc, term)
-                    if weights.bias[ci] is not None:
-                        for dz in range(k0):
-                            for t in range(k1):
-                                if float(bias[dz, t]) == 0.0:
-                                    continue
-                                wvec = weights.bias[ci][dz * k1 + t]
-                                src = loaded[dz][oi + t]
-                                acc = (
-                                    machine.mul(src, wvec)
-                                    if acc is None
-                                    else machine.fma(src, wvec, acc)
-                                )
-                if acc is None:
-                    acc = machine.broadcast(0.0)
-                folded_rows.append(acc)
-            per_rows.append(folded_rows)
-            per_cp.append(register_transpose(machine, folded_rows))
-        return per_cp
+        return self._square_vertical_folds(
+            machine,
+            weights,
+            lambda oi: [loaded[dz][oi + t] for dz in range(k0) for t in range(k1)],
+        )
 
     def _sweep_square_horizontal(
         self,
@@ -745,7 +774,7 @@ class FoldingSchedule:
         radius = self.radius
         out_cols = []
         for k in range(vl):
-            acc = None
+            terms = []
             for pos, entry in enumerate(weights.horiz):
                 if entry is None:
                     continue
@@ -757,11 +786,8 @@ class FoldingSchedule:
                     source = next_t[mat_idx][col - vl]
                 else:
                     source = cur_t[mat_idx][col]
-                if acc is None:
-                    acc = machine.mul(source, wvec)
-                else:
-                    acc = machine.fma(source, wvec, acc)
-            out_cols.append(acc)
+                terms.append((source, wvec))
+            out_cols.append(_chain(machine, terms, start=weights.zero))
         return out_cols
 
     def _sweep_square_store(

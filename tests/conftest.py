@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.backend.codegen import wait_for_builds
 from repro.simd.isa import AVX2, AVX512
 from repro.simd.machine import SimdMachine
 from repro.stencils.boundary import BoundaryCondition
@@ -27,6 +28,18 @@ from repro.stencils.library import (
     symmetric_box_2d9p,
 )
 from repro.stencils.spec import StencilSpec
+
+
+@pytest.fixture(autouse=True)
+def no_background_builds():
+    """Start every test with no kernel build running behind it.
+
+    The default folded ``run()`` queues its native program's build on a
+    background thread.  A build an earlier test queued must not run while a
+    test patches the compiler, the probe, ``subprocess`` or the cache
+    directory, or counts the calls and files a build makes.
+    """
+    wait_for_builds()
 
 
 @pytest.fixture

@@ -153,7 +153,11 @@ def test_narrow_dirichlet_grid_matches_reference(request, path, key, shape, m):
 # the per-process decision and its observability
 # --------------------------------------------------------------------------- #
 def fold_kernel_line(key: str = "2d9p") -> str:
-    lines = [line for line in plan(key).compile().explain().splitlines() if "fold kernel" in line]
+    lines = [
+        line
+        for line in plan(key).compile().explain().splitlines()
+        if line.lstrip().startswith("fold kernel")
+    ]
     assert len(lines) == 1
     return lines[0].split(":", 1)[1].strip()
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.shifts_reuse import loads_per_square, reusable_vectors, shifts_reuse_report
 from repro.core.vectorized_folding import FoldingSchedule
+from repro.ir.executor import compile_sweep
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import AVX2, AVX512, InstructionClass
 from repro.simd.machine import SimdMachine
@@ -26,7 +27,8 @@ from repro.stencils.library import (
     symmetric_box_2d9p,
 )
 from repro.stencils.reference import reference_run
-from tests.conftest import SMALL_SHAPES
+from repro.stencils.spec import StencilSpec
+from tests.conftest import EPS, SMALL_SHAPES, stencil_weights
 
 
 class TestScheduleConstruction:
@@ -342,3 +344,54 @@ class TestShiftsReuse:
         assert loads_per_square(4, 1, 2, shifts_reuse=True) == 6
         with pytest.raises(ValueError):
             loads_per_square(0, 1, 1, True)
+
+
+# --------------------------------------------------------------------------- #
+# the register-level schedule sums exactly like the fold
+# --------------------------------------------------------------------------- #
+#: A combination counterpart whose bias the fold sums on its own (the
+#: pinned kernel of tests/test_fold_kernel.py).
+COMBINATION_BIAS = np.array([[2.0, -1.0, 2.0], [0.0, 1.0, 1.0], [2.0, -1.0, 1.0]])
+
+
+@st.composite
+def schedule_cases(draw):
+    """(kernel, m, isa, grid shape, negative zeros?, seed) of a schedule the
+    engines accept: one radius on every axis, folded radius <= vl."""
+    dims = draw(st.integers(1, 3))
+    kernel = draw(stencil_weights(dims, isotropic=True))
+    isa = draw(st.sampled_from([AVX2, AVX512]))
+    vl = isa.vector_lanes
+    m = draw(st.integers(1, min(3, vl // max(kernel.shape[0] // 2, 1))))
+    if dims == 1:
+        shape = (draw(st.integers(1, 3)) * vl * vl,)
+    else:
+        planes = (draw(st.integers(1, 2)),) * (dims - 2)
+        shape = planes + (2 * vl, draw(st.integers(1, 3)) * vl)
+    return kernel, m, isa, shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=schedule_cases())
+@example(case=(np.array([0.5, 1.0, EPS / 2]), 1, AVX2, (32,), False, 1))  # |w| <= DBL_EPSILON
+@example(case=(np.array([0.5]), 1, AVX512, (64,), True, 2))  # a sum of negative zeros
+@example(case=(COMBINATION_BIAS, 2, AVX2, (8, 8), False, 3))  # a combination's bias
+def test_trace_replay_matches_the_fold_bit_for_bit(case):
+    """The schedule keeps the fold's taps (``|w| > DBL_EPSILON``), starts every
+    sum from ``+0.0`` and sums a combination's bias from zero before adding
+    it, so trace replay returns :meth:`FoldingSchedule.numpy_fold`'s bits."""
+    kernel, m, isa, shape, negative_zeros, seed = case
+    schedule = FoldingSchedule(StencilSpec(name="fuzz", kernel=kernel), m)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    if negative_zeros:
+        values[rng.random(shape) < 0.5] = -0.0
+    values[rng.random(shape) < 0.05] = 1e-310
+    expected = schedule.numpy_fold(values, BoundaryCondition.PERIODIC)
+    program = compile_sweep(schedule, isa)
+    vl = isa.vector_lanes
+    if values.ndim == 1:
+        got = from_transpose_layout(program.replay(to_transpose_layout(values, vl)), vl)
+    else:
+        got = program.replay(values)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
