@@ -12,22 +12,22 @@ previous PR's trajectory point).  The gate fails when:
 
 * any case present in the baseline has disappeared from the fresh artifact
   (a dimensionality silently dropping out of the benchmark would otherwise
-  pass unnoticed), or
+  pass unnoticed), unless :data:`RETIRED_CASES` names it, or
 * any fresh trace-backend case's trace-over-interpret speedup is below the
   floor (default 10×, the bar PR 3 established), or
-* any ``"kind": "pass-ablation"`` case fails its own gates: the optimizing
-  IR pipeline must reduce the simulated instruction count
-  (``count_reduction > 1``; the accumulator-splitting case gates on
-  ``critical_path_reduction > 1`` instead, since it trades a few merge ops
-  for a shorter serial chain) and optimized replay must not grossly regress
-  (``replay_speedup`` at least 0.9 — the optimized program executes no more
-  ops, so only timing noise sits between it and parity), or
+* any ``"kind": "pass-ablation"`` case fails its own gates: the default IR
+  pipeline must reduce the simulated instruction count
+  (``count_reduction > 1``), and the optimized program must not grossly
+  regress in wall-clock time, neither on IR replay (``replay_speedup``) nor
+  on native code (``native_speedup``), each at least 0.9 — the optimized
+  program executes no more ops, so only timing noise sits between it and
+  parity.  A case may carry ``native_skip_reason`` instead of
+  ``native_speedup`` when its host could not build native code, or
 * the fresh artifact lacks 2-D or 3-D coverage entirely.
 
 With ``--passes`` the gate additionally asserts the pass pipeline's headline
-numbers on the fresh artifact: the best pass-ablation instruction-count
-reduction must reach 1.15× and the accumulator-splitting case must shorten
-the dependency-graph critical path.
+number on the fresh artifact: the best pass-ablation instruction-count
+reduction must reach 1.15×.
 
 With ``--service BENCH_service.json --service-baseline <previous>`` the gate
 additionally checks the service-throughput artifact: every baseline case
@@ -66,15 +66,16 @@ from pathlib import Path
 #: benchmarks/test_simulation_speed.py's asserted floor.
 MIN_SPEEDUP = 10.0
 
-#: Minimum optimized-over-unoptimized replay speed for pass-ablation cases
-#: (a noise guard, not a perf claim — the count and critical-path reductions
-#: are the real gates; the optimized program executes no more NumPy ops than
-#: the unoptimized one, so anything below parity is scheduler noise).
-MIN_ABLATION_SPEEDUP = 0.9
+#: Minimum optimized-over-unoptimized speed of pass-ablation cases, on IR
+#: replay and on native code, matching benchmarks/test_simulation_speed.py
+#: (a noise guard, not a perf claim: the optimized program executes no more
+#: ops than the unoptimized one, so anything below parity is noise).
+MIN_ABLATION_REPLAY = 0.9
 
-#: Looser replay floor for accumulator-splitting ablation cases, which
-#: execute a few *more* ops in exchange for the shorter serial chain.
-MIN_SPLIT_ABLATION_SPEEDUP = 0.7
+#: Baseline cases that may be missing from a fresh artifact, with why.
+RETIRED_CASES = {
+    "pass-ablation-split-accum-3d-heat-avx2": "its split-accum pass was deleted in 1.15",
+}
 
 #: ``--passes`` gate: at least one pass-ablation case must show the
 #: pipeline's headline instruction-count reduction.
@@ -110,34 +111,25 @@ def check(current: dict, baseline: dict, min_speedup: float) -> list:
     """Return the list of gate violations (empty when the trajectory holds)."""
     problems = []
     for name in sorted(baseline):
-        if name not in current:
+        if name not in current and name not in RETIRED_CASES:
             problems.append(f"case {name!r} present in the baseline has disappeared")
     for name, case in sorted(current.items()):
         if case.get("kind") == "pass-ablation":
             reduction = float(case.get("count_reduction", 0.0))
-            cp_reduction = float(case.get("critical_path_reduction", 1.0))
-            replay = float(case.get("replay_speedup", 0.0))
-            # The splitter case trades a few extra merge ops for a shorter
-            # serial chain; its gated signal is the critical path instead,
-            # and its replay floor accounts for the extra ops.
-            split = "split" in name
-            if split:
-                if cp_reduction <= 1.0:
-                    problems.append(
-                        f"case {name!r}: accumulator splitting no longer shortens "
-                        f"the critical path (reduction {cp_reduction:.3f}x)"
-                    )
-            elif reduction <= 1.0:
+            if reduction <= 1.0:
                 problems.append(
                     f"case {name!r}: IR pass pipeline no longer reduces the "
                     f"instruction count (reduction {reduction:.3f}x)"
                 )
-            floor = MIN_SPLIT_ABLATION_SPEEDUP if split else MIN_ABLATION_SPEEDUP
-            if replay < floor:
-                problems.append(
-                    f"case {name!r}: optimized replay {replay:.2f}x is below the "
-                    f"{floor:.2f}x noise floor"
-                )
+            speeds = {"replay": case.get("replay_speedup", 0.0)}
+            if "native_skip_reason" not in case:
+                speeds["native"] = case.get("native_speedup", 0.0)
+            for label, speed in speeds.items():
+                if float(speed) < MIN_ABLATION_REPLAY:
+                    problems.append(
+                        f"case {name!r}: optimized {label} {float(speed):.2f}x is below "
+                        f"the {MIN_ABLATION_REPLAY:.2f}x noise floor"
+                    )
             continue
         speedup = float(case.get("speedup", 0.0))
         if speedup < min_speedup:
@@ -154,36 +146,21 @@ def check(current: dict, baseline: dict, min_speedup: float) -> list:
 def check_passes(current: dict, min_count_reduction: float) -> list:
     """``--passes`` gate violations over the pass-ablation cases (empty = holds).
 
-    Asserts the headline claims of the IR pass pipeline: at least one case
-    must reduce the simulated instruction count by ``min_count_reduction``
-    and the accumulator-splitting case must shorten the dependency-graph
-    critical path.  Runs on the fresh artifact only — the per-case floors in
-    :func:`check` already guard against baseline cases disappearing.
+    Asserts the headline claim of the IR pass pipeline: at least one case
+    must reduce the simulated instruction count by ``min_count_reduction``.
+    Runs on the fresh artifact only — the per-case floors in :func:`check`
+    already guard against baseline cases disappearing.
     """
-    problems = []
-    ablation = {
-        name: case for name, case in current.items() if case.get("kind") == "pass-ablation"
-    }
+    ablation = [case for case in current.values() if case.get("kind") == "pass-ablation"]
     if not ablation:
-        problems.append("--passes: no pass-ablation case in the fresh artifact")
-        return problems
-    best = max(float(case.get("count_reduction", 0.0)) for case in ablation.values())
+        return ["--passes: no pass-ablation case in the fresh artifact"]
+    best = max(float(case.get("count_reduction", 0.0)) for case in ablation)
     if best < min_count_reduction:
-        problems.append(
+        return [
             f"--passes: best instruction-count reduction {best:.3f}x is below "
             f"the {min_count_reduction:.2f}x floor"
-        )
-    split_cases = [name for name in ablation if "split" in name]
-    if not split_cases:
-        problems.append("--passes: no accumulator-splitting ablation case")
-    for name in sorted(split_cases):
-        cp = float(ablation[name].get("critical_path_reduction", 0.0))
-        if cp <= 1.0:
-            problems.append(
-                f"--passes: case {name!r} critical-path reduction {cp:.3f}x "
-                f"does not shorten the chain"
-            )
-    return problems
+        ]
+    return []
 
 
 def check_service(current: dict, baseline: dict, min_hit_rate: float) -> list:
@@ -270,9 +247,8 @@ def main(argv=None) -> int:
         "--passes",
         action="store_true",
         help=(
-            "additionally gate the IR pass pipeline's headline numbers: best "
-            f"count reduction >= {MIN_PASS_COUNT_REDUCTION:.2f}x and a "
-            "critical-path-shortening accumulator-splitting case"
+            "additionally gate the IR pass pipeline's headline number: best "
+            f"count reduction >= {MIN_PASS_COUNT_REDUCTION:.2f}x"
         ),
     )
     parser.add_argument(
@@ -393,18 +369,18 @@ def main(argv=None) -> int:
 
     print(f"baseline cases : {', '.join(sorted(baseline)) or '(none)'}")
     print(f"current cases  : {', '.join(sorted(current)) or '(none)'}")
+    for name in sorted(set(baseline) & set(RETIRED_CASES) - set(current)):
+        print(f"  {name}: retired ({RETIRED_CASES[name]})")
     for name, case in sorted(current.items()):
         if case.get("kind") == "pass-ablation":
-            graph = case.get("graph", {})
+            native = (
+                f"native skipped ({case['native_skip_reason']})"
+                if "native_skip_reason" in case
+                else f"{float(case.get('native_speedup', 0.0)):.2f}x native"
+            )
             print(
                 f"  {name}: {float(case.get('count_reduction', 0.0)):.3f}x count "
-                f"reduction, {float(case.get('critical_path_reduction', 1.0)):.2f}x "
-                f"critical path, {float(case.get('replay_speedup', 0.0)):.2f}x replay"
-                + (
-                    f", {int(graph.get('memory_edges_broken', 0))} mem edges broken"
-                    if graph
-                    else ""
-                )
+                f"reduction, {float(case.get('replay_speedup', 0.0)):.2f}x replay, {native}"
             )
         else:
             print(f"  {name}: {float(case.get('speedup', 0.0)):.0f}x trace speedup")

@@ -47,7 +47,7 @@ import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -195,22 +195,10 @@ def _slice(ops: Sequence[IrOp], roots: Set[int]) -> List[IrOp]:
 
 
 def _stages(ir: ScheduleIR) -> Tuple[List[IrOp], List[IrOp]]:
-    """``(vertical, horizontal)`` ops of a 2-D/3-D program, split by dataflow.
-
-    The vertical stage is what the ``vt_out`` columns depend on, the
-    horizontal stage what the stores depend on.  A software-pipelined
-    program keeps both in one merged segment; only block-invariant ops can
-    feed both stages (the horizontal stage reads the vertical one through
-    its ``vt`` inputs alone), so an op in both slices is safely emitted
-    twice.
-    """
-    trips = {seg.trip: seg for seg in ir.segments}
-    if "pipelined" in trips:
-        vertical_ops = horizontal_ops = trips["pipelined"].ops
-    else:
-        vertical_ops, horizontal_ops = trips["vertical"].ops, trips["horizontal"].ops
-    vertical = _slice(vertical_ops, {vid for cols in ir.vt_out for vid in cols})
-    return vertical, _slice(horizontal_ops, {-1})
+    """``(vertical, horizontal)`` ops of a 2-D/3-D program: what the
+    ``vt_out`` columns depend on, and what the stores depend on."""
+    vertical = _slice(ir.segment("vertical").ops, {vid for cols in ir.vt_out for vid in cols})
+    return vertical, _slice(ir.segment("horizontal").ops, {-1})
 
 
 def _transpose_sets(vl: int) -> List[str]:
@@ -523,15 +511,15 @@ def compile_kernel(
     schedule,
     isa: IsaSpec,
     transpose_back: bool = True,
-    optimize: Union[bool, Sequence, None] = False,
+    optimize: Optional[bool] = False,
 ) -> KernelProgram:
     """Lower ``schedule``, optionally optimize, and fetch/build its kernel.
 
-    The signature mirrors :func:`repro.ir.executor.compile_sweep`; the result
-    is shared process-wide through the content-key cache: any (schedule,
-    isa, pass pipeline) combination that lowers to the same program reuses
-    the same :class:`KernelProgram`.  A miss builds the program's C form
-    (a ``dlopen`` when the on-disk cache already holds it).
+    The signature mirrors :func:`repro.ir.executor.compile_sweep`, ``optimize``
+    included; the result is shared process-wide through the content-key
+    cache: any (schedule, isa, ``optimize``) combination that lowers to the
+    same program reuses the same :class:`KernelProgram`.  A miss builds the
+    program's C form (a ``dlopen`` when the on-disk cache already holds it).
     """
     global _CACHE_HITS, _CACHE_MISSES
     ir, reports = _lower_and_optimize(schedule, isa, transpose_back, optimize)

@@ -157,7 +157,7 @@ def measure_backend(
     grid: Any,
     steps: int,
     backend: Optional[str] = "kernel",
-    optimize: Any = False,
+    optimize: Optional[bool] = False,
     warmup: int = 1,
     repeats: int = 5,
     clock: Optional[Clock] = None,
@@ -167,9 +167,10 @@ def measure_backend(
     The warmup runs trigger (and therefore exclude) one-time compilation:
     schedule lowering, pass pipelines and engine builds all hit
     their caches before the first timed sample.  ``steps`` must be positive —
-    measuring an empty run says nothing.  ``optimize`` selects the IR pass
-    pipeline of a trace/kernel backend, as in :meth:`CompiledPlan.simulate`;
-    both keywords validate like :meth:`CompiledPlan.run`'s.
+    measuring an empty run says nothing.  ``optimize=True`` runs the default
+    IR pass pipeline first on a trace/kernel backend, as in
+    :meth:`CompiledPlan.simulate`; both keywords validate like
+    :meth:`CompiledPlan.run`'s.
     """
     from repro.backend.options import ExecutionOptions
 
@@ -194,7 +195,7 @@ def measured_vs_estimated(
     grid: Any,
     steps: int,
     backend: str = "kernel",
-    optimize: Any = False,
+    optimize: Optional[bool] = False,
     machine: Any = None,
     cores: int = 1,
     warmup: int = 1,
@@ -229,7 +230,7 @@ def measured_vs_estimated(
         "isa": plan.config.isa,
         "m": plan.config.unroll,
         "backend": backend,
-        "optimize": optimize if isinstance(optimize, bool) else list(optimize or ()),
+        "optimize": bool(optimize),
         "shape": list(grid.values.shape),
         "steps": int(steps),
         "points": measured.points,

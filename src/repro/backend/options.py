@@ -2,23 +2,26 @@
 
 ``CompiledPlan.run``/``simulate``/``measure``, the measurement harness, the
 ``repro-measure`` CLI and the service protocol all accept the same keyword
-pair — ``backend=`` (which execution engine) and ``optimize=`` (which IR pass
-pipeline).  :meth:`ExecutionOptions.normalize` is the single source of truth
-for the allowed combinations:
+pair — ``backend=`` (which execution engine) and ``optimize=`` (whether the
+default IR pass pipeline runs first).  :meth:`ExecutionOptions.normalize` is
+the single source of truth for the allowed combinations:
 
 * ``backend`` must name a registered execution backend
   (:data:`repro.backend.EXECUTION_BACKENDS`), plus ``"auto"`` where the
   context supports method-native execution (``run``, which ``measure``
   times);
-* ``optimize`` only applies to backends that compile the typed IR (trace,
-  kernel) — the interpreter executes the schedule as recorded, and the
-  ``auto`` path has no IR to optimize.
+* ``optimize`` is ``True``, ``False`` or ``None``, and ``True`` only applies
+  to backends that compile the typed IR (trace, kernel) — the interpreter
+  executes the schedule as recorded, and the ``auto`` path has no IR to
+  optimize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
+
+from repro.ir.passes import optimize_flag
 
 __all__ = ["ExecutionOptions"]
 
@@ -40,20 +43,18 @@ class ExecutionOptions:
         ``"auto"`` (method-native execution) or a registered execution
         backend key (``"kernel"``, ``"trace"``, ``"interpret"``).
     optimize:
-        Normalized pass-pipeline selection: ``False`` (replay as recorded),
-        ``True`` (the default optimizing pipeline) or a tuple of pass
-        names/callables.  ``None`` and empty sequences normalize to
-        ``False`` — one spelling, one cache entry.
+        Whether the default optimizing pass pipeline runs first (``None``
+        normalizes to ``False`` — one spelling, one cache entry).
     """
 
     backend: str = "auto"
-    optimize: Union[bool, Tuple[Any, ...]] = False
+    optimize: bool = False
 
     @classmethod
     def normalize(
         cls,
         backend: Optional[str] = None,
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: Optional[bool] = False,
         context: str = "run",
     ) -> "ExecutionOptions":
         """Validate ``backend``/``optimize`` for ``context``.
@@ -61,7 +62,7 @@ class ExecutionOptions:
         ``context`` is ``"run"`` or ``"simulate"`` — it picks the backend
         used for ``backend=None`` and whether ``"auto"`` is allowed.  Raises
         ``ValueError`` naming the offending keyword for every disallowed
-        combination.
+        value or combination.
         """
         try:
             default, label = _CONTEXTS[context]
@@ -69,12 +70,7 @@ class ExecutionOptions:
             raise ValueError(
                 f"unknown execution context {context!r}; expected one of {tuple(_CONTEXTS)}"
             ) from None
-        # False, None and an explicitly empty pass sequence all mean "no
-        # optimization" — one spelling, one cache entry.
-        if optimize is not True and not optimize:
-            optimize = False
-        elif optimize is not True:
-            optimize = tuple(optimize)
+        optimize = optimize_flag(optimize)
         backend = default if backend is None else str(backend).strip().lower()
         allowed = cls.allowed_backends(context)
         if backend not in allowed:
@@ -83,7 +79,7 @@ class ExecutionOptions:
                 f"unknown {label} backend {backend!r}; "
                 f"expected {', '.join(quoted[:-1])} or {quoted[-1]}"
             )
-        if optimize is not False:
+        if optimize:
             if backend == "auto":
                 raise ValueError("optimize= requires an explicit execution backend")
             if backend == "interpret":

@@ -98,31 +98,12 @@ def ir_access_stream(
     return _stream_squares(ir, tuple(shape), read_base, write_base, itemsize, access_bytes)
 
 
-def _segment_mem_ops(ir: ScheduleIR, name: str):
-    """Memory ops of stage ``name``, tolerant of software-pipelined programs.
-
-    A pipelined program merges the vertical/horizontal stages into one
-    ``pipelined`` segment; its memory ops partition cleanly by tag family
-    (vertical row loads vs. horizontal ``out_row`` stores), so the stage-wise
-    address-stream generators keep working on the merged form.
-    """
-    try:
-        return [op for op in ir.segment(name).ops if op.is_memory]
-    except KeyError:
-        merged = ir.segment("pipelined")
-        if name == "vertical":
-            return [op for op in merged.ops if op.opcode == "load"]
-        if name == "horizontal":
-            return [op for op in merged.ops if op.opcode == "store"]
-        raise
-
-
 def _stream_1d(
     ir: ScheduleIR, n: int, read_base: int, write_base: int, itemsize: int, access_bytes: int
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     vl = ir.vl
     (nsets,) = ir.block_axes(n)
-    mem_ops = _segment_mem_ops(ir, "block")
+    mem_ops = [op for op in ir.segment("block").ops if op.is_memory]
     sets = np.arange(nsets)
     cols: List[np.ndarray] = []
     writes: List[bool] = []
@@ -153,8 +134,8 @@ def _stream_squares(
     vl = ir.vl
     planes, nrb, ncb = ir.block_axes(shape)
     rows, cols = shape[-2], shape[-1]
-    vertical = _segment_mem_ops(ir, "vertical")
-    horizontal = _segment_mem_ops(ir, "horizontal")
+    vertical = [op for op in ir.segment("vertical").ops if op.is_memory]
+    horizontal = [op for op in ir.segment("horizontal").ops if op.is_memory]
 
     def vertical_addrs(z: int, br: int, bc: int) -> np.ndarray:
         base_row = br * vl

@@ -47,7 +47,6 @@ from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
 from repro.ir.lower import check_lowerable
 from repro.ir.ops import block_axes
-from repro.ir.passes import pipeline_key
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.machine import MachineSpec, machine_for_isa
 import repro.methods  # noqa: F401  (imports register the built-in methods)
@@ -381,7 +380,7 @@ class CompiledPlan:
         grid: Grid,
         steps: int,
         backend: Optional[str] = None,
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: Optional[bool] = False,
     ) -> np.ndarray:
         """Advance ``grid`` by ``steps`` time steps and return the final values.
 
@@ -413,9 +412,9 @@ class CompiledPlan:
         ``steps`` is; tiling configuration is bypassed).  Whole folded updates run on the chosen
         engine and any ``steps % m`` remainder finishes with exact
         reference steps, so every backend returns bit-identical values.
-        ``optimize`` selects the IR pass pipeline of an explicit trace or
-        kernel backend (see :meth:`simulate`); it requires one.  Both
-        keywords validate through :meth:`ExecutionOptions.normalize
+        ``optimize=True`` runs the default IR pass pipeline first on an
+        explicit trace or kernel backend (see :meth:`simulate`); it requires
+        one.  Both keywords validate through :meth:`ExecutionOptions.normalize
         <repro.backend.ExecutionOptions.normalize>`.
         """
         if steps < 0:
@@ -434,7 +433,7 @@ class CompiledPlan:
         grid: Grid,
         steps: int,
         backend: str,
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: bool = False,
     ) -> np.ndarray:
         """Numeric execution forced through one register-level engine.
 
@@ -493,7 +492,7 @@ class CompiledPlan:
         steps: int,
         machine: Optional[SimdMachine] = None,
         backend: Optional[str] = "trace",
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: Optional[bool] = False,
     ) -> Tuple[np.ndarray, InstructionCounts]:
         """Execute the register-level schedule on the simulated SIMD machine.
 
@@ -533,18 +532,14 @@ class CompiledPlan:
             ``"interpret"`` executes the schedule one simulated instruction
             at a time (the oracle the other backends are tested against).
         optimize:
-            IR pass-pipeline selection for the trace and kernel backends.
-            ``False`` (the
-            default) replays the recorded program as-is — counts identical to
-            the interpreter.  ``True`` runs the default optimizing pipeline
-            (:data:`repro.ir.passes.DEFAULT_PASSES`); a sequence of pass
-            names/callables runs a custom pipeline.  Optimized replay stays
-            bit-identical to interpreted execution but accounts the
-            optimized program's own (smaller) instruction tally.  The
-            unoptimized, default-optimized and named-pass variants are each
-            compiled at most once and cached side by side on the plan;
-            pipelines containing custom callables are compiled per call (an
-            empty pass selection means "no optimization").
+            Whether the trace and kernel backends run the default optimizing
+            pass pipeline (:data:`repro.ir.passes.DEFAULT_PASSES`) first.
+            ``False`` (the default) or ``None`` replays the recorded program
+            as-is — counts identical to the interpreter.  ``True`` replay
+            stays bit-identical to interpreted execution but accounts the
+            optimized program's own (smaller) instruction tally.  Both
+            variants are compiled at most once and cached side by side on
+            the plan.  Any other value raises ``ValueError``.
         """
         opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="simulate")
         backend, optimize = opts.backend, opts.optimize
@@ -663,26 +658,20 @@ class CompiledPlan:
         schedule: FoldingSchedule,
         isa: IsaSpec,
         dims: int,
-        optimize: Union[bool, Sequence] = False,
+        optimize: bool = False,
     ):
         """The cached compiled sweep of ``engine`` for ``(isa, dims, optimize)``.
 
         ``engine`` is ``"trace"`` (:func:`~repro.ir.executor.compile_sweep`)
         or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`: the
         program's native C form, shared process-wide through its
-        content-key cache).  Compiled at most once per plan, engine, ISA and pass
-        selection — the lower/optimize/compile step is grid-shape
+        content-key cache).  Compiled at most once per plan, engine, ISA and
+        ``optimize`` — the lower/optimize/compile step is grid-shape
         independent, so every subsequent simulate() call (and every step
         within one) reuses it.
         """
         build = compile_sweep if engine == "trace" else codegen.compile_kernel
-        opt_key = "none" if optimize is False else pipeline_key(optimize)
-        if isinstance(opt_key, tuple) and not all(isinstance(p, str) for p in opt_key):
-            # Pipelines containing custom callables are compiled fresh —
-            # caching them would retain one compiled sweep (and the closure
-            # it keys on) per distinct callable for the plan's lifetime.
-            return build(schedule, isa, optimize=optimize)
-        key = (engine, isa.name, dims, opt_key)
+        key = (engine, isa.name, dims, optimize)
         compiled = self._engine_cache.get(key)
         if compiled is None:
             with self._engine_lock:
@@ -697,7 +686,7 @@ class CompiledPlan:
         grid: Grid,
         steps: int,
         backend: Optional[str] = "kernel",
-        optimize: Union[bool, Sequence, None] = False,
+        optimize: Optional[bool] = False,
         **kwargs,
     ):
         """Measured wall-clock execution of the plan on one backend.
@@ -832,9 +821,6 @@ class CompiledPlan:
         if ir_line is not None:
             lines.append(f"  ir pipeline    : {ir_line}")
             lines.append(f"  kernel backend : {self._kernel_backend_description()}")
-        graph_line = self._dependency_graph_description()
-        if graph_line is not None:
-            lines.append(f"  dep graph      : {graph_line}")
         try:
             profile = self.profile()
         except (TypeError, ValueError):
@@ -884,12 +870,7 @@ class CompiledPlan:
             r.describe() for r in reports if r.removed or r.spills_after != r.spills_before
         ]
         detail = "; ".join(effective) if effective else "no pass fired"
-        line = f"{before:g} → {after:g} static ops ({detail})"
-        cp_before = reports[0].critical_path_before
-        cp_after = reports[-1].critical_path_after
-        if cp_before or cp_after:
-            line += f"; critical path {cp_before:g} → {cp_after:g} cyc"
-        return line
+        return f"{before:g} → {after:g} static ops ({detail})"
 
     def _kernel_backend_description(self) -> str:
         """How ``backend="kernel"`` runs the plan's default-pipeline program:
@@ -898,37 +879,6 @@ class CompiledPlan:
         return self._compiled(
             "kernel", self.schedule, self.isa_spec, self.spec.dims, optimize=True
         ).status
-
-    def _dependency_graph_description(self) -> Optional[str]:
-        """Per-segment dependency-graph statistics of the optimized program.
-
-        One clause per steady-state segment: node count, def-use and memory
-        edge counts, how many memory-op pairs the alias analysis proved
-        independent ("broken"), and the latency-weighted critical path.
-        """
-        if (
-            self.schedule is None
-            or not self.descriptor.supports_simulation
-            or self.spec.dims not in self.descriptor.simulation_dims
-        ):
-            return None
-        try:
-            compiled = self._compiled(
-                "trace", self.schedule, self.isa_spec, self.spec.dims, optimize=True
-            )
-        except ValueError:
-            return None
-        from repro.ir.dependency import program_stats
-
-        stats = program_stats(compiled.ir)
-        if not stats:
-            return None
-        clauses = [
-            f"{name}: {s.nodes} nodes, {s.def_use_edges} def-use + {s.memory_edges} mem edges "
-            f"({s.memory_edges_broken} broken by aliasing), cp {s.critical_path_cycles:g} cyc"
-            for name, s in stats.items()
-        ]
-        return "; ".join(clauses)
 
     def _path_description(self) -> str:
         if self.descriptor.describe_path is not None:

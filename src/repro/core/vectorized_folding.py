@@ -992,12 +992,6 @@ class FoldingSchedule:
             seg_counts = seg.counts()
             if seg.trip == "vertical":
                 seg_counts = seg_counts.scaled(1.0 + self.radius / vl)
-            elif seg.trip == "prime":
-                # Software-pipelined form: the priming copy mirrors the
-                # vertical stage op-for-op, so it carries exactly the extra
-                # ``R/vl`` share the stage form bills on top of the merged
-                # segment's one-per-square execution.
-                seg_counts = seg_counts.scaled(self.radius / vl)
             counts = counts.merge(seg_counts)
         return counts.scaled(1.0 / (vl * vl * self.m))
 

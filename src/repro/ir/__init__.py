@@ -14,11 +14,10 @@ register-level folding schedule:
   against the trace recorder,
 * :mod:`repro.ir.dependency` — the per-segment :class:`DependencyGraph`
   (def-use edges plus :class:`MemoryRef` alias analysis over the memory
-  tags) the graph-enabled passes schedule from,
+  tags) the ``reschedule`` pass schedules from,
 * :mod:`repro.ir.passes` — the optimizing pass pipeline
   (:class:`PassManager`; CSE, shuffle coalescing, multiply–add fusion, DCE,
-  loop-invariant hoisting, graph-driven re-scheduling, plus the opt-in
-  software pipelining and accumulator splitting), every default pass
+  loop-invariant hoisting and graph-driven re-scheduling), every pass
   preserving bit-identical replay,
 * :mod:`repro.ir.executor` — :class:`CompiledSweep`, the dimension-generic
   batched replay engine (:func:`compile_sweep`).
@@ -32,21 +31,13 @@ and the cache layer expands its memory tags into exact address streams
 (:mod:`repro.cache.irprofile`).
 """
 
-from repro.ir.dependency import (
-    DependencyGraph,
-    GraphStats,
-    MemoryRef,
-    program_critical_path,
-    program_graphs,
-    program_stats,
-)
+from repro.ir.dependency import DependencyGraph, MemoryRef
 from repro.ir.executor import CompiledSweep, compile_sweep
 from repro.ir.lower import lower_schedule
 from repro.ir.ops import IrOp, IrSegment, ScheduleIR
 from repro.ir.recorder import TraceRecorder, TraceReg
 from repro.ir.passes import (
     DEFAULT_PASSES,
-    SPLIT_ACCUM_MIN_LINKS,
     PassManager,
     PassReport,
     coalesce_shuffles,
@@ -55,8 +46,6 @@ from repro.ir.passes import (
     fuse_multiply_add,
     hoist_loop_invariants,
     reschedule_register_pressure,
-    software_pipeline_stages,
-    split_accumulators,
 )
 
 __all__ = [
@@ -69,21 +58,14 @@ __all__ = [
     "CompiledSweep",
     "compile_sweep",
     "DependencyGraph",
-    "GraphStats",
     "MemoryRef",
-    "program_graphs",
-    "program_stats",
-    "program_critical_path",
     "PassManager",
     "PassReport",
     "DEFAULT_PASSES",
-    "SPLIT_ACCUM_MIN_LINKS",
     "common_subexpression_elimination",
     "coalesce_shuffles",
     "fuse_multiply_add",
     "dead_code_elimination",
     "hoist_loop_invariants",
-    "software_pipeline_stages",
-    "split_accumulators",
     "reschedule_register_pressure",
 ]

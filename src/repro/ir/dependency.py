@@ -1,46 +1,29 @@
 """Dependency graphs over IR segments: def-use edges plus memory aliasing.
 
-The pass pipeline of :mod:`repro.ir.passes` historically scheduled over
-*linear* segments — the only ordering information it used was the recorded
-op order plus the SSA def-use chains.  This module builds the true
-:class:`DependencyGraph` the graph-enabled passes (graph-driven
-rescheduling, loop-invariant hoisting, software pipelining of the
-vertical/horizontal stages, accumulator splitting) schedule from, following
-the shape of PyPy's vectorizer (``rpython/.../optimizeopt/dependency.py``):
+:class:`DependencyGraph` is what the ``reschedule`` pass of
+:mod:`repro.ir.passes` schedules from, following the shape of PyPy's
+vectorizer (``rpython/.../optimizeopt/dependency.py``):
 
 * **def-use edges** from the virtual registers (an op depends on the
   in-segment definitions of its operands),
 * **memory edges** from a :class:`MemoryRef` alias analysis over the IR's
   abstract memory tags — two accesses to the same tag family with provably
   distinct offsets need no edge, an unknown tag family forces a conservative
-  edge,
-* **stage-input edges** for ``input`` pseudo-ops, which read the register
-  behind their ``("vt", delta, ci, k)`` tag without naming it in ``srcs`` —
-  when that register is defined in the same segment (a software-pipelined
-  merged segment) the definition must precede the input.
+  edge.
 
-On top of the edges the graph offers the queries passes need: the initial
-ready set, per-node latency heights, and the latency-weighted critical path
-(the serial-dependence lower bound on one segment execution, used by the
-cost model's chain estimate and by the ``split-accum`` profitability gate).
+On top of the edges the graph offers per-node latency heights, the
+list scheduler's critical-path priority.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.ops import IrOp, IrSegment, ScheduleIR
 from repro.simd.isa import IsaSpec
 
-__all__ = [
-    "MemoryRef",
-    "DependencyGraph",
-    "GraphStats",
-    "program_graphs",
-    "program_stats",
-    "program_critical_path",
-]
+__all__ = ["MemoryRef", "DependencyGraph"]
 
 #: Tag families the lowering emits, keyed by the tag's leading label.  A
 #: family's accesses are indexed by the remaining tag fields; two accesses of
@@ -103,46 +86,13 @@ class MemoryRef:
         return self.family == other.family and self.offset == other.offset
 
 
-def _vt_read(op: IrOp, ir: ScheduleIR) -> Optional[int]:
-    """The register an ``input`` op reads through its ``vt`` tag, if any."""
-    if op.opcode != "input":
-        return None
-    tag = op.tag
-    if isinstance(tag, tuple) and tag and tag[0] == "vt":
-        _, _delta, ci, k = tag
-        return ir.vt_out[ci][k]
-    return None
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary of one segment graph for ``explain()`` and the benchmarks."""
-
-    nodes: int
-    def_use_edges: int
-    memory_edges: int
-    #: store/store (and unknown-tag) pairs that *would* have needed an edge
-    #: under a no-alias-information model but were proven independent.
-    memory_edges_broken: int
-    critical_path_cycles: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "nodes": self.nodes,
-            "def_use_edges": self.def_use_edges,
-            "memory_edges": self.memory_edges,
-            "memory_edges_broken": self.memory_edges_broken,
-            "critical_path_cycles": self.critical_path_cycles,
-        }
-
-
 class DependencyGraph:
     """Dependence DAG over one segment's ops.
 
     Nodes are op indices into ``segment.ops``.  Every edge points forward in
-    recorded order (SSA reads-after-def are validated by the IR, memory and
-    stage-input edges are emitted earlier → later), so recorded order is
-    already a topological order.
+    recorded order (SSA reads-after-def are validated by the IR, memory
+    edges are emitted earlier → later), so recorded order is already a
+    topological order.
     """
 
     def __init__(self, ir: ScheduleIR, segment: IrSegment):
@@ -152,9 +102,6 @@ class DependencyGraph:
         n = len(ops)
         self.preds: List[List[int]] = [[] for _ in range(n)]
         self.succs: List[List[int]] = [[] for _ in range(n)]
-        self._def_use_edges = 0
-        self._memory_edges = 0
-        self._memory_edges_broken = 0
 
         def_at: Dict[int, int] = {}
         for i, op in enumerate(ops):
@@ -163,27 +110,21 @@ class DependencyGraph:
 
         edges = set()
 
-        def add_edge(j: int, i: int) -> bool:
-            if j == i or (j, i) in edges:
-                return False
-            edges.add((j, i))
-            self.succs[j].append(i)
-            self.preds[i].append(j)
-            return True
+        def add_edge(j: int, i: int) -> None:
+            if j != i and (j, i) not in edges:
+                edges.add((j, i))
+                self.succs[j].append(i)
+                self.preds[i].append(j)
 
-        # def-use edges (including the hidden vt read of stage inputs).
+        # def-use edges.
         for i, op in enumerate(ops):
-            reads = list(op.srcs)
-            vt = _vt_read(op, ir)
-            if vt is not None:
-                reads.append(vt)
-            for src in reads:
+            for src in op.srcs:
                 j = def_at.get(src)
-                if j is not None and j < i and add_edge(j, i):
-                    self._def_use_edges += 1
+                if j is not None and j < i:
+                    add_edge(j, i)
 
         # memory edges: any pair involving a store whose references may
-        # alias is ordered; pairs proven independent are counted as broken.
+        # alias is ordered; pairs proven independent get no edge.
         mem = [(i, MemoryRef.from_op(op)) for i, op in enumerate(ops) if op.is_memory]
         for a in range(len(mem)):
             i, ref_i = mem[a]
@@ -192,17 +133,7 @@ class DependencyGraph:
                 if ref_i.space == "in" and ref_k.space == "in":
                     continue  # read/read pairs never need ordering
                 if ref_i.may_alias(ref_k):
-                    if add_edge(i, k):
-                        self._memory_edges += 1
-                else:
-                    self._memory_edges_broken += 1
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def ready(self) -> List[int]:
-        """Indices with no unresolved dependencies (the initial ready set)."""
-        return [i for i in range(len(self.preds)) if not self.preds[i]]
+                    add_edge(i, k)
 
     def _latency(self, op: IrOp, isa: IsaSpec) -> float:
         if op.cls is None:
@@ -223,43 +154,3 @@ class DependencyGraph:
             below = max((h[k] for k in self.succs[i]), default=0.0)
             h[i] = self._latency(ops[i], isa) + below
         return h
-
-    def critical_path(self, isa: Optional[IsaSpec] = None) -> float:
-        """Latency along the longest dependence chain of the segment."""
-        return max(self.heights(isa), default=0.0)
-
-    def stats(self, isa: Optional[IsaSpec] = None) -> GraphStats:
-        return GraphStats(
-            nodes=len(self.preds),
-            def_use_edges=self._def_use_edges,
-            memory_edges=self._memory_edges,
-            memory_edges_broken=self._memory_edges_broken,
-            critical_path_cycles=self.critical_path(isa),
-        )
-
-
-def program_graphs(ir: ScheduleIR) -> Dict[str, DependencyGraph]:
-    """One graph per steady-state segment (prologue/prime excluded)."""
-    return {
-        seg.name: DependencyGraph(ir, seg)
-        for seg in ir.segments
-        if seg.trip not in ("once", "prime") and seg.ops
-    }
-
-
-def program_critical_path(ir: ScheduleIR, isa: Optional[IsaSpec] = None) -> float:
-    """Summed per-segment critical path of the steady-state segments.
-
-    The steady-state segments run back-to-back per block position (1-D:
-    ``block``; 2-D/3-D: ``vertical`` then ``horizontal``, or the merged
-    ``pipelined`` segment), so the sum is the serial-dependence latency
-    bound of one block's work.
-    """
-    isa = isa or ir.isa
-    return sum(g.critical_path(isa) for g in program_graphs(ir).values())
-
-
-def program_stats(ir: ScheduleIR, isa: Optional[IsaSpec] = None) -> Dict[str, GraphStats]:
-    """Per-segment :class:`GraphStats`, keyed by segment name."""
-    isa = isa or ir.isa
-    return {name: g.stats(isa) for name, g in program_graphs(ir).items()}

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.ir.lower import lower_schedule
 from repro.ir.ops import IrOp, ScheduleIR
-from repro.ir.passes import PassManager, PassReport
+from repro.ir.passes import PassManager, PassReport, optimize_flag
 from repro.simd.isa import AVX2, AVX512, IsaSpec
 from repro.simd.machine import InstructionCounts
 
@@ -177,24 +177,8 @@ class CompiledSweep:
             self._block_prog = _SegmentProgram(ir.segment("block").ops, vl)
         else:
             vt_vids = {vid for cols in ir.vt_out for vid in cols}
-            trips = {seg.trip for seg in ir.segments}
-            if "pipelined" in trips:
-                # Software-pipelined form: one merged segment interleaves the
-                # vertical and horizontal stages (its dependency edges keep
-                # every vt definition ahead of the stage inputs reading it);
-                # the "prime" accounting segment is never executed — the
-                # batched replay covers every square in one pass.
-                self._pipelined_prog = _SegmentProgram(
-                    ir.segment("pipelined").ops, vl, keep=vt_vids
-                )
-                self._vertical_prog = None
-                self._horizontal_prog = None
-            else:
-                self._pipelined_prog = None
-                self._vertical_prog = _SegmentProgram(
-                    ir.segment("vertical").ops, vl, keep=vt_vids
-                )
-                self._horizontal_prog = _SegmentProgram(ir.segment("horizontal").ops, vl)
+            self._vertical_prog = _SegmentProgram(ir.segment("vertical").ops, vl, keep=vt_vids)
+            self._horizontal_prog = _SegmentProgram(ir.segment("horizontal").ops, vl)
 
     # ------------------------------------------------------------------ #
     # replay
@@ -290,13 +274,8 @@ class CompiledSweep:
                 return column
             return np.roll(column, -delta, axis=2)
 
-        if self._pipelined_prog is not None:
-            self._pipelined_prog.run(
-                env, load_fn=load_fn, store_fn=store_fn, input_fn=input_fn
-            )
-        else:
-            self._vertical_prog.run(env, load_fn=load_fn)
-            self._horizontal_prog.run(env, store_fn=store_fn, input_fn=input_fn)
+        self._vertical_prog.run(env, load_fn=load_fn)
+        self._horizontal_prog.run(env, store_fn=store_fn, input_fn=input_fn)
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -313,36 +292,31 @@ def _lower_and_optimize(
     schedule,
     isa: IsaSpec,
     transpose_back: bool = True,
-    optimize: Union[bool, Sequence, None] = False,
+    optimize: Optional[bool] = False,
 ) -> Tuple[ScheduleIR, Tuple[PassReport, ...]]:
-    """``(ir, pass reports)`` of ``schedule`` after the ``optimize`` pipeline:
-    the front end of :func:`compile_sweep` and
-    :func:`repro.backend.codegen.compile_kernel`.
+    """``(ir, pass reports)`` of ``schedule``, after the default pipeline when
+    ``optimize`` (see :func:`~repro.ir.passes.optimize_flag`): the front end
+    of :func:`compile_sweep` and :func:`repro.backend.codegen.compile_kernel`.
 
     The default store layout reads the schedule's per-ISA cache, which the
     cost model's instruction profile shares, so the recording and the
     default pipeline run once per (schedule, ISA) however many engines are
     built from it.
     """
-    ir = None
+    optimize = optimize_flag(optimize)
     if transpose_back and isa in (AVX2, AVX512):
-        if optimize is True:
-            lowered = schedule._lowered_ir(isa.vector_lanes, optimize=True)
-            if lowered is not None:
-                return lowered
-        ir = schedule.schedule_ir(isa.vector_lanes)
-    if ir is None:
-        ir = lower_schedule(schedule, isa, transpose_back=transpose_back)
-    if optimize is False or optimize is None:
-        return ir, ()
-    return PassManager(optimize).run(ir)
+        lowered = schedule._lowered_ir(isa.vector_lanes, optimize=optimize)
+        if lowered is not None:
+            return lowered
+    ir = lower_schedule(schedule, isa, transpose_back=transpose_back)
+    return PassManager(True).run(ir) if optimize else (ir, ())
 
 
 def compile_sweep(
     schedule,
     isa: IsaSpec,
     transpose_back: bool = True,
-    optimize: Union[bool, Sequence, None] = False,
+    optimize: Optional[bool] = False,
 ) -> CompiledSweep:
     """Lower, optionally optimize, and compile the SIMD sweep of ``schedule``.
 
@@ -356,14 +330,15 @@ def compile_sweep(
         Mirrors the interpreted sweeps' weighted-transpose flag (ignored for
         1-D schedules, which always stay in the transpose layout).
     optimize:
-        ``False`` (default) compiles the recorded program as-is — replay
-        values *and* instruction counts are identical to the interpreted
-        sweep.  ``True`` runs the default pass pipeline
-        (:data:`repro.ir.passes.DEFAULT_PASSES`); a sequence of pass names /
-        callables runs a custom pipeline.  Optimized replay stays
-        bit-identical but yields the optimized program's own (smaller)
-        counts; the applied :class:`~repro.ir.passes.PassReport` deltas are
-        exposed as ``CompiledSweep.pass_reports``.
+        ``False`` or ``None`` (default ``False``) compiles the recorded
+        program as-is — replay values *and* instruction counts are identical
+        to the interpreted sweep.  ``True`` runs the default pass pipeline
+        (:data:`repro.ir.passes.DEFAULT_PASSES`): replay stays bit-identical
+        but yields the optimized program's own (smaller) counts, and the
+        applied :class:`~repro.ir.passes.PassReport` deltas are exposed as
+        ``CompiledSweep.pass_reports``.  Any other value raises
+        ``ValueError``; wrap ``PassManager(names).run(ir)`` in
+        :class:`CompiledSweep` to replay chosen passes.
     """
     ir, reports = _lower_and_optimize(schedule, isa, transpose_back, optimize)
     return CompiledSweep(ir, schedule=schedule, pass_reports=reports)

@@ -47,12 +47,8 @@ __all__ = ["IrOp", "IrSegment", "ScheduleIR", "TRIP_ROLES"]
 #: Trip roles a segment may carry.  ``once`` runs once per sweep (weight
 #: broadcasts); ``block`` once per 1-D vector set; ``vertical`` once per
 #: square *including* the two shifts-reuse priming squares of each block row;
-#: ``horizontal`` once per square.  The software-pipelining pass replaces the
-#: vertical/horizontal pair with ``pipelined`` (the merged stages, once per
-#: square) plus ``prime`` (an accounting-only copy of the vertical stage
-#: billing the two priming squares of each block row — never executed by the
-#: batched replay).
-TRIP_ROLES = ("once", "block", "vertical", "horizontal", "prime", "pipelined")
+#: ``horizontal`` once per square.
+TRIP_ROLES = ("once", "block", "vertical", "horizontal")
 
 
 def block_axes(shape: Union[int, Sequence[int]], vl: int, dims: int) -> Tuple[int, ...]:
@@ -259,11 +255,6 @@ class ScheduleIR:
             "once": 1,
             "vertical": planes * nrb * (ncb + 2),
             "horizontal": planes * nrb * ncb,
-            # Software-pipelined form: the merged stages run once per square,
-            # the priming copy twice per block row, so
-            # pipelined·ncb + prime·2 == vertical·(ncb+2) + horizontal·ncb.
-            "pipelined": planes * nrb * ncb,
-            "prime": planes * nrb * 2,
         }
 
     def sweep_counts(
@@ -302,13 +293,8 @@ class ScheduleIR:
         """
         counts = InstructionCounts()
         for seg in self.segments:
-            if seg.trip in ("once", "prime"):
-                # The prologue amortises to zero; the priming copy of a
-                # pipelined program runs a constant twice per block row —
-                # exactly the two extra squares already excluded from the
-                # stage-form steady state.
-                continue
-            counts = counts.merge(seg.counts())
+            if seg.trip != "once":
+                counts = counts.merge(seg.counts())
         return counts.scaled(1.0 / (self.vl * self.vl * self.m))
 
     def static_counts(self) -> InstructionCounts:

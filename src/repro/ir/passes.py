@@ -41,14 +41,6 @@ The built-in passes:
     block-invariant (prologue values, or themselves hoisted) move into the
     hoisted prologue, which the replay executor (trace and kernel backends)
     evaluates once at build time.
-``pipeline``
-    Software-pipelines the vertical/horizontal stage boundary of 2-D/3-D
-    programs: where the dependency graph proves the vertical loads
-    independent of the horizontal stores (disjoint ``MemoryRef`` spaces),
-    the two stages merge into one ``pipelined`` segment the scheduler can
-    interleave, plus a ``prime`` segment holding a renamed copy of the
-    vertical stage that accounts for the two shifts-reuse priming squares
-    of each block row.  Per-sweep counts are exactly preserved.
 ``reschedule``
     Graph-driven list scheduling over each per-block segment's
     :class:`~repro.ir.dependency.DependencyGraph`: the ready set is the
@@ -59,14 +51,6 @@ The built-in passes:
     :meth:`~repro.simd.machine.SimdMachine.note_live_registers` semantics
     (one spill store + reload per value exceeding the architectural register
     count), never exceeding the recorded pressure.
-``split-accum``
-    PyPy's ``AccumInfo`` idiom: breaks single-accumulator reduction chains
-    of at least :data:`SPLIT_ACCUM_MIN_LINKS` links into parallel partial
-    accumulators merged by a balanced tree after the chain, eliminating the
-    serial FMA/add dependence.  **Not** in :data:`DEFAULT_PASSES`: summation
-    reassociation changes the rounding order, so the pass trades the strict
-    bit-identity contract for a shorter critical path (``max`` chains stay
-    bit-exact) and must be opted into explicitly.
 """
 
 from __future__ import annotations
@@ -76,12 +60,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.ir.dependency import (
-    DependencyGraph,
-    MemoryRef,
-    _vt_read,
-    program_critical_path,
-)
+from repro.ir.dependency import DependencyGraph
 from repro.ir.ops import IrOp, IrSegment, ScheduleIR
 from repro.simd.isa import InstructionClass
 from repro.simd.machine import InstructionCounts
@@ -90,17 +69,13 @@ __all__ = [
     "PassManager",
     "PassReport",
     "DEFAULT_PASSES",
-    "SPLIT_ACCUM_MIN_LINKS",
-    "pipeline_key",
+    "optimize_flag",
     "common_subexpression_elimination",
     "coalesce_shuffles",
     "fuse_multiply_add",
     "dead_code_elimination",
     "hoist_loop_invariants",
-    "software_pipeline_stages",
-    "split_accumulators",
     "reschedule_register_pressure",
-    "resolve_passes",
 ]
 
 
@@ -341,20 +316,12 @@ def dead_code_elimination(ir: ScheduleIR) -> ScheduleIR:
     Walks the segments in reverse execution order, so the liveness of a
     horizontal stage input propagates to the vertical-phase register backing
     its ``("vt", delta, ci, k)`` tag, and prologue broadcasts survive only if
-    some per-block op still reads them.  ``prime`` segments (the accounting
-    copies of the vertical stage emitted by the ``pipeline`` pass) are kept
-    verbatim — they must mirror the pipelined vertical work exactly — but
-    their operand reads still count as live.
+    some per-block op still reads them.
     """
     live: set = set()
     kept: Dict[int, List[IrOp]] = {}
     for si in range(len(ir.segments) - 1, -1, -1):
         seg = ir.segments[si]
-        if seg.trip == "prime":
-            for op in seg.ops:
-                live.update(op.srcs)
-            kept[si] = list(seg.ops)
-            continue
         ops: List[IrOp] = []
         for op in reversed(seg.ops):
             if op.opcode == "store":
@@ -381,9 +348,8 @@ def reschedule_register_pressure(ir: ScheduleIR) -> ScheduleIR:
     """Graph-driven list scheduling of each per-block segment.
 
     Schedules from the segment's :class:`~repro.ir.dependency.DependencyGraph`
-    (def-use edges, memory-alias edges, stage-input edges), so any order it
-    emits is a correct execution order even for software-pipelined merged
-    segments.  Among the ready nodes the priority is, in order:
+    (def-use and memory-alias edges), so any order it emits is a correct
+    execution order.  Among the ready nodes the priority is, in order:
 
     1. **freed − defined** — the spill-aware pressure heuristic: issue the op
        freeing the most last-use operands per value it defines;
@@ -403,7 +369,7 @@ def reschedule_register_pressure(ir: ScheduleIR) -> ScheduleIR:
     keep_all = {vid for cols in ir.vt_out for vid in cols}
     segments: List[IrSegment] = []
     for seg in ir.segments:
-        if seg.trip in ("once", "prime") or not seg.ops:
+        if seg.trip == "once" or not seg.ops:
             segments.append(seg)
             continue
         ops = seg.ops
@@ -411,19 +377,10 @@ def reschedule_register_pressure(ir: ScheduleIR) -> ScheduleIR:
         graph = DependencyGraph(ir, seg)
         heights = graph.heights()
         local = seg.defined()
-        # vt exports stay live past a stage-form segment's end (the
-        # horizontal stage reads them later); in a merged pipelined segment
-        # their in-segment input reads are the last consumers instead.
-        keep = keep_all & local if seg.trip != "pipelined" else set()
-        # Per-op local reads: operands plus the hidden vt read of stage
-        # inputs (present when the pipeline pass merged the stages).
-        reads: List[List[int]] = []
-        for op in ops:
-            r = [s for s in op.srcs if s in local]
-            vt = _vt_read(op, ir)
-            if vt is not None and vt in local:
-                r.append(vt)
-            reads.append(r)
+        # vt exports stay live past the vertical segment's end (the
+        # horizontal stage reads them later).
+        keep = keep_all & local
+        reads = [[s for s in op.srcs if s in local] for op in ops]
         external = {s for op in ops for s in op.srcs} - local
         remaining: Counter = Counter()
         for r in reads:
@@ -507,9 +464,7 @@ def hoist_loop_invariants(ir: ScheduleIR) -> ScheduleIR:
     shrink.
 
     The lowering already computes the stencil weights in the prologue, so on
-    freshly lowered programs this is a safety net; its concrete feed is the
-    per-block constants other passes introduce — e.g. ``split-accum``'s
-    partial-accumulator zero initialisers — and custom pipelines.
+    freshly lowered programs this is a safety net.
     """
     if not ir.segments or ir.segments[0].trip != "once":
         return ir
@@ -521,7 +476,7 @@ def hoist_loop_invariants(ir: ScheduleIR) -> ScheduleIR:
     hoisted: set = set()
     segments: List[IrSegment] = []
     for seg in ir.segments:
-        if seg.trip in ("once", "prime") or not seg.ops:
+        if seg.trip == "once" or not seg.ops:
             segments.append(seg)
             continue
         kept: List[IrOp] = []
@@ -543,256 +498,6 @@ def hoist_loop_invariants(ir: ScheduleIR) -> ScheduleIR:
 
 
 # --------------------------------------------------------------------------- #
-# pipeline
-# --------------------------------------------------------------------------- #
-def software_pipeline_stages(ir: ScheduleIR) -> ScheduleIR:
-    """Software-pipeline the vertical/horizontal stage boundary.
-
-    Gated on 2-D/3-D programs with the canonical ``[prologue, vertical,
-    horizontal]`` stage structure, and on the alias analysis proving every
-    vertical memory access independent of every horizontal store (their
-    :class:`~repro.ir.dependency.MemoryRef` spaces are disjoint — loads
-    gather from the input grid, stores scatter to the output grid).  When
-    the proof fails, or the structure is anything else, the pass is the
-    identity.
-
-    The rewrite merges the two stages into one ``pipelined`` segment (trip
-    count: once per square) whose dependency graph lets the scheduler
-    interleave iteration *i*'s horizontal ops with *i+1*'s vertical loads,
-    and emits a ``prime`` segment — a register-renamed copy of the vertical
-    stage, never executed by the batched replay — billing the two
-    shifts-reuse priming squares of each block row (trip count: twice per
-    block row).  Per-sweep instruction counts are exactly preserved:
-    ``vertical·(ncb+2) + horizontal·ncb == pipelined·ncb + prime·2``.
-    """
-    if ir.dims < 2:
-        return ir
-    if [seg.trip for seg in ir.segments] != ["once", "vertical", "horizontal"]:
-        return ir
-    vertical, horizontal = ir.segments[1], ir.segments[2]
-    if any(op.opcode == "store" for op in vertical.ops):
-        return ir
-    v_refs = [MemoryRef.from_op(op) for op in vertical.ops if op.is_memory]
-    h_stores = [MemoryRef.from_op(op) for op in horizontal.ops if op.opcode == "store"]
-    if any(a.may_alias(b) for a in v_refs for b in h_stores):
-        return ir
-    rename: Dict[int, int] = {}
-    nregs = ir.nregs
-    prime_ops: List[IrOp] = []
-    for op in vertical.ops:
-        srcs = tuple(rename.get(s, s) for s in op.srcs)
-        dst = op.dst
-        if dst >= 0:
-            rename[dst] = nregs
-            dst = nregs
-            nregs += 1
-        prime_ops.append(replace(op, dst=dst, srcs=srcs))
-    prime = IrSegment(
-        name="prime",
-        trip="prime",
-        ops=prime_ops,
-        peak_live=vertical.peak_live,
-        spills=vertical.spills,
-    )
-    merged = IrSegment(
-        name="pipelined",
-        trip="pipelined",
-        ops=list(vertical.ops) + list(horizontal.ops),
-        peak_live=max(vertical.peak_live, horizontal.peak_live),
-        spills=vertical.spills + horizontal.spills,
-    )
-    out = ir.with_segments([ir.segments[0], prime, merged])
-    return replace(out, nregs=nregs)
-
-
-# --------------------------------------------------------------------------- #
-# split-accum
-# --------------------------------------------------------------------------- #
-#: Minimum reduction-chain length (links) before ``split-accum`` fires.  The
-#: gate is the profitability condition: a chain of eight 4-cycle FMAs is a
-#: 32-cycle serial dependence, far above the port-pressure bound of the same
-#: eight ops, so splitting pays; shorter chains are latency-hidden by the
-#: out-of-order window and splitting them would only add merge work.
-SPLIT_ACCUM_MIN_LINKS = 8
-
-
-def _chain_kind(op: IrOp) -> Optional[str]:
-    if op.opcode in ("add", "fma"):
-        return "sum"
-    if op.opcode == "max":
-        return "max"
-    return None
-
-
-def _acc_positions(op: IrOp) -> Tuple[int, ...]:
-    if op.opcode == "fma":
-        return (2,)
-    if op.opcode in ("add", "max"):
-        return (0, 1)
-    return ()
-
-
-def split_accumulators(ir: ScheduleIR) -> ScheduleIR:
-    """Split long single-accumulator reduction chains into parallel partials.
-
-    PyPy's ``AccumInfo`` idiom: a chain of ``n ≥`` :data:`SPLIT_ACCUM_MIN_LINKS`
-    single-use combine links (``add``/``fma`` summation, or ``max``) is
-    re-associated into ``k = ⌈n/(MIN_LINKS−1)⌉`` partial accumulators — link
-    ``t`` feeds partial ``t mod k`` — merged by a balanced tree after the
-    chain, cutting the serial dependence from ``n`` links to ``⌈n/k⌉ + log₂k``.
-    Partial 0 continues from the chain's original seed; summation partials
-    ``1..k−1`` start from a fresh ``const 0.0`` (which ``hoist`` then moves
-    to the prologue), while ``max`` partials self-start from their first
-    operand (``max(x, x) = x``).
-
-    The resulting partial chains and merge tree are all shorter than the
-    firing threshold, so the pass is idempotent.  Summation re-association
-    changes the floating-point rounding order: the pass is deliberately
-    **not** count-monotone (``k−1`` merges + initialisers) and not
-    bit-identical for ``sum`` chains, which is why it is opt-in rather than
-    part of :data:`DEFAULT_PASSES` (``max`` chains stay bit-exact).
-    """
-    uses: Counter = Counter()
-    for seg in ir.segments:
-        for op in seg.ops:
-            uses.update(op.srcs)
-    for cols in ir.vt_out:
-        uses.update(cols)
-    nregs = ir.nregs
-    segments: List[IrSegment] = []
-    for seg in ir.segments:
-        if seg.trip in ("once", "prime") or not seg.ops:
-            segments.append(seg)
-            continue
-        ops = list(seg.ops)
-        def_at = {op.dst: i for i, op in enumerate(ops) if op.dst >= 0}
-        prev_of: Dict[int, Tuple[int, int]] = {}
-        for i, op in enumerate(ops):
-            kind = _chain_kind(op)
-            if kind is None:
-                continue
-            for pos in _acc_positions(op):
-                s = op.srcs[pos]
-                j = def_at.get(s)
-                if j is None or j >= i:
-                    continue
-                if _chain_kind(ops[j]) != kind or uses[s] != 1:
-                    continue
-                if op.opcode in ("add", "max"):
-                    # A reduction link folds one *non-chain* value into the
-                    # accumulator; an op combining two same-kind single-use
-                    # defs is a merge node (the shape this pass emits), not a
-                    # link — skipping it keeps the pass idempotent.
-                    other = op.srcs[1 - pos]
-                    jo = def_at.get(other)
-                    if (
-                        jo is not None
-                        and _chain_kind(ops[jo]) == kind
-                        and uses[other] == 1
-                    ):
-                        continue
-                prev_of[i] = (j, pos)
-                break
-        linked = {j for j, _pos in prev_of.values()}
-        tails = [i for i in prev_of if i not in linked]
-        inserts_before: Dict[int, List[IrOp]] = {}
-        inserts_after: Dict[int, List[IrOp]] = {}
-        replaced: Dict[int, IrOp] = {}
-        for tail in sorted(tails):
-            chain: List[int] = [tail]
-            while chain[-1] in prev_of:
-                chain.append(prev_of[chain[-1]][0])
-            chain.reverse()
-            n = len(chain)
-            if n < SPLIT_ACCUM_MIN_LINKS:
-                continue
-            k = -(-n // (SPLIT_ACCUM_MIN_LINKS - 1))  # ceil division
-            if k < 2:
-                continue
-            kind = _chain_kind(ops[tail])
-            lanes = ops[tail].lanes
-            acc: List[Optional[int]] = [None] * k
-            init_ops: List[IrOp] = []
-            for t, idx in enumerate(chain):
-                op = replaced.get(idx, ops[idx])
-                part = t % k
-                if t == 0:
-                    acc[part] = op.dst
-                    continue
-                pos = prev_of[idx][1]
-                if acc[part] is None:
-                    if kind == "max":
-                        # max(x, x) = x: self-start the partial bit-exactly.
-                        other = op.srcs[1 - pos]
-                        srcs = list(op.srcs)
-                        srcs[pos] = other
-                    else:
-                        zero = nregs
-                        nregs += 1
-                        init_ops.append(
-                            IrOp(
-                                "const",
-                                zero,
-                                imm=0.0,
-                                cls=InstructionClass.BROADCAST,
-                                lanes=lanes,
-                            )
-                        )
-                        srcs = list(op.srcs)
-                        srcs[pos] = zero
-                else:
-                    srcs = list(op.srcs)
-                    srcs[pos] = acc[part]
-                replaced[idx] = replace(op, srcs=tuple(srcs))
-                acc[part] = op.dst
-            # The chain's final register must now come from the merge tree.
-            final_vid = ops[tail].dst
-            fresh_tail = nregs
-            nregs += 1
-            tail_op = replaced[tail]
-            replaced[tail] = replace(tail_op, dst=fresh_tail)
-            acc[acc.index(tail_op.dst)] = fresh_tail
-            merge_opcode = "add" if kind == "sum" else "max"
-            merge_cls = InstructionClass.ARITH if kind == "sum" else InstructionClass.MAX
-            merge_ops: List[IrOp] = []
-            level = [v for v in acc if v is not None]
-            while len(level) > 1:
-                nxt: List[int] = []
-                for a in range(0, len(level) - 1, 2):
-                    last = len(level) <= 2 and not nxt
-                    dst = final_vid if last else nregs
-                    if not last:
-                        nregs += 1
-                    merge_ops.append(
-                        IrOp(
-                            merge_opcode,
-                            dst,
-                            (level[a], level[a + 1]),
-                            cls=merge_cls,
-                            lanes=lanes,
-                        )
-                    )
-                    nxt.append(dst)
-                if len(level) % 2:
-                    nxt.append(level[-1])
-                level = nxt
-            inserts_before.setdefault(chain[0], []).extend(init_ops)
-            inserts_after.setdefault(tail, []).extend(merge_ops)
-        if not inserts_after:
-            segments.append(seg)
-            continue
-        new_ops: List[IrOp] = []
-        for i, op in enumerate(ops):
-            new_ops.extend(inserts_before.get(i, ()))
-            new_ops.append(replaced.get(i, op))
-            new_ops.extend(inserts_after.get(i, ()))
-        segments.append(seg.with_ops(new_ops))
-    if nregs == ir.nregs:
-        return ir
-    return replace(ir.with_segments(segments), nregs=nregs)
-
-
-# --------------------------------------------------------------------------- #
 # pass manager
 # --------------------------------------------------------------------------- #
 _PASS_REGISTRY: Dict[str, Callable[[ScheduleIR], ScheduleIR]] = {
@@ -801,74 +506,32 @@ _PASS_REGISTRY: Dict[str, Callable[[ScheduleIR], ScheduleIR]] = {
     "fuse-fma": fuse_multiply_add,
     "dce": dead_code_elimination,
     "hoist": hoist_loop_invariants,
-    "pipeline": software_pipeline_stages,
-    "split-accum": split_accumulators,
     "reschedule": reschedule_register_pressure,
 }
 
 #: Default pipeline order: merge and compose first (their orphans feed DCE),
 #: clean up, hoist what became block-invariant, then re-schedule what is left
-#: from the dependency graph.  ``pipeline`` (changes the segment structure
-#: consumers see) and ``split-accum`` (trades bit-identity of summation
-#: chains for a shorter critical path) are registered but opt-in.
+#: from the dependency graph.
 DEFAULT_PASSES: Tuple[str, ...] = ("cse", "coalesce", "fuse-fma", "dce", "hoist", "reschedule")
 
-PassLike = Union[str, Callable[[ScheduleIR], ScheduleIR]]
 
+def optimize_flag(optimize: Optional[bool]) -> bool:
+    """Whether ``optimize=`` selects the :data:`DEFAULT_PASSES` pipeline.
 
-def resolve_passes(
-    passes: Union[bool, Sequence[PassLike], None],
-) -> Tuple[Tuple[str, Callable], ...]:
-    """Normalise a pass selection to ``((name, fn), ...)``.
-
-    ``True``/``None`` selects :data:`DEFAULT_PASSES`; a sequence may mix
-    registered names and callables; ``False`` or an empty sequence is an
-    empty pipeline.
+    ``True`` does; ``False`` and ``None`` do not.  Any other value raises
+    ``ValueError``: a chosen pass list runs through :class:`PassManager`.
     """
-    if passes is True or passes is None:
-        passes = DEFAULT_PASSES
-    elif passes is False:
-        passes = ()
-    resolved = []
-    for p in passes:
-        if callable(p):
-            resolved.append((getattr(p, "__name__", "custom"), p))
-        else:
-            key = str(p).strip().lower()
-            if key not in _PASS_REGISTRY:
-                raise KeyError(
-                    f"unknown IR pass {p!r}; known: {', '.join(sorted(_PASS_REGISTRY))}"
-                )
-            resolved.append((key, _PASS_REGISTRY[key]))
-    return tuple(resolved)
-
-
-def pipeline_key(passes: Union[bool, Sequence[PassLike], None]) -> Tuple:
-    """Hashable cache key for a pass selection.
-
-    Registered passes key by name; custom callables key by the callable
-    object itself (the key holds a reference, so a recycled ``id()`` can
-    never alias two different same-named callables in a compiled-sweep
-    cache).
-    """
-    key = []
-    for name, fn in resolve_passes(passes):
-        if _PASS_REGISTRY.get(name) is fn:
-            key.append(name)
-        else:
-            key.append((name, fn))
-    return tuple(key)
+    if optimize is True or optimize is False or optimize is None:
+        return optimize is True
+    raise ValueError(
+        f"optimize= must be True, False or None, not {optimize!r}; "
+        "run chosen passes with PassManager(names).run(ir)"
+    )
 
 
 @dataclass(frozen=True)
 class PassReport:
-    """Static before/after accounting of one pass application.
-
-    ``critical_path_before``/``after`` are the summed latency-weighted
-    critical paths of the steady-state segments
-    (:func:`repro.ir.dependency.program_critical_path`) around the pass —
-    the serial-dependence bound the graph-enabled passes attack.
-    """
+    """Static before/after accounting of one pass application."""
 
     name: str
     counts_before: InstructionCounts
@@ -877,8 +540,6 @@ class PassReport:
     peak_after: int
     spills_before: int
     spills_after: int
-    critical_path_before: float = 0.0
-    critical_path_after: float = 0.0
 
     @property
     def removed(self) -> float:
@@ -893,18 +554,30 @@ class PassReport:
             bits.append(f"peak {self.peak_before}→{self.peak_after}")
         if self.spills_after != self.spills_before:
             bits.append(f"spills {self.spills_before}→{self.spills_after}")
-        if self.critical_path_after != self.critical_path_before:
-            bits.append(
-                f"cp {self.critical_path_before:g}→{self.critical_path_after:g}cyc"
-            )
         return " ".join(bits)
 
 
 class PassManager:
-    """Runs a pass pipeline over a :class:`ScheduleIR` and reports deltas."""
+    """Runs a pass pipeline over a :class:`ScheduleIR` and reports deltas.
 
-    def __init__(self, passes: Union[bool, Sequence[PassLike], None] = None):
-        self.passes = resolve_passes(passes)
+    ``passes`` is ``True`` (:data:`DEFAULT_PASSES`) or a sequence of
+    registered pass names, applied in order.
+    """
+
+    def __init__(self, passes: Union[bool, Sequence[str]] = True):
+        if passes is True:
+            passes = DEFAULT_PASSES
+        elif not isinstance(passes, (list, tuple)):
+            raise TypeError(f"passes must be True or a sequence of pass names, not {passes!r}")
+        resolved = []
+        for p in passes:
+            key = str(p).strip().lower()
+            if key not in _PASS_REGISTRY:
+                raise KeyError(
+                    f"unknown IR pass {p!r}; known: {', '.join(sorted(_PASS_REGISTRY))}"
+                )
+            resolved.append((key, _PASS_REGISTRY[key]))
+        self.passes = tuple(resolved)
 
     @staticmethod
     def _snapshot(ir: ScheduleIR) -> Tuple[InstructionCounts, int, int]:
@@ -913,13 +586,10 @@ class PassManager:
     def run(self, ir: ScheduleIR) -> Tuple[ScheduleIR, Tuple[PassReport, ...]]:
         """Apply the pipeline; returns the optimized IR and per-pass reports."""
         reports: List[PassReport] = []
-        cp = program_critical_path(ir) if self.passes else 0.0
         for name, fn in self.passes:
             counts_before, peak_before, spills_before = self._snapshot(ir)
-            cp_before = cp
             ir = fn(ir)
             counts_after, peak_after, spills_after = self._snapshot(ir)
-            cp = program_critical_path(ir)
             reports.append(
                 PassReport(
                     name=name,
@@ -929,8 +599,6 @@ class PassManager:
                     peak_after=peak_after,
                     spills_before=spills_before,
                     spills_after=spills_after,
-                    critical_path_before=cp_before,
-                    critical_path_after=cp,
                 )
             )
         ir.validate()

@@ -141,18 +141,10 @@ def profile_folded(
         isinstance(schedule, FoldingSchedule) and schedule.m == m
     ):
         schedule = None
-    chain = 0.0
     if spec.linear and arithmetically_profitable(spec, m):
         schedule = schedule if schedule is not None else FoldingSchedule(spec, m)
         counts = schedule.instruction_profile(vl, shifts_reuse=shifts_reuse)
         counts = counts.merge(post_rule_counts(spec, vl))
-        optimized_ir = schedule.schedule_ir(vl, optimize=True)
-        if optimized_ir is not None:
-            from repro.ir.dependency import program_critical_path
-
-            # Same normalisation as steady_counts_per_point: the steady
-            # segments run once per vl×vl points and advance m steps.
-            chain = program_critical_path(optimized_ir) / (vl * vl * m)
         notes = (
             f"temporal folding m={m}, "
             f"{'separable fast path' if schedule.separable_fast_path else 'counterpart reuse'}"
@@ -183,7 +175,6 @@ def profile_folded(
         layout_overhead_sweeps=1.0 if spec.dims == 1 else 0.0,
         extra_arrays=0,
         arrays=streamed_arrays(spec),
-        chain_cycles_per_point=chain,
         notes=notes,
     )
 

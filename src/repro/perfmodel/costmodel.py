@@ -56,14 +56,6 @@ class PerformanceEstimate:
         Clock frequency used for the conversion.
     residency:
         Innermost cache level holding the working set.
-    chain_cycles_per_point:
-        Latency-weighted critical path of the IR's dependency graph per
-        steady-state point (zero when the profile carries no IR).  This is
-        the *serial-dependence* diagnostic the graph passes attack — it is
-        reported, not folded into ``cycles_per_point``, because the batched
-        block iterations are mutually independent and overlap in the
-        out-of-order window, so throughput is port/memory bound while the
-        chain bound only limits a single iteration in isolation.
     """
 
     gflops: float
@@ -74,14 +66,6 @@ class PerformanceEstimate:
     bound: str = "compute"
     frequency_ghz: float = 0.0
     residency: str = "Memory"
-    chain_cycles_per_point: float = 0.0
-
-    @property
-    def chain_limited(self) -> bool:
-        """Whether the serial dependence chain exceeds the throughput bound
-        (a single block iteration cannot reach the modelled throughput
-        without overlap from neighbouring iterations)."""
-        return self.chain_cycles_per_point > self.cycles_per_point
 
 
 def port_pressure_cycles(counts, isa: IsaSpec) -> float:
@@ -236,5 +220,4 @@ def estimate_performance(
         bound=bound,
         frequency_ghz=freq,
         residency=traffic.residency,
-        chain_cycles_per_point=getattr(profile, "chain_cycles_per_point", 0.0),
     )

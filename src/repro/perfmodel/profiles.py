@@ -61,14 +61,6 @@ class MethodProfile:
     arrays:
         Number of grid-sized arrays streamed per sweep (2 for Jacobi, 3 for
         APOP which also reads the payoff array).
-    chain_cycles_per_point:
-        Latency-weighted dependency-graph critical path of the steady-state
-        schedule per grid point per logical time step (zero for methods
-        without a lowered IR).  Report-only: independent block iterations
-        overlap in the out-of-order core, so the chain does not bound
-        throughput — but it is the quantity the graph-enabled IR passes
-        (``split-accum`` in particular) shorten, and the estimate surfaces
-        it as a diagnostic.
     notes:
         Free-form description used in reports.
     """
@@ -83,7 +75,6 @@ class MethodProfile:
     extra_arrays: int = 0
     temporal_cache_reuse: Dict[str, float] = field(default_factory=dict)
     arrays: int = 2
-    chain_cycles_per_point: float = 0.0
     notes: str = ""
 
     def with_tiling(self, reuse: Dict[str, float], notes: Optional[str] = None) -> "MethodProfile":
@@ -107,7 +98,6 @@ class MethodProfile:
             extra_arrays=self.extra_arrays,
             temporal_cache_reuse=merged,
             arrays=self.arrays,
-            chain_cycles_per_point=self.chain_cycles_per_point,
             notes=notes if notes is not None else self.notes,
         )
 

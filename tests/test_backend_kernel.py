@@ -7,8 +7,8 @@
 * Kernels are content-key cached: identical programs share one compiled
   kernel, and the cache is observable (stats) and clearable.
 * Each program runs as native code built from C: equal bit for bit to trace
-  replay of the same IR on random legal stencils under random pass
-  pipelines, and to ``interpret`` whenever the pipeline keeps bit-identity.
+  replay of the same IR and to ``interpret`` on random legal stencils under
+  random subsets and orders of the registered passes.
   Without a compiler, or after a failed build, the program replays the IR
   and ``explain()`` says why; a host without the plan's ISA builds with
   fewer ISA flags; a loaded program whose call fails raises.
@@ -45,10 +45,10 @@ from repro.backend import (
     kernel_content_key,
     native,
 )
-from repro.backend.codegen import NativeProgram
+from repro.backend.codegen import KernelProgram, NativeProgram
 from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
-from repro.ir import compile_sweep, lower_schedule
+from repro.ir import CompiledSweep, PassManager, compile_sweep, lower_schedule
 from repro.ir.passes import DEFAULT_PASSES
 from repro.layout.transpose_layout import to_transpose_layout
 from repro.simd.isa import AVX2, AVX512
@@ -367,14 +367,11 @@ class TestNativeTarget:
 # --------------------------------------------------------------------------- #
 # differential fuzzing: the C program against trace replay and interpret
 # --------------------------------------------------------------------------- #
-#: Every registered pass, the opt-in ``pipeline`` and ``split-accum`` too.
-PASSES = (*DEFAULT_PASSES, "pipeline", "split-accum")
-
-
 @st.composite
 def engine_cases(draw):
     """(kernel, m, isa, passes, transpose_back, grid shape, seed) of a legal
-    engine program: radius·m <= vl, extents in the block multiples.
+    engine program: radius·m <= vl, extents in the block multiples, and a
+    random subset of the registered passes in a random order.
 
     3-D folded radii stop at 2: gcc needs about 12 s for a 9³-tap fold under
     every pass and a minute for the 20,000 ops of a 13³-tap one.  The
@@ -387,7 +384,7 @@ def engine_cases(draw):
     limit = isa.vector_lanes if dims < 3 else 2
     m = draw(st.integers(1, min(3, limit // max(kernel.shape[0] // 2, 1))))
     vl = isa.vector_lanes
-    passes = draw(st.lists(st.sampled_from(PASSES), unique=True).map(tuple))
+    passes = draw(st.lists(st.sampled_from(DEFAULT_PASSES), unique=True).map(tuple))
     if dims == 1:
         shape = (draw(st.integers(1, 3)) * vl * vl,)
     else:
@@ -398,8 +395,8 @@ def engine_cases(draw):
     return kernel, m, isa, passes, transpose_back, shape, draw(st.integers(0, 2**32 - 1))
 
 
-#: A 2-D box whose weights make reduction chains long enough for split-accum.
-SPLIT_ACCUM_BOX = np.arange(1.0, 26.0).reshape(5, 5) / 25.0
+#: A 2-D box of 25 distinct weights: long reduction chains.
+LONG_CHAIN_BOX = np.arange(1.0, 26.0).reshape(5, 5) / 25.0
 #: A combination counterpart without terms: its vertical phase is constant
 #: columns, which trace replay once failed to roll.
 CONSTANT_COLUMNS = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, EPS], [0.0, 0.0, 0.0]])
@@ -409,17 +406,16 @@ CONSTANT_COLUMNS = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, EPS], [0.0, 0.0, 0.0]])
     deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=engine_cases())
-@example(
-    case=(SPLIT_ACCUM_BOX, 2, AVX2, ("split-accum", "pipeline", "reschedule"), True, (8, 12), 1)
-)
-@example(case=(SPLIT_ACCUM_BOX, 1, AVX512, ("pipeline", "cse", "hoist"), False, (16, 8), 2))
-@example(case=(np.array([EPS, 1.0, -EPS / 2]), 3, AVX512, PASSES, True, (64,), 3))
+@example(case=(LONG_CHAIN_BOX, 2, AVX2, ("reschedule",), True, (8, 12), 1))
+@example(case=(LONG_CHAIN_BOX, 1, AVX512, ("cse", "hoist"), False, (16, 8), 2))
+@example(case=(np.array([EPS, 1.0, -EPS / 2]), 3, AVX512, DEFAULT_PASSES, True, (64,), 3))
 @example(case=(CONSTANT_COLUMNS, 1, AVX2, (), False, (4, 4), 0))
-@example(case=(CONSTANT_COLUMNS, 2, AVX512, ("pipeline",), True, (8, 16), 0))
+@example(case=(CONSTANT_COLUMNS, 2, AVX512, (), True, (8, 16), 0))
 def test_c_program_matches_trace_replay_and_interpret(native_build, case):
     kernel, m, isa, passes, transpose_back, shape, seed = case
     schedule = FoldingSchedule(StencilSpec(name="fuzz", kernel=kernel), m)
-    program = compile_kernel(schedule, isa, transpose_back, optimize=list(passes))
+    ir, _ = PassManager(passes).run(lower_schedule(schedule, isa, transpose_back))
+    program = KernelProgram(ir, kernel_content_key(ir))
     assert program.native is not None, program.status
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(shape)
@@ -427,12 +423,10 @@ def test_c_program_matches_trace_replay_and_interpret(native_build, case):
     values[rng.random(shape) < 0.05] = 1e-310
     if values.ndim == 1:
         values = to_transpose_layout(values, isa.vector_lanes)
-    trace = compile_sweep(schedule, isa, transpose_back, optimize=list(passes))
     out = bits(program.replay(values))
-    np.testing.assert_array_equal(out, bits(trace.replay(values)))
-    if "split-accum" not in passes:
-        ref = _interpret(schedule, SimdMachine(isa), values, transpose_back)
-        np.testing.assert_array_equal(out, bits(ref))
+    np.testing.assert_array_equal(out, bits(CompiledSweep(ir).replay(values)))
+    ref = _interpret(schedule, SimdMachine(isa), values, transpose_back)
+    np.testing.assert_array_equal(out, bits(ref))
 
 
 # --------------------------------------------------------------------------- #

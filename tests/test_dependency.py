@@ -1,57 +1,27 @@
-"""Tests for the dependency-graph layer and the graph-enabled IR passes.
+"""Tests for the dependency-graph layer and the ``hoist`` pass.
 
 Covers the contract of :mod:`repro.ir.dependency`:
 
 * the :class:`MemoryRef` alias model — distinct spaces never alias
   (double-buffered replay), known tag families alias only on an exact
   family+offset match, unknown tags alias conservatively,
-* :class:`DependencyGraph` construction — def-use edges (including the
-  hidden ``vt`` reads of stage inputs), memory edges only where the alias
-  analysis cannot prove independence, broken-edge accounting, ready set,
-  latency heights and the critical path,
+* :class:`DependencyGraph` construction — def-use edges, memory edges only
+  where the alias analysis cannot prove independence, and latency heights,
 
-and of the three graph-enabled passes:
-
-* ``hoist`` moves loop-invariant work into the prologue without changing
-  the replayed values,
-* ``pipeline`` merges the vertical/horizontal stages into a ``prime`` +
-  ``pipelined`` pair with bit-identical replay and exactly the stage-form
-  instruction/spill totals,
-* ``split-accum`` shortens the critical path of a reduction-heavy schedule
-  while staying numerically equivalent (``allclose`` — it reassociates),
-  idempotent and deterministic.
+and that ``hoist`` moves loop-invariant work into the prologue without
+changing the replayed values.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.vectorized_folding import FoldingSchedule
-from repro.ir import PassManager, compile_sweep, lower_schedule
-from repro.ir.dependency import (
-    DependencyGraph,
-    MemoryRef,
-    program_critical_path,
-    program_graphs,
-    program_stats,
-)
+from repro.ir import PassManager, lower_schedule
+from repro.ir.dependency import DependencyGraph, MemoryRef
 from repro.ir.ops import IrOp, IrSegment, ScheduleIR
-from repro.simd.isa import AVX2, AVX512, InstructionClass
-from repro.simd.machine import SimdMachine
-from repro.stencils.grid import Grid
-from repro.stencils.library import BENCHMARKS, box_2d9p, heat_1d, heat_3d
-
-ISAS = [AVX2, AVX512]
-LINEAR_KEYS = tuple(key for key, case in BENCHMARKS.items() if case.spec.linear)
-MULTIDIM_KEYS = tuple(k for k in LINEAR_KEYS if BENCHMARKS[k].spec.dims > 1)
-
-#: The opt-in pipeline exercising the software pipeliner on top of the
-#: default passes (a second reschedule reorders the merged segment).
-PIPE = ("cse", "coalesce", "fuse-fma", "dce", "hoist", "reschedule", "pipeline", "reschedule")
-
-#: The opt-in pipeline exercising the accumulator splitter.
-SPLIT = ("cse", "coalesce", "fuse-fma", "dce", "split-accum", "hoist", "pipeline", "reschedule")
+from repro.simd.isa import AVX2, InstructionClass
+from repro.stencils.library import heat_1d, heat_3d
 
 
 def _op(opcode, dst, srcs=(), imm=None, tag=None, cls=None, lanes=4):
@@ -112,13 +82,11 @@ class TestDependencyGraphSynthetic:
             ]
         )
         g = DependencyGraph(ir, seg)
-        assert g.ready() == [0, 1]
-        assert g.preds[2] == [0, 1]
-        assert g.preds[3] == [2]
-        stats = g.stats()
-        assert stats.def_use_edges == 3
-        # load/store touch distinct spaces, load/load pairs are skipped.
-        assert stats.memory_edges == 0
+        # load/store touch distinct spaces and load/load pairs are skipped,
+        # so the def-use edges are all there is.
+        assert g.preds == [[], [], [0, 1], [2]]
+        assert g.succs == [[2], [2], [3], []]
+        assert [i for i, preds in enumerate(g.preds) if not preds] == [0, 1]
 
     def test_aliasing_stores_get_an_edge_distinct_do_not(self):
         ir, seg = _mini_ir(
@@ -130,13 +98,11 @@ class TestDependencyGraphSynthetic:
             ]
         )
         g = DependencyGraph(ir, seg)
-        stats = g.stats()
         # Only the two ("out_row", 0) stores alias; the other two store
-        # pairs are proven independent and counted as broken.
-        assert stats.memory_edges == 1
-        assert stats.memory_edges_broken == 2
-        assert 1 in g.preds[3]
+        # pairs are proven independent and get no edge.
+        assert g.preds[1] == [0]
         assert g.preds[2] == [0]
+        assert g.preds[3] == [0, 1]
 
     def test_unknown_tag_forces_conservative_edges(self):
         ir, seg = _mini_ir(
@@ -148,24 +114,8 @@ class TestDependencyGraphSynthetic:
             ]
         )
         g = DependencyGraph(ir, seg)
-        assert 1 in g.preds[2]
-        assert 2 in g.preds[3]
-        assert g.stats().memory_edges == 2
-
-    def test_vt_input_reads_its_producing_register(self):
-        seg = IrSegment(
-            name="pipelined",
-            trip="pipelined",
-            ops=[
-                _op("load", 7, tag=("row", 0, 0), cls=InstructionClass.LOAD),
-                _op("input", 3, tag=("vt", 0, 0, 0)),
-                _op("store", -1, (3,), tag=("out_row", 0), cls=InstructionClass.STORE),
-            ],
-        )
-        ir = ScheduleIR(isa=AVX2, dims=2, m=1, nregs=16, segments=[seg], vt_out=((7,),))
-        g = DependencyGraph(ir, seg)
-        # The input names no srcs, yet depends on the in-segment def of vt reg 7.
-        assert g.preds[1] == [0]
+        assert g.preds[2] == [0, 1]
+        assert g.preds[3] == [0, 2]
 
     def test_heights_and_critical_path(self):
         ir, seg = _mini_ir(
@@ -180,35 +130,10 @@ class TestDependencyGraphSynthetic:
         h = g.heights()
         assert h[0] == pytest.approx(13.0)  # 5 + 4 + 4
         assert h[2] == pytest.approx(4.0)
-        assert g.critical_path() == pytest.approx(13.0)
+        assert max(h) == pytest.approx(13.0)  # the longest chain
         # Recorded order must already be topological: edges point forward.
         for i, preds in enumerate(g.preds):
             assert all(j < i for j in preds)
-
-
-class TestProgramQueries:
-    def test_program_graphs_skip_prologue_and_prime(self):
-        ir = lower_schedule(FoldingSchedule(box_2d9p(), 2), AVX2)
-        graphs = program_graphs(ir)
-        assert set(graphs) == {"vertical", "horizontal"}
-        piped = PassManager(PIPE).run(ir)[0]
-        assert [seg.trip for seg in piped.segments] == ["once", "prime", "pipelined"]
-        assert set(program_graphs(piped)) == {"pipelined"}
-
-    def test_program_critical_path_sums_steady_segments(self):
-        ir = lower_schedule(FoldingSchedule(box_2d9p(), 2), AVX2)
-        graphs = program_graphs(ir)
-        assert program_critical_path(ir) == pytest.approx(
-            sum(g.critical_path() for g in graphs.values())
-        )
-
-    def test_program_stats_round_trip(self):
-        ir = lower_schedule(FoldingSchedule(heat_1d(), 2), AVX512)
-        stats = program_stats(ir)
-        assert set(stats) == {"block"}
-        payload = stats["block"].as_dict()
-        assert payload["nodes"] == len(ir.segment("block").ops)
-        assert payload["critical_path_cycles"] > 0
 
 
 class TestHoist:
@@ -246,176 +171,3 @@ class TestHoist:
         # Nothing to hoist in the raw lowering: the pass returns the program
         # unchanged (same object, not a rebuilt copy).
         assert opt is ir
-
-    def test_hoist_carries_split_accum_seeds(self):
-        """split-accum's zero-constant partial seeds are loop-invariant and
-        end up in the prologue as build-time constants."""
-        ir = lower_schedule(FoldingSchedule(heat_3d(), 3), AVX2)
-        split = PassManager(("split-accum",)).run(ir)[0]
-        assert split is not ir
-        steady_consts = sum(
-            1
-            for seg in split.segments
-            if seg.trip != "once"
-            for op in seg.ops
-            if op.opcode == "const"
-        )
-        assert steady_consts > 0
-        hoisted = PassManager(("split-accum", "hoist")).run(ir)[0]
-        remaining = sum(
-            1
-            for seg in hoisted.segments
-            if seg.trip != "once"
-            for op in seg.ops
-            if op.opcode == "const"
-        )
-        assert remaining == 0
-        assert len(hoisted.segments[0].ops) > len(split.segments[0].ops)
-
-
-class TestSoftwarePipeline:
-    @pytest.mark.parametrize("key", MULTIDIM_KEYS)
-    @pytest.mark.parametrize("isa", ISAS, ids=lambda isa: isa.name)
-    def test_pipelined_replay_bit_identical(self, key, isa):
-        spec = BENCHMARKS[key].spec
-        sched = FoldingSchedule(spec, 2)
-        if sched.radius > isa.vector_lanes:
-            pytest.skip("folded radius exceeds the vector length")
-        vl = isa.vector_lanes
-        if spec.dims == 2:
-            grid = Grid.random((2 * vl, 3 * vl), seed=11)
-        else:
-            grid = Grid.random((3, 2 * vl, 2 * vl), seed=11)
-        machine = SimdMachine(isa)
-        if spec.dims == 2:
-            ref = sched.simd_sweep_2d(machine, grid.values.copy())
-        else:
-            ref = sched.simd_sweep_3d(machine, grid.values.copy())
-        piped = compile_sweep(sched, isa, optimize=PIPE)
-        assert [seg.trip for seg in piped.ir.segments] == ["once", "prime", "pipelined"]
-        np.testing.assert_array_equal(piped.replay(grid.values.copy()), ref)
-
-    @pytest.mark.parametrize("key", MULTIDIM_KEYS)
-    @pytest.mark.parametrize("isa", ISAS, ids=lambda isa: isa.name)
-    def test_pipelined_counts_match_stage_form(self, key, isa):
-        """The merged segment plus its prime accounting bills exactly the
-        stage-form optimized totals — pipelining reorders, it never adds."""
-        spec = BENCHMARKS[key].spec
-        sched = FoldingSchedule(spec, 2)
-        if sched.radius > isa.vector_lanes:
-            pytest.skip("folded radius exceeds the vector length")
-        vl = isa.vector_lanes
-        shape = (2 * vl, 3 * vl) if spec.dims == 2 else (3, 2 * vl, 2 * vl)
-        staged = compile_sweep(sched, isa, optimize=True)
-        piped = compile_sweep(sched, isa, optimize=PIPE)
-        s_counts, _s_peak, s_spills = staged.sweep_counts(shape)
-        p_counts, _p_peak, p_spills = piped.sweep_counts(shape)
-        assert p_counts.counts == s_counts.counts
-        assert p_spills <= s_spills
-
-    def test_trip_count_identity(self):
-        """pipelined·ncb + prime·2 bills the same square executions as
-        vertical·(ncb+2) + horizontal·ncb of the stage form."""
-        ir = lower_schedule(FoldingSchedule(box_2d9p(), 2), AVX2)
-        piped = PassManager(PIPE).run(ir)[0]
-        shape = (8, 3 * 4)
-        base_trips = ir.trip_counts(shape)
-        pipe_trips = piped.trip_counts(shape)
-        planes, nrb, ncb = ir.block_axes(shape)
-        assert pipe_trips["pipelined"] == planes * nrb * ncb
-        assert pipe_trips["prime"] == planes * nrb * 2
-        assert base_trips["vertical"] == planes * nrb * (ncb + 2)
-
-    def test_pipeline_bails_on_1d(self):
-        ir = lower_schedule(FoldingSchedule(heat_1d(), 2), AVX2)
-        assert PassManager(("pipeline",)).run(ir)[0] is ir
-
-    def test_pipelined_kernel_backend_bit_identical(self):
-        from repro.backend import compile_kernel
-
-        sched = FoldingSchedule(heat_3d(), 2)
-        grid = Grid.random((3, 8, 8), seed=13)
-        ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
-        kernel = compile_kernel(sched, AVX2, optimize=PIPE)
-        np.testing.assert_array_equal(kernel.replay(grid.values.copy()), ref)
-
-
-class TestSplitAccumulators:
-    def test_splits_long_chain_and_shortens_critical_path(self):
-        sched = FoldingSchedule(heat_3d(), 3)
-        ir = lower_schedule(sched, AVX2)
-        split = PassManager(SPLIT).run(ir)[0]
-        assert program_critical_path(split) < program_critical_path(
-            PassManager(PIPE).run(ir)[0]
-        )
-
-    def test_split_replay_allclose_and_deterministic(self):
-        sched = FoldingSchedule(heat_3d(), 3)
-        grid = Grid.random((3, 8, 8), seed=17)
-        ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
-        split = compile_sweep(sched, AVX2, optimize=SPLIT)
-        out = split.replay(grid.values.copy())
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
-        # Deterministic: an independent compile of the same pipeline yields
-        # the identical program and bit-identical output.
-        ir = lower_schedule(sched, AVX2)
-        once = PassManager(SPLIT).run(ir)[0]
-        again = PassManager(SPLIT).run(ir)[0]
-        assert once == again
-        np.testing.assert_array_equal(split.replay(grid.values.copy()), out)
-
-    def test_split_accum_is_idempotent(self):
-        ir = lower_schedule(FoldingSchedule(heat_3d(), 3), AVX2)
-        once = PassManager(("split-accum",)).run(ir)[0]
-        twice = PassManager(("split-accum",)).run(once)[0]
-        assert once != ir
-        assert twice == once
-
-    def test_short_chains_left_alone(self):
-        """Chains below SPLIT_ACCUM_MIN_LINKS are not worth the merge ops."""
-        from repro.ir.passes import SPLIT_ACCUM_MIN_LINKS
-
-        assert SPLIT_ACCUM_MIN_LINKS >= 4
-        ir = lower_schedule(FoldingSchedule(heat_1d(), 2), AVX2)
-        assert PassManager(("split-accum",)).run(ir)[0] is ir
-
-    def test_max_chains_split_bit_exactly(self):
-        """max reassociation is exact (no FP rounding): the partials
-        self-start from their first link (``max(x, x) = x``), no zero seeds
-        are injected, and the split chain evaluates bit-identically."""
-        from repro.ir.passes import SPLIT_ACCUM_MIN_LINKS, split_accumulators
-
-        rng = np.random.default_rng(23)
-        n_links = 2 * SPLIT_ACCUM_MIN_LINKS
-        ops = [
-            _op("load", i, tag=("set", 0, i), cls=InstructionClass.LOAD)
-            for i in range(n_links + 1)
-        ]
-        acc = 0
-        nxt = n_links + 1
-        for i in range(1, n_links + 1):
-            ops.append(_op("max", nxt, (acc, i), cls=InstructionClass.MAX))
-            acc = nxt
-            nxt += 1
-        ops.append(_op("store", -1, (acc,), tag=("set", 0), cls=InstructionClass.STORE))
-        ir, _seg = _mini_ir(ops, nregs=nxt)
-        split = split_accumulators(ir)
-        assert split is not ir
-        assert not any(op.opcode == "const" for op in split.segments[0].ops)
-
-        def evaluate(program):
-            env = {}
-            result = None
-            for op in program.segments[0].ops:
-                if op.opcode == "load":
-                    env[op.dst] = values[op.tag[2]]
-                elif op.opcode == "max":
-                    env[op.dst] = np.maximum(env[op.srcs[0]], env[op.srcs[1]])
-                elif op.opcode == "store":
-                    result = env[op.srcs[0]]
-            return result
-
-        values = rng.standard_normal((n_links + 1, 4))
-        np.testing.assert_array_equal(evaluate(split), evaluate(ir))
-        twice = split_accumulators(split)
-        assert twice == split

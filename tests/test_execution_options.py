@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.backend import compile_kernel
 from repro.backend.options import ExecutionOptions
 from repro.core.plan import plan
+from repro.ir import compile_sweep
 from repro.stencils.grid import Grid
 
 
@@ -43,7 +45,7 @@ class TestNormalize:
             ExecutionOptions.normalize(backend="interpret", optimize=True, context="run")
 
     def test_falsy_optimize_spellings_collapse_to_false(self):
-        for spelling in (False, None, (), []):
+        for spelling in (False, None):
             opts = ExecutionOptions.normalize(
                 backend="trace", optimize=spelling, context="simulate"
             )
@@ -79,6 +81,30 @@ class TestPlanEntryPoints:
         grid = Grid.random((256,), seed=0)
         with pytest.raises(ValueError, match="trace and kernel backends only"):
             compiled.measure(grid, 2, backend="interpret", optimize=True)
+
+    @pytest.mark.parametrize("spelling", ["cse", 1, 2.5, {"cse": 1}, ("cse",), ()], ids=repr)
+    @pytest.mark.parametrize(
+        "surface", ["run", "simulate", "measure", "compile_sweep", "compile_kernel"]
+    )
+    def test_optimize_accepts_only_true_false_or_none(self, compiled, surface, spelling):
+        """A pass name, a number, a mapping or a sequence is not an
+        ``optimize=`` value: each raises, before anything runs."""
+        grid = Grid.random((256,), seed=0)
+        calls = {
+            "run": lambda: compiled.run(grid, 2, backend="trace", optimize=spelling),
+            "simulate": lambda: compiled.simulate(grid, 2, optimize=spelling),
+            "measure": lambda: compiled.measure(
+                grid, 2, backend="trace", optimize=spelling, warmup=0, repeats=1
+            ),
+            "compile_sweep": lambda: compile_sweep(
+                compiled.schedule, compiled.isa_spec, optimize=spelling
+            ),
+            "compile_kernel": lambda: compile_kernel(
+                compiled.schedule, compiled.isa_spec, optimize=spelling
+            ),
+        }
+        with pytest.raises(ValueError, match="optimize= must be True, False or None"):
+            calls[surface]()
 
     def test_measure_accepts_the_run_backends(self, compiled):
         """measure() times run(), so it validates in run()'s context."""

@@ -28,6 +28,7 @@ from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import (
     DEFAULT_PASSES,
+    IrSegment,
     PassManager,
     compile_sweep,
     lower_schedule,
@@ -112,6 +113,15 @@ class TestLoweringStructure:
         seg = ir.segments[1]
         broken = ir.with_segments([ir.segments[0], seg.with_ops(seg.ops + [seg.ops[0]])])
         with pytest.raises(ValueError, match="defined twice"):
+            broken.validate()
+
+    @pytest.mark.parametrize("trip", ["prime", "pipelined"])
+    def test_validate_rejects_unknown_trip_roles(self, trip):
+        ir = lower_schedule(FoldingSchedule(box_2d9p(), 2), AVX2)
+        vertical = ir.segments[1]
+        renamed = IrSegment(vertical.name, trip, vertical.ops, vertical.peak_live, vertical.spills)
+        broken = ir.with_segments([ir.segments[0], renamed, ir.segments[2]])
+        with pytest.raises(ValueError, match=f"unknown trip role '{trip}'"):
             broken.validate()
 
     def test_radius_beyond_vl_rejected(self):
@@ -280,46 +290,22 @@ class TestPlanIntegration:
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
         p.simulate(grid, 2, optimize=True)
-        assert p._engine_cache[("trace", "avx2", 1, "none")] is not (
-            p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)]
+        assert p._engine_cache[("trace", "avx2", 1, False)] is not (
+            p._engine_cache[("trace", "avx2", 1, True)]
         )
-        first = p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)]
+        first = p._engine_cache[("trace", "avx2", 1, True)]
         p.simulate(grid, 4, optimize=True)
-        assert p._engine_cache[("trace", "avx2", 1, DEFAULT_PASSES)] is first
+        assert p._engine_cache[("trace", "avx2", 1, True)] is first
+        assert first.pass_reports and tuple(r.name for r in first.pass_reports) == DEFAULT_PASSES
 
-    def test_custom_pass_list(self):
-        p = plan("1d-heat").method("folded").unroll(2).compile()
-        grid = Grid.random((3 * 16,), seed=20)
-        ref, _ = p.simulate(grid, 2, backend="interpret")
-        out, _ = p.simulate(grid, 2, optimize=("cse", "dce"))
-        np.testing.assert_array_equal(out, ref)
-        assert ("trace", "avx2", 1, ("cse", "dce")) in p._engine_cache
-
-    def test_custom_callables_with_same_name_do_not_collide(self):
-        """Two distinct callables share __name__; the cache must still run both."""
-        p = plan("1d-heat").method("folded").unroll(2).compile()
-        grid = Grid.random((3 * 16,), seed=21)
-        calls = []
-
-        def make(tag):
-            def custom(ir):
-                calls.append(tag)
-                return ir
-
-            return custom
-
-        p.simulate(grid, 2, optimize=(make("a"),))
-        p.simulate(grid, 2, optimize=(make("b"),))
-        assert calls == ["a", "b"]
-
-    def test_empty_pass_selection_means_no_optimization(self):
+    def test_none_means_no_optimization(self):
         p = plan("1d-heat").method("folded").unroll(2).compile()
         grid = Grid.random((3 * 16,), seed=22)
         ref, _ = p.simulate(grid, 2, backend="interpret")
-        out, _ = p.simulate(grid, 2, backend="interpret", optimize=())
+        out, _ = p.simulate(grid, 2, backend="interpret", optimize=None)
         np.testing.assert_array_equal(out, ref)
-        p.simulate(grid, 2, optimize=())
-        assert set(p._engine_cache) == {("trace", "avx2", 1, "none")}
+        p.simulate(grid, 2, optimize=None)
+        assert set(p._engine_cache) == {("trace", "avx2", 1, False)}
 
     def test_legacy_constructor_misuse_gets_clear_error(self):
         from repro.ir import CompiledSweep
@@ -434,12 +420,10 @@ class TestCacheIrProfile:
 class TestPassAlgebra:
     """Algebraic invariants of the registered passes.
 
-    Every registered pass — including the graph-enabled ``hoist``,
-    ``pipeline`` and ``split-accum`` — is idempotent: running it on its own
-    output is a no-op.  Order-independence is claimed (and pinned) only for
-    the pass pairs that provably commute on every linear library schedule;
-    the scheduler-interacting pairs (anything crossing ``reschedule`` or
-    ``split-accum``'s chain rewrites) are deliberately not claimed.
+    Every registered pass is idempotent: running it on its own output is a
+    no-op.  Order-independence is claimed (and pinned) only for the pass
+    pairs that provably commute on every linear library schedule; most
+    pairs crossing ``reschedule`` are deliberately not claimed.
     """
 
     #: Pass pairs that commute on every linear library stencil × both ISAs
@@ -450,20 +434,13 @@ class TestPassAlgebra:
         ("cse", "fuse-fma"),
         ("cse", "dce"),
         ("cse", "hoist"),
-        ("cse", "pipeline"),
         ("coalesce", "fuse-fma"),
         ("coalesce", "hoist"),
-        ("coalesce", "pipeline"),
-        ("coalesce", "split-accum"),
         ("fuse-fma", "dce"),
         ("fuse-fma", "hoist"),
-        ("fuse-fma", "split-accum"),
         ("fuse-fma", "reschedule"),
         ("dce", "hoist"),
-        ("dce", "pipeline"),
-        ("dce", "split-accum"),
         ("dce", "reschedule"),
-        ("hoist", "pipeline"),
         ("hoist", "reschedule"),
     )
 

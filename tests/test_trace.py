@@ -274,9 +274,9 @@ class TestPlanBackend:
         p = plan(heat_1d()).method("folded").unroll(2).compile()
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
-        first = p._engine_cache[("trace", "avx2", 1, "none")]
+        first = p._engine_cache[("trace", "avx2", 1, False)]
         p.simulate(grid, 4)
-        assert p._engine_cache[("trace", "avx2", 1, "none")] is first
+        assert p._engine_cache[("trace", "avx2", 1, False)] is first
 
     def test_zero_sweeps_leave_machine_untouched(self):
         p = plan(heat_1d()).method("folded").unroll(2).compile()
