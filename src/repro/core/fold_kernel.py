@@ -1,18 +1,30 @@
-"""The compiled fold kernel behind :meth:`FoldingSchedule.numpy_step`.
+"""The compiled fold kernel behind the default folded ``run()``.
 
-``fold_kernel.c`` holds one generic C function that performs a whole folded
-``m``-step update from the tables
-:meth:`~repro.core.vectorized_folding.FoldingSchedule.fold_tables` packs, in
-the exact IEEE operation order of the NumPy body
-(:meth:`~repro.core.vectorized_folding.FoldingSchedule.numpy_fold`), so both
-paths return bit-identical grids.
+``fold_kernel.c`` holds three generic C functions, each the bit-for-bit
+image of a NumPy/``scipy.ndimage`` computation:
+
+* ``repro_fold_update`` performs a whole folded ``m``-step update
+  (:meth:`FoldingSchedule.numpy_step
+  <repro.core.vectorized_folding.FoldingSchedule.numpy_step>`) from the
+  tables :meth:`~repro.core.vectorized_folding.FoldingSchedule.fold_tables`
+  packs, in the exact IEEE operation order of the NumPy body
+  (:meth:`~repro.core.vectorized_folding.FoldingSchedule.numpy_fold`);
+* ``repro_reference_step`` performs one
+  :func:`~repro.stencils.reference.reference_step` of a linear stencil from
+  the tap table
+  :meth:`~repro.core.vectorized_folding.FoldingSchedule.step_tables` packs:
+  the ``steps % m`` remainder steps of ``run()``;
+* ``repro_dirichlet_band`` recomputes, with those reference steps, the band
+  a folded update of a Dirichlet grid gets wrong — every face, all ``m``
+  steps, in one call that writes into the fold's output.
 
 The kernel is built on the first fold of a process by
 :mod:`repro.backend.native` (or found in its on-disk cache) and loaded once,
 behind a lock.  When there is no C compiler on ``PATH``, or the build or the
-load fails, every fold of the process runs the NumPy body instead and
-:func:`fold_kernel_status` says why; ``CompiledPlan.explain()`` prints it.  A
-kernel that loaded never falls back: a failed call raises.
+load fails, every fold of the process runs the NumPy body instead, and the
+band and the remainder steps run on ``ndimage``; :func:`fold_kernel_status`
+says why and ``CompiledPlan.explain()`` prints it.  A kernel that loaded
+never falls back: a failed call raises.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from repro.stencils.boundary import DIRICHLET_VALUE, BoundaryCondition
 _SOURCE = Path(__file__).with_name("fold_kernel.c")
 
 #: ``repro_fold_update``'s parameters, in order.
-_ARGTYPES = [
+_FOLD_ARGTYPES = [
     ctypes.c_void_p,  # x
     ctypes.c_void_p,  # out
     ctypes.c_int64,  # planes
@@ -48,15 +60,63 @@ _ARGTYPES = [
     ctypes.c_void_p,  # pos_w
 ]
 
+#: ``repro_reference_step``'s parameters, in order.
+_STEP_ARGTYPES = [
+    ctypes.c_void_p,  # x
+    ctypes.c_void_p,  # out
+    ctypes.c_int64,  # planes
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # cols
+    ctypes.c_int32,  # periodic
+    ctypes.c_double,  # cval
+    ctypes.c_int64,  # ntaps
+    ctypes.c_void_p,  # off
+    ctypes.c_void_p,  # w
+]
+
+#: ``repro_dirichlet_band``'s parameters, in order.
+_BAND_ARGTYPES = [
+    ctypes.c_void_p,  # x
+    ctypes.c_void_p,  # out
+    ctypes.c_int64,  # planes
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # cols
+    ctypes.c_int64,  # ndim
+    ctypes.c_double,  # cval
+    ctypes.c_int64,  # ntaps
+    ctypes.c_void_p,  # off
+    ctypes.c_void_p,  # w
+    ctypes.c_int64,  # m
+    ctypes.c_int64,  # radius
+]
+
+
+def _bind(library: ctypes.CDLL, name: str, argtypes):
+    fn = getattr(library, name)
+    fn.argtypes = argtypes
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _check(status: int) -> None:
+    if status == 1:
+        raise MemoryError("fold kernel could not allocate its work buffers")
+    if status != 0:
+        raise RuntimeError(f"fold kernel failed with status {status}")
+
+
+def _extents(array: np.ndarray) -> Tuple[int, int, int]:
+    """``(planes, rows, cols)`` of a 1-3 dimensional grid."""
+    return (1,) * (3 - array.ndim) + array.shape
+
 
 class FoldKernel:
-    """The loaded ``repro_fold_update`` function and the library it came from."""
+    """The loaded kernel functions and the library they came from."""
 
     def __init__(self, library: ctypes.CDLL, path: Path):
-        fn = library.repro_fold_update
-        fn.argtypes = _ARGTYPES
-        fn.restype = ctypes.c_int
-        self._fn = fn
+        self._fn = _bind(library, "repro_fold_update", _FOLD_ARGTYPES)
+        self._step = _bind(library, "repro_reference_step", _STEP_ARGTYPES)
+        self._band = _bind(library, "repro_dirichlet_band", _BAND_ARGTYPES)
         self._library = library
         self.path = path
 
@@ -64,7 +124,7 @@ class FoldKernel:
         """Fold ``values`` (``float64``, 1-3 dimensions) with packed ``tables``."""
         x = np.ascontiguousarray(values, dtype=np.float64)
         out = np.empty_like(x)
-        planes, rows, cols = (1,) * (3 - x.ndim) + x.shape
+        planes, rows, cols = _extents(x)
         status = self._fn(
             x.ctypes.data,
             out.ctypes.data,
@@ -83,10 +143,53 @@ class FoldKernel:
             tables.pos.ctypes.data,
             tables.pos_w.ctypes.data,
         )
-        if status == 1:
-            raise MemoryError("fold kernel could not allocate its work buffers")
-        if status != 0:
-            raise RuntimeError(f"fold kernel failed with status {status}")
+        _check(status)
+        return out
+
+    def step(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
+        """One reference step of ``values`` (``float64``, 1-3 dimensions)
+        with the packed tap table ``taps``."""
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        out = np.empty_like(x)
+        planes, rows, cols = _extents(x)
+        status = self._step(
+            x.ctypes.data,
+            out.ctypes.data,
+            planes,
+            rows,
+            cols,
+            boundary is BoundaryCondition.PERIODIC,
+            DIRICHLET_VALUE,
+            len(taps.w),
+            taps.off.ctypes.data,
+            taps.w.ctypes.data,
+        )
+        _check(status)
+        return out
+
+    def band(self, taps, before: np.ndarray, folded: np.ndarray, m: int, radius: int) -> np.ndarray:
+        """``folded``, the ``m``-step fold of the Dirichlet grid ``before``,
+        with the band closer than ``(m - 1) * radius`` to a face recomputed
+        by ``m`` reference steps; written in place when ``folded`` is a
+        C-contiguous ``float64`` array."""
+        x = np.ascontiguousarray(before, dtype=np.float64)
+        out = np.require(folded, dtype=np.float64, requirements=("C", "W"))
+        planes, rows, cols = _extents(x)
+        status = self._band(
+            x.ctypes.data,
+            out.ctypes.data,
+            planes,
+            rows,
+            cols,
+            x.ndim,
+            DIRICHLET_VALUE,
+            len(taps.w),
+            taps.off.ctypes.data,
+            taps.w.ctypes.data,
+            m,
+            radius,
+        )
+        _check(status)
         return out
 
 
@@ -128,3 +231,14 @@ def load_fold_kernel() -> Optional[FoldKernel]:
 def fold_kernel_status() -> str:
     """``compiled (<cached .so path>)`` or ``numpy (<reason>)``."""
     return _decided()[1]
+
+
+def band_status() -> str:
+    """Where the Dirichlet band and the remainder steps of ``run()`` run:
+    ``the fold kernel's compiled reference step``, or ``ndimage (<the
+    reason the process has no fold kernel>)``.  Read from the same decision
+    as :func:`fold_kernel_status`."""
+    kernel, status = _decided()
+    if kernel is not None:
+        return "the fold kernel's compiled reference step"
+    return f"ndimage ({status.removeprefix('numpy (').removesuffix(')')})"

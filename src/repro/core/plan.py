@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.backend import codegen
 from repro.backend.options import ExecutionOptions
-from repro.core.fold_kernel import fold_kernel_status
+from repro.core.fold_kernel import band_status, fold_kernel_status, load_fold_kernel
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
@@ -60,7 +60,7 @@ from repro.simd.machine import InstructionCounts, SimdMachine
 from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BenchmarkCase, get_benchmark
-from repro.stencils.reference import reference_run, reference_step
+from repro.stencils.reference import check_dims, reference_run, reference_step
 from repro.stencils.spec import StencilSpec
 from repro.tiling.tessellate import TessellationConfig, tessellate_run
 
@@ -403,15 +403,22 @@ class CompiledPlan:
         other grid (Dirichlet boundaries, other extents, radii the engines
         refuse), the sweep is one :meth:`FoldingSchedule.numpy_step
         <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` on the
-        compiled fold kernel, or the NumPy fold without one.  Every one of
-        these engines returns the same bits, so the result never depends on
-        which ran; ``explain()`` names them.  ``"kernel"``, ``"trace"`` or
+        compiled fold kernel, or the NumPy fold without one.  On a Dirichlet
+        grid each sweep's boundary band, and on every grid the ``steps % m``
+        remainder, take single reference steps: one fold-kernel call for the
+        whole band of a sweep and one per remainder step, or ``ndimage``
+        without a fold kernel.  Every one of these engines returns the same
+        bits, so the result never depends on which ran; ``explain()`` names
+        them.  A grid whose dimensionality differs from the stencil's raises
+        :func:`~repro.stencils.reference.reference_step`'s ``ValueError``
+        whatever ``steps`` is (but 0).  ``"kernel"``, ``"trace"`` or
         ``"interpret"`` force the register-level schedule through the named
         engine (periodic linear stencils on simulation-capable methods only,
         grid extents in the schedule's block multiples, checked whatever
         ``steps`` is; tiling configuration is bypassed).  Whole folded updates run on the chosen
         engine and any ``steps % m`` remainder finishes with exact
-        reference steps, so every backend returns bit-identical values.
+        reference steps (compiled, as above), so every backend returns
+        bit-identical values.
         ``optimize=True`` runs the default IR pass pipeline first on an
         explicit trace or kernel backend (see :meth:`simulate`); it requires
         one.  Both keywords validate through :meth:`ExecutionOptions.normalize
@@ -447,9 +454,7 @@ class CompiledPlan:
             values, _ = self.simulate(grid, sweeps * m, backend=backend, optimize=optimize)
         else:
             values = grid.values.copy()
-        for _ in range(remainder):
-            values = reference_step(self.spec, values, grid.boundary, aux=grid.aux)
-        return values
+        return _reference_steps(self._simulation_schedule(), values, grid, remainder)
 
     def execute_generic(self, grid: Grid, steps: int) -> np.ndarray:
         """Shared fallback path: tessellated tiles if tiled, else reference.
@@ -589,6 +594,7 @@ class CompiledPlan:
             )
         if not self.spec.linear:
             raise ValueError("simulated execution requires a linear stencil")
+        check_dims(self.spec, grid.values)
         if grid.boundary is not BoundaryCondition.PERIODIC:
             raise ValueError("simulated execution requires periodic boundaries")
         if grid.dims not in self.descriptor.simulation_dims:
@@ -934,14 +940,19 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     """Folded fast path: the native register-level schedule where it loaded,
     the fold kernel elsewhere, with exact Dirichlet boundary handling.
 
-    Both engines return the same bits, so the result never depends on
-    whether, or when, the background build finished.
+    Each folded update of a Dirichlet grid gets its band recomputed by
+    :func:`_fix_dirichlet_band`, and the ``steps % m`` remainder runs as
+    single reference steps (:func:`_reference_steps`): on the fold kernel's
+    compiled reference step, or on ``ndimage`` in a process without a fold
+    kernel.  Every engine returns the same bits, so the result never depends
+    on which ran, or on whether, or when, the background build finished.
     """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
         # degenerates to the generic path (profile-wise it still models the
         # in-register m-step update, see repro.methods.profile_folded).
         return plan_.execute_generic(grid, steps)
+    check_dims(plan_.spec, grid.values)
     m = plan_.config.unroll
     schedule = plan_.schedule
     sweeps, remainder = divmod(steps, m)
@@ -949,33 +960,60 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     if program is not None:
         values = _replay_sweeps(program, grid.values, sweeps)
     else:
-        # Every fold and band fix writes a new array; the grid is never
-        # written, so it is not copied either.
+        # Every fold, band fix and reference step writes a new array; the
+        # grid is never written, so it is not copied either.
         values = grid.values
         for _ in range(sweeps):
             folded = schedule.numpy_step(values, grid.boundary)
             if grid.boundary is BoundaryCondition.DIRICHLET:
-                folded = _fix_dirichlet_band(plan_.spec, values, folded, m)
+                folded = _fix_dirichlet_band(schedule, values, folded)
             values = folded
-    for _ in range(remainder):
-        values = reference_step(plan_.spec, values, grid.boundary, aux=grid.aux)
+    values = _reference_steps(schedule, values, grid, remainder)
     return values.copy() if values is grid.values else values
 
 
-def _fix_dirichlet_band(
-    spec: StencilSpec, before: np.ndarray, folded: np.ndarray, m: int
+def _reference_steps(
+    schedule: FoldingSchedule, values: np.ndarray, grid: Grid, steps: int
 ) -> np.ndarray:
-    """Recompute the boundary band step-by-step (ghost-zone handling).
+    """``steps`` reference steps of the schedule's stencil from ``values``.
 
-    A folded ``m``-step update is exact only for points at distance
-    ``>= (m-1)·r`` from a Dirichlet boundary; the band closer than that is
-    recomputed with ``m`` single steps on a strip wide enough that the
-    strip's interior edge cannot contaminate the kept band.
+    They run on the fold kernel's compiled reference step, fed with
+    :meth:`FoldingSchedule.step_tables`, which returns ``reference_step``'s
+    bits; a process without a fold kernel calls ``reference_step``.
+    ``values`` itself is returned when ``steps`` is 0.
     """
+    kernel = load_fold_kernel() if steps else None
+    for _ in range(steps):
+        if kernel is None:
+            values = reference_step(schedule.spec, values, grid.boundary, aux=grid.aux)
+        else:
+            values = kernel.step(schedule.step_tables(), values, grid.boundary)
+    return values
+
+
+def _fix_dirichlet_band(
+    schedule: FoldingSchedule, before: np.ndarray, folded: np.ndarray
+) -> np.ndarray:
+    """Recompute the boundary band of one folded update (ghost-zone handling).
+
+    A folded ``m``-step update of ``before`` is exact only for points at
+    distance ``>= (m-1)·r`` from a Dirichlet boundary, ``r`` the stencil's
+    largest radius.  The band closer than that gets the values of ``m``
+    reference steps, written into ``folded``, which is returned.  The fold
+    kernel recomputes the whole band in one call (every face, all ``m``
+    steps, on a frame that shrinks by ``r`` per step).  Without a fold
+    kernel, each face's strip takes ``m`` ``reference_step`` calls, the
+    strip wide enough that its interior edge cannot contaminate the kept
+    band.  Both return the bits of ``m`` full-grid reference steps.
+    """
+    spec, m = schedule.spec, schedule.m
     radius = spec.radius
     band = (m - 1) * radius
     if band <= 0:
         return folded
+    kernel = load_fold_kernel()
+    if kernel is not None:
+        return kernel.band(schedule.step_tables(), before, folded, m, radius)
     out = folded
     strip_width = band + m * radius
     for axis in range(before.ndim):
@@ -1014,6 +1052,7 @@ def _describe_folded(plan_: CompiledPlan) -> str:
     return (
         f"{plan_.config.unroll}-step temporal folding ({variant}): "
         + plan_._native_run_description()
+        + f"; the band and the steps % m remainder steps run on {band_status()}"
     )
 
 

@@ -132,6 +132,26 @@ class FoldTables:
     pos_w: np.ndarray
 
 
+@dataclass(frozen=True)
+class StepTables:
+    """One reference step of the schedule's stencil as the flat table
+    ``fold_kernel.c``'s reference step and band recompute execute.
+
+    Attributes
+    ----------
+    off:
+        ``(ntaps, 3)`` int64 (plane, row, column) offsets of the kernel's
+        taps, in C order, with the weights ``|w| <= DBL_EPSILON`` dropped
+        (``ndimage.correlate``'s footprint); 1-D and 2-D stencils have zero
+        leading offsets.
+    w:
+        The taps' weights.
+    """
+
+    off: np.ndarray
+    w: np.ndarray
+
+
 @dataclass
 class SquareWeights:
     """Broadcast weight registers of the 2-D square pipeline (the prologue).
@@ -401,6 +421,24 @@ class FoldingSchedule:
         if tables is None:
             tables = self._pack_fold_tables()
             self._fold_tables = tables
+        return tables
+
+    def step_tables(self) -> StepTables:
+        """One :func:`~repro.stencils.reference.reference_step` of
+        :attr:`spec` as the tap table of the fold kernel's reference step.
+
+        Packed on first use and cached on the schedule.
+        """
+        tables = getattr(self, "_step_tables", None)
+        if tables is None:
+            kept = [
+                (index, w) for index, w in np.ndenumerate(self.spec.kernel) if abs(w) > _DBL_EPSILON
+            ]
+            off = np.zeros((len(kept), 3), dtype=np.int64)
+            if kept:
+                off[:, 3 - self.dims :] = np.array([i for i, _ in kept]) - self.spec.centre
+            tables = StepTables(off=off, w=np.array([w for _, w in kept], dtype=np.float64))
+            self._step_tables = tables
         return tables
 
     def _pack_fold_tables(self) -> FoldTables:

@@ -23,6 +23,14 @@ from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
 
 
+def check_dims(spec: StencilSpec, values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``values`` has the stencil's dimensionality."""
+    if values.ndim != spec.dims:
+        raise ValueError(
+            f"grid has {values.ndim} dimensions but stencil {spec.name!r} has {spec.dims}"
+        )
+
+
 def linear_sum(
     spec: StencilSpec,
     values: np.ndarray,
@@ -34,10 +42,7 @@ def linear_sum(
     quantity the paper's folding analysis reasons about.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != spec.dims:
-        raise ValueError(
-            f"grid has {values.ndim} dimensions but stencil {spec.name!r} has {spec.dims}"
-        )
+    check_dims(spec, values)
     return ndimage.correlate(
         values,
         spec.kernel,

@@ -1,15 +1,22 @@
-"""The compiled fold kernel behind ``FoldingSchedule.numpy_step``.
+"""The compiled fold kernel behind the default folded ``run()``.
 
 * On any legal linear stencil the compiled fold returns the NumPy fold's
-  grid bit for bit (:meth:`FoldingSchedule.numpy_fold` is the reference).
-* Both fold paths stay exact on Dirichlet grids narrower than the folded
-  radius.
+  grid bit for bit (:meth:`FoldingSchedule.numpy_fold` is the reference),
+  and the compiled reference step returns ``reference_step``'s.
+* On Dirichlet grids, narrower than the band too, ``run()`` returns the same
+  bits with the compiled band and remainder steps as with the NumPy strips
+  and ``reference_step``: the bits of an oracle that recomputes the band
+  with full-grid reference steps.  It never writes the grid, and a grid of
+  the wrong dimensionality raises ``reference_step``'s error whatever
+  ``steps`` is.
 * The process decides once between the compiled kernel and the NumPy body;
-  ``explain()`` names the choice and its reason, only a failed build or load
-  selects NumPy, and a failed kernel call raises.
+  ``explain()`` names the choice and its reason, and where the band and the
+  remainder steps run; only a failed build or load selects NumPy, and a
+  failed kernel call raises.
 
 Tests of the compiled path skip, with the reason, on hosts without a C
-compiler.
+compiler; the ``run()`` tests compare the process's path, whichever it is,
+with the NumPy one and the oracle.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
-from repro.stencils.reference import reference_run
+from repro.stencils.reference import reference_run, reference_step
 from repro.stencils.spec import StencilSpec
-from tests.conftest import EPS, stencil_weights
+from tests.conftest import EPS, LINEAR_SPECS, stencil_weights
 
 PERIODIC, DIRICHLET = BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET
 
@@ -63,6 +70,14 @@ def undecided(monkeypatch, tmp_path):
 
 def bits(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.int64)
+
+
+def special_values(rng, shape) -> np.ndarray:
+    """Normal values with some ``-0.0`` and subnormal ones."""
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    values[rng.random(shape) < 0.05] = 1e-310
+    return values
 
 
 # --------------------------------------------------------------------------- #
@@ -105,10 +120,7 @@ COMBINATION_3D = np.array([[[1.0, 2.0, 1.0], [2.0, 1.0, -1.0], [2.0, 1.0, -1.0]]
 def test_compiled_fold_matches_numpy_fold_bit_for_bit(compiled, case):
     kernel, m, shape, boundary, seed = case
     schedule = FoldingSchedule(StencilSpec(name="fuzz", kernel=kernel), m)
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(shape)
-    values[rng.random(shape) < 0.1] = -0.0
-    values[rng.random(shape) < 0.05] = 1e-310
+    values = special_values(np.random.default_rng(seed), shape)
     expected = bits(schedule.numpy_fold(values, boundary))
     direct = compiled(schedule.fold_tables(), values, boundary)
     np.testing.assert_array_equal(bits(direct), expected)
@@ -133,20 +145,192 @@ def test_compiled_fold_reads_non_contiguous_grids(compiled):
 
 
 # --------------------------------------------------------------------------- #
-# Dirichlet grids narrower than the folded radius
+# compiled reference step == reference_step, bit for bit
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@st.composite
+def step_cases(draw):
+    """(kernel, grid shape, boundary, layout, seed): radius <= 2 per axis.
+
+    Extents run from 0 and 1 (periodic reads wrap more than once) to rows
+    that span several of the kernel's chunks.
+    """
+    dims = draw(st.integers(1, 3))
+    kernel = draw(stencil_weights(dims))
+    leading = {1: 1, 2: 9, 3: 5}[dims]
+    grid = tuple(draw(st.integers(0, leading)) for _ in range(dims - 1))
+    grid += (draw(st.one_of(st.integers(0, 24), st.integers(1000, 1700))),)
+    boundary = draw(st.sampled_from([PERIODIC, DIRICHLET]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    return kernel, grid, boundary, layout, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(
+    deadline=None, max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=step_cases())
+@example(case=(np.array([1.0, EPS / 2, 2.0, -EPS, 0.5]), (1,), PERIODIC, "C", 1))
+@example(case=(np.array([[1.0], [0.5], [1e-300]]), (2, 3), PERIODIC, "F", 2))
+@example(case=(np.ones((3, 1, 5)), (2, 0, 1100), DIRICHLET, "strided", 3))
+def test_compiled_step_matches_reference_step_bit_for_bit(compiled, case):
+    kernel, shape, boundary, layout, seed = case
+    spec = StencilSpec(name="fuzz", kernel=kernel)
+    values = special_values(np.random.default_rng(seed), shape)
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = values
+        values = wide[..., ::2]
+    step = compiled.step(FoldingSchedule(spec, 1).step_tables(), values, boundary)
+    np.testing.assert_array_equal(bits(step), bits(reference_step(spec, values, boundary)))
+
+
+# --------------------------------------------------------------------------- #
+# Dirichlet run(): the same bits on both paths
+# --------------------------------------------------------------------------- #
+def band_oracle(spec: StencilSpec, values: np.ndarray, m: int, steps: int) -> np.ndarray:
+    """What ``run()`` computes on a Dirichlet grid, from full-grid steps:
+    each NumPy fold with its band (the points closer than ``(m - 1) * r``
+    to a face) taken from ``m`` reference steps of the whole grid, then the
+    ``steps % m`` remainder as reference steps."""
+    schedule = FoldingSchedule(spec, m)
+    band = (m - 1) * spec.radius
+    sweeps, remainder = divmod(steps, m)
+    for _ in range(sweeps):
+        folded = schedule.numpy_fold(values, DIRICHLET)
+        exact = values
+        for _ in range(m):
+            exact = reference_step(spec, exact, DIRICHLET)
+        near = np.zeros(values.shape, dtype=bool)
+        for axis, n in enumerate(values.shape):
+            index = np.arange(n).reshape([-1 if a == axis else 1 for a in range(values.ndim)])
+            near |= (index < band) | (index >= n - band)
+        folded[near] = exact[near]
+        values = folded
+    for _ in range(remainder):
+        values = reference_step(spec, values, DIRICHLET)
+    return values
+
+
+def numpy_path_run(monkeypatch, p, grid: Grid, steps: int) -> np.ndarray:
+    """``p.run()`` in a process without a fold kernel: the NumPy fold and
+    band strips, and ``reference_step`` for the remainder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fold_kernel, "_decision", (None, "numpy (selected by the test)"))
+        return p.run(grid, steps)
+
+
+def assert_run_keeps_its_bits(monkeypatch, p, grid: Grid, steps: int) -> np.ndarray:
+    out = p.run(grid, steps)
+    expected = bits(band_oracle(p.spec, grid.values, p.config.unroll, steps))
+    np.testing.assert_array_equal(bits(out), expected)
+    np.testing.assert_array_equal(bits(numpy_path_run(monkeypatch, p, grid, steps)), expected)
+    return out
+
+
+DIRICHLET_SHAPES = {1: [(45,), (3,)], 2: [(13, 17), (16, 3), (2, 9)], 3: [(7, 9, 11), (8, 8, 2)]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(LINEAR_SPECS))
+def test_dirichlet_run_keeps_its_bits_on_library_stencils(monkeypatch, name, m):
+    p = plan(LINEAR_SPECS[name]()).unroll(m).compile()
+    for i, shape in enumerate(DIRICHLET_SHAPES[p.spec.dims]):
+        grid = Grid.random(shape, boundary=DIRICHLET, seed=10 * m + i)
+        for steps in (m - 1, m, 2 * m + 1):
+            assert_run_keeps_its_bits(monkeypatch, p, grid, steps)
+
+
+@st.composite
+def dirichlet_run_cases(draw):
+    """(kernel, m, grid shape, steps, seed), grids narrower than the band
+    included."""
+    dims = draw(st.integers(1, 3))
+    kernel = draw(stencil_weights(dims))
+    m = draw(st.integers(1, 4))
+    leading = {1: 1, 2: 14, 3: 9}[dims]
+    grid = tuple(draw(st.integers(1, leading)) for _ in range(dims - 1))
+    grid += (draw(st.integers(1, 40)),)
+    steps = draw(st.sampled_from([m - 1, m, 2 * m + 1]))
+    return kernel, m, grid, steps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(
+    deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=dirichlet_run_cases())
+@example(case=(COMBINATION_BIAS, 4, (5, 3), 9, 1))
+@example(case=(COMBINATION_3D, 3, (2, 6, 7), 7, 2))
+def test_dirichlet_run_keeps_its_bits_on_random_stencils(monkeypatch, case):
+    kernel, m, shape, steps, seed = case
+    p = plan(StencilSpec(name="fuzz", kernel=kernel)).unroll(m).compile()
+    values = special_values(np.random.default_rng(seed), shape)
+    assert_run_keeps_its_bits(monkeypatch, p, Grid(values, boundary=DIRICHLET), steps)
+
+
 @pytest.mark.parametrize(
     "key,shape,m", [("2d9p", (16, 3), 4), ("2d9p", (16, 2), 4), ("3d27p", (8, 8, 2), 3)]
 )
-def test_narrow_dirichlet_grid_matches_reference(request, path, key, shape, m):
-    request.getfixturevalue("compiled" if path == "compiled" else "numpy_folds")
+def test_narrow_dirichlet_grid_matches_reference(monkeypatch, key, shape, m):
+    """Grids narrower than the folded radius: the process's path and the
+    NumPy one agree bit for bit, and with ``reference_run``."""
     p = plan(key).unroll(m).compile()
     grid = Grid.random(shape, boundary=DIRICHLET, seed=7)
     for steps in (m, 2 * m + 1):
-        np.testing.assert_allclose(
-            p.run(grid, steps), reference_run(p.spec, grid, steps), rtol=1e-10, atol=1e-12
-        )
+        out = p.run(grid, steps)
+        np.testing.assert_array_equal(bits(out), bits(numpy_path_run(monkeypatch, p, grid, steps)))
+        np.testing.assert_allclose(out, reference_run(p.spec, grid, steps), rtol=1e-10, atol=1e-12)
+
+
+def test_dirichlet_run_batch_on_four_threads_matches_sequential_runs():
+    """Concurrent band and remainder calls share no scratch."""
+    for key, shape, m in (("2d9p", (64, 61), 2), ("3d-heat", (18, 20, 22), 3)):
+        p = plan(key).unroll(m).compile()
+        grids = [Grid.random(shape, boundary=DIRICHLET, seed=s) for s in range(24)]
+        steps = 2 * m + 1
+        expected = [bits(p.run(grid, steps)) for grid in grids]
+        for _ in range(3):
+            batch = p.run_batch(grids, steps, workers=4)
+            for out, want in zip(batch, expected):
+                np.testing.assert_array_equal(bits(out), want)
+
+
+# --------------------------------------------------------------------------- #
+# run()'s input contract
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("path", ["process", "numpy"])
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_wrong_dimensionality_raises_reference_steps_error_whatever_the_steps(
+    request, path, boundary
+):
+    if path == "numpy":
+        request.getfixturevalue("numpy_folds")
+    for key, shape in (("3d-heat", (8, 8)), ("2d9p", (8, 8, 8)), ("1d5p", (16, 16))):
+        p = plan(key).unroll(3).compile()
+        grid = Grid.random(shape, boundary=boundary, seed=1)
+        with pytest.raises(ValueError) as expected:
+            reference_step(p.spec, grid.values, boundary)
+        for steps in range(1, 8):
+            with pytest.raises(ValueError) as raised:
+                p.run(grid, steps)
+            assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("path", ["process", "numpy"])
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_run_never_writes_the_grid(request, path, boundary):
+    if path == "numpy":
+        request.getfixturevalue("numpy_folds")
+    for key, shape in (("1d5p", (40,)), ("2d9p", (12, 9)), ("3d27p", (6, 7, 5))):
+        for m in (1, 2, 3):
+            p = plan(key).unroll(m).compile()
+            grid = Grid.random(shape, boundary=boundary, seed=m)
+            before = grid.values.copy()
+            grid.values.setflags(write=False)
+            for steps in (m - 1, m, 2 * m + 1):
+                out = p.run(grid, steps)
+                assert out is not grid.values and out.flags.writeable
+            np.testing.assert_array_equal(bits(grid.values), bits(before))
 
 
 # --------------------------------------------------------------------------- #
@@ -176,6 +360,33 @@ def test_explain_names_the_decision_whatever_the_host():
         assert fold_kernel_line() == "numpy (no C compiler on PATH)"
     else:
         assert fold_kernel_line().startswith("compiled (")
+
+
+def execution_path_line(key: str = "2d9p") -> str:
+    (line,) = [
+        line
+        for line in plan(key).compile().explain().splitlines()
+        if line.lstrip().startswith("execution path")
+    ]
+    return line
+
+
+def test_explain_names_where_the_band_and_remainder_run_whatever_the_host():
+    """The execution path and the fold kernel lines read the same decision."""
+    tail = "the band and the steps % m remainder steps run on "
+    if load_fold_kernel() is None:
+        reason = fold_kernel_line().removeprefix("numpy (").removesuffix(")")
+        assert execution_path_line().endswith(f"{tail}ndimage ({reason})")
+    else:
+        assert fold_kernel_line().startswith("compiled (")
+        assert execution_path_line().endswith(f"{tail}the fold kernel's compiled reference step")
+
+
+def test_explain_names_ndimage_and_the_reason_without_a_fold_kernel(numpy_folds):
+    assert fold_kernel_line() == "numpy (selected by the test)"
+    assert execution_path_line().endswith(
+        "the band and the steps % m remainder steps run on ndimage (selected by the test)"
+    )
 
 
 def test_explain_has_no_fold_kernel_line_without_a_schedule():
@@ -228,19 +439,29 @@ def test_the_decision_is_made_once_per_process_under_contention(undecided, monke
 
 
 def _stub_kernel(status: int) -> FoldKernel:
-    def repro_fold_update(*args):
+    def stub(*args):
         return status
 
-    return FoldKernel(types.SimpleNamespace(repro_fold_update=repro_fold_update), Path("stub.so"))
+    names = ("repro_fold_update", "repro_reference_step", "repro_dirichlet_band")
+    library = types.SimpleNamespace(**{name: stub for name in names})
+    return FoldKernel(library, Path("stub.so"))
 
 
 @pytest.mark.parametrize("status,error", [(1, MemoryError), (2, RuntimeError)])
 def test_a_failed_kernel_call_raises_instead_of_falling_back(monkeypatch, status, error):
-    monkeypatch.setattr(fold_kernel, "_decision", (_stub_kernel(status), "compiled (stub.so)"))
+    kernel = _stub_kernel(status)
+    monkeypatch.setattr(fold_kernel, "_decision", (kernel, "compiled (stub.so)"))
     schedule = FoldingSchedule(plan("2d9p").compile().spec, 2)
-    for _ in range(2):
-        with pytest.raises(error):
-            schedule.numpy_step(np.ones((8, 8)), PERIODIC)
+    values = np.ones((8, 8))
+    calls = (
+        lambda: schedule.numpy_step(values, PERIODIC),
+        lambda: kernel.step(schedule.step_tables(), values, DIRICHLET),
+        lambda: kernel.band(schedule.step_tables(), values, values.copy(), 2, 1),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(error):
+                call()
     assert fold_kernel_status() == "compiled (stub.so)"
 
 

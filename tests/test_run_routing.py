@@ -192,7 +192,8 @@ def test_a_failed_build_keeps_the_fold_kernel_for_good(tmp_path, native_sweeps):
     assert p._native_program(grid) is None and native_sweeps == []
     assert execution_path(p).endswith(
         "every grid folds on the fold kernel, Dirichlet grids with an exact band "
-        "recompute; the native build failed (kernel.c:1:1: error: stand-in failure)"
+        "recompute; the native build failed (kernel.c:1:1: error: stand-in failure); "
+        f"the band and the steps % m remainder steps run on {fold_kernel.band_status()}"
     )
 
 
@@ -210,7 +211,10 @@ def test_without_a_compiler_run_takes_the_numpy_fold_and_says_why(monkeypatch, n
     assert native_sweeps == []
     explained = p.explain()
     assert "  fold kernel    : numpy (no C compiler on PATH)" in explained
-    assert execution_path(p).endswith("the native build failed (no C compiler on PATH)")
+    assert execution_path(p).endswith(
+        "the native build failed (no C compiler on PATH); the band and the steps % m "
+        "remainder steps run on ndimage (no C compiler on PATH)"
+    )
 
 
 def test_explain_starts_no_build():
