@@ -6,17 +6,24 @@ register-level schedule as SIMD code:
 
 * every virtual register is a GCC vector of ``vl`` doubles;
 * 2-D/3-D loads and stores are ``memcpy``s through row pointers that are
-  computed, with periodic wrap, once per block row;
+  computed once per block row: wrapped on a periodic grid, aimed at a row
+  of zeros outside a Dirichlet one;
 * ``shuf1``/``shuf2`` are ``__builtin_shuffle``; ``fma`` is ``a*b + c``,
   because the simulated FMA rounds twice, and ``-ffp-contract=off`` keeps
   both roundings;
 * the horizontal phase's ``("vt", δ, ci, k)`` inputs read a three-slot ring
   over column blocks — the paper's shifts reuse: each square's vertical
-  phase runs once per sweep, plus the two priming squares of a block row;
+  phase runs once per sweep, plus the two priming squares of a block row,
+  which on a Dirichlet grid read the row of zeros, so their slots hold
+  zeros;
 * a 1-D program reads its vector sets from a three-set ring, each set
   loaded once per sweep — and transposed in registers when the grid is in
   the original layout — and transposes its results back before the store
-  when the output is.
+  when the output is; past either end of a Dirichlet grid the ring holds a
+  set of zeros.
+
+On a Dirichlet grid the program thus reads the zero halo the fold kernel
+reads, and returns its bits.
 
 :func:`compile_kernel` builds the source through :mod:`repro.backend.native`
 with the ISA flags of the program's ISA that the host supports, loads it
@@ -57,6 +64,7 @@ from repro.ir.ops import IrOp, ScheduleIR
 from repro.ir.passes import PassReport
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import IsaSpec
+from repro.stencils.boundary import BoundaryCondition
 from repro.study.hashing import config_hash
 
 __all__ = [
@@ -121,6 +129,7 @@ def kernel_content_key(ir: ScheduleIR) -> str:
 # --------------------------------------------------------------------------- #
 _C_PRELUDE = """\
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef double vec __attribute__((vector_size({bytes})));
@@ -131,16 +140,27 @@ _C_SIGNATURE = """\
 /* {source} */
 int repro_kernel(const double *restrict x, double *restrict out,
                  int64_t n0, int64_t n1, int64_t n2,
-                 int32_t x_original, int32_t out_original)
+                 int32_t x_original, int32_t out_original, int32_t dirichlet)
 {{
 """
 
+#: Row ``row`` of plane ``plane``: wrapped into the grid on a periodic grid,
+#: the row of zeros outside a Dirichlet one.
+_C_ROW = """\
+static inline const double *repro_row(const double *x, const double *zero, int64_t plane,
+                                      int64_t row, int64_t planes, int64_t rows, int64_t cols)
+{
+    if (plane < 0 || plane >= planes || row < 0 || row >= rows) {
+        if (zero != NULL)
+            return zero;
+        plane = (plane % planes + planes) % planes;
+        row = (row % rows + rows) % rows;
+    }
+    return x + (plane * rows + row) * cols;
+}
+"""
+
 _BINARY = {"mul": "*", "add": "+", "sub": "-"}
-
-
-def _wrap(index: str, n: str) -> str:
-    """C expression of ``index`` modulo ``n``, in ``[0, n)`` for any sign."""
-    return f"((({index}) % {n} + {n}) % {n})"
 
 
 def _offset_name(prefix: str, *offsets: int) -> str:
@@ -248,7 +268,7 @@ def _transpose_sets(vl: int) -> List[str]:
 
 def emit_c(ir: ScheduleIR) -> str:
     """C source of ``ir``: ``int repro_kernel(x, out, n0, n1, n2, x_original,
-    out_original)``, one sweep.
+    out_original, dirichlet)``, one sweep.
 
     ``(n0, n1, n2)`` are the block axes (:meth:`ScheduleIR.block_axes`):
     ``(vector sets, 0, 0)`` of a 1-D grid, or ``(planes, row blocks, column
@@ -257,19 +277,23 @@ def emit_c(ir: ScheduleIR) -> str:
     ``x_original``/``out_original`` is non-zero: it transposes each vector
     set once in registers into a three-set ring, and each result set before
     it stores it.  2-D/3-D grids are in the original layout and ignore both
-    flags.  ``out`` receives exactly what the trace replay's stores write.
-    Raises ``ValueError`` for a program with an op that has no C form.
+    flags.  Reads outside the grid wrap, or read zeros where ``dirichlet``
+    is non-zero: the vector sets past a 1-D grid's ends, the rows and planes
+    past a 2-D/3-D grid's faces and the column blocks past its row ends.
+    ``out`` receives exactly what the trace replay's stores write on a
+    periodic grid.  The function keeps no static state; it returns 0, or 1
+    when it cannot allocate its row of zeros.  Raises ``ValueError`` for a
+    program with an op that has no C form.
     """
     vl = ir.vl
     prologue = ir.segments[0]
     body = _emit_ops(prologue.ops, vl, None, None, None)
     source = ir.source.replace("*/", "* /")
     head = _C_PRELUDE.format(bytes=8 * vl).splitlines() + [""]
-    if ir.dims == 1:
-        head += _transpose_sets(vl)
+    head += _transpose_sets(vl) if ir.dims == 1 else _C_ROW.splitlines() + [""]
     head += _C_SIGNATURE.format(source=source).splitlines()
+    ring = {-1: "prev", 0: "cur", 1: "next"}
     if ir.dims == 1:
-        ring = {-1: "prev", 0: "cur", 1: "next"}
         ops = _emit_ops(
             ir.segment("block").ops,
             vl,
@@ -279,13 +303,25 @@ def emit_c(ir: ScheduleIR) -> str:
         )
         loop = [
             "(void)n1; (void)n2;",
+            "if (n0 <= 0)",
+            "    return 0;",
             f"vec ring[3][{vl}], result[{vl}];",
             "vec *prev = ring[0], *cur = ring[1], *next = ring[2];",
-            f"repro_load_set(prev, x + (n0 - 1) * {vl * vl}, x_original);",
+            "if (dirichlet)",
+            "    memset(prev, 0, sizeof ring[0]);",
+            "else",
+            f"    repro_load_set(prev, x + (n0 - 1) * {vl * vl}, x_original);",
             "repro_load_set(cur, x, x_original);",
             "for (int64_t s = 0; s < n0; ++s) {",
             *_indent(
-                [f"repro_load_set(next, x + (s + 1 < n0 ? s + 1 : 0) * {vl * vl}, x_original);"]
+                [
+                    "if (s + 1 < n0)",
+                    f"    repro_load_set(next, x + (s + 1) * {vl * vl}, x_original);",
+                    "else if (dirichlet)",
+                    "    memset(next, 0, sizeof ring[0]);",
+                    "else",
+                    "    repro_load_set(next, x, x_original);",
+                ]
                 + ops
                 + [
                     f"repro_store_set(out + s * {vl * vl}, result, out_original);",
@@ -293,6 +329,7 @@ def emit_c(ir: ScheduleIR) -> str:
                 ]
             ),
             "}",
+            "return 0;",
         ]
     else:
         vertical, horizontal = _stages(ir)
@@ -301,16 +338,12 @@ def emit_c(ir: ScheduleIR) -> str:
             for k in range(len(cols)):
                 slots[(ci, k)] = len(slots)
         row_offsets = sorted({op.tag[1:] for op in vertical if op.opcode == "load"})
-        pointers = [
-            f"const double *{_offset_name('row_', dz, s)} = x + "
-            f"({_wrap(f'p + {dz}', 'n0')} * rows + {_wrap(f'rb * {vl} + {s}', 'rows')}) * cols;"
-            for dz, s in row_offsets
-        ]
-        ring = {-1: "prev", 0: "cur", 1: "next"}
+        row_index = {offset: k for k, offset in enumerate(row_offsets)}
+        nrows = max(1, len(row_offsets))
         v_lines = _emit_ops(
             vertical,
             vl,
-            load=lambda tag: f"{_offset_name('row_', tag[1], tag[2])} + vc",
+            load=lambda tag: f"row[{row_index[tag[1:]]}] + vc",
             store=None,
             stage_input=None,
         ) + [
@@ -327,21 +360,44 @@ def emit_c(ir: ScheduleIR) -> str:
         )
         loop = [
             "(void)x_original; (void)out_original;",
+            "if (n0 <= 0 || n1 <= 0 || n2 <= 0)",
+            "    return 0;",
             f"const int64_t rows = n1 * {vl}, cols = n2 * {vl};",
+            "/* the rows outside a Dirichlet grid */",
+            "double *zero = NULL;",
+            "if (dirichlet && (zero = calloc(cols, sizeof *zero)) == NULL)",
+            "    return 1;",
+            "/* per vertical-phase row: [0] the block row's, [1] the zero row, read",
+            " * by the column blocks before the first and after the last of a",
+            " * Dirichlet grid (their vertical phase then holds zeros) */",
+            f"const double *rowtab[2][{nrows}];",
+            f"for (int k = 0; k < {nrows}; ++k)",
+            "    rowtab[1][k] = zero;",
             f"vec ring[3][{max(1, len(slots))}];",
             "for (int64_t p = 0; p < n0; ++p) {",
             "    for (int64_t rb = 0; rb < n1; ++rb) {",
             *_indent(
-                pointers
+                [
+                    f"rowtab[0][{k}] = "
+                    f"repro_row(x, zero, p + {dz}, rb * {vl} + {s}, n0, rows, cols);"
+                    for k, (dz, s) in enumerate(row_offsets)
+                ]
                 + [
                     f"double *o = out + (p * rows + rb * {vl}) * cols;",
                     "vec *prev = ring[0], *cur = ring[1], *next = ring[2];",
                     "/* vertical phase of column block i - 1, horizontal of i - 2 */",
                     "for (int64_t i = 0; i < n2 + 2; ++i) {",
+                    # The edge column blocks of a Dirichlet grid pick the zero
+                    # rows by index, not by a branch: a branch around, or
+                    # after, the vertical phase cost the periodic 3-D
+                    # programs 9-16% of their sweep time at 96³.
                     *_indent(
-                        ["{", f"    const int64_t vc = {_wrap('i - 1', 'n2')} * {vl};"]
-                        + _indent(v_lines)
-                        + ["}", "if (i >= 2) {", f"    const int64_t hc = (i - 2) * {vl};"]
+                        [
+                            "const double *const *row = rowtab[dirichlet && (i == 0 || i > n2)];",
+                            f"const int64_t vc = ((i - 1) % n2 + n2) % n2 * {vl};",
+                        ]
+                        + v_lines
+                        + ["if (i >= 2) {", f"    const int64_t hc = (i - 2) * {vl};"]
                         + _indent(h_lines)
                         + ["}", "vec *spent = prev; prev = cur; cur = next; next = spent;"]
                     ),
@@ -351,8 +407,10 @@ def emit_c(ir: ScheduleIR) -> str:
             ),
             "    }",
             "}",
+            "free(zero);",
+            "return 0;",
         ]
-    return "\n".join(head + _indent(body + loop) + ["    return 0;", "}", ""])
+    return "\n".join(head + _indent(body + loop) + ["}", ""])
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
@@ -368,7 +426,7 @@ class NativeProgram:
 
     def __init__(self, library: ctypes.CDLL, path: Path):
         fn = library.repro_kernel
-        fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_int32] * 2
+        fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_int32] * 3
         fn.restype = ctypes.c_int
         self._fn = fn
         self._library = library
@@ -380,13 +438,15 @@ class NativeProgram:
         out: np.ndarray,
         axes: Tuple[int, ...],
         originals: Tuple[bool, bool] = (False, False),
+        dirichlet: bool = False,
     ) -> None:
         """One sweep of ``values`` into ``out``, both already checked by
         :meth:`CompiledSweep._operands <repro.ir.executor.CompiledSweep._operands>`;
         ``originals`` says whether a 1-D program's grid and result are in
-        the original layout."""
+        the original layout, ``dirichlet`` whether reads outside the grid
+        read zeros instead of wrapping."""
         n0, n1, n2 = (*axes, 0, 0)[:3]
-        status = self._fn(values.ctypes.data, out.ctypes.data, n0, n1, n2, *originals)
+        status = self._fn(values.ctypes.data, out.ctypes.data, n0, n1, n2, *originals, dirichlet)
         if status != 0:
             raise RuntimeError(f"native kernel {self.path.name} failed with status {status}")
 
@@ -440,6 +500,7 @@ class KernelProgram(CompiledSweep):
         values: np.ndarray,
         out: Optional[np.ndarray] = None,
         layouts: Tuple[str, str] = ("transpose", "transpose"),
+        boundary: BoundaryCondition = BoundaryCondition.PERIODIC,
     ) -> np.ndarray:
         """One sweep over every block position — the contract of
         :meth:`CompiledSweep.replay <repro.ir.executor.CompiledSweep.replay>`.
@@ -447,7 +508,10 @@ class KernelProgram(CompiledSweep):
         ``layouts`` names the layouts of a 1-D grid and of its result, each
         ``"transpose"`` (the contract's) or ``"original"``: the native
         program transposes in registers, IR replay on NumPy.  2-D/3-D grids
-        are in the original layout whatever ``layouts`` says.
+        are in the original layout whatever ``layouts`` says.  On a
+        ``boundary`` of :attr:`BoundaryCondition.DIRICHLET` the native
+        program reads zeros outside the grid (:func:`emit_c`); IR replay
+        sweeps periodic grids only and raises ``ValueError`` there.
         """
         # Defined here rather than inherited, so patching one engine's
         # replay (perfbench's timing hooks) leaves the other's alone.
@@ -457,10 +521,16 @@ class KernelProgram(CompiledSweep):
             raise ValueError(f"unknown layouts {layouts!r}; use 'transpose' or 'original'")
         if self.dims > 1:
             originals = (False, False)
+        dirichlet = BoundaryCondition(boundary) is BoundaryCondition.DIRICHLET
         if self.native is not None:
             values, out, axes = self._operands(values, out)
-            self.native(values, out, axes, originals)
+            self.native(values, out, axes, originals, dirichlet)
             return self._stored(out)
+        if dirichlet:
+            raise ValueError(
+                "IR replay sweeps periodic grids only, and this program has no "
+                f"native code for a Dirichlet grid ({self.detail})"
+            )
         if not any(originals):
             return self._replay(values, out)
         # IR replay sweeps the transpose layout; transform around it.

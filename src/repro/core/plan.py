@@ -395,13 +395,15 @@ class CompiledPlan:
         default) runs the method's own numeric executor.  For the folded
         method that is one sweep of the register-level schedule per ``m``
         steps, as the plan's native program (the raw, pass-free one
-        ``backend="kernel"`` runs), on every grid the engines accept (see
-        below).  The first such ``run()`` of a configuration — stencil
-        weights, ``m``, ISA and dimensionality — queues the program's build
-        on a background thread and returns without waiting for it.  Until
-        the program loads, and for good when it cannot be built, and on every
-        other grid (Dirichlet boundaries, other extents, radii the engines
-        refuse), the sweep is one :meth:`FoldingSchedule.numpy_step
+        ``backend="kernel"`` runs), on every periodic or Dirichlet grid
+        whose extents and folded radius the engines accept (see below); on
+        a Dirichlet grid the program reads zeros outside the grid.  The
+        first such ``run()`` of a configuration — stencil weights, ``m``,
+        ISA and dimensionality — queues the program's build on a background
+        thread and returns without waiting for it.  Until the program loads,
+        and for good when it cannot be built, and on every other grid (other
+        extents, radii the engines refuse), the sweep is one
+        :meth:`FoldingSchedule.numpy_step
         <repro.core.vectorized_folding.FoldingSchedule.numpy_step>` on the
         compiled fold kernel, or the NumPy fold without one.  On a Dirichlet
         grid each sweep's boundary band, and on every grid the ``steps % m``
@@ -578,15 +580,16 @@ class CompiledPlan:
             values = sweep(machine, values)
         return values, machine.counts
 
-    def _check_engine_support(self, grid: Grid, vl: int) -> None:
+    def _check_engine_support(self, grid: Grid, vl: int, dirichlet: bool = False) -> None:
         """Raise ``ValueError`` unless the register-level engines at ``vl``
         lanes can advance ``grid``.
 
         :meth:`simulate` and :meth:`run` with an explicit backend call it
         before anything else, so an unsupported grid fails the same way
         whatever ``steps`` is — never with a silent reference fallback.  The
-        default folded :meth:`run` sends the grids it accepts to the native
-        register-level schedule (:meth:`_native_program`).
+        engines sweep periodic grids; the native program of the default
+        folded :meth:`run` sweeps Dirichlet grids as well, which
+        :meth:`_native_program` accepts with ``dirichlet=True``.
         """
         if not self.descriptor.supports_simulation:
             raise ValueError(
@@ -595,7 +598,10 @@ class CompiledPlan:
         if not self.spec.linear:
             raise ValueError("simulated execution requires a linear stencil")
         check_dims(self.spec, grid.values)
-        if grid.boundary is not BoundaryCondition.PERIODIC:
+        accepted = {BoundaryCondition.PERIODIC}
+        if dirichlet:
+            accepted.add(BoundaryCondition.DIRICHLET)
+        if grid.boundary not in accepted:
             raise ValueError("simulated execution requires periodic boundaries")
         if grid.dims not in self.descriptor.simulation_dims:
             raise ValueError(
@@ -609,14 +615,15 @@ class CompiledPlan:
         """The native raw program the default folded :meth:`run` sends
         ``grid``'s sweeps to, or ``None`` while they fold on the fold kernel.
 
-        ``None`` for a grid :meth:`_check_engine_support` refuses.  Otherwise
-        the plan asks :func:`repro.backend.codegen.background_build` for its
+        ``None`` for a grid :meth:`_check_engine_support` refuses, periodic
+        and Dirichlet grids alike.  Otherwise the plan asks
+        :func:`repro.backend.codegen.background_build` for its
         configuration's program once, which queues the build on the first
         ask of the process, and keeps the build it gets: ``None`` until the
         program loaded natively, and for good when its build failed.
         """
         try:
-            self._check_engine_support(grid, self.isa_spec.vector_lanes)
+            self._check_engine_support(grid, self.isa_spec.vector_lanes, dirichlet=True)
         except ValueError:
             return None
         build = self._engine_cache.get("run")
@@ -629,34 +636,44 @@ class CompiledPlan:
         return build.native
 
     def _native_run_description(self) -> str:
-        """Which engine the default folded :meth:`run` takes for which grids,
-        and the state of the native program's build; starts no build."""
+        """Which engine the default folded :meth:`run` takes for which grids.
+
+        A property of the plan alone: the state of this process's build is
+        :meth:`_native_build_state`'s.
+        """
         vl = self.isa_spec.vector_lanes
-        rest = "folds on the fold kernel, Dirichlet grids with an exact band recompute"
         try:
             check_lowerable(self.schedule, vl)
         except ValueError as exc:
-            return f"every grid {rest} ({exc})"
+            return f"every grid folds on the fold kernel ({exc})"
         grids = {
-            1: f"periodic grids of a multiple of vl²={vl * vl} points",
-            2: f"periodic grids in multiples of vl={vl}",
-            3: f"periodic grids whose two innermost extents are multiples of vl={vl}",
+            1: f"periodic and Dirichlet grids of a multiple of vl²={vl * vl} points",
+            2: f"periodic and Dirichlet grids in multiples of vl={vl}",
+            3: f"periodic and Dirichlet grids whose two innermost extents are "
+            f"multiples of vl={vl}",
         }[self.spec.dims]
+        return (
+            f"{grids} run the register-level schedule natively once the plan's native "
+            "program has loaded, on the fold kernel until then; every other grid folds "
+            "on the fold kernel"
+        )
+
+    def _native_build_state(self) -> Optional[str]:
+        """This process's build of the native program behind the default
+        folded :meth:`run`, ``None`` when the schedule cannot lower; starts
+        no build."""
+        try:
+            check_lowerable(self.schedule, self.isa_spec.vector_lanes)
+        except ValueError:
+            return None
         build = self._engine_cache.get("run") or codegen.background_build(
             self.schedule, self.isa_spec, queue=False
         )
-        if build is not None and build.native is not None:
-            return (
-                f"{grids} run the register-level schedule natively "
-                f"({build.native.detail}); every other grid {rest}"
-            )
-        if build is not None and build.done.is_set():
-            return f"every grid {rest}; the native build {build.status}"
-        state = "not queued yet" if build is None else build.status
-        return (
-            f"{grids} run the register-level schedule natively once its background "
-            f"build ({state}) loads; until then every grid {rest}"
-        )
+        if build is None:
+            return "native program: not queued yet"
+        if build.native is not None:
+            return f"native program: loaded ({build.native.detail})"
+        return f"native program: {build.status}"
 
     def _compiled(
         self,
@@ -789,7 +806,19 @@ class CompiledPlan:
         return analyze_folding(self.spec, max(2, self.config.unroll))
 
     def explain(self) -> str:
-        """Human-readable dump of the chosen execution path and analysis."""
+        """Human-readable dump of the chosen execution path and analysis.
+
+        Besides the plan, three parts read this process and host: the end of
+        the ``execution path`` line (the native program's build, and where
+        the band and the remainder steps run), the ``fold kernel`` line and
+        the ``kernel backend`` line.
+        """
+        return "\n".join(self._explain_lines(host=True))
+
+    def _explain_lines(self, host: bool) -> List[str]:
+        """The lines of :meth:`explain`; ``host=False`` leaves out the parts
+        that read the process and the host, so the text depends on the plan
+        alone (the service's ``plan`` results carry it), and builds nothing."""
         spec, config = self.spec, self.config
         lines = [
             f"CompiledPlan for {spec.name!r} "
@@ -811,7 +840,12 @@ class CompiledPlan:
             lines.append("  tiling         : none")
         workers = "1 (unconfigured)" if config.workers is None else str(config.workers)
         lines.append(f"  workers        : {workers}")
-        lines.append(f"  execution path : {self._path_description()}")
+        path = self._path_description()
+        if host and self.schedule is not None:
+            state = self._native_build_state()
+            path += f"; {state}" if state else ""
+            path += f"; the band and the steps % m remainder steps run on {band_status()}"
+        lines.append(f"  execution path : {path}")
         if self.schedule is not None:
             variant = (
                 "separable fast path"
@@ -822,11 +856,13 @@ class CompiledPlan:
                 f"  schedule       : folded radius {self.schedule.radius}, "
                 f"{self.schedule.num_materialized} materialized counterpart(s), {variant}"
             )
-            lines.append(f"  fold kernel    : {fold_kernel_status()}")
+            if host:
+                lines.append(f"  fold kernel    : {fold_kernel_status()}")
         ir_line = self._ir_pipeline_description()
         if ir_line is not None:
             lines.append(f"  ir pipeline    : {ir_line}")
-            lines.append(f"  kernel backend : {self._kernel_backend_description()}")
+            if host:
+                lines.append(f"  kernel backend : {self._kernel_backend_description()}")
         try:
             profile = self.profile()
         except (TypeError, ValueError):
@@ -846,7 +882,7 @@ class CompiledPlan:
                 f"|C(E_Λ)|={report.collect_optimized} (optimised), "
                 f"P={report.profitability_optimized:.1f}"
             )
-        return "\n".join(lines)
+        return lines
 
     def _ir_pipeline_description(self) -> Optional[str]:
         """Pass-by-pass static count deltas of the default IR pipeline.
@@ -908,14 +944,25 @@ def describe_generic_path(plan_: CompiledPlan) -> str:
     return "reference arithmetic, one sweep per time step"
 
 
+def _sweep_layouts(i: int, sweeps: int, original: bool = False) -> Tuple[str, str]:
+    """The layouts a 1-D :class:`~repro.backend.codegen.KernelProgram` reads
+    and writes in sweep ``i`` of ``sweeps`` over an original-layout grid:
+    the first sweep reads the original layout, the last writes it, and the
+    sweeps between stay in the transpose layout; ``original`` keeps every
+    sweep in the original layout."""
+    return (
+        "original" if original or i == 0 else "transpose",
+        "original" if original or i == sweeps - 1 else "transpose",
+    )
+
+
 def _replay_sweeps(compiled, values: np.ndarray, sweeps: int) -> np.ndarray:
     """``sweeps`` sweeps of an engine program over the original-layout
-    ``values``, into new arrays.
+    periodic ``values``, into new arrays.
 
     A 1-D :class:`~repro.backend.codegen.KernelProgram` moves between the
-    layouts itself: the first sweep reads the original layout, the last
-    writes it, and the sweeps between stay in the transpose layout.  Trace
-    replay runs between NumPy layout transforms.
+    layouts itself (:func:`_sweep_layouts`).  Trace replay runs between
+    NumPy layout transforms.
     """
     if sweeps == 0:
         return values.copy()
@@ -926,26 +973,28 @@ def _replay_sweeps(compiled, values: np.ndarray, sweeps: int) -> np.ndarray:
         return from_transpose_layout(data, compiled.vl)
     for i in range(sweeps):
         if compiled.dims == 1:
-            layouts = (
-                "original" if i == 0 else "transpose",
-                "original" if i == sweeps - 1 else "transpose",
-            )
-            values = compiled.replay(values, layouts=layouts)
+            values = compiled.replay(values, layouts=_sweep_layouts(i, sweeps))
         else:
             values = compiled.replay(values)
     return values
 
 
 def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
-    """Folded fast path: the native register-level schedule where it loaded,
-    the fold kernel elsewhere, with exact Dirichlet boundary handling.
+    """Folded fast path: one loop over the folded updates, then the
+    ``steps % m`` remainder.
 
-    Each folded update of a Dirichlet grid gets its band recomputed by
-    :func:`_fix_dirichlet_band`, and the ``steps % m`` remainder runs as
-    single reference steps (:func:`_reference_steps`): on the fold kernel's
-    compiled reference step, or on ``ndimage`` in a process without a fold
-    kernel.  Every engine returns the same bits, so the result never depends
-    on which ran, or on whether, or when, the background build finished.
+    Each folded update is one sweep of the plan's native program once it
+    has loaded (:meth:`CompiledPlan._native_program`), periodic and
+    Dirichlet grids alike, else one :meth:`FoldingSchedule.numpy_step`;
+    on a Dirichlet grid :func:`_fix_dirichlet_band` then recomputes its
+    band.  A 1-D native sweep of a periodic grid leaves the transpose
+    layout only at the run's ends; on a Dirichlet grid every sweep reads
+    and writes the original layout, the one the band recompute reads.  The
+    remainder runs as single reference steps (:func:`_reference_steps`):
+    on the fold kernel's compiled reference step, or on ``ndimage`` in a
+    process without a fold kernel.  Every engine returns the same bits, so
+    the result never depends on which ran, or on whether, or when, the
+    background build finished.
     """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
@@ -953,21 +1002,22 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
         # in-register m-step update, see repro.methods.profile_folded).
         return plan_.execute_generic(grid, steps)
     check_dims(plan_.spec, grid.values)
-    m = plan_.config.unroll
     schedule = plan_.schedule
-    sweeps, remainder = divmod(steps, m)
+    sweeps, remainder = divmod(steps, schedule.m)
     program = plan_._native_program(grid) if sweeps else None
-    if program is not None:
-        values = _replay_sweeps(program, grid.values, sweeps)
-    else:
-        # Every fold, band fix and reference step writes a new array; the
-        # grid is never written, so it is not copied either.
-        values = grid.values
-        for _ in range(sweeps):
+    dirichlet = grid.boundary is BoundaryCondition.DIRICHLET
+    # Every sweep, band fix and reference step writes a new array; the grid
+    # is never written, so it is not copied either.
+    values = grid.values
+    for i in range(sweeps):
+        if program is None:
             folded = schedule.numpy_step(values, grid.boundary)
-            if grid.boundary is BoundaryCondition.DIRICHLET:
-                folded = _fix_dirichlet_band(schedule, values, folded)
-            values = folded
+        else:
+            layouts = _sweep_layouts(i, sweeps, original=dirichlet)
+            folded = program.replay(values, layouts=layouts, boundary=grid.boundary)
+        if dirichlet:
+            folded = _fix_dirichlet_band(schedule, values, folded)
+        values = folded
     values = _reference_steps(schedule, values, grid, remainder)
     return values.copy() if values is grid.values else values
 
@@ -1052,7 +1102,7 @@ def _describe_folded(plan_: CompiledPlan) -> str:
     return (
         f"{plan_.config.unroll}-step temporal folding ({variant}): "
         + plan_._native_run_description()
-        + f"; the band and the steps % m remainder steps run on {band_status()}"
+        + "; on a Dirichlet grid each folded update's band is recomputed exactly"
     )
 
 

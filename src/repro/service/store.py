@@ -22,9 +22,15 @@ hits across process restarts.  Design points:
 * **JSON + NPZ blobs** — each entry is ``<kind>-<key>.json`` (the encoded
   value, :mod:`repro.service.serial`) plus an optional ``.npz`` sidecar
   holding large arrays (simulated grids) in binary.
-* **LRU size cap** — reads refresh an entry's mtime; when the tree exceeds
-  ``max_bytes`` after a write, least-recently-used entries are evicted until
-  it fits (the entry just written is exempt).
+* **LRU size cap** — the store keeps each entry's size and recency in
+  memory, filled by one scan of the directory when it opens (entries
+  ordered by their files' mtimes) and updated by its own saves, loads,
+  evictions and quarantines; a save never lists the directory.  Reads
+  also refresh the entry's mtime, so the order survives a restart.  When
+  the entries exceed ``max_bytes`` after a write, least-recently-used ones
+  are evicted until they fit (the entry just written is exempt).  The cap
+  counts the entries this object has seen: the service's server is the
+  only writer of its store.
 
 Chaos hooks: the ``store.write`` site may corrupt/truncate blob bytes on
 their way to disk and the ``store.read`` site may corrupt manifest bytes on
@@ -41,6 +47,7 @@ import tempfile
 import threading
 import time
 import zipfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -119,7 +126,8 @@ class ResultStore:
 
     Safe for concurrent readers/writers across threads and processes: blobs
     are immutable once placed, placement is atomic, and eviction tolerates
-    files disappearing underneath it.
+    files disappearing underneath it.  The size cap counts the entries this
+    object found when it opened and those it wrote or read since.
     """
 
     def __init__(self, root: os.PathLike | str, max_bytes: int = DEFAULT_MAX_BYTES):
@@ -137,7 +145,14 @@ class ResultStore:
         self._digest_failures = 0
         self._quarantined = 0
         self._quarantine_seq = 0
-        self._sweep_stale_tmp()
+        # stem -> bytes of the entry's files, least recently used first.
+        self._index: "OrderedDict[str, int]" = OrderedDict()
+        self._total = 0
+        listing = self._listing()
+        self._sweep_stale_tmp(listing)
+        for _, stem, size in self._entries(listing):
+            self._index[stem] = size
+            self._total += size
 
     # ------------------------------------------------------------------ #
     # paths
@@ -198,6 +213,7 @@ class ResultStore:
         except _CORRUPTION_ERRORS:
             return self._quarantine_miss(kind, key_hash)
         self._touch(kind, key_hash)
+        self._reindex(self._stem(kind, key_hash))
         with self._lock:
             self._hits += 1
         return True, value
@@ -263,10 +279,13 @@ class ResultStore:
                 injector.corrupt("store.write", manifest_bytes, context=context),
             )
         except InjectedFault:
+            self._reindex(self._stem(kind, key_hash))
             return False
         with self._lock:
             self._puts += 1
-        self._enforce_cap(keep=self._stem(kind, key_hash))
+        stem = self._stem(kind, key_hash)
+        self._reindex(stem)
+        self._enforce_cap(keep=stem)
         return True
 
     def contains(self, kind: str, key_hash: str) -> bool:
@@ -325,20 +344,18 @@ class ResultStore:
                     moved = True
                 except OSError:
                     pass
+        self._reindex(stem)
         if moved:
             with self._lock:
                 self._quarantined += 1
 
-    def _sweep_stale_tmp(self) -> None:
-        """Quarantine ``.tmp`` litter from writers that died mid-write.
+    def _sweep_stale_tmp(self, listing: List[Path]) -> None:
+        """Quarantine ``.tmp`` litter of ``listing`` from writers that died
+        mid-write.
 
         Only files older than :data:`STALE_TMP_SECONDS` move — younger ones
         may belong to a live concurrent writer about to ``os.replace``.
         """
-        try:
-            listing = list(self.dir.iterdir())
-        except OSError:
-            return
         cutoff = time.time() - STALE_TMP_SECONDS
         for path in listing:
             if path.suffix != ".tmp":
@@ -366,14 +383,18 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # LRU eviction
     # ------------------------------------------------------------------ #
-    def _entries(self) -> List[Tuple[float, str, int]]:
-        """(oldest mtime, stem, total bytes) per entry, least recent first."""
-        grouped: Dict[str, List[Path]] = {}
+    def _listing(self) -> List[Path]:
+        """The files of the current schema's directory (none when absent)."""
         try:
-            listing = list(self.dir.iterdir())
+            return list(self.dir.iterdir())
         except OSError:
             return []
-        for path in listing:
+
+    def _entries(self, listing: Optional[List[Path]] = None) -> List[Tuple[float, str, int]]:
+        """(oldest mtime, stem, total bytes) per entry on disk, least recent
+        first; from ``listing``, or from a new one."""
+        grouped: Dict[str, List[Path]] = {}
+        for path in self._listing() if listing is None else listing:
             if path.suffix in (".json", ".npz"):
                 grouped.setdefault(path.stem, []).append(path)
         rows = []
@@ -386,22 +407,42 @@ class ResultStore:
         rows.sort()
         return rows
 
-    def _enforce_cap(self, keep: str) -> None:
-        rows = self._entries()
-        total = sum(size for _, _, size in rows)
-        for _, stem, size in rows:
-            if total <= self.max_bytes:
-                break
-            if stem == keep:
-                continue
+    def _reindex(self, stem: str) -> None:
+        """Record the entry ``stem`` as the most recently used, with the
+        bytes its files hold now; forget it when it has none.  Under the
+        lock, so an eviction cannot unlink the files between the look and
+        the record."""
+        with self._lock:
+            self._total -= self._index.pop(stem, 0)
+            size, found = 0, False
             for suffix in (".json", ".npz"):
                 try:
-                    os.unlink(self.dir / f"{stem}{suffix}")
+                    size += (self.dir / f"{stem}{suffix}").stat().st_size
+                    found = True
                 except OSError:
                     pass
-            total -= size
-            with self._lock:
+            if found:
+                self._index[stem] = size
+                self._total += size
+
+    def _enforce_cap(self, keep: str) -> None:
+        with self._lock:
+            excess = self._total - self.max_bytes
+            victims = []
+            for stem, size in self._index.items():
+                if excess <= 0:
+                    break
+                if stem != keep:
+                    victims.append(stem)
+                    excess -= size
+            for stem in victims:
+                self._total -= self._index.pop(stem)
                 self._evictions += 1
+                for suffix in (".json", ".npz"):
+                    try:
+                        os.unlink(self.dir / f"{stem}{suffix}")
+                    except OSError:
+                        pass
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -429,6 +470,9 @@ class ResultStore:
                     os.unlink(self.dir / f"{stem}{suffix}")
                 except OSError:
                     pass
+        with self._lock:
+            self._index.clear()
+            self._total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats

@@ -123,7 +123,9 @@ def _execute_plan(payload: Dict[str, Any]) -> Dict[str, Any]:
         "steps_per_update": plan.steps_per_update,
         "linear": plan.spec.linear,
         "dims": plan.spec.dims,
-        "explain": plan.explain(),
+        # The plan's own lines: a result is a function of its request key,
+        # not of what the worker built before or of the host's caches.
+        "explain": "\n".join(plan._explain_lines(host=False)),
     }
     if plan.spec.linear:
         report = plan.folding_report()

@@ -45,7 +45,7 @@ from repro.backend import (
     kernel_content_key,
     native,
 )
-from repro.backend.codegen import KernelProgram, NativeProgram
+from repro.backend.codegen import KernelProgram, NativeProgram, wait_for_builds
 from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import CompiledSweep, PassManager, compile_sweep, lower_schedule
@@ -277,6 +277,28 @@ class TestNativeTarget:
         values = _grid("2d-heat")
         trace = compile_sweep(p.schedule, AVX2, optimize=True)
         np.testing.assert_array_equal(bits(kernel.replay(values)), bits(trace.replay(values)))
+
+    @pytest.mark.parametrize("key", ["1d5p", "2d9p", "3d27p"])
+    def test_ir_replay_refuses_a_dirichlet_sweep(self, fresh_kernels, monkeypatch, key):
+        """IR replay wraps: it names why it cannot sweep a Dirichlet grid
+        instead of sweeping it as a periodic one."""
+        monkeypatch.setattr(native, "find_c_compiler", lambda: None)
+        program = compile_kernel(FoldingSchedule(BENCHMARKS[key].spec, 1), AVX2)
+        assert program.native is None
+        values = Grid.random(ENGINE_SHAPES[program.dims], seed=0).values
+        message = (
+            "periodic grids only, and this program has no native code for a Dirichlet "
+            "grid (no C compiler on PATH)"
+        )
+        for boundary in (DIRICHLET, "dirichlet"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                program.replay(values, layouts=("original", "original"), boundary=boundary)
+        with pytest.raises(ValueError, match="neumann"):
+            program.replay(values, boundary="neumann")
+        periodic = program.replay(values, layouts=("original", "original"), boundary=PERIODIC)
+        np.testing.assert_array_equal(
+            bits(periodic), bits(program.replay(values, layouts=("original", "original")))
+        )
 
     @pytest.mark.skipif(sys.platform == "win32", reason="the stand-in compiler is a shell script")
     def test_failed_build_replays_with_the_first_error_line(
@@ -510,6 +532,22 @@ class TestPlanBackend:
                 p.simulate(grid, m, backend=backend)
             for steps in (0, 1, m):
                 with pytest.raises(ValueError, match=re.escape(message)):
+                    p.run(grid, steps, backend=backend)
+
+    def test_engines_refuse_dirichlet_grids_once_the_native_program_loaded(self, native_build):
+        """The default run() sweeps the Dirichlet grid natively; the named
+        engines keep refusing it, whatever steps."""
+        p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
+        grid = Grid.random((8, 8), boundary=DIRICHLET, seed=0)
+        p.run(grid, 2)
+        assert wait_for_builds(timeout=600)
+        assert p._native_program(grid) is not None
+        message = "requires periodic boundaries"
+        for backend in ("kernel", "trace", "interpret"):
+            with pytest.raises(ValueError, match=message):
+                p.simulate(grid, 2, backend=backend)
+            for steps in (0, 1, 2):
+                with pytest.raises(ValueError, match=message):
                     p.run(grid, steps, backend=backend)
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,60 @@ class TestResultStore:
         assert store.stats.evictions > 0
         assert store.contains("simulate", "hot")
         assert not store.contains("simulate", "cold0")
+
+    def test_saves_and_loads_do_not_list_the_directory(self, tmp_path, monkeypatch):
+        """The cap reads the store's own record of its entries: only opening
+        the store lists the directory (and ``stats``, which this test does
+        not read until the end)."""
+        store = ResultStore(tmp_path / "store", max_bytes=64 * 1024)
+        listings = []
+        iterdir = Path.iterdir
+
+        def counted(path):
+            listings.append(path)
+            return iterdir(path)
+
+        monkeypatch.setattr(Path, "iterdir", counted)
+        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
+        for i in range(120):
+            assert store.save("simulate", f"k{i}", {"values": blob + i})
+            if i % 3 == 0:
+                assert store.load("simulate", f"k{i}")[0]
+        assert listings == []
+        stats = store.stats
+        assert stats.evictions == 118 and stats.entries == 2
+        assert stats.bytes <= store.max_bytes
+        assert store.contains("simulate", "k119") and store.contains("simulate", "k118")
+
+    def test_concurrent_saves_keep_the_record_equal_to_the_disk(self, tmp_path):
+        """Eight threads saving and loading under the cap: the store's
+        record of its entries ends equal to what the directory holds."""
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path / "store", max_bytes=200 * 1024)
+        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
+
+        def work(t):
+            for i in range(25):
+                store.save("simulate", f"t{t}-{i}", {"values": blob + i})
+                store.load("simulate", f"t{t}-{i // 2}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        on_disk = {stem: size for _, stem, size in store._entries()}
+        assert dict(store._index) == on_disk
+        assert store._total == sum(on_disk.values()) <= store.max_bytes
+        assert store.stats.evictions == 200 - len(on_disk)
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -49,8 +49,35 @@ class TestExecutePayload:
         plan = repro.plan("1d-heat").method("folded").isa("avx2").unroll(4).compile()
         assert result["label"] == plan.label
         assert result["steps_per_update"] == plan.steps_per_update
-        assert result["explain"] == plan.explain()
+        # explain() less what reads the process and the host: the engine
+        # state ending the execution path line, the fold kernel and kernel
+        # backend lines.
+        lines = plan.explain().splitlines()
+        (path,) = [i for i, line in enumerate(lines) if line.startswith("  execution path :")]
+        lines[path] = lines[path].split("; native program: ")[0]
+        host = ("  fold kernel    :", "  kernel backend :")
+        assert result["explain"].splitlines() == [
+            line for line in lines if not line.startswith(host)
+        ]
         assert result["profitability"]["collect_optimized"] > 0
+
+    def test_plan_result_does_not_depend_on_what_the_worker_ran_before(self):
+        """A run() and its native build between two identical requests
+        change nothing in the result, and no host path reaches it."""
+        from repro.backend import clear_kernel_cache
+        from repro.backend.codegen import wait_for_builds
+
+        assert wait_for_builds(timeout=600)
+        clear_kernel_cache()  # no build of this configuration yet
+        payload = _payload(
+            {"kind": "plan", "stencil": "2d9p", "method": "folded", "isa": "avx2", "m": 2}
+        )
+        first = execute_payload(payload)
+        plan = repro.plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
+        plan.run(repro.Grid.random((16, 16), seed=0), 2)
+        assert wait_for_builds(timeout=600)
+        assert execute_payload(payload) == first
+        assert ".so" not in first["explain"] and "native program:" not in first["explain"]
 
     def test_estimate_matches_direct_api(self):
         result = execute_payload(
