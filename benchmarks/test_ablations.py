@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices of the paper's scheme.
 
 Each ablation isolates one ingredient of the paper's scheme and quantifies
 its contribution through the performance model:

@@ -12,9 +12,7 @@ This is a thin wrapper around :mod:`repro.harness.runner`; the same code
 backs the pytest benchmarks, so the rows printed here are identical to the
 rows asserted there.  Each artefact is a declarative :mod:`repro.study`
 sweep — see ``examples/custom_machine_study.py`` for running them (and your
-own sweeps) on machines other than the paper's Xeon Gold 6140.  See
-``EXPERIMENTS.md`` for the comparison against the numbers reported in the
-paper.
+own sweeps) on machines other than the paper's Xeon Gold 6140.
 """
 
 from __future__ import annotations

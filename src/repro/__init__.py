@@ -6,7 +6,7 @@ computation folding (with shifts reuse, tessellate-tiling integration and the
 linear-regression generalisation for arbitrary stencils), the baselines it
 compares against (multiple loads, data reorganisation, DLT, SDSL) and the
 substrates needed to evaluate everything from Python: a simulated SIMD
-machine with instruction accounting, a cache-hierarchy model and an analytic
+machine with instruction accounting, an analytic cache model and an analytic
 multicore performance model mirroring the paper's Xeon Gold 6140.
 
 Quick start
@@ -115,7 +115,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "MachineSpec",

@@ -73,6 +73,7 @@ __all__ = [
     "NativeProgram",
     "emit_c",
     "compile_kernel",
+    "cached_kernel",
     "kernel_content_key",
     "kernel_cache_stats",
     "clear_kernel_cache",
@@ -161,10 +162,6 @@ static inline const double *repro_row(const double *x, const double *zero, int64
 """
 
 _BINARY = {"mul": "*", "add": "+", "sub": "-"}
-
-
-def _offset_name(prefix: str, *offsets: int) -> str:
-    return prefix + "_".join(f"m{-o}" if o < 0 else f"p{o}" for o in offsets)
 
 
 def _emit_ops(
@@ -608,6 +605,13 @@ def compile_kernel(
         _CACHE_MISSES += 1
         _KERNEL_CACHE[key] = program
     return program
+
+
+def cached_kernel(ir: ScheduleIR) -> Optional[KernelProgram]:
+    """The content-key cache's program for ``ir``, or ``None``; builds nothing."""
+    key = kernel_content_key(ir)
+    with _CACHE_LOCK:
+        return _KERNEL_CACHE.get(key)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,29 +1,15 @@
-"""Cache hierarchy substrate.
+"""Analytic cache model.
 
 The paper's performance arguments are about *data movement*: how many bytes
 must cross each level of the cache hierarchy per stencil update, and how the
 transpose layout / temporal folding / tessellate tiling change that number.
-Real hardware counters are unavailable here, so this subpackage provides:
-
-* :mod:`repro.cache.hierarchy` — configuration objects derived from a
-  :class:`repro.machine.MachineSpec`,
-* :mod:`repro.cache.simulator` — an exact set-associative, write-back,
-  write-allocate LRU simulator used on small grids to validate the analytic
-  model and to expose locality differences between data layouts,
-* :mod:`repro.cache.analytic` — a working-set traffic model used at the
-  paper's problem sizes (where exact simulation from Python is infeasible),
-* :mod:`repro.cache.irprofile` — the register-level schedules' own memory
-  profile and exact byte-address streams, expanded from the typed IR's
-  load/store tags (:mod:`repro.ir`) so the cache picture, the replay and
-  the instruction tallies all come from one program.
+Real hardware counters are unavailable here, so :mod:`repro.cache.analytic`
+provides a working-set traffic model at the paper's problem sizes: which
+level a problem (or one sweep's reuse slab) is resident in, and the bytes per
+point per step that cross each level boundary.  The cost model
+(:mod:`repro.perfmodel`) reads it for every harness figure and for the tuner.
 """
 
-from repro.cache.hierarchy import CacheConfig, hierarchy_from_machine
-from repro.cache.simulator import (
-    CacheHierarchySimulator,
-    CacheLevelStats,
-    stencil_access_stream,
-)
 from repro.cache.analytic import (
     TrafficEstimate,
     estimate_traffic,
@@ -31,19 +17,11 @@ from repro.cache.analytic import (
     residency_level,
     sweep_reuse_level,
 )
-from repro.cache.irprofile import ir_access_stream, ir_memory_profile
 
 __all__ = [
-    "ir_access_stream",
-    "ir_memory_profile",
-    "CacheConfig",
-    "hierarchy_from_machine",
-    "CacheHierarchySimulator",
-    "CacheLevelStats",
     "TrafficEstimate",
     "estimate_traffic",
     "neighborhood_working_set_bytes",
     "residency_level",
-    "stencil_access_stream",
     "sweep_reuse_level",
 ]

@@ -229,16 +229,23 @@ def load_fold_kernel() -> Optional[FoldKernel]:
 
 
 def fold_kernel_status() -> str:
-    """``compiled (<cached .so path>)`` or ``numpy (<reason>)``."""
-    return _decided()[1]
+    """``compiled (<cached .so path>)`` or ``numpy (<reason>)``, and ``not
+    loaded yet`` until the process's first fold decided; decides nothing."""
+    decision = _decision
+    if decision is None:
+        return "not loaded yet (the process's first fold decides)"
+    return decision[1]
 
 
 def band_status() -> str:
     """Where the Dirichlet band and the remainder steps of ``run()`` run:
     ``the fold kernel's compiled reference step``, or ``ndimage (<the
     reason the process has no fold kernel>)``.  Read from the same decision
-    as :func:`fold_kernel_status`."""
-    kernel, status = _decided()
+    as :func:`fold_kernel_status`, and decides nothing either."""
+    decision = _decision
+    if decision is None:
+        return "what the process's first fold decides (the fold kernel is not loaded yet)"
+    kernel, status = decision
     if kernel is not None:
         return "the fold kernel's compiled reference step"
     return f"ndimage ({status.removeprefix('numpy (').removesuffix(')')})"

@@ -165,9 +165,10 @@ def arithmetically_profitable(spec: StencilSpec, m: int) -> bool:
     only reduces arithmetic when its optimised collect stays below that —
     true for box stencils (9 ≤ 18 for the 2-step 9-point box), false for
     sparse star stencils whose folded support grows faster than their point
-    count.  The engine's folded method falls back to the in-register
-    multi-step schedule when this predicate is false, so "Our (2 steps)"
-    never does more arithmetic than "Our".
+    count.  Only the cost model reads it: when it is false,
+    :func:`~repro.methods.profile_folded` prices the folded method as
+    :func:`~repro.methods.profile_transpose` with its loads and stores
+    divided by ``m``.  Every engine still executes the folded schedule.
     """
     if not spec.linear:
         return False
@@ -211,53 +212,3 @@ def analyze_folding(spec: StencilSpec, m: int) -> ProfitabilityReport:
         profitability_folded=naive / folded,
         profitability_optimized=naive / best,
     )
-
-
-def optimal_unroll(
-    spec: StencilSpec,
-    max_m: int = 4,
-    register_budget: Optional[int] = None,
-    lanes: int = 4,
-) -> int:
-    """Choose the unrolling factor with the best profitability per register.
-
-    The paper fixes ``m = 2`` for its evaluation; larger ``m`` keeps reducing
-    arithmetic but enlarges the folded neighbourhood (radius ``m·r``), which
-    raises the number of simultaneously live vectors during the vertical
-    folding.  This helper scores each ``m`` by profitability and rejects
-    values whose live-vector requirement exceeds ``register_budget`` (when
-    given), returning the best feasible ``m``.
-
-    Parameters
-    ----------
-    spec:
-        Linear stencil.
-    max_m:
-        Largest unrolling factor to consider.
-    register_budget:
-        Architectural vector registers available (16 for AVX-2, 32 for
-        AVX-512); ``None`` disables the pressure check.
-    lanes:
-        Vector length, used to estimate live vectors per square.
-    """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    best_m = 1
-    best_score = 0.0
-    for m in range(1, max_m + 1):
-        if m == 1:
-            score = 1.0
-        else:
-            score = profitability(spec, m)
-        if register_budget is not None:
-            radius = m * spec.radius
-            # vertical folding keeps the loaded rows (lanes + 2·R), the
-            # counterpart under construction and a handful of weight
-            # broadcasts live at once.
-            live = (lanes + 2 * radius) + lanes + 3
-            if live > register_budget:
-                continue
-        if score > best_score:
-            best_score = score
-            best_m = m
-    return best_m

@@ -240,7 +240,7 @@ class PlanBuilder:
     ):
         """Staged search over the plan's configuration space.
 
-        Generates every valid ``(method, m, isa, tiling, pipeline, backend)``
+        Generates every valid ``(method, m, isa, tiling)``
         candidate (axes pinned on this builder — ``.method()``, ``.isa()``,
         ``.unroll()``, ``.tile()`` — stay fixed), scores each with the IR
         cost model (predict stage), prunes unprofitable candidates, measures
@@ -811,14 +811,15 @@ class CompiledPlan:
         Besides the plan, three parts read this process and host: the end of
         the ``execution path`` line (the native program's build, and where
         the band and the remainder steps run), the ``fold kernel`` line and
-        the ``kernel backend`` line.
+        the ``kernel backend`` line.  They report state only: ``explain()``
+        starts no build and loads no library.
         """
         return "\n".join(self._explain_lines(host=True))
 
     def _explain_lines(self, host: bool) -> List[str]:
         """The lines of :meth:`explain`; ``host=False`` leaves out the parts
         that read the process and the host, so the text depends on the plan
-        alone (the service's ``plan`` results carry it), and builds nothing."""
+        alone (the service's ``plan`` results carry it)."""
         spec, config = self.spec, self.config
         lines = [
             f"CompiledPlan for {spec.name!r} "
@@ -897,15 +898,10 @@ class CompiledPlan:
             or self.spec.dims not in self.descriptor.simulation_dims
         ):
             return None
-        try:
-            compiled = self._compiled(
-                "trace", self.schedule, self.isa_spec, self.spec.dims, optimize=True
-            )
-        except ValueError:
+        lowered = self.schedule._lowered_ir(self.isa_spec.vector_lanes, True)
+        if lowered is None or not lowered[1]:
             return None
-        reports = compiled.pass_reports
-        if not reports:
-            return None
+        reports = lowered[1]
         before = reports[0].counts_before.total
         after = reports[-1].counts_after.total
         effective = [
@@ -915,12 +911,13 @@ class CompiledPlan:
         return f"{before:g} → {after:g} static ops ({detail})"
 
     def _kernel_backend_description(self) -> str:
-        """How ``backend="kernel"`` runs the plan's default-pipeline program:
-        :attr:`KernelProgram.status <repro.backend.codegen.KernelProgram.status>`,
-        ``native (<cached .so>, <ISA flags>)`` or ``ir replay (<reason>)``."""
-        return self._compiled(
-            "kernel", self.schedule, self.isa_spec, self.spec.dims, optimize=True
-        ).status
+        """How ``backend="kernel"`` runs the plan's default-pipeline program
+        once the process built it: :attr:`KernelProgram.status
+        <repro.backend.codegen.KernelProgram.status>`, ``native (<cached .so>,
+        <ISA flags>)`` or ``ir replay (<reason>)``; starts no build."""
+        ir, _ = self.schedule._lowered_ir(self.isa_spec.vector_lanes, True)
+        program = codegen.cached_kernel(ir)
+        return "not built in this process" if program is None else program.status
 
     def _path_description(self) -> str:
         if self.descriptor.describe_path is not None:

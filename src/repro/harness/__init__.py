@@ -21,8 +21,7 @@ Table 3     :func:`repro.harness.experiments.table3` — 36-core speedups over
 ==========  ===============================================================
 
 :mod:`repro.harness.runner` exposes a registry keyed by those names and
-:mod:`repro.harness.report` renders results as aligned text tables (the same
-rows are written into ``EXPERIMENTS.md``).
+:mod:`repro.harness.report` renders results as aligned text tables.
 """
 
 from repro.harness.experiments import (

@@ -3,9 +3,9 @@
 Each function reproduces one table or figure of Section 4 and returns an
 :class:`ExperimentResult` whose rows mirror the series of the original
 artefact.  Absolute GFLOP/s values come from the analytic performance model
-(the substrate substitution documented in ``DESIGN.md``); the assertions the
-benchmark suite makes are about the *shape* of the results — method
-orderings, crossover points, scaling behaviour — which is what a
+(the substrate substitution the README's introduction names); the
+assertions the benchmark suite makes are about the *shape* of the results —
+method orderings, crossover points, scaling behaviour — which is what a
 reproduction on a different substrate can meaningfully claim.
 
 Every experiment is a thin :mod:`repro.study` definition: the sweep axes

@@ -1,10 +1,9 @@
 """Rendering of experiment results.
 
 Turns the row dictionaries produced by :mod:`repro.harness.experiments` into
-aligned text tables suitable for the terminal and for pasting into
-``EXPERIMENTS.md``.  The formatting is intentionally stable (fixed column
-order, fixed float precision) so diffs of regenerated experiment output stay
-readable.
+aligned text tables suitable for the terminal and for pasting into Markdown.
+The formatting is intentionally stable (fixed column order, fixed float
+precision) so diffs of regenerated experiment output stay readable.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ Consumers: :meth:`repro.core.plan.CompiledPlan.simulate` replays the IR,
 port-pressure cost model reads its steady-state per-point mix
 (:meth:`ScheduleIR.steady_counts_per_point` via
 :meth:`~repro.core.vectorized_folding.FoldingSchedule.instruction_profile`)
-and the cache layer expands its memory tags into exact address streams
-(:mod:`repro.cache.irprofile`).
+and :mod:`repro.backend.codegen` emits it as C for the native kernel target.
 """
 
 from repro.ir.dependency import DependencyGraph, MemoryRef

@@ -155,9 +155,7 @@ class CompiledSweep:
         if not isinstance(ir, ScheduleIR):
             raise TypeError(
                 "CompiledSweep executes a lowered ScheduleIR; use "
-                "compile_sweep(schedule, isa) to lower and compile a "
-                "FoldingSchedule (the historical CompiledSweepND(schedule, "
-                "isa) constructors were collapsed into it)"
+                "compile_sweep(schedule, isa) to lower and compile a FoldingSchedule"
             )
         self.ir = ir
         self.schedule = schedule

@@ -309,15 +309,6 @@ class ScheduleIR:
         """Largest per-segment peak register pressure."""
         return max((seg.peak_live for seg in self.segments), default=0)
 
-    def memory_ops(self) -> List[Tuple[str, IrOp]]:
-        """All architectural memory ops as ``(segment name, op)`` pairs."""
-        out: List[Tuple[str, IrOp]] = []
-        for seg in self.segments:
-            for op in seg.ops:
-                if op.is_memory:
-                    out.append((seg.name, op))
-        return out
-
     # ------------------------------------------------------------------ #
     # structural validation
     # ------------------------------------------------------------------ #

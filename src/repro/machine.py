@@ -41,7 +41,7 @@ class CacheLevelSpec:
     line_bytes:
         Cache line size in bytes.
     associativity:
-        Number of ways; used by the exact simulator in :mod:`repro.cache`.
+        Number of ways per set (descriptive; no model reads it).
     latency_cycles:
         Load-to-use latency in core cycles.
     bandwidth_bytes_per_cycle:
@@ -120,7 +120,7 @@ class MachineSpec:
     memory_bandwidth_gbs:
         Sustained DRAM bandwidth per socket in GB/s.
     memory_latency_cycles:
-        DRAM access latency in core cycles (used by the exact simulator).
+        DRAM access latency in core cycles (descriptive; no model reads it).
     frequency:
         Clock behaviour, including AVX-512 throttling.
     fma_ports:

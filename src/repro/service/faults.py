@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -360,15 +360,6 @@ class FaultInjector:
                 "injected": {site: dict(kinds) for site, kinds in sorted(self._injected.items())},
                 "total_injected": self._log_total,
             }
-
-    def reset_counters(self) -> None:
-        """Zero every counter and the log (the rules and seed stay)."""
-        with self._lock:
-            self._invocations.clear()
-            self._injected.clear()
-            self._fires.clear()
-            self._log.clear()
-            self._log_total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"

@@ -35,7 +35,6 @@ import argparse
 import asyncio
 import json
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, field

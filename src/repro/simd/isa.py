@@ -140,11 +140,6 @@ class IsaSpec:
         """Register width in bytes."""
         return self.vector_lanes * 8
 
-    @property
-    def lanes_per_128(self) -> int:
-        """Number of doubles per 128-bit lane (always 2)."""
-        return 2
-
     def timing(self, cls: InstructionClass) -> InstructionTiming:
         """Return the timing entry for instruction class ``cls``."""
         return self.timings[cls]

@@ -97,23 +97,3 @@ def reference_run(
     for _ in range(steps):
         values = reference_step(spec, values, grid.boundary, aux=grid.aux)
     return values
-
-
-def folded_reference_step(
-    spec: StencilSpec,
-    values: np.ndarray,
-    boundary: BoundaryCondition,
-    m: int,
-) -> np.ndarray:
-    """Advance ``values`` by ``m`` steps in a single composed-kernel application.
-
-    This is the *mathematical* statement of temporal computation folding
-    (Section 3 of the paper): one application of the m-fold self-convolved
-    kernel.  For periodic boundaries it is exactly equivalent to ``m`` single
-    steps everywhere; for Dirichlet boundaries it is exact only at interior
-    points at distance ``>= (m - 1) * r`` from the boundary — the engine
-    recomputes the remaining band step-by-step (see
-    the folded executor in :mod:`repro.core.plan`).  Only defined for linear stencils.
-    """
-    folded = spec.compose(m)
-    return linear_sum(folded, values, boundary)

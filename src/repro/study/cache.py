@@ -231,20 +231,6 @@ class EvalCache:
         if persist and self._store is not None:
             self._store_save(kind, key_parts, value)
 
-    def load_persistent(self, kind: str, key_parts: Any) -> Tuple[bool, Any]:
-        """Look up the backing store directly (no memory-table promotion).
-
-        Counts as a store hit when found; ``(False, None)`` without a store.
-        """
-        if self._store is None:
-            return False, None
-        found, value = self._store_load(kind, key_parts)
-        if found:
-            with self._lock:
-                self._store_hits += 1
-                self._kind_counts(kind)[2] += 1
-        return found, value
-
     # ------------------------------------------------------------------ #
     # pipeline stages
     # ------------------------------------------------------------------ #

@@ -1,7 +1,5 @@
 """Tiling frameworks.
 
-* :mod:`repro.tiling.spatial` — plain rectangular spatial blocking (no
-  temporal reuse), used as a building block and for ablations,
 * :mod:`repro.tiling.tessellate` — tessellate tiling (Yuan et al., SC'17),
   the temporal tiling framework the paper integrates its vectorization with:
   the iteration space is covered by ``d + 1`` stages of tiles
@@ -16,7 +14,6 @@
 """
 
 from repro.tiling.schedule import Tile, TileStage, TileSchedule
-from repro.tiling.spatial import spatial_blocks, blocked_reference_run
 from repro.tiling.tessellate import (
     TessellationConfig,
     build_tessellation,
@@ -28,8 +25,6 @@ __all__ = [
     "Tile",
     "TileStage",
     "TileSchedule",
-    "spatial_blocks",
-    "blocked_reference_run",
     "TessellationConfig",
     "build_tessellation",
     "tessellate_run",

@@ -3,8 +3,7 @@
 The paper reports its evaluation as tables (Table 2, Table 3) and figures
 whose data series the harness prints as rows.  ``format_table`` renders a
 list of dictionaries (or a header plus rows) into an aligned, pipe-separated
-table that reads well both in a terminal and when pasted into
-``EXPERIMENTS.md``.
+table that reads well both in a terminal and when pasted into Markdown.
 """
 
 from __future__ import annotations

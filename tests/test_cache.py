@@ -1,13 +1,13 @@
-"""Tests for the cache hierarchy substrate (repro.cache)."""
+"""Tests for the analytic cache model (repro.cache)."""
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cache.analytic import (
+    STREAM_BYTES_NO_ALLOCATE,
     STREAM_BYTES_PER_POINT,
     estimate_traffic,
     neighborhood_working_set_bytes,
@@ -15,263 +15,7 @@ from repro.cache.analytic import (
     residency_level,
     sweep_reuse_level,
 )
-from repro.cache.hierarchy import CacheConfig, hierarchy_from_machine, level_capacities
-from repro.cache.simulator import CacheHierarchySimulator, stencil_access_stream
-from repro.machine import XEON_GOLD_6140_AVX2
-
-
-class TestHierarchyConfig:
-    def test_geometry_derivation(self):
-        cfg = CacheConfig(name="L1", capacity_bytes=32 * 1024, line_bytes=64, associativity=8)
-        assert cfg.num_lines == 512
-        assert cfg.num_sets == 64
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            CacheConfig(name="bad", capacity_bytes=0, line_bytes=64, associativity=8)
-        with pytest.raises(ValueError):
-            CacheConfig(name="bad", capacity_bytes=100, line_bytes=64, associativity=3)
-
-    def test_hierarchy_from_machine(self):
-        levels = hierarchy_from_machine(XEON_GOLD_6140_AVX2)
-        assert [lvl.name for lvl in levels] == ["L1", "L2", "L3"]
-        assert levels[0].capacity_bytes == 32 * 1024
-
-    def test_l3_partitioning_across_cores(self):
-        full = hierarchy_from_machine(XEON_GOLD_6140_AVX2, cores_sharing_l3=1)
-        shared = hierarchy_from_machine(XEON_GOLD_6140_AVX2, cores_sharing_l3=18)
-        assert shared[2].capacity_bytes < full[2].capacity_bytes
-        assert shared[0].capacity_bytes == full[0].capacity_bytes
-
-    def test_level_capacities_ends_with_memory(self):
-        caps = level_capacities(XEON_GOLD_6140_AVX2)
-        assert caps[-1][0] == "Memory"
-        assert [c[0] for c in caps[:-1]] == ["L1", "L2", "L3"]
-
-
-def _tiny_hierarchy():
-    """A miniature two-level hierarchy for fast exact simulation."""
-    return CacheHierarchySimulator(
-        [
-            CacheConfig(name="L1", capacity_bytes=512, line_bytes=64, associativity=2),
-            CacheConfig(name="L2", capacity_bytes=2048, line_bytes=64, associativity=4),
-        ]
-    )
-
-
-class TestExactSimulator:
-    def test_repeat_access_hits(self):
-        sim = _tiny_hierarchy()
-        sim.access(0)
-        sim.access(0)
-        stats = sim.stats_by_name()
-        assert stats["L1"].hits == 1
-        assert stats["L1"].misses == 1
-        assert sim.dram_reads == 1
-
-    def test_line_granularity(self):
-        sim = _tiny_hierarchy()
-        sim.access(0)
-        sim.access(8)  # same 64-byte line
-        assert sim.stats_by_name()["L1"].hits == 1
-
-    def test_capacity_eviction_and_lru(self):
-        sim = _tiny_hierarchy()
-        # L1 has 8 lines in 4 sets of 2 ways; touching 3 lines mapping to the
-        # same set evicts the least recently used one.
-        num_sets = 4
-        for k in range(3):
-            sim.access(k * num_sets * 64)
-        sim.access(0)  # line 0 was evicted -> L1 miss, L2 hit
-        stats = sim.stats_by_name()
-        assert stats["L1"].misses == 4
-        assert stats["L2"].hits == 1
-
-    def test_writeback_counted(self):
-        sim = _tiny_hierarchy()
-        num_sets_l2 = 8
-        # Dirty a line, then evict it from both levels by filling its sets.
-        sim.access(0, is_write=True)
-        for k in range(1, 6):
-            sim.access(k * num_sets_l2 * 64 * 1, is_write=False)
-        # The victim accounting never loses bytes: writebacks <= evictions.
-        stats = sim.stats_by_name()
-        assert stats["L2"].evictions >= stats["L2"].writebacks
-
-    def test_invariants_hits_plus_misses(self):
-        sim = _tiny_hierarchy()
-        rng = np.random.default_rng(0)
-        addresses = rng.integers(0, 512, size=300) * 8  # aligned doubles
-        for addr in addresses:
-            sim.access(int(addr), is_write=bool(addr % 3 == 0))
-        l1 = sim.stats_by_name()["L1"]
-        assert l1.accesses == 300
-        assert 0.0 <= l1.hit_rate <= 1.0
-        # every L1 miss is an L2 access
-        assert sim.stats_by_name()["L2"].accesses == l1.misses
-
-    def test_sweep_and_touch_array(self):
-        sim = _tiny_hierarchy()
-        sim.sweep_array(0, 64, itemsize=8)  # 512 bytes = 8 lines
-        assert sim.stats_by_name()["L1"].accesses == 8
-        sim.reset_stats()
-        sim.touch_array(0, range(8), itemsize=8)
-        assert sim.stats_by_name()["L1"].accesses == 8
-
-    def test_flush_forces_cold_misses(self):
-        sim = _tiny_hierarchy()
-        sim.access(0)
-        sim.flush()
-        sim.access(0)
-        assert sim.stats_by_name()["L1"].misses == 2
-
-    def test_invalid_inputs(self):
-        sim = _tiny_hierarchy()
-        with pytest.raises(ValueError):
-            sim.access(0, size=0)
-        with pytest.raises(ValueError):
-            CacheHierarchySimulator([])
-
-    @settings(deadline=None, max_examples=20)
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    def test_streaming_locality_beats_random(self, seed):
-        """Property: a sequential sweep has a hit rate >= a random access pattern."""
-        rng = np.random.default_rng(seed)
-        seq = _tiny_hierarchy()
-        for i in range(256):
-            seq.access(i * 8)
-        rand = _tiny_hierarchy()
-        for addr in rng.integers(0, 256 * 8, size=256):
-            rand.access(int(addr))
-        assert seq.stats_by_name()["L1"].hit_rate >= rand.stats_by_name()["L1"].hit_rate
-
-
-class TestVectorizedFrontEnd:
-    """access_stream / touch_array must equal the per-access oracle exactly."""
-
-    @settings(deadline=None, max_examples=25)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_random_stream_equals_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 400))
-        addrs = rng.integers(0, 4096, size=n)
-        writes = rng.random(n) < 0.3
-        size = int(rng.choice([4, 8, 16]))  # 16 can cross line boundaries
-        oracle, fast = _tiny_hierarchy(), _tiny_hierarchy()
-        for addr, w in zip(addrs, writes):
-            oracle.access(int(addr), size, bool(w))
-        fast.access_stream(addrs, size=size, is_write=writes)
-        for a, b in zip(oracle.levels, fast.levels):
-            assert (a.hits, a.misses, a.evictions, a.writebacks) == (
-                b.hits,
-                b.misses,
-                b.evictions,
-                b.writebacks,
-            )
-        assert (oracle.dram_reads, oracle.dram_writes) == (fast.dram_reads, fast.dram_writes)
-
-    def test_repeated_line_runs_collapse_to_identical_stats(self):
-        # A hot burst on one line: first access walks the hierarchy, the
-        # rest are credited as guaranteed L1 hits (with dirty propagation).
-        oracle, fast = _tiny_hierarchy(), _tiny_hierarchy()
-        addrs = np.array([0, 8, 16, 24, 128, 0], dtype=np.int64)
-        writes = np.array([False, False, True, False, False, False])
-        for addr, w in zip(addrs, writes):
-            oracle.access(int(addr), 8, bool(w))
-        fast.access_stream(addrs, size=8, is_write=writes)
-        assert fast.stats_by_name()["L1"].hits == oracle.stats_by_name()["L1"].hits == 4
-        # The collapsed write must have dirtied line 0: evicting it from both
-        # levels afterwards produces the same writeback count (> 0).
-        for sim in (oracle, fast):
-            for k in range(1, 9):
-                sim.access(k * 4 * 64)  # same L1 set as line 0, force eviction
-        assert oracle.stats_by_name()["L1"].writebacks > 0
-        assert fast.stats_by_name()["L1"].writebacks == oracle.stats_by_name()["L1"].writebacks
-
-    def test_touch_array_accepts_numpy_indices(self):
-        oracle, fast = _tiny_hierarchy(), _tiny_hierarchy()
-        idx = np.arange(64) % 16
-        for i in idx:
-            oracle.access(8 * int(i), 8, False)
-        fast.touch_array(0, idx, itemsize=8)
-        assert fast.stats_by_name()["L1"].accesses == oracle.stats_by_name()["L1"].accesses == 64
-        assert fast.stats_by_name()["L1"].hits == oracle.stats_by_name()["L1"].hits
-
-    def test_touch_array_accepts_generators_and_ranges(self):
-        a, b = _tiny_hierarchy(), _tiny_hierarchy()
-        a.touch_array(0, range(8), itemsize=8)
-        b.touch_array(0, (i for i in range(8)), itemsize=8)
-        assert a.stats_by_name()["L1"].accesses == b.stats_by_name()["L1"].accesses == 8
-
-    def test_multidimensional_addresses_and_write_flags(self):
-        # The docstring promises any-shape address arrays with a matching
-        # write-flag array; both are flattened in C order.
-        oracle, fast = _tiny_hierarchy(), _tiny_hierarchy()
-        addrs = (np.arange(12).reshape(3, 4) * 48) % 1024
-        writes = (np.arange(12).reshape(3, 4) % 3 == 0)
-        for addr, w in zip(addrs.ravel(), writes.ravel()):
-            oracle.access(int(addr), 8, bool(w))
-        fast.access_stream(addrs, size=8, is_write=writes)
-        for a, b in zip(oracle.levels, fast.levels):
-            assert (a.hits, a.misses) == (b.hits, b.misses)
-
-    def test_empty_stream_is_a_no_op(self):
-        sim = _tiny_hierarchy()
-        sim.access_stream(np.array([], dtype=np.int64))
-        sim.touch_array(0, np.array([], dtype=np.int64))
-        assert sim.stats_by_name()["L1"].accesses == 0
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            _tiny_hierarchy().access_stream(np.array([0]), size=0)
-
-
-class TestStencilAccessStream:
-    """The dimension-generic sweep address stream (1-D/2-D/3-D)."""
-
-    @pytest.mark.parametrize("shape", [(64,), (8, 8), (4, 4, 4)])
-    def test_stream_equals_per_access_oracle(self, shape):
-        from repro.stencils.library import box_1d5p, heat_2d, heat_3d
-
-        spec = {1: box_1d5p, 2: heat_2d, 3: heat_3d}[len(shape)]()
-        offsets = sorted(spec.offsets_and_weights())
-        addrs, writes = stencil_access_stream(shape, offsets)
-        fast, oracle = _tiny_hierarchy(), _tiny_hierarchy()
-        fast.access_stream(addrs, is_write=writes)
-        for addr, w in zip(addrs.tolist(), writes.tolist()):
-            oracle.access(addr, 8, w)
-        for got, ref in zip(fast.levels, oracle.levels):
-            assert (got.hits, got.misses, got.evictions, got.writebacks) == (
-                ref.hits,
-                ref.misses,
-                ref.evictions,
-                ref.writebacks,
-            )
-        assert fast.dram_reads == oracle.dram_reads
-        assert fast.dram_writes == oracle.dram_writes
-
-    def test_stream_shape_reads_plus_one_write_per_point(self):
-        from repro.stencils.library import heat_3d
-
-        spec = heat_3d()
-        offsets = sorted(spec.offsets_and_weights())
-        addrs, writes = stencil_access_stream((4, 4, 4), offsets)
-        npoints = 64
-        assert addrs.size == npoints * (len(offsets) + 1)
-        assert int(writes.sum()) == npoints
-
-    def test_periodic_wrap_stays_in_bounds(self):
-        addrs, _ = stencil_access_stream((4, 4, 4), [(-1, 0, 0), (0, 0, 1)])
-        assert int(addrs.min()) >= 0
-        assert int(addrs.max()) < 2 * 64 * 8  # two arrays of 64 doubles
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="offset"):
-            stencil_access_stream((4, 4), [(0, 0, 1)])
-        with pytest.raises(ValueError, match="shape"):
-            stencil_access_stream((), [(0,)])
-        with pytest.raises(ValueError, match="offset"):
-            stencil_access_stream((4,), [])
+from repro.machine import XEON_GOLD_6140_AVX2, CacheLevelSpec
 
 
 class TestNeighbourhoodWorkingSet:
@@ -357,3 +101,176 @@ class TestAnalyticModel:
             estimate_traffic(100, m, sweeps_per_step=0)
         with pytest.raises(ValueError):
             residency_level(-5, m)
+
+
+#: A two-level machine (private L1, shared last-level L2, no L3): the model
+#: must take its levels, capacities and sharing from the machine it is given.
+TWO_LEVEL = replace(
+    XEON_GOLD_6140_AVX2,
+    name="two-level",
+    caches=(
+        CacheLevelSpec("L1", 48 * 1024, 64, 12, 5, 96.0),
+        CacheLevelSpec("L2", 2 * 1024 * 1024, 64, 16, 30, 32.0, shared=True),
+    ),
+)
+
+PAPER_LEVELS = [lvl.name for lvl in XEON_GOLD_6140_AVX2.caches]
+
+
+def _resident_in(machine, level: str) -> float:
+    """A working set (bytes) whose residency on ``machine`` is ``level``."""
+    if level == "Memory":
+        return 4.0 * machine.caches[-1].capacity_bytes
+    return float(machine.cache_level(level).capacity_bytes)
+
+
+class TestResidencyBoundaries:
+    @pytest.mark.parametrize("index", range(len(PAPER_LEVELS)))
+    def test_capacity_is_inclusive(self, index):
+        # A working set of exactly the capacity stays in the level; one byte
+        # more falls to the next one (the Figure 8 sizes sit on this edge).
+        m = XEON_GOLD_6140_AVX2
+        level = m.caches[index]
+        outer = PAPER_LEVELS[index + 1] if index + 1 < len(PAPER_LEVELS) else "Memory"
+        assert residency_level(level.capacity_bytes, m) == level.name
+        assert residency_level(level.capacity_bytes + 1, m) == outer
+
+    def test_sharing_divides_only_shared_levels(self):
+        m = XEON_GOLD_6140_AVX2
+        l1, l2, l3 = (lvl.capacity_bytes for lvl in m.caches)
+        for cores in (2, 18, m.total_cores):
+            assert residency_level(l1, m, cores_sharing_l3=cores) == "L1"
+            assert residency_level(l2, m, cores_sharing_l3=cores) == "L2"
+            slice_bytes = l3 / cores
+            if slice_bytes > l2:
+                assert residency_level(slice_bytes, m, cores_sharing_l3=cores) == "L3"
+                assert residency_level(slice_bytes + 1, m, cores_sharing_l3=cores) == "Memory"
+            else:
+                # A slice smaller than the private L2 holds nothing L2 cannot.
+                assert residency_level(l2 + 1, m, cores_sharing_l3=cores) == "Memory"
+
+    def test_levels_come_from_the_machine(self):
+        assert residency_level(48 * 1024, TWO_LEVEL) == "L1"
+        assert residency_level(48 * 1024 + 1, TWO_LEVEL) == "L2"
+        assert residency_level(2 * 1024 * 1024 + 1, TWO_LEVEL) == "Memory"
+        # Its last level is the shared one, so a 4-core slice is a quarter.
+        assert residency_level(512 * 1024, TWO_LEVEL, cores_sharing_l3=4) == "L2"
+        assert residency_level(512 * 1024 + 1, TWO_LEVEL, cores_sharing_l3=4) == "Memory"
+
+
+class TestTrafficPerBoundary:
+    @pytest.mark.parametrize("residency", PAPER_LEVELS + ["Memory"])
+    def test_streaming_traffic_up_to_the_residency_level(self, residency):
+        # Every level from L2 out to the residency level serves one full
+        # stream per sweep; the levels beyond it serve nothing.  L1 is left
+        # to the instruction-level model.
+        m = XEON_GOLD_6140_AVX2
+        est = estimate_traffic(_resident_in(m, residency), m)
+        assert est.residency == residency
+        names = PAPER_LEVELS + ["Memory"]
+        assert set(est.per_level) == set(names[1:])
+        inside = names.index(residency)
+        for index, name in enumerate(names[1:], start=1):
+            expected = STREAM_BYTES_PER_POINT if index <= inside else 0.0
+            assert est.bytes_from(name) == expected, name
+
+    def test_reuse_factors_below_one_never_amplify(self):
+        m = XEON_GOLD_6140_AVX2
+        est = estimate_traffic(_resident_in(m, "Memory"), m, temporal_reuse={"Memory": 0.25})
+        assert est.dram_bytes_per_point_per_step == STREAM_BYTES_PER_POINT
+
+    def test_reuse_applies_per_level(self):
+        m = XEON_GOLD_6140_AVX2
+        est = estimate_traffic(
+            _resident_in(m, "Memory"), m, temporal_reuse={"L3": 2.0, "Memory": 8.0}
+        )
+        assert est.bytes_from("L2") == STREAM_BYTES_PER_POINT
+        assert est.bytes_from("L3") == STREAM_BYTES_PER_POINT / 2.0
+        assert est.bytes_from("Memory") == STREAM_BYTES_PER_POINT / 8.0
+
+    def test_reuse_beyond_the_residency_level_changes_nothing(self):
+        m = XEON_GOLD_6140_AVX2
+        plain = estimate_traffic(_resident_in(m, "L2"), m)
+        tiled = estimate_traffic(_resident_in(m, "L2"), m, temporal_reuse={"Memory": 10.0})
+        assert tiled.per_level == plain.per_level
+        assert tiled.dram_bytes_per_point_per_step == 0.0
+
+    def test_layout_sweeps_are_charged_without_write_allocate(self):
+        m = XEON_GOLD_6140_AVX2
+        cached = estimate_traffic(_resident_in(m, "L1"), m, extra_memory_sweeps_per_step=0.25)
+        assert cached.per_level == {
+            "L2": 0.0,
+            "L3": 0.0,
+            "Memory": STREAM_BYTES_NO_ALLOCATE * 0.25,
+        }
+        streamed = estimate_traffic(_resident_in(m, "Memory"), m, extra_memory_sweeps_per_step=0.25)
+        assert streamed.dram_bytes_per_point_per_step == (
+            STREAM_BYTES_PER_POINT + STREAM_BYTES_NO_ALLOCATE * 0.25
+        )
+
+    def test_stream_bytes_and_sweeps_scale_every_boundary(self):
+        # Three arrays with write-allocate (32 B/point) folded two steps per
+        # sweep: 16 B/point/step on every boundary out to memory.
+        m = XEON_GOLD_6140_AVX2
+        est = estimate_traffic(
+            _resident_in(m, "Memory"), m, sweeps_per_step=0.5, stream_bytes_per_point=32.0
+        )
+        assert est.per_level == {"L2": 16.0, "L3": 16.0, "Memory": 16.0}
+
+    def test_l3_sharing_moves_the_traffic_to_dram(self):
+        m = XEON_GOLD_6140_AVX2
+        alone = estimate_traffic(10 * 1024 * 1024, m)
+        shared = estimate_traffic(10 * 1024 * 1024, m, cores_sharing_l3=18)
+        assert (alone.residency, alone.dram_bytes_per_point_per_step) == ("L3", 0.0)
+        assert (shared.residency, shared.dram_bytes_per_point_per_step) == (
+            "Memory",
+            STREAM_BYTES_PER_POINT,
+        )
+
+    def test_estimate_on_a_two_level_machine(self):
+        est = estimate_traffic(_resident_in(TWO_LEVEL, "Memory"), TWO_LEVEL)
+        assert est.per_level == {"L2": STREAM_BYTES_PER_POINT, "Memory": STREAM_BYTES_PER_POINT}
+        assert est.bytes_from("L3") == 0.0
+        assert est.working_set_bytes == 4.0 * 2 * 1024 * 1024
+
+
+class TestReuseSlab:
+    @pytest.mark.parametrize(
+        "shape,radius,expected_elements",
+        [((1000,), 2, 5), ((500, 64), 1, 3 * 64), ((50, 20, 30), 2, 5 * 20 * 30)],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_slab_is_2r_plus_1_leading_entries(self, shape, radius, expected_elements):
+        # The leading extent never enters: only 2r + 1 of its entries are live.
+        assert neighborhood_working_set_bytes(shape, radius) == 8.0 * expected_elements
+        longer = (7 * shape[0],) + shape[1:]
+        assert neighborhood_working_set_bytes(longer, radius) == 8.0 * expected_elements
+        assert neighborhood_working_set_bytes(shape, radius, itemsize=4) == 4.0 * expected_elements
+
+    def test_sharing_l3_pushes_the_paper_3d_slab_to_memory(self):
+        m = XEON_GOLD_6140_AVX2
+        assert sweep_reuse_level((400, 400, 400), m, 1) == "L3"
+        assert sweep_reuse_level((400, 400, 400), m, 1, cores_sharing_l3=18) == "Memory"
+
+
+class TestProblemSizes:
+    @pytest.mark.parametrize("level", PAPER_LEVELS + ["Memory"])
+    @pytest.mark.parametrize("bytes_per_point", [16.0, 24.0])
+    def test_size_lands_in_its_level(self, level, bytes_per_point):
+        m = XEON_GOLD_6140_AVX2
+        n = problem_size_for_level(m, level, bytes_per_point=bytes_per_point)
+        assert residency_level(n * bytes_per_point, m) == level
+
+    def test_fill_fraction(self):
+        m = XEON_GOLD_6140_AVX2
+        l2 = m.cache_level("L2").capacity_bytes
+        assert problem_size_for_level(m, "L2", fill_fraction=1.0) == l2 // 16
+        assert problem_size_for_level(m, "L2", fill_fraction=0.25) == l2 // 64
+        for bad in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                problem_size_for_level(m, "L2", fill_fraction=bad)
+
+    def test_memory_size_is_four_last_level_caches(self):
+        assert problem_size_for_level(TWO_LEVEL, "Memory") == 4 * 2 * 1024 * 1024 // 16
+        with pytest.raises(KeyError):
+            problem_size_for_level(TWO_LEVEL, "L3")

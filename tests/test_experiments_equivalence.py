@@ -1,11 +1,12 @@
-"""Row-for-row equivalence of the study-based experiments with the legacy code.
+"""The study-based experiments against recorded rows, in parallel and on any machine.
 
-The harness experiments were rewritten from hand-rolled loops onto the
-declarative :mod:`repro.study` API.  These tests pin the redesign down:
+The harness experiments are declarative :mod:`repro.study` definitions over
+the model layer.  These tests pin them down:
 
-* each experiment must produce *exactly* the rows the original imperative
-  implementation produced (the legacy loops are reimplemented here, straight
-  from the pre-redesign code, calling the model layer directly);
+* each experiment produces the rows recorded in
+  ``golden_experiment_rows.json`` (release 1.17, when they still equalled
+  the pre-study loops row for row): floats to a relative 1e-12, every other
+  value exactly, so a change to the model shows as a changed row;
 * a sweep run with ``workers > 1`` must equal the sequential run;
 * the memoization cache must demonstrably avoid recomputing repeated
   (spec, method, isa, machine) cells;
@@ -16,20 +17,15 @@ declarative :mod:`repro.study` API.  These tests pin the redesign down:
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.baselines.sdsl import profile_sdsl
-from repro.cache.analytic import problem_size_for_level
-from repro.core.folding import analyze_folding
 from repro.harness.experiments import (
     SCALABILITY_CORES,
-    SDSL_UNSUPPORTED,
     SEQUENTIAL_METHODS,
     STORAGE_LEVELS,
-    _sdsl_config,
-    _tiling_from_case,
     collects_analysis,
     figure8,
     figure9,
@@ -38,193 +34,41 @@ from repro.harness.experiments import (
     table3,
 )
 from repro.machine import machine_for_isa, scalability_cores
-from repro.methods import build_profile
-from repro.parallel.model import multicore_estimate, scalability_curve
-from repro.perfmodel.costmodel import estimate_performance
-from repro.registry import label_for
-from repro.stencils.library import BENCHMARKS, get_benchmark
 from repro.study import EvalCache
 
+GOLDEN_ROWS = json.loads(Path(__file__).with_name("golden_experiment_rows.json").read_text())
 
-# --------------------------------------------------------------------------- #
-# the pre-redesign implementations, verbatim logic
-# --------------------------------------------------------------------------- #
-def legacy_figure8_rows(isa="avx2", time_steps_values=(1000, 10000), benchmark="1d-heat"):
-    machine = machine_for_isa(isa)
-    spec = get_benchmark(benchmark).spec
-    rows = []
-    for time_steps in time_steps_values:
-        for level in STORAGE_LEVELS:
-            npoints = problem_size_for_level(machine, level, bytes_per_point=16.0)
-            for method in SEQUENTIAL_METHODS:
-                profile = build_profile(method, spec, isa, m=2)
-                est = estimate_performance(
-                    profile, npoints=npoints, time_steps=time_steps, machine=machine
-                )
-                rows.append(
-                    {
-                        "time_steps": time_steps,
-                        "level": level,
-                        "method": method,
-                        "label": label_for(method),
-                        "npoints": npoints,
-                        "gflops": est.gflops,
-                        "bound": est.bound,
-                    }
-                )
-    return rows
-
-
-def _legacy_multicore_lineup(case, isa, machine):
-    spec = case.spec
-    radius = spec.radius
-    tiling = _tiling_from_case(case, radius)
-    lineup = []
-    if case.key not in SDSL_UNSUPPORTED:
-        sdsl = profile_sdsl(
-            spec,
-            isa,
-            _sdsl_config(case, radius),
-            case.problem_size,
-            machine,
-            hybrid_blocks=tiling.block_sizes,
-        )
-        lineup.append(("sdsl", sdsl, None))
-    lineup.append(("tessellation", build_profile("data_reorg", spec, isa), tiling))
-    lineup.append(("transpose", build_profile("transpose", spec, isa), tiling))
-    lineup.append(("folded", build_profile("folded", spec, isa, m=2), tiling))
-    return lineup
-
-
-def legacy_figure9_rows(cores=36):
-    machine_avx2 = machine_for_isa("avx2")
-    machine_avx512 = machine_for_isa("avx512")
-    rows = []
-    for key, case in BENCHMARKS.items():
-        spec = case.spec
-        radius = spec.radius
-        rows_for_case = []
-        for method, profile, tiling in _legacy_multicore_lineup(case, "avx2", machine_avx2):
-            est = multicore_estimate(
-                profile,
-                grid_shape=case.problem_size,
-                time_steps=case.time_steps,
-                machine=machine_avx2,
-                cores=cores,
-                radius=radius,
-                tiling=tiling,
-            )
-            rows_for_case.append(
-                {
-                    "benchmark": case.display_name,
-                    "key": key,
-                    "method": method,
-                    "label": label_for(method),
-                    "isa": "avx2",
-                    "gflops": est.gflops,
-                }
-            )
-        tiling = _tiling_from_case(case, radius)
-        est512 = multicore_estimate(
-            build_profile("folded", spec, "avx512", m=2),
-            grid_shape=case.problem_size,
-            time_steps=case.time_steps,
-            machine=machine_avx512,
-            cores=cores,
-            radius=radius,
-            tiling=tiling,
-        )
-        rows_for_case.append(
-            {
-                "benchmark": case.display_name,
-                "key": key,
-                "method": "folded_avx512",
-                "label": "Our (2 steps, AVX-512)",
-                "isa": "avx512",
-                "gflops": est512.gflops,
-            }
-        )
-        base_gflops = rows_for_case[0]["gflops"]
-        for row in rows_for_case:
-            row["speedup"] = row["gflops"] / base_gflops
-        rows.extend(rows_for_case)
-    return rows
-
-
-def legacy_figure10_rows(cores_list, benchmarks=None):
-    machine_avx2 = machine_for_isa("avx2")
-    machine_avx512 = machine_for_isa("avx512")
-    rows = []
-    keys = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
-    for key in keys:
-        case = get_benchmark(key)
-        spec = case.spec
-        radius = spec.radius
-        tiling = _tiling_from_case(case, radius)
-        series = [
-            (method, label_for(method), profile, t, machine_avx2)
-            for method, profile, t in _legacy_multicore_lineup(case, "avx2", machine_avx2)
-        ]
-        series.append(
-            (
-                "folded_avx512",
-                "Our (2 steps, AVX-512)",
-                build_profile("folded", spec, "avx512", m=2),
-                tiling,
-                machine_avx512,
-            )
-        )
-        for method, label, profile, t, machine in series:
-            curve = scalability_curve(
-                profile,
-                grid_shape=case.problem_size,
-                time_steps=case.time_steps,
-                machine=machine,
-                cores_list=cores_list,
-                radius=radius,
-                tiling=t,
-            )
-            for cores, est in curve.items():
-                rows.append(
-                    {
-                        "benchmark": case.display_name,
-                        "key": key,
-                        "method": method,
-                        "label": label,
-                        "cores": cores,
-                        "gflops": est.gflops,
-                    }
-                )
-    return rows
-
-
-def legacy_collects_rows(m=2):
-    rows = []
-    for case in BENCHMARKS.values():
-        spec = case.spec
-        if not spec.linear:
-            continue
-        report = analyze_folding(spec, m)
-        rows.append(
-            {
-                "benchmark": case.display_name,
-                "collect_naive": report.collect_naive,
-                "collect_folded": report.collect_folded,
-                "collect_optimized": report.collect_optimized,
-                "separable": report.separable,
-                "profitability": report.profitability_optimized,
-            }
-        )
-    return rows
+#: The experiment call behind each entry of ``golden_experiment_rows.json``.
+GOLDEN_CALLS = {
+    "figure8-avx2": lambda: figure8(isa="avx2"),
+    "figure8-avx512": lambda: figure8(isa="avx512"),
+    "table2": table2,
+    "figure9": figure9,
+    "figure10-subset": lambda: figure10(
+        cores_list=(1, 8, 36), benchmarks=("1d-heat", "apop", "3d27p")
+    ),
+    "table3-subset": lambda: table3(benchmarks=("1d-heat", "gb")),
+    "collects-m2": lambda: collects_analysis(m=2),
+    "collects-m3": lambda: collects_analysis(m=3),
+}
 
 
 # --------------------------------------------------------------------------- #
-# row-for-row identity with the legacy implementations
+# the recorded rows
 # --------------------------------------------------------------------------- #
-class TestLegacyEquivalence:
-    @pytest.mark.parametrize("isa", ["avx2", "avx512"])
-    def test_figure8(self, isa):
-        assert figure8(isa=isa).rows == legacy_figure8_rows(isa=isa)
+class TestGoldenRows:
+    # An entry on one side only fails its lookup on the other.
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS.keys() | GOLDEN_ROWS.keys()))
+    def test_rows_equal_the_recorded_ones(self, name):
+        rows, golden = GOLDEN_CALLS[name]().rows, GOLDEN_ROWS[name]
+        assert [list(row) for row in rows] == [list(row) for row in golden]
+        for row, expected in zip(rows, golden):
+            for key, want in expected.items():
+                got = row[key]
+                if isinstance(want, float):
+                    assert got == pytest.approx(want, rel=1e-12), (key, row)
+                else:
+                    assert type(got) is type(want) and got == want, (key, row)
 
     def test_figure8_notes_and_defaults(self):
         result = figure8()
@@ -232,64 +76,11 @@ class TestLegacyEquivalence:
         assert result.notes == "stencil=1d-heat, isa=avx2"
         assert len(result.rows) == 2 * len(STORAGE_LEVELS) * len(SEQUENTIAL_METHODS)
 
-    def test_table2(self):
-        base_rows = legacy_figure8_rows(time_steps_values=(1000,))
-        by_level = {}
-        for row in base_rows:
-            by_level.setdefault(row["level"], {})[row["method"]] = row["gflops"]
-        expected = []
-        ratios = {m: [] for m in SEQUENTIAL_METHODS}
-        for level in STORAGE_LEVELS:
-            reference = by_level[level]["multiple_loads"]
-            entry = {"level": level}
-            for method in SEQUENTIAL_METHODS:
-                entry[method] = by_level[level][method] / reference
-                ratios[method].append(entry[method])
-            expected.append(entry)
-        expected.append(
-            {"level": "Mean", **{m: float(np.mean(ratios[m])) for m in SEQUENTIAL_METHODS}}
-        )
-        assert table2().rows == expected
-
-    def test_figure9(self):
-        assert figure9().rows == legacy_figure9_rows()
-
-    def test_figure10_subset(self):
-        benchmarks = ("1d-heat", "apop", "3d27p")
-        cores_list = (1, 8, 36)
-        result = figure10(cores_list=cores_list, benchmarks=benchmarks)
-        assert result.rows == legacy_figure10_rows(cores_list, benchmarks)
-
     def test_figure10_default_cores_match_paper_sweep(self):
         assert SCALABILITY_CORES == (1, 2, 4, 8, 12, 18, 24, 30, 36)
         result = figure10(benchmarks=("1d-heat",))
         cores = [r["cores"] for r in result.rows if r["method"] == "folded"]
         assert cores == list(SCALABILITY_CORES)
-
-    def test_table3_subset(self):
-        benchmarks = ("1d-heat", "gb")
-        rows = legacy_figure10_rows((1, 36), benchmarks)
-        result = table3(benchmarks=benchmarks)
-        methods = ["sdsl", "tessellation", "transpose", "folded", "folded_avx512"]
-        assert [r["method"] for r in result.rows] == [
-            label_for(m, default=m) for m in methods
-        ]
-        for method, row in zip(methods, result.rows):
-            for key in benchmarks:
-                case = get_benchmark(key)
-                matching = {
-                    r["cores"]: r["gflops"]
-                    for r in rows
-                    if r["key"] == key and r["method"] == method
-                }
-                if not matching:
-                    assert row[case.display_name] is None
-                else:
-                    assert row[case.display_name] == matching[36] / matching[1]
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_collects(self, m):
-        assert collects_analysis(m=m).rows == legacy_collects_rows(m=m)
 
 
 # --------------------------------------------------------------------------- #

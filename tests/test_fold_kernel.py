@@ -356,6 +356,7 @@ def test_explain_names_the_cached_library(compiled):
 def test_explain_names_the_decision_whatever_the_host():
     """The line names the library, or why there is none: the only check
     that holds both with and without a compiler on ``PATH``."""
+    load_fold_kernel()
     if native.find_c_compiler() is None:
         assert fold_kernel_line() == "numpy (no C compiler on PATH)"
     else:

@@ -13,7 +13,6 @@ from repro.core.folding import (
     collect_naive,
     collect_separable,
     folding_matrix,
-    optimal_unroll,
     profitability,
 )
 from repro.stencils.library import (
@@ -122,14 +121,3 @@ class TestProfitabilityDecisions:
     def test_nonlinear_and_m1_not_profitable(self):
         assert not arithmetically_profitable(apop(), 2)
         assert not arithmetically_profitable(box_2d9p(), 1)
-
-    def test_optimal_unroll_prefers_folding_for_boxes(self):
-        assert optimal_unroll(box_2d9p(), max_m=3) >= 2
-
-    def test_optimal_unroll_respects_register_budget(self):
-        # With an absurdly small register budget only m=1 is feasible.
-        assert optimal_unroll(box_2d9p(), max_m=4, register_budget=4, lanes=4) == 1
-
-    def test_optimal_unroll_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            optimal_unroll(box_2d9p(), max_m=0)

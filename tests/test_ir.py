@@ -21,9 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import hierarchy_from_machine
-from repro.cache.irprofile import ir_access_stream, ir_memory_profile
-from repro.cache.simulator import CacheHierarchySimulator
 from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import (
@@ -34,7 +31,6 @@ from repro.ir import (
     lower_schedule,
 )
 from repro.layout.transpose_layout import to_transpose_layout
-from repro.machine import XEON_GOLD_6140_AVX2
 from repro.methods import build_profile
 from repro.simd.isa import AVX2, AVX512, InstructionClass
 from repro.simd.machine import InstructionCounts, SimdMachine
@@ -380,41 +376,6 @@ class TestIntegralCounts:
         fractional = counts.scaled(0.5)
         assert fractional.counts[InstructionClass.FMA] == pytest.approx(5.0)
         assert isinstance(fractional.counts[InstructionClass.FMA], float)
-
-
-class TestCacheIrProfile:
-    @pytest.mark.parametrize(
-        "key,shape", [("1d-heat", 48), ("2d9p", (16, 12)), ("3d-heat", (3, 8, 8))]
-    )
-    def test_access_stream_matches_oracle_and_counts(self, key, shape):
-        ir = lower_schedule(FoldingSchedule(BENCHMARKS[key].spec, 2), AVX2)
-        profile = ir_memory_profile(ir, shape)
-        addrs, writes, nbytes = ir_access_stream(ir, shape)
-        assert addrs.size == profile["loads"] + profile["stores"]
-        assert int(writes.sum()) == profile["stores"]
-        levels = hierarchy_from_machine(XEON_GOLD_6140_AVX2)
-        fast = CacheHierarchySimulator(levels)
-        oracle = CacheHierarchySimulator(levels)
-        fast.access_stream(addrs, size=nbytes, is_write=writes)
-        for addr, write in zip(addrs.tolist(), writes.tolist()):
-            oracle.access(addr, size=nbytes, is_write=write)
-        for got, want in zip(fast.levels, oracle.levels):
-            assert (got.hits, got.misses, got.evictions, got.writebacks) == (
-                want.hits,
-                want.misses,
-                want.evictions,
-                want.writebacks,
-            )
-        assert fast.dram_reads == oracle.dram_reads
-        assert fast.dram_writes == oracle.dram_writes
-
-    def test_memory_profile_separates_spill_traffic(self):
-        ir = lower_schedule(FoldingSchedule(BENCHMARKS["3d-heat"].spec, 2), AVX2)
-        shape = (3, 8, 8)
-        profile = ir_memory_profile(ir, shape)
-        counts, _, spills = ir.sweep_counts(shape)
-        assert profile["spill_loads"] == spills
-        assert profile["loads"] + spills == counts.get(InstructionClass.LOAD)
 
 
 class TestPassAlgebra:

@@ -15,7 +15,6 @@ from repro.stencils.boundary import (
 from repro.stencils.grid import Grid
 from repro.stencils.library import heat_1d, heat_2d
 from repro.stencils.reference import (
-    folded_reference_step,
     linear_sum,
     reference_run,
     reference_step,
@@ -77,13 +76,6 @@ class TestReferenceStep:
         out = reference_run(spec, grid, 50)
         assert out.sum() < grid.values.sum()
         assert np.all(out >= -1e-12)
-
-    def test_folded_reference_step_periodic(self):
-        spec = heat_1d()
-        grid = Grid.random((40,), boundary=BoundaryCondition.PERIODIC, seed=3)
-        folded = folded_reference_step(spec, grid.values, grid.boundary, m=3)
-        stepwise = reference_run(spec, grid, 3)
-        np.testing.assert_allclose(folded, stepwise, rtol=1e-12, atol=1e-13)
 
 
 class TestBoundaryHelpers:

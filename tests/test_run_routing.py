@@ -72,8 +72,7 @@ def native_build():
 
 @pytest.fixture
 def held_builds(monkeypatch):
-    """Background builds block until the yielded event is set (the
-    ``explain()`` line of ``backend="kernel"`` still builds at once)."""
+    """Background builds block until the yielded event is set."""
     release = threading.Event()
     build = codegen.compile_kernel
 
@@ -331,10 +330,57 @@ def test_without_a_compiler_run_takes_the_numpy_fold_and_says_why(monkeypatch, n
     )
 
 
-def test_explain_starts_no_build():
+@pytest.fixture
+def refused_builds(monkeypatch, tmp_path):
+    """A fresh process as far as builds go: an empty kernel cache, no
+    fold-kernel decision and no CPU probe yet.  Yields the names of the
+    libraries anything tried to build; every such build fails."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(fold_kernel, "_decision", None)
+    monkeypatch.setattr(native, "_probed", {})
+    builds = []
+
+    def refused(name, *args, **kwargs):
+        builds.append(name)
+        raise native.NativeBuildError("explain() must not build")
+
+    monkeypatch.setattr(native, "build_library", refused)
+    yield builds
+
+
+def test_explain_starts_no_build(refused_builds):
+    """On a fresh kernel cache, before the process's first fold, explain()
+    reports state only: it runs no compiler and makes no decision."""
     p = plan("2d-heat").isa("avx512").unroll(4).compile()
-    assert "; native program: not queued yet;" in execution_path(p)
+    explained = p.explain()
+    assert refused_builds == []
+    assert fold_kernel._decision is None
     assert codegen.background_build(p.schedule, p.isa_spec, queue=False) is None
+    assert "  fold kernel    : not loaded yet (the process's first fold decides)" in explained
+    assert "  kernel backend : not built in this process" in explained
+    assert execution_path(p).endswith(
+        "; native program: not queued yet; the band and the steps % m remainder steps run "
+        "on what the process's first fold decides (the fold kernel is not loaded yet)"
+    )
+
+
+@pytest.mark.parametrize("isa", ["avx2", "avx512"])
+@pytest.mark.parametrize("key", ["1d-heat", "1d5p", "2d-heat", "2d9p", "gb", "3d-heat", "3d27p"])
+def test_a_first_explain_of_every_folded_plan_starts_no_build(refused_builds, key, isa):
+    """Every library stencil with a register-level schedule, on either ISA,
+    has all three host lines, and none of them builds or decides."""
+    p = plan(key).isa(isa).unroll(2).compile()
+    explained = p.explain()
+    assert refused_builds == []
+    assert fold_kernel._decision is None
+    assert codegen.background_build(p.schedule, p.isa_spec, queue=False) is None
+    assert "  ir pipeline    : " in explained
+    assert "  fold kernel    : not loaded yet (the process's first fold decides)" in explained
+    assert "  kernel backend : not built in this process" in explained
+    assert execution_path(p).endswith(
+        "the band and the steps % m remainder steps run on what the process's first fold "
+        "decides (the fold kernel is not loaded yet)"
+    )
 
 
 def test_grids_the_engines_refuse_keep_the_fold_kernel(native_sweeps):

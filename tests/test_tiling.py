@@ -21,7 +21,6 @@ from repro.stencils.library import (
 )
 from repro.stencils.reference import reference_run
 from repro.tiling.schedule import TileSchedule
-from repro.tiling.spatial import blocked_reference_run, spatial_blocks
 from repro.tiling.splittiling import SplitTilingConfig, split_tiling_cache_reuse, split_tiling_run
 from repro.tiling.tessellate import (
     TessellationConfig,
@@ -30,27 +29,6 @@ from repro.tiling.tessellate import (
     tessellate_run,
 )
 from repro.utils.validation import assert_allclose
-
-
-class TestSpatialBlocking:
-    def test_blocks_cover_grid_exactly_once(self):
-        covered = np.zeros((10, 13), dtype=int)
-        for block in spatial_blocks((10, 13), (4, 5)):
-            slices = tuple(slice(a, b) for a, b in block)
-            covered[slices] += 1
-        assert np.all(covered == 1)
-
-    def test_blocked_run_equals_reference(self):
-        spec = heat_2d()
-        grid = Grid.random((20, 24), seed=40)
-        out = blocked_reference_run(spec, grid, 4, (8, 8))
-        assert_allclose(out, reference_run(spec, grid, 4))
-
-    def test_invalid_blocks_rejected(self):
-        with pytest.raises(ValueError):
-            list(spatial_blocks((8, 8), (0, 4)))
-        with pytest.raises(ValueError):
-            list(spatial_blocks((8, 8), (4,)))
 
 
 class TestTessellationSchedule:
