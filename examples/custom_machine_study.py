@@ -69,7 +69,7 @@ results = (
     )
     .on(small)
     .metric(metric)
-    .run(workers=4)
+    .run()
 )
 
 print(f"{results!r}\n")
@@ -84,12 +84,12 @@ for isa, row in best.items():
     print(f"winner with {isa}: {row['method']} at {row['gflops']:.1f} GFLOP/s")
 p = results.provenance
 print(
-    f"\n{p.cells} cells in {p.wall_seconds:.2f}s on {p.workers} workers "
+    f"\n{p.cells} cells in {p.wall_seconds:.2f}s "
     f"(cache: {p.cache_hits} hits / {p.cache_misses} misses, config {p.config_hash})"
 )
 
 # The paper's own artefacts are studies too — any machine works:
 from repro.harness.experiments import figure10  # noqa: E402
 
-fig10 = figure10(benchmarks=("2d9p",), machine=small, workers=4)
+fig10 = figure10(benchmarks=("2d9p",), machine=small)
 print(f"\nfigure10 on {small.name}: swept cores {sorted({r['cores'] for r in fig10.rows})}")

@@ -6,7 +6,6 @@ Run with::
     python examples/paper_experiments.py figure8             # a single artefact
     python examples/paper_experiments.py figure8 --isa avx512
     python examples/paper_experiments.py table2 --json       # machine-readable
-    python examples/paper_experiments.py --workers 8         # parallel sweeps
 
 This is a thin wrapper around :mod:`repro.harness.runner`; the same code
 backs the pytest benchmarks, so the rows printed here are identical to the

@@ -47,11 +47,11 @@ so "why was this configuration not chosen" is always one lookup away.
 
 Parameter sweeps are first-class: :func:`repro.study` declares an
 experiment grid (method × stencil × ISA × core count × ...), expands the
-cross-product, memoizes the profile/estimate pipeline, optionally fans the
-cells out over a worker pool, and returns an immutable queryable
-:class:`~repro.study.resultset.ResultSet`.  Every figure and table of the
-paper's evaluation (:mod:`repro.harness.experiments`) is a thin study
-definition over any :class:`~repro.machine.MachineSpec`.
+cross-product, memoizes the profile/estimate pipeline and returns an
+immutable queryable :class:`~repro.study.resultset.ResultSet`.  Every
+figure and table of the paper's evaluation
+(:mod:`repro.harness.experiments`) is a thin study definition over any
+:class:`~repro.machine.MachineSpec`.
 """
 
 from repro.machine import (
@@ -115,7 +115,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "MachineSpec",

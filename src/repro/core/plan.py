@@ -2,7 +2,7 @@
 
 This module is the public API of the library.  A plan separates *what* a
 stencil computes (the :class:`~repro.stencils.spec.StencilSpec`) from *how*
-it is scheduled (method, ISA, unrolling, tiling, workers) — the paper's
+it is scheduled (method, ISA, unrolling, tiling) — the paper's
 central design point — and splits configuration from execution:
 
 1. **Configure** with the fluent builder returned by :func:`plan`::
@@ -50,7 +50,7 @@ from repro.ir.ops import block_axes
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.machine import MachineSpec, machine_for_isa
 import repro.methods  # noqa: F401  (imports register the built-in methods)
-from repro.parallel.executor import run_plan_batch, tessellate_run_parallel
+from repro.parallel.executor import DEFAULT_BATCH_WORKERS, run_plan_batch
 from repro.parallel.model import MulticoreConfig, multicore_estimate
 from repro.perfmodel.costmodel import PerformanceEstimate
 from repro.perfmodel.profiles import MethodProfile
@@ -84,11 +84,10 @@ class PlanConfig:
         Whether the shifts-reuse optimisation (Section 3.4) is assumed by the
         instruction profile; the ablation benchmarks switch it off.
     workers:
-        Thread-pool width used for tessellated tile execution and as the
-        fan-out of :meth:`CompiledPlan.run_batch`.  ``None`` (the default)
-        means "unconfigured": tiled execution stays sequential and
-        ``run_batch`` picks its own default pool; an explicit ``workers=1``
-        forces sequential execution everywhere.
+        Thread-pool width of :meth:`CompiledPlan.run_batch`.  ``None`` (the
+        default) lets ``run_batch`` pick its own default pool; an explicit
+        ``workers=1`` keeps it a sequential loop.  :meth:`CompiledPlan.run`
+        never reads it.
     """
 
     method: str = "folded"
@@ -174,12 +173,11 @@ class PlanBuilder:
         return self
 
     def parallel(self, workers: int = 8) -> "PlanBuilder":
-        """Set the thread-pool width for tiled execution and batch fan-out.
+        """Set the thread-pool width of :meth:`CompiledPlan.run_batch`.
 
-        ``workers=1`` is an explicit request for sequential execution (it
-        also pins :meth:`CompiledPlan.run_batch` to a sequential loop);
-        leaving ``parallel`` uncalled lets ``run_batch`` pick its own
-        default pool while tiled execution stays sequential.
+        ``workers=1`` pins ``run_batch`` to a sequential loop; leaving
+        ``parallel`` uncalled lets it pick its own default pool.  A single
+        :meth:`CompiledPlan.run`, tiled or not, is sequential either way.
         """
         self._workers = int(workers)
         return self
@@ -466,11 +464,6 @@ class CompiledPlan:
         non-linear stencil).
         """
         if self.config.tiling is not None:
-            workers = self.config.workers
-            if workers is not None and workers > 1:
-                return tessellate_run_parallel(
-                    self.spec, grid, steps, self.config.tiling, workers=workers
-                )
             return tessellate_run(self.spec, grid, steps, self.config.tiling)
         return reference_run(self.spec, grid, steps)
 
@@ -839,7 +832,11 @@ class CompiledPlan:
             )
         else:
             lines.append("  tiling         : none")
-        workers = "1 (unconfigured)" if config.workers is None else str(config.workers)
+        workers = (
+            f"unconfigured (run_batch uses up to {DEFAULT_BATCH_WORKERS})"
+            if config.workers is None
+            else f"{config.workers} (run_batch)"
+        )
         lines.append(f"  workers        : {workers}")
         path = self._path_description()
         if host and self.schedule is not None:
@@ -931,12 +928,6 @@ class CompiledPlan:
 def describe_generic_path(plan_: CompiledPlan) -> str:
     """Description of :meth:`CompiledPlan.execute_generic` for ``explain()``."""
     if plan_.config.tiling is not None:
-        workers = plan_.config.workers
-        if workers is not None and workers > 1:
-            return (
-                f"tessellated tiles on a {workers}-worker thread pool "
-                "(stage barriers, disjoint tiles)"
-            )
         return "tessellated tiles, sequential stage-by-stage execution"
     return "reference arithmetic, one sweep per time step"
 

@@ -21,8 +21,6 @@ experiments accept
   AVX-512 variant via :func:`repro.machine.isa_variant` and sweep core
   counts derived from the target machine's topology
   (:func:`repro.machine.scalability_cores`);
-* ``workers=`` — worker-pool width for the sweep fan-out (results are
-  identical to the sequential run for any value);
 * ``cache=`` — a shared :class:`~repro.study.cache.EvalCache`, so repeated
   cells across experiments (Table 2 replays Figure 8, Table 3 replays
   Figure 10) are free.
@@ -222,7 +220,6 @@ def figure8(
     time_steps_values: Sequence[int] = (1000, 10000),
     benchmark: str = "1d-heat",
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Sequential block-free comparison of the five vectorization methods.
@@ -272,7 +269,7 @@ def figure8(
         .on(machine)
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return result.to_experiment(name="figure8", description=description, notes=notes)
 
@@ -284,7 +281,6 @@ def table2(
     isa: Optional[str] = None,
     benchmark: str = "1d-heat",
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Relative improvement of every method over multiple loads, per level.
@@ -297,7 +293,6 @@ def table2(
         time_steps_values=(1000,),
         benchmark=benchmark,
         machine=machine,
-        workers=workers,
         cache=cache,
     )
     result = ExperimentResult(
@@ -329,7 +324,6 @@ def table2(
 def figure9(
     cores: Optional[int] = None,
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Multicore cache-blocking comparison over the nine benchmarks.
@@ -377,7 +371,7 @@ def figure9(
         .on(machine_avx2)
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     result = swept.to_experiment(
         name="figure9",
@@ -401,7 +395,6 @@ def figure10(
     cores_list: Optional[Sequence[int]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Scalability curves (GFLOP/s versus active cores) for every benchmark.
@@ -455,7 +448,7 @@ def figure10(
         .on(machine_avx2)
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return swept.to_experiment(
         name="figure10",
@@ -471,7 +464,6 @@ def table3(
     cores: Optional[int] = None,
     benchmarks: Optional[Sequence[str]] = None,
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Speedup over a single core for every stencil and method (Table 3)."""
@@ -482,7 +474,6 @@ def table3(
         cores_list=(1, cores),
         benchmarks=benchmarks,
         machine=machine,
-        workers=workers,
         cache=cache,
     )
     result = ExperimentResult(
@@ -513,7 +504,6 @@ def table3(
 # --------------------------------------------------------------------------- #
 def collects_analysis(
     m: int = 2,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Arithmetic-collect analysis (Section 3.2) for every linear benchmark.
@@ -541,7 +531,7 @@ def collects_analysis(
         .over(key=linear_keys)
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return swept.to_experiment(
         name="collects",
@@ -565,7 +555,6 @@ _ABLATION_SHAPES = {
 def pass_ablation(
     stencils: Sequence[str] = ("1d-heat", "1d5p", "2d9p", "2d-heat", "gb", "3d-heat"),
     m: int = 2,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """Per-sweep instruction reduction of the IR pass pipeline, per stencil × ISA.
@@ -624,7 +613,7 @@ def pass_ablation(
         .over(stencil=tuple(stencils), isa=("avx2", "avx512"))
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return swept.to_experiment(
         name="pass_ablation",
@@ -643,7 +632,6 @@ def dims3(
     stencils: Sequence[str] = ("3d-heat", "3d27p"),
     m: int = 2,
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
 ) -> ExperimentResult:
     """3-D benchmark sweep: every lineup method × both ISAs at paper scale.
@@ -687,7 +675,7 @@ def dims3(
         .on(machine_avx2)
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return result.to_experiment(
         name="dims3",
@@ -709,7 +697,6 @@ def measured_vs_estimated(
     backend: str = "kernel",
     repeats: int = 3,
     machine: Optional[MachineSpec] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvalCache] = None,
     clock=None,
 ) -> ExperimentResult:
@@ -786,7 +773,7 @@ def measured_vs_estimated(
         .over(stencil=tuple(stencils), isa=("avx2", "avx512"))
         .metric(metric)
         .cache(cache)
-        .run(workers=workers if workers is not None else 1)
+        .run()
     )
     return swept.to_experiment(
         name="measured_vs_estimated",

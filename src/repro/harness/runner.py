@@ -10,7 +10,6 @@ Sweep selection and output flags::
     python -m repro.harness.runner figure8 --isa avx512     # ISA sweep
     python -m repro.harness.runner figure9 --cores 18       # core count
     python -m repro.harness.runner figure10 --benchmark 2d9p
-    python -m repro.harness.runner --workers 8              # parallel sweeps
     python -m repro.harness.runner table2 --json            # machine-readable
     python -m repro.harness.runner --list                   # what exists
 
@@ -50,8 +49,8 @@ from repro.study import EvalCache
 
 #: Registry of experiment name → callable returning an
 #: :class:`ExperimentResult`.  Callables accept (a subset of) the sweep
-#: keyword arguments ``isa``, ``benchmark``, ``cores``, ``machine``,
-#: ``workers`` and ``cache``; :func:`run_experiment` forwards only what each
+#: keyword arguments ``isa``, ``benchmark``, ``benchmarks``, ``cores``,
+#: ``machine`` and ``cache``; :func:`run_experiment` forwards only what each
 #: signature declares.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "figure8": figure8,
@@ -80,10 +79,10 @@ def _accepted_kwargs(
 def run_experiment(name: str, **kwargs: object) -> ExperimentResult:
     """Run the experiment registered under ``name``.
 
-    Keyword arguments (``isa=``, ``cores=``, ``workers=``, ``machine=``,
-    ``cache=``, ...) are forwarded to the experiment, silently dropping any
-    the experiment's signature does not declare — so one set of sweep flags
-    can drive heterogeneous experiments.
+    Keyword arguments (``isa=``, ``cores=``, ``machine=``, ``cache=``, ...)
+    are forwarded to the experiment, silently dropping any the experiment's
+    signature does not declare — so one set of sweep flags can drive
+    heterogeneous experiments.
     """
     key = name.strip().lower()
     if key not in EXPERIMENTS:
@@ -138,13 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit one JSON document with every result instead of text tables",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker-pool width for the study sweeps (default: sequential)",
-    )
-    parser.add_argument(
         "--isa",
         choices=("avx2", "avx512"),
         default=None,
@@ -180,7 +172,6 @@ def main(argv: List[str] | None = None) -> int:
             print(name)
         return 0
     sweep_kwargs: Dict[str, Optional[object]] = {
-        "workers": args.workers,
         "isa": args.isa,
         "benchmark": args.benchmark,
         "cores": args.cores,

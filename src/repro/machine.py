@@ -40,10 +40,6 @@ class CacheLevelSpec:
         per socket for the shared L3).
     line_bytes:
         Cache line size in bytes.
-    associativity:
-        Number of ways per set (descriptive; no model reads it).
-    latency_cycles:
-        Load-to-use latency in core cycles.
     bandwidth_bytes_per_cycle:
         Sustained bandwidth between this level and the core (per core), in
         bytes per cycle.  Used by the roofline cost model.
@@ -54,8 +50,6 @@ class CacheLevelSpec:
     name: str
     capacity_bytes: int
     line_bytes: int
-    associativity: int
-    latency_cycles: float
     bandwidth_bytes_per_cycle: float
     shared: bool = False
 
@@ -119,8 +113,6 @@ class MachineSpec:
         Cache levels ordered from closest (L1) to farthest (L3).
     memory_bandwidth_gbs:
         Sustained DRAM bandwidth per socket in GB/s.
-    memory_latency_cycles:
-        DRAM access latency in core cycles (descriptive; no model reads it).
     frequency:
         Clock behaviour, including AVX-512 throttling.
     fma_ports:
@@ -135,7 +127,6 @@ class MachineSpec:
     sockets: int
     caches: Tuple[CacheLevelSpec, ...]
     memory_bandwidth_gbs: float
-    memory_latency_cycles: float
     frequency: FrequencySpec
     fma_ports: int = 2
     #: Sustained DRAM bandwidth a *single* core can extract (GB/s).  One core
@@ -203,8 +194,6 @@ def _xeon_6140_caches() -> Tuple[CacheLevelSpec, ...]:
             name="L1",
             capacity_bytes=32 * 1024,
             line_bytes=64,
-            associativity=8,
-            latency_cycles=4,
             bandwidth_bytes_per_cycle=128.0,
             shared=False,
         ),
@@ -212,8 +201,6 @@ def _xeon_6140_caches() -> Tuple[CacheLevelSpec, ...]:
             name="L2",
             capacity_bytes=1024 * 1024,
             line_bytes=64,
-            associativity=16,
-            latency_cycles=14,
             bandwidth_bytes_per_cycle=64.0,
             shared=False,
         ),
@@ -221,8 +208,6 @@ def _xeon_6140_caches() -> Tuple[CacheLevelSpec, ...]:
             name="L3",
             capacity_bytes=int(24.75 * 1024 * 1024),
             line_bytes=64,
-            associativity=11,
-            latency_cycles=50,
             bandwidth_bytes_per_cycle=16.0,
             shared=True,
         ),
@@ -239,7 +224,6 @@ XEON_GOLD_6140_AVX2 = MachineSpec(
     sockets=2,
     caches=_xeon_6140_caches(),
     memory_bandwidth_gbs=110.0,
-    memory_latency_cycles=200,
     frequency=FrequencySpec(
         base_ghz=2.30,
         turbo_1core_ghz=3.70,
@@ -258,7 +242,6 @@ XEON_GOLD_6140_AVX512 = MachineSpec(
     sockets=2,
     caches=_xeon_6140_caches(),
     memory_bandwidth_gbs=110.0,
-    memory_latency_cycles=200,
     frequency=FrequencySpec(
         base_ghz=2.30,
         turbo_1core_ghz=3.70,

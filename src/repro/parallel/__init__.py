@@ -1,41 +1,26 @@
 """Multicore execution substrate.
 
-Three pieces:
+Two pieces:
 
-* :mod:`repro.parallel.partition` — assigns the tiles of one tessellation
-  stage to cores (greedy balanced partitioning),
-* :mod:`repro.parallel.executor` — thread-pool executors: one runs the
-  tiles of each tessellation stage concurrently (tiles of one stage are
-  disjoint and only depend on earlier stages, so the concurrent execution is
-  race-free and validated against the reference in the tests), the other
-  fans a compiled plan out over a batch of grids
+* :mod:`repro.parallel.executor` — the batch executor, which fans a
+  compiled plan out over many grids on a thread pool
   (:func:`~repro.parallel.executor.run_plan_batch`),
 * :mod:`repro.parallel.model` — the analytic multicore model (shared memory
   bandwidth, AVX-512 frequency throttling, stage-barrier overhead and load
   imbalance) that produces the scalability curves of the paper's Figure 10 /
   Table 3.
 
-Python threads cannot demonstrate real 36-core speedups (the experiments'
-performance numbers come from the model), but the executor demonstrates that
-the tile schedule itself is correct under concurrency, which is the part a
-downstream user would reuse.
+Python threads cannot demonstrate real 36-core speedups, so the experiments'
+multicore numbers come from the model.  The model assumes what the
+tessellation tests check: the tiles of one stage may run in any order and
+give the same result.
 """
 
-from repro.parallel.partition import partition_tiles
-from repro.parallel.executor import run_plan_batch, tessellate_run_parallel
-from repro.parallel.model import (
-    MulticoreConfig,
-    multicore_estimate,
-    scalability_curve,
-    speedup_over_single_core,
-)
+from repro.parallel.executor import run_plan_batch
+from repro.parallel.model import MulticoreConfig, multicore_estimate
 
 __all__ = [
-    "partition_tiles",
     "run_plan_batch",
-    "tessellate_run_parallel",
     "MulticoreConfig",
     "multicore_estimate",
-    "scalability_curve",
-    "speedup_over_single_core",
 ]

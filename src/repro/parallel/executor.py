@@ -1,21 +1,13 @@
-"""Concurrent executors: tessellation tiles and plan batches.
+"""Batch executor: one compiled plan over many grids.
 
-Two thread-pool executors live here:
-
-* :func:`tessellate_run_parallel` runs the tiles of each tessellation stage
-  concurrently.  The point of this executor in the reproduction is
-  *correctness under concurrency*: tiles of one stage touch disjoint regions
-  and depend only on completed earlier stages, so executing them in
-  arbitrary interleavings must give exactly the reference result — which the
-  integration tests assert.  (CPython threads do not provide real parallel
-  speedup for this Python-level code; the performance side of the multicore
-  experiments comes from :mod:`repro.parallel.model`.)
-
-* :func:`run_plan_batch` fans one compiled plan
-  (:class:`repro.core.plan.CompiledPlan`) out over many grids — the
-  run-many half of the compile-once/run-many API.  Because a plan's ``run``
-  is pure and its folding schedule is frozen at compile time, the batch
-  result is bit-identical to the sequential loop for any worker count.
+:func:`run_plan_batch` fans one compiled plan
+(:class:`repro.core.plan.CompiledPlan`) out over many grids — the run-many
+half of the compile-once/run-many API.  Because a plan's ``run`` is pure and
+its folding schedule is frozen at compile time, the batch result is
+bit-identical to the sequential loop for any worker count.  A pool pays
+off here because the native sweeps behind ``run`` release the GIL.
+Tessellation tiles and study cells run sequentially: their work holds the
+GIL, so threads only add overhead to it.
 """
 
 from __future__ import annotations
@@ -25,82 +17,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.parallel.partition import partition_tiles
 from repro.stencils.grid import Grid
-from repro.stencils.spec import StencilSpec
-from repro.tiling.schedule import Tile
-from repro.tiling.tessellate import TessellationConfig, build_tessellation, update_region
-
-
-def _run_tile(
-    spec: StencilSpec,
-    tile: Tile,
-    arrays,
-    parity: int,
-    boundary,
-    aux: Optional[np.ndarray],
-) -> None:
-    """Execute every local time step of one tile."""
-    for t, regions in enumerate(tile.steps, start=1):
-        src = arrays[(parity + t - 1) % 2]
-        dst = arrays[(parity + t) % 2]
-        for region in regions:
-            update_region(spec, src, dst, region, boundary, aux=aux)
-
-
-def tessellate_run_parallel(
-    spec: StencilSpec,
-    grid: Grid,
-    steps: int,
-    config: TessellationConfig,
-    workers: int = 4,
-) -> np.ndarray:
-    """Run ``steps`` time steps of tessellate tiling with concurrent tiles.
-
-    Parameters
-    ----------
-    spec:
-        Stencil to execute.
-    grid:
-        Initial grid.
-    steps:
-        Total time steps (the last pass shrinks its time range if needed).
-    config:
-        Tessellation block sizes and time range.
-    workers:
-        Thread-pool size; tiles of each stage are partitioned across the
-        workers and stages are separated by a barrier (pool join), exactly
-        mirroring the OpenMP structure the paper uses.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    radius = spec.radius
-    arrays = [grid.values.copy(), np.empty_like(grid.values)]
-    aux = grid.aux
-    parity = 0
-    done = 0
-    while done < steps:
-        tr = min(config.time_range, steps - done)
-        pass_config = TessellationConfig(block_sizes=config.block_sizes, time_range=tr)
-        schedule = build_tessellation(grid.shape, radius, pass_config, grid.boundary)
-        for stage in schedule.stages:
-            buckets = partition_tiles(stage, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = []
-                for bucket in buckets:
-                    for tile in bucket:
-                        futures.append(
-                            pool.submit(
-                                _run_tile, spec, tile, arrays, parity, grid.boundary, aux
-                            )
-                        )
-                for fut in futures:
-                    fut.result()
-        done += tr
-        parity = (parity + tr) % 2
-    return arrays[parity]
 
 
 #: Default fan-out of :func:`run_plan_batch` when the plan itself is not
@@ -111,13 +28,12 @@ DEFAULT_BATCH_WORKERS = 8
 def map_ordered(fn, items: Sequence[Any], workers: int) -> List[Any]:
     """Apply ``fn`` over ``items`` on a thread pool, preserving input order.
 
-    The shared fan-out primitive of the batch executor and the study sweep
-    runner (:mod:`repro.study`): ``workers`` is capped at the item count,
-    ``workers=1`` degenerates to a plain sequential loop, and the result
-    list matches ``[fn(item) for item in items]`` element-for-element for
-    any worker count — which is exactly the determinism contract both
-    callers expose.  ``fn`` must be pure (or at least thread-safe) for that
-    contract to hold.
+    The fan-out primitive of :func:`run_plan_batch`: ``workers`` is capped
+    at the item count, ``workers=1`` degenerates to a plain sequential loop,
+    and the result list matches ``[fn(item) for item in items]``
+    element-for-element for any worker count — which is exactly the
+    determinism contract the batch executor exposes.  ``fn`` must be pure
+    (or at least thread-safe) for that contract to hold.
     """
     items = list(items)
     if workers < 1:

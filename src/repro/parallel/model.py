@@ -23,7 +23,7 @@ core counts cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -154,32 +154,3 @@ def multicore_estimate(
             residency=est.residency,
         )
     return est
-
-
-def scalability_curve(
-    profile: MethodProfile,
-    grid_shape: Sequence[int],
-    time_steps: int,
-    machine: MachineSpec,
-    cores_list: Sequence[int],
-    radius: int,
-    tiling: Optional[TessellationConfig] = None,
-    config: MulticoreConfig = MulticoreConfig(),
-) -> Dict[int, PerformanceEstimate]:
-    """Sweep ``cores_list`` and return the estimate for each core count."""
-    return {
-        cores: multicore_estimate(
-            profile, grid_shape, time_steps, machine, cores, radius, tiling, config
-        )
-        for cores in cores_list
-    }
-
-
-def speedup_over_single_core(curve: Dict[int, PerformanceEstimate]) -> Dict[int, float]:
-    """Convert a scalability curve into speedups relative to one core."""
-    if 1 not in curve:
-        raise ValueError("the curve must contain the single-core point")
-    base = curve[1].gflops
-    if base <= 0:
-        raise ValueError("single-core estimate must be positive")
-    return {cores: est.gflops / base for cores, est in curve.items()}

@@ -3,9 +3,9 @@
 The sweep counterpart of the compile-once/run-many plan API: declare axes
 with :meth:`~repro.study.builder.StudyBuilder.over`, target a machine with
 :meth:`~repro.study.builder.StudyBuilder.on`, attach a per-cell metric, and
-:meth:`~repro.study.builder.StudyBuilder.run` fans the cross-product out
-over a worker pool with memoized profiles/estimates and returns an
-immutable, queryable :class:`~repro.study.resultset.ResultSet`.
+:meth:`~repro.study.builder.StudyBuilder.run` evaluates the cross-product
+in order with memoized profiles/estimates and returns an immutable,
+queryable :class:`~repro.study.resultset.ResultSet`.
 
 Every figure and table of :mod:`repro.harness.experiments` is a thin study
 definition; user code composes new sweeps the same way.

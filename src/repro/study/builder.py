@@ -4,9 +4,7 @@ The paper's whole evaluation section is a grid of sweeps — method × stencil
 × ISA × storage level × core count.  :func:`study` is the sweep counterpart
 of :func:`repro.plan`: a fluent builder collects the axes, the target
 machine and the per-cell metric, then :meth:`StudyBuilder.run` expands the
-cross-product, fans the cells out over a worker pool (the same ordered
-fan-out primitive the batch executor uses,
-:func:`repro.parallel.executor.map_ordered`), memoizes the expensive
+cross-product, evaluates the cells in order, memoizes the expensive
 pipeline stages through an :class:`~repro.study.cache.EvalCache`, and
 returns an immutable :class:`~repro.study.resultset.ResultSet`::
 
@@ -24,14 +22,14 @@ returns an immutable :class:`~repro.study.resultset.ResultSet`::
                 npoints=1 << 20, time_steps=1000, machine=cell.machine,
             ).gflops,
         })
-        .run(workers=4)
+        .run()
     )
 
 Axis order matters: the first ``over`` axis varies slowest (outermost loop),
 exactly like nested ``for`` loops, so figure-shaped row orders fall out of
-the axis declaration.  Because metrics and the evaluation pipeline are
-pure, a run with ``workers > 1`` returns rows identical to the sequential
-run — the harness's experiment tests assert this.
+the axis declaration.  Cells run one after another: a cell's metric is
+Python-level model arithmetic that holds the GIL, so threads would not run
+them any faster.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.machine import MachineSpec
-from repro.parallel.executor import map_ordered
 from repro.study.cache import EvalCache
 from repro.study.hashing import config_hash
 from repro.study.resultset import Provenance, ResultSet
@@ -113,7 +110,6 @@ class StudyBuilder:
         self._metric: Optional[Metric] = None
         self._predicates: List[Callable[[Mapping[str, Any]], bool]] = []
         self._cache: Optional[EvalCache] = None
-        self._workers: int = 1
 
     def over(self, **axes: Sequence[Any]) -> "StudyBuilder":
         """Add sweep axes; the first declared axis varies slowest.
@@ -166,14 +162,6 @@ class StudyBuilder:
         self._cache = cache
         return self
 
-    def workers(self, n: int) -> "StudyBuilder":
-        """Default worker-pool width for :meth:`run` (overridable per run)."""
-        n = int(n)
-        if n < 1:
-            raise ValueError("workers must be >= 1")
-        self._workers = n
-        return self
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -187,20 +175,13 @@ class StudyBuilder:
                 cells.append(axes)
         return cells
 
-    def run(self, workers: Optional[int] = None) -> ResultSet:
-        """Evaluate every cell and return the :class:`ResultSet`.
-
-        ``workers`` overrides the builder default; any value returns rows
-        identical to the sequential run because metrics are pure and the
-        memoization cache is single-flight.
-        """
+    def run(self) -> ResultSet:
+        """Evaluate every cell, in cross-product order, and return the
+        :class:`ResultSet`."""
         if self._metric is None:
             raise ValueError("study has no metric; call .metric(fn) before .run()")
         if not self._axes:
             raise ValueError("study has no axes; call .over(...) before .run()")
-        pool_width = self._workers if workers is None else int(workers)
-        if pool_width < 1:
-            raise ValueError("workers must be >= 1")
         cache = self._cache if self._cache is not None else EvalCache()
         stats_before = cache.stats
 
@@ -210,7 +191,7 @@ class StudyBuilder:
             StudyCell(axes, index, self._machine, cache)
             for index, axes in enumerate(combos)
         ]
-        results = map_ordered(self._metric, cells, pool_width)
+        results = [self._metric(cell) for cell in cells]
 
         rows: List[Mapping[str, Any]] = []
         for result in results:
@@ -236,7 +217,6 @@ class StudyBuilder:
             ),
             cells=len(cells),
             rows=len(rows),
-            workers=pool_width,
             wall_seconds=elapsed,
             cache_hits=stats_after.hits - stats_before.hits,
             cache_misses=stats_after.misses - stats_before.misses,

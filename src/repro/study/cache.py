@@ -11,10 +11,11 @@ analysis, counterpart planning) and the performance estimates
 configuration hash of their inputs (:mod:`repro.study.hashing`), so repeated
 cells are free.
 
-The cache is thread-safe with single-flight semantics: when several study
-workers ask for the same key concurrently, exactly one computes and the
-rest wait for its result, which keeps hit/miss accounting exact and the
-work deduplicated.  Cached values are shared, never copied — safe because
+The cache is thread-safe with single-flight semantics: when several
+threads ask for the same key concurrently (the service's inline workers
+share one process-wide cache, :func:`repro.service.workers.worker_cache`),
+exactly one computes and the rest wait for its result, which keeps hit/miss
+accounting exact and the work deduplicated.  Cached values are shared, never copied — safe because
 every producer in the pipeline is pure and every consumer treats its inputs
 as read-only.
 """

@@ -42,8 +42,6 @@ class Provenance:
         Number of cross-product cells evaluated (after ``where`` filtering).
     rows:
         Number of result rows the cells produced.
-    workers:
-        Worker-pool width the sweep ran with (1 = sequential).
     wall_seconds:
         Wall-clock time of the whole sweep.
     cache_hits / cache_misses:
@@ -56,7 +54,6 @@ class Provenance:
     config_hash: str
     cells: int
     rows: int
-    workers: int
     wall_seconds: float
     cache_hits: int
     cache_misses: int

@@ -1,12 +1,13 @@
 """Tile-schedule data structures.
 
 A temporal tiling of a stencil's iteration space is described as a list of
-*stages*; each stage holds *tiles* that may execute concurrently; each tile
-is a sequence of per-local-time-step update regions (axis-aligned boxes in
-the spatial grid).  The structures are deliberately executor-agnostic: the
-sequential executor in :mod:`repro.tiling.tessellate`, the thread-pool
-executor in :mod:`repro.parallel.executor` and the analytic multicore model
-in :mod:`repro.parallel.model` all consume the same :class:`TileSchedule`.
+*stages*; each stage holds *tiles* that may execute in any order (or
+concurrently); each tile is a sequence of per-local-time-step update regions
+(axis-aligned boxes in the spatial grid).  The executor in
+:mod:`repro.tiling.tessellate` runs a :class:`TileSchedule` stage by stage;
+the analytic multicore model in :mod:`repro.parallel.model` prices the same
+stage structure (a barrier per stage, each stage's tiles spread over the
+cores) from the tiling configuration alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class Tile:
     Attributes
     ----------
     tile_id:
-        Unique identifier within the schedule (used for work partitioning).
+        Unique identifier within the schedule.
     stage:
         Stage index the tile belongs to (0-based).
     steps:

@@ -20,8 +20,8 @@ usual two Jacobi arrays.
 
 The module provides the schedule builder (:func:`build_tessellation`), a
 sequential executor validated against the reference
-(:func:`tessellate_run`), and the per-tile region update helper reused by the
-parallel executor.
+(:func:`tessellate_run`), and the per-region update helper it runs on
+(:func:`update_region`).
 """
 
 from __future__ import annotations
@@ -247,8 +247,10 @@ def update_region(
 
     Reads neighbours from ``src`` (wrapping or reading the constant halo
     according to ``boundary``) and writes the updated values into ``dst`` at
-    the region.  Used by the tessellation executors, the split-tiling
-    baseline and the parallel tile runner.
+    the region.  Used by the tessellation executor, and through it by the
+    split-tiling baseline.  It reads only ``src`` and writes only ``dst`` at
+    ``region``, so the regions of one tessellation stage may be updated in
+    any order.
     """
     slices = tuple(slice(start, stop) for start, stop in region)
     if any(s.start >= s.stop for s in slices):

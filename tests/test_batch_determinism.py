@@ -75,7 +75,7 @@ class TestBatchDeterminism:
         _assert_bit_identical(p, grids, 8, workers=4)
 
     def test_tiled_parallel_plan(self):
-        """Nested pools: batch fan-out over plans that themselves tile in parallel."""
+        """Batch fan-out over a tiled plan whose own ``parallel(n)`` the call overrides."""
         case = get_benchmark("2d-heat")
         grids = [case.make_grid((32, 32), seed=s) for s in range(BATCH)]
         p = (

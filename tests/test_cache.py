@@ -109,8 +109,8 @@ TWO_LEVEL = replace(
     XEON_GOLD_6140_AVX2,
     name="two-level",
     caches=(
-        CacheLevelSpec("L1", 48 * 1024, 64, 12, 5, 96.0),
-        CacheLevelSpec("L2", 2 * 1024 * 1024, 64, 16, 30, 32.0, shared=True),
+        CacheLevelSpec("L1", 48 * 1024, 64, 96.0),
+        CacheLevelSpec("L2", 2 * 1024 * 1024, 64, 32.0, shared=True),
     ),
 )
 

@@ -1,4 +1,4 @@
-"""The study-based experiments against recorded rows, in parallel and on any machine.
+"""The study-based experiments against recorded rows, and on any machine.
 
 The harness experiments are declarative :mod:`repro.study` definitions over
 the model layer.  These tests pin them down:
@@ -7,7 +7,6 @@ the model layer.  These tests pin them down:
   ``golden_experiment_rows.json`` (release 1.17, when they still equalled
   the pre-study loops row for row): floats to a relative 1e-12, every other
   value exactly, so a change to the model shows as a changed row;
-* a sweep run with ``workers > 1`` must equal the sequential run;
 * the memoization cache must demonstrably avoid recomputing repeated
   (spec, method, isa, machine) cells;
 * any :class:`~repro.machine.MachineSpec` must be sweepable, with the core
@@ -84,19 +83,9 @@ class TestGoldenRows:
 
 
 # --------------------------------------------------------------------------- #
-# parallel execution parity and memoization
+# memoization
 # --------------------------------------------------------------------------- #
-class TestParallelAndCaching:
-    def test_figure8_parallel_equals_sequential(self):
-        assert figure8(workers=4).rows == figure8().rows
-
-    def test_figure9_parallel_equals_sequential(self):
-        assert figure9(workers=6).rows == figure9().rows
-
-    def test_figure10_parallel_equals_sequential(self):
-        kwargs = dict(benchmarks=("2d9p", "game-of-life"), cores_list=(1, 18, 36))
-        assert figure10(workers=8, **kwargs).rows == figure10(**kwargs).rows
-
+class TestCaching:
     def test_figure10_memoizes_profiles_across_core_counts(self):
         cache = EvalCache()
         figure10(benchmarks=("2d9p",), cores_list=(1, 2, 4, 8), machine=None, cache=cache)

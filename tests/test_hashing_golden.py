@@ -31,7 +31,7 @@ GOLDEN = {
         "ac024d48e79a",
     ),
     "stencil-spec": (lambda: (get_benchmark("1d-heat").spec,), "35303120cdec"),
-    "machine-spec": (lambda: (machine_for_isa("avx512"),), "7ee3b8858fa5"),
+    "machine-spec": (lambda: (machine_for_isa("avx512"),), "d24990250191"),
     "nested-mixed": (
         lambda: ("estimate", {"cores": (1, 2, 4), "shape": [256, 256]}, None, True, 0.125),
         "4b60bdd84047",

@@ -1,4 +1,4 @@
-"""Tests for the multicore substrate (repro.parallel)."""
+"""Tests for the analytic multicore model (repro.parallel.model)."""
 
 from __future__ import annotations
 
@@ -6,136 +6,44 @@ import pytest
 
 from repro.machine import XEON_GOLD_6140_AVX2, XEON_GOLD_6140_AVX512
 from repro.methods import build_profile
-from repro.parallel.executor import tessellate_run_parallel
-from repro.parallel.model import (
-    MulticoreConfig,
-    multicore_estimate,
-    scalability_curve,
-    speedup_over_single_core,
-)
-from repro.parallel.partition import partition_tiles, schedule_imbalance, stage_imbalance
-from repro.stencils.boundary import BoundaryCondition
-from repro.stencils.grid import Grid
-from repro.stencils.library import BENCHMARKS, box_2d9p, heat_1d, heat_2d
-from repro.stencils.reference import reference_run
-from repro.tiling.tessellate import TessellationConfig, build_tessellation
-from repro.utils.validation import assert_allclose
-
-
-class TestPartitioning:
-    def _stage(self):
-        sched = build_tessellation((64, 64), 1, TessellationConfig((16, 16), 4))
-        return sched.stages[0]
-
-    def test_partition_preserves_all_tiles(self):
-        stage = self._stage()
-        buckets = partition_tiles(stage, 3)
-        assert sum(len(b) for b in buckets) == len(stage.tiles)
-        ids = sorted(t.tile_id for b in buckets for t in b)
-        assert ids == sorted(t.tile_id for t in stage.tiles)
-
-    def test_partition_is_balanced(self):
-        stage = self._stage()
-        buckets = partition_tiles(stage, 4)
-        loads = [sum(t.points_updated() for t in b) for b in buckets]
-        assert max(loads) <= min(loads) * 1.5 + 1
-
-    def test_more_workers_than_tiles(self):
-        stage = self._stage()
-        buckets = partition_tiles(stage, len(stage.tiles) + 5)
-        assert sum(len(b) for b in buckets) == len(stage.tiles)
-
-    def test_invalid_core_count(self):
-        with pytest.raises(ValueError):
-            partition_tiles(self._stage(), 0)
-
-    def test_imbalance_bounds(self):
-        stage = self._stage()
-        assert stage_imbalance(stage, 1) == pytest.approx(1.0)
-        assert stage_imbalance(stage, 3) >= 1.0
-        sched = build_tessellation((64, 64), 1, TessellationConfig((16, 16), 4))
-        assert schedule_imbalance(sched.stages, 5) >= 1.0
-
-
-class TestParallelExecutor:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_reference_2d(self, workers):
-        spec = box_2d9p()
-        grid = Grid.random((32, 32), seed=50)
-        config = TessellationConfig(block_sizes=(16, 16), time_range=4)
-        out = tessellate_run_parallel(spec, grid, 9, config, workers=workers)
-        assert_allclose(out, reference_run(spec, grid, 9))
-
-    def test_matches_reference_dirichlet(self):
-        spec = heat_2d()
-        grid = Grid.random((24, 24), boundary=BoundaryCondition.DIRICHLET, seed=51)
-        config = TessellationConfig(block_sizes=(12, 12), time_range=3)
-        out = tessellate_run_parallel(spec, grid, 5, config, workers=3)
-        assert_allclose(out, reference_run(spec, grid, 5))
-
-    def test_nonlinear_apop(self):
-        case = BENCHMARKS["apop"]
-        grid = case.make_grid((128,))
-        config = TessellationConfig(block_sizes=(32,), time_range=4)
-        out = tessellate_run_parallel(case.spec, grid, 8, config, workers=4)
-        assert_allclose(out, reference_run(case.spec, grid, 8))
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            tessellate_run_parallel(
-                heat_1d(), Grid.random((32,)), 2, TessellationConfig((16,), 2), workers=0
-            )
+from repro.parallel.model import MulticoreConfig, multicore_estimate
+from repro.stencils.library import box_2d9p
+from repro.tiling.tessellate import TessellationConfig
 
 
 class TestMulticoreModel:
     def _profile(self, method="folded"):
         return build_profile(method, box_2d9p(), "avx2", m=2)
 
+    def _gflops(self, profile, cores_list, tiling):
+        """Aggregate GFLOP/s of one 5000² 2-D run for each core count."""
+        return {
+            cores: multicore_estimate(
+                profile, (5000, 5000), 1000, XEON_GOLD_6140_AVX2, cores, 1, tiling
+            ).gflops
+            for cores in cores_list
+        }
+
     def test_aggregate_gflops_grow_with_cores(self):
         tiling = TessellationConfig(block_sizes=(128, 128), time_range=16)
-        curve = scalability_curve(
-            self._profile(),
-            grid_shape=(5000, 5000),
-            time_steps=1000,
-            machine=XEON_GOLD_6140_AVX2,
-            cores_list=(1, 2, 4, 8, 18, 36),
-            radius=1,
-            tiling=tiling,
-        )
-        gflops = [curve[c].gflops for c in (1, 2, 4, 8, 18, 36)]
+        cores_list = (1, 2, 4, 8, 18, 36)
+        curve = self._gflops(self._profile(), cores_list, tiling)
+        gflops = [curve[c] for c in cores_list]
         assert all(b >= a for a, b in zip(gflops, gflops[1:]))
 
     def test_speedup_bounded_by_core_count(self):
         tiling = TessellationConfig(block_sizes=(128, 128), time_range=16)
-        curve = scalability_curve(
-            self._profile(),
-            grid_shape=(5000, 5000),
-            time_steps=1000,
-            machine=XEON_GOLD_6140_AVX2,
-            cores_list=(1, 8, 36),
-            radius=1,
-            tiling=tiling,
-        )
-        speedups = speedup_over_single_core(curve)
-        assert speedups[1] == pytest.approx(1.0)
-        assert speedups[8] <= 8.0 + 1e-6
-        assert speedups[36] <= 36.0 + 1e-6
-        assert speedups[36] > 10.0  # compute-bound tiled kernels scale well
+        curve = self._gflops(self._profile(), (1, 8, 36), tiling)
+        assert curve[8] / curve[1] <= 8.0 + 1e-6
+        assert curve[36] / curve[1] <= 36.0 + 1e-6
+        assert curve[36] / curve[1] > 10.0  # compute-bound tiled kernels scale well
 
     def test_untiled_memory_bound_kernel_saturates(self):
-        curve = scalability_curve(
-            build_profile("multiple_loads", box_2d9p(), "avx2"),
-            grid_shape=(5000, 5000),
-            time_steps=1000,
-            machine=XEON_GOLD_6140_AVX2,
-            cores_list=(1, 36),
-            radius=1,
-            tiling=None,
-        )
-        speedups = speedup_over_single_core(curve)
+        profile = build_profile("multiple_loads", box_2d9p(), "avx2")
+        curve = self._gflops(profile, (1, 36), None)
         # without temporal tiling the kernel hits the bandwidth wall well
         # below linear scaling
-        assert speedups[36] < 30.0
+        assert curve[36] / curve[1] < 30.0
 
     def test_avx512_throttling_reduces_frequency(self):
         tiling = TessellationConfig(block_sizes=(128, 128), time_range=16)
@@ -164,5 +72,3 @@ class TestMulticoreModel:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             multicore_estimate(self._profile(), (64, 64), 10, XEON_GOLD_6140_AVX2, 0, 1)
-        with pytest.raises(ValueError):
-            speedup_over_single_core({2: None})  # type: ignore[dict-item]

@@ -15,7 +15,7 @@ from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS, box_2d9p, get_benchmark, heat_1d, heat_2d
 from repro.stencils.reference import reference_run
-from repro.tiling.tessellate import TessellationConfig
+from repro.tiling.tessellate import TessellationConfig, tessellate_run
 from repro.utils.validation import assert_allclose
 
 
@@ -122,14 +122,14 @@ class TestCompiledPlanExecution:
     def test_tiled_parallel_plan_matches_reference(self):
         case = BENCHMARKS["2d-heat"]
         grid = case.make_grid((48, 48))
-        p = (
-            plan(case.spec)
-            .method("transpose")
-            .tile(block_sizes=(16, 16), time_range=4)
-            .parallel(workers=3)
-            .compile()
-        )
-        assert_allclose(p.run(grid, 10), reference_run(case.spec, grid, 10))
+        config = TessellationConfig((16, 16), 4)
+        p = plan(case.spec).method("transpose").tile(config).parallel(workers=3).compile()
+        out = p.run(grid, 10)
+        assert_allclose(out, reference_run(case.spec, grid, 10))
+        # parallel(n) sizes only run_batch: a tiled run() is tessellate_run's bits.
+        np.testing.assert_array_equal(out, tessellate_run(case.spec, grid, 10, config))
+        sequential = plan(case.spec).method("transpose").tile(config).compile()
+        np.testing.assert_array_equal(sequential.run(grid, 10), out)
 
     def test_zero_and_negative_steps(self):
         p = plan(heat_1d()).compile()
@@ -256,8 +256,8 @@ class TestImmutabilityAndIntrospection:
             .compile()
         )
         text = p.explain()
-        assert "tessellated tiles" in text
-        assert "4" in text
+        assert "tessellated tiles, sequential stage-by-stage execution" in text
+        assert "workers        : 4 (run_batch)" in text
 
     def test_repr(self):
         p = plan(heat_1d()).method("dlt").compile()

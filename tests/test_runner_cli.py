@@ -26,7 +26,7 @@ class TestRunExperiment:
         assert result.notes == "cores=4"
 
     def test_none_valued_kwargs_keep_defaults(self):
-        result = run_experiment("figure8", isa=None, workers=None)
+        result = run_experiment("figure8", isa=None, benchmark=None)
         assert result.notes == "stencil=1d-heat, isa=avx2"
 
 
@@ -98,7 +98,7 @@ class TestCli:
         assert "isa=avx512" in payload["experiments"][0]["notes"]
 
     def test_benchmarks_flag(self, capsys):
-        assert main(["figure10", "--benchmarks", "1d-heat,2d9p", "--json", "--workers", "4"]) == 0
+        assert main(["figure10", "--benchmarks", "1d-heat,2d9p", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         keys = {row["key"] for row in payload["experiments"][0]["rows"]}
         assert keys == {"1d-heat", "2d9p"}

@@ -20,7 +20,6 @@ def _provenance(**overrides):
         config_hash="abc123",
         cells=0,
         rows=0,
-        workers=1,
         wall_seconds=0.0,
         cache_hits=0,
         cache_misses=0,
@@ -103,38 +102,6 @@ class TestStudyBuilder:
         assert rs[0]["name"] == machine.name
         assert rs.provenance.machine == machine.name
 
-    def test_parallel_run_identical_to_sequential(self):
-        spec = get_benchmark("1d-heat").spec
-        machine = machine_for_isa("avx2")
-
-        def metric(cell):
-            profile = cell.cache.profile(cell["method"], spec, isa="avx2", m=2)
-            est = cell.cache.estimate(
-                profile, npoints=cell["npoints"], time_steps=1000, machine=cell.machine
-            )
-            return {"method": cell["method"], "npoints": cell["npoints"], "gflops": est.gflops}
-
-        def build():
-            return (
-                study("par")
-                .over(method=("transpose", "folded", "dlt"), npoints=(1 << 10, 1 << 16, 1 << 20))
-                .on(machine)
-                .metric(metric)
-            )
-
-        sequential = build().run(workers=1)
-        for workers in (2, 5):
-            parallel = build().run(workers=workers)
-            assert [dict(r) for r in parallel] == [dict(r) for r in sequential]
-            assert parallel.provenance.workers == workers
-
-    def test_workers_validation(self):
-        builder = study().over(a=(1,)).metric(lambda c: None)
-        with pytest.raises(ValueError):
-            builder.run(workers=0)
-        with pytest.raises(ValueError):
-            study().workers(0)
-
 
 # --------------------------------------------------------------------------- #
 # 3-D stencil axes
@@ -167,7 +134,7 @@ class TestStencil3DAxis:
             study("stencil3d")
             .over(stencil=("3d-heat", "3d27p"), isa=("avx2", "avx512"))
             .metric(metric)
-            .run(workers=2)
+            .run()
         )
         assert len(rs) == 4
         assert all(r["dims"] == 3 for r in rs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.tiling.tessellate import (
     build_tessellation,
     cache_reuse_factors,
     tessellate_run,
+    update_region,
 )
 from repro.utils.validation import assert_allclose
 
@@ -171,6 +174,67 @@ class TestTessellationExecution:
         config = TessellationConfig(block_sizes=(16,), time_range=4)
         out = tessellate_run(spec, grid, steps, config)
         assert_allclose(out, reference_run(spec, grid, steps))
+
+
+def _tessellate_in_order(spec, grid, steps, config, order):
+    """``tessellate_run`` with each stage's tiles taken in ``order(tiles)``.
+
+    The same passes and the same two Jacobi arrays as ``tessellate_run``;
+    only the order of the tiles inside a stage differs.
+    """
+    arrays = [grid.values.copy(), np.empty_like(grid.values)]
+    done = parity = 0
+    while done < steps:
+        tr = min(config.time_range, steps - done)
+        pass_config = TessellationConfig(block_sizes=config.block_sizes, time_range=tr)
+        schedule = build_tessellation(grid.shape, spec.radius, pass_config, grid.boundary)
+        for stage in schedule.stages:
+            for tile in order(list(stage.tiles)):
+                for t, regions in enumerate(tile.steps, start=1):
+                    src = arrays[(parity + t - 1) % 2]
+                    dst = arrays[(parity + t) % 2]
+                    for region in regions:
+                        update_region(spec, src, dst, region, grid.boundary, aux=grid.aux)
+        done += tr
+        parity = (parity + tr) % 2
+    return arrays[parity]
+
+
+class TestStageOrderIndependence:
+    """The tiles of one stage may run in any order and give the same bits.
+
+    The paper runs each stage's tiles concurrently under OpenMP, and the
+    multicore model (``repro.parallel.model``) assumes that doing so changes
+    nothing; here every stage runs its tiles reversed and shuffled.
+    """
+
+    ORDERS = {
+        "reversed": lambda tiles: tiles[::-1],
+        "shuffled": lambda tiles: random.Random(1234).sample(tiles, len(tiles)),
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("boundary", [BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET])
+    @pytest.mark.parametrize(
+        "key,shape,blocks,tr",
+        [
+            ("1d-heat", (64,), (16,), 4),
+            ("1d5p", (96,), (24,), 3),
+            ("2d9p", (24, 24), (12, 12), 3),
+            ("3d-heat", (12, 12, 12), (6, 6, 6), 3),
+            ("apop", (128,), (32,), 4),
+        ],
+    )
+    def test_any_tile_order_gives_tessellate_run_bits(
+        self, key, shape, blocks, tr, boundary, order
+    ):
+        case = BENCHMARKS[key]
+        grid = case.make_grid(shape, seed=47)
+        grid.boundary = boundary
+        config = TessellationConfig(block_sizes=blocks, time_range=tr)
+        expected = tessellate_run(case.spec, grid, 7, config)
+        got = _tessellate_in_order(case.spec, grid, 7, config, self.ORDERS[order])
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestSplitTiling:
