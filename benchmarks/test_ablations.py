@@ -106,48 +106,6 @@ def test_ablation_layout_under_tiling(benchmark):
     assert gflops["transpose"] > gflops["multiple_loads"]
 
 
-@pytest.mark.benchmark(group="ablation-weighted-transpose")
-def test_ablation_weighted_transpose_measured(benchmark):
-    """The optional weighted transpose, *measured* on executed sweeps.
-
-    Previously this design point was only modelled; trace replay makes it
-    cheap to execute the full register-level schedule on a real grid and
-    compare the measured instruction mixes of storing transposed tiles
-    (``transpose_back=False``) versus restoring row orientation.
-    """
-    from repro.core.vectorized_folding import FoldingSchedule
-    from repro.ir import compile_sweep
-    from repro.simd.isa import AVX2
-    from repro.stencils.grid import Grid
-
-    sched = FoldingSchedule(box_2d9p(), 2)
-    grid = Grid.random((64, 64), seed=0)
-
-    def sweep():
-        rows = []
-        for transpose_back in (True, False):
-            compiled = compile_sweep(sched, AVX2, transpose_back=transpose_back)
-            compiled.replay(grid.values.copy())
-            counts, _, _ = compiled.sweep_counts(grid.values.shape)
-            rows.append(
-                {
-                    "weighted_transpose": transpose_back,
-                    "data_org": counts.data_organization,
-                    "arith": counts.arithmetic,
-                    "total": counts.total,
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    print()
-    title = "== ablation: weighted transpose (2D9P, m=2, measured trace counts)"
-    print(format_table(rows, title=title))
-    with_wt, without = rows[0], rows[1]
-    assert without["data_org"] < with_wt["data_org"]
-    assert without["arith"] == with_wt["arith"]
-
-
 @pytest.mark.benchmark(group="ablation-regression")
 def test_ablation_counterpart_regression(benchmark):
     """Counterpart reuse (Section 3.5) on the asymmetric GB stencil."""

@@ -104,17 +104,15 @@ def kernel_content_key(ir: ScheduleIR) -> str:
     """Canonical content hash of one lowered program.
 
     Everything the replay derives from is folded in: the full op stream with
-    immediates and tags, the register space, the cross-segment wiring and
-    the store layout.  Pass pipelines that converge on the same program
-    share the key — the cache is content addressed, not configuration
-    addressed.
+    immediates and tags, the register space and the cross-segment wiring.
+    Pass pipelines that converge on the same program share the key — the
+    cache is content addressed, not configuration addressed.
     """
     parts = (
         ir.isa.name,
         ir.dims,
         ir.m,
         ir.nregs,
-        ir.transpose_back,
         ir.vt_out,
         tuple(
             (seg.name, seg.trip, seg.peak_live, seg.spills,
@@ -522,7 +520,7 @@ class KernelProgram(CompiledSweep):
         if self.native is not None:
             values, out, axes = self._operands(values, out)
             self.native(values, out, axes, originals, dirichlet)
-            return self._stored(out)
+            return out
         if dirichlet:
             raise ValueError(
                 "IR replay sweeps periodic grids only, and this program has no "
@@ -574,12 +572,7 @@ def clear_kernel_cache() -> None:
         _BUILDS.clear()
 
 
-def compile_kernel(
-    schedule,
-    isa: IsaSpec,
-    transpose_back: bool = True,
-    optimize: Optional[bool] = False,
-) -> KernelProgram:
+def compile_kernel(schedule, isa: IsaSpec, *, optimize: Optional[bool] = False) -> KernelProgram:
     """Lower ``schedule``, optionally optimize, and fetch/build its kernel.
 
     The signature mirrors :func:`repro.ir.executor.compile_sweep`, ``optimize``
@@ -589,7 +582,7 @@ def compile_kernel(
     program's C form (a ``dlopen`` when the on-disk cache already holds it).
     """
     global _CACHE_HITS, _CACHE_MISSES
-    ir, reports = _lower_and_optimize(schedule, isa, transpose_back, optimize)
+    ir, reports = _lower_and_optimize(schedule, isa, optimize)
     key = kernel_content_key(ir)
     with _CACHE_LOCK:
         program = _KERNEL_CACHE.get(key)

@@ -499,12 +499,7 @@ class FoldingSchedule:
     # ------------------------------------------------------------------ #
     # simulated SIMD execution: 1-D (transpose layout)
     # ------------------------------------------------------------------ #
-    def simd_sweep_1d(
-        self,
-        machine: SimdMachine,
-        values_t: np.ndarray,
-        out_t: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def simd_sweep_1d(self, machine: SimdMachine, values_t: np.ndarray) -> np.ndarray:
         """One folded update of a 1-D grid stored in the transpose layout.
 
         Parameters
@@ -515,9 +510,6 @@ class FoldingSchedule:
             1-D array already in transpose layout (see
             :mod:`repro.layout.transpose_layout`); its length must be a
             multiple of ``vl²`` and the boundary is periodic.
-        out_t:
-            Optional output array (also in transpose layout); a new array is
-            allocated when omitted.
 
         Returns
         -------
@@ -537,8 +529,7 @@ class FoldingSchedule:
                 f"folded radius {radius} exceeds the vector length {vl}; "
                 "the assembled-vector construction supports radius <= vl"
             )
-        if out_t is None:
-            out_t = np.empty_like(values_t)
+        out_t = np.empty_like(values_t)
         nsets = n // block
         weight_vecs = self._sweep_1d_weight_vectors(machine)
 
@@ -597,13 +588,7 @@ class FoldingSchedule:
     # ------------------------------------------------------------------ #
     # simulated SIMD execution: 2-D (Figure 5 squares)
     # ------------------------------------------------------------------ #
-    def simd_sweep_2d(
-        self,
-        machine: SimdMachine,
-        values: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        transpose_back: bool = True,
-    ) -> np.ndarray:
+    def simd_sweep_2d(self, machine: SimdMachine, values: np.ndarray) -> np.ndarray:
         """One folded update of a 2-D grid via the Figure 5 square pipeline.
 
         The grid stays in the original row-major layout; each ``vl × vl``
@@ -620,13 +605,6 @@ class FoldingSchedule:
             Simulated SIMD machine.
         values:
             2-D ``float64`` grid.
-        out:
-            Optional output grid.
-        transpose_back:
-            Store results in the original row orientation (the default).  The
-            paper's "weighted transpose is optional" alternative — storing the
-            transposed orientation and letting the next sweep consume it — is
-            modelled by passing ``False`` (used by the ablation benchmarks).
         """
         if self.dims != 2:
             raise ValueError("simd_sweep_2d applies to 2-D stencils only")
@@ -637,8 +615,7 @@ class FoldingSchedule:
         radius = self.radius
         if radius > vl:
             raise ValueError("folded radius must not exceed the vector length")
-        if out is None:
-            out = np.empty_like(values)
+        out = np.empty_like(values)
 
         n_row_blocks = rows // vl
         n_col_blocks = cols // vl
@@ -665,14 +642,8 @@ class FoldingSchedule:
                 def store(oi: int, vec, _base_row: int = base_row, _col0: int = col0) -> None:
                     machine.store(vec, out[_base_row + oi], _col0)
 
-                self._sweep_square_store(machine, out_cols, store, transpose_back)
+                self._sweep_square_store(machine, out_cols, store)
                 prev_t, cur_t = cur_t, next_t
-        if not transpose_back:
-            # The caller receives logically-transposed vl×vl tiles; undo them
-            # here (outside the instruction accounting) so the numerical
-            # result is comparable — a real implementation alternates layouts
-            # between time steps instead.
-            out = _untranspose_tiles(out, vl)
         return out
 
     def _sweep_square_weight_vectors(self, machine: SimdMachine) -> "SquareWeights":
@@ -828,29 +799,16 @@ class FoldingSchedule:
             out_cols.append(_chain(machine, terms, start=weights.zero))
         return out_cols
 
-    def _sweep_square_store(
-        self, machine: SimdMachine, out_cols: Sequence, store, transpose_back: bool
-    ) -> None:
-        """Store one square's result via ``store(oi, vec)`` (row ``oi`` of the square)."""
-        vl = machine.vl
-        if transpose_back:
-            out_rows = register_transpose(machine, out_cols)
-            for oi in range(vl):
-                store(oi, out_rows[oi])
-        else:
-            for k in range(vl):
-                store(k, out_cols[k])
+    def _sweep_square_store(self, machine: SimdMachine, out_cols: Sequence, store) -> None:
+        """Transpose one square's result columns back to rows (the weighted
+        transpose) and store row ``oi`` via ``store(oi, vec)``."""
+        for oi, row in enumerate(register_transpose(machine, out_cols)):
+            store(oi, row)
 
     # ------------------------------------------------------------------ #
     # simulated SIMD execution: 3-D (plane-wise Figure 5 squares)
     # ------------------------------------------------------------------ #
-    def simd_sweep_3d(
-        self,
-        machine: SimdMachine,
-        values: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        transpose_back: bool = True,
-    ) -> np.ndarray:
+    def simd_sweep_3d(self, machine: SimdMachine, values: np.ndarray) -> np.ndarray:
         """One folded update of a 3-D grid via the plane-wise square pipeline.
 
         The grid stays in the original row-major layout; each ``vl × vl``
@@ -868,12 +826,6 @@ class FoldingSchedule:
             Simulated SIMD machine.
         values:
             3-D ``float64`` grid.
-        out:
-            Optional output grid.
-        transpose_back:
-            Store results in the original row orientation (the default), or
-            leave each ``vl × vl`` tile transposed (the "weighted transpose
-            is optional" ablation, as in :meth:`simd_sweep_2d`).
         """
         if self.dims != 3:
             raise ValueError("simd_sweep_3d applies to 3-D stencils only")
@@ -887,8 +839,7 @@ class FoldingSchedule:
         radius = self.radius
         if radius > vl:
             raise ValueError("folded radius must not exceed the vector length")
-        if out is None:
-            out = np.empty_like(values)
+        out = np.empty_like(values)
 
         n_row_blocks = rows // vl
         n_col_blocks = cols // vl
@@ -924,12 +875,8 @@ class FoldingSchedule:
                     ) -> None:
                         machine.store(vec, out[_z, _base_row + oi], _col0)
 
-                    self._sweep_square_store(machine, out_cols, store, transpose_back)
+                    self._sweep_square_store(machine, out_cols, store)
                     prev_t, cur_t = cur_t, next_t
-        if not transpose_back:
-            # Undo the per-tile transpose outside the instruction accounting,
-            # as in simd_sweep_2d (a real implementation alternates layouts).
-            out = _untranspose_plane_tiles(out, vl)
         return out
 
     # ------------------------------------------------------------------ #
@@ -1134,18 +1081,3 @@ def _shift_along_axis(
         dst[axis] = slice(-offset, n)
     out[tuple(dst)] = array[tuple(src)]
     return out
-
-
-def _untranspose_tiles(array: np.ndarray, vl: int) -> np.ndarray:
-    """Transpose every ``vl × vl`` tile of a 2-D array (helper for ``transpose_back=False``)."""
-    rows, cols = array.shape
-    # axes: (row block, lane, col block, lane) -> swap the two lane axes.
-    tiled = array.reshape(rows // vl, vl, cols // vl, vl).swapaxes(1, 3)
-    return np.ascontiguousarray(tiled).reshape(rows, cols)
-
-
-def _untranspose_plane_tiles(array: np.ndarray, vl: int) -> np.ndarray:
-    """Transpose every ``vl × vl`` tile of every plane of a 3-D array."""
-    planes, rows, cols = array.shape
-    tiled = array.reshape(planes, rows // vl, vl, cols // vl, vl).swapaxes(2, 4)
-    return np.ascontiguousarray(tiled).reshape(planes, rows, cols)

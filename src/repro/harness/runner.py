@@ -16,6 +16,7 @@ Sweep selection and output flags::
 Every experiment accepts only the flags that make sense for it; the runner
 filters the selection flags against each experiment's signature, so
 ``--isa`` reaches ``figure8``/``table2`` while ``figure9`` ignores it.  A
+keyword no registered experiment declares raises ``TypeError``.  A
 single :class:`~repro.study.cache.EvalCache` is shared across the selected
 experiments, so artefacts that replay each other's cells (Table 2 replays
 Figure 8, Table 3 replays Figure 10) reuse the memoized profiles and
@@ -76,19 +77,38 @@ def _accepted_kwargs(
     return {k: v for k, v in kwargs.items() if k in params}
 
 
+def _check_declared(kwargs: Dict[str, object]) -> None:
+    """Raise ``TypeError`` naming every keyword of ``kwargs`` that no
+    registered experiment's signature declares."""
+    declared = set()
+    for fn in EXPERIMENTS.values():
+        params = inspect.signature(fn).parameters.values()
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+            return
+        declared.update(p.name for p in params)
+    unknown = sorted(set(kwargs) - declared)
+    if unknown:
+        raise TypeError(
+            f"no registered experiment takes {', '.join(map(repr, unknown))}; "
+            f"known keywords: {sorted(declared)}"
+        )
+
+
 def run_experiment(name: str, **kwargs: object) -> ExperimentResult:
     """Run the experiment registered under ``name``.
 
     Keyword arguments (``isa=``, ``cores=``, ``machine=``, ``cache=``, ...)
-    are forwarded to the experiment, silently dropping any the experiment's
-    signature does not declare — so one set of sweep flags can drive
-    heterogeneous experiments.
+    are forwarded to the experiment, dropping any the experiment's signature
+    does not declare — so one set of sweep flags can drive heterogeneous
+    experiments.  A non-``None`` keyword that no registered experiment
+    declares (a misspelling, a removed parameter) raises ``TypeError``.
     """
     key = name.strip().lower()
     if key not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
     fn = EXPERIMENTS[key]
     passed = {k: v for k, v in kwargs.items() if v is not None}
+    _check_declared(passed)
     return fn(**_accepted_kwargs(fn, passed))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.ir.lower import lower_schedule
 from repro.ir.ops import IrOp, ScheduleIR
-from repro.ir.passes import PassManager, PassReport, optimize_flag
+from repro.ir.passes import PassReport, optimize_flag
 from repro.simd.isa import AVX2, AVX512, IsaSpec
 from repro.simd.machine import InstructionCounts
 
@@ -146,24 +146,17 @@ class CompiledSweep:
     result in one pass.
     """
 
-    def __init__(
-        self,
-        ir: ScheduleIR,
-        schedule=None,
-        pass_reports: Tuple[PassReport, ...] = (),
-    ):
+    def __init__(self, ir: ScheduleIR, pass_reports: Tuple[PassReport, ...] = ()):
         if not isinstance(ir, ScheduleIR):
             raise TypeError(
                 "CompiledSweep executes a lowered ScheduleIR; use "
                 "compile_sweep(schedule, isa) to lower and compile a FoldingSchedule"
             )
         self.ir = ir
-        self.schedule = schedule
         self.pass_reports = tuple(pass_reports)
         self.isa = ir.isa
         self.vl = ir.vl
         self.dims = ir.dims
-        self.transpose_back = ir.transpose_back
         vl = self.vl
         base_env: List[Optional[np.ndarray]] = [None] * ir.nregs
         prologue = ir.segments[0]
@@ -196,7 +189,7 @@ class CompiledSweep:
             self._replay_sets(values, out, axes)
         else:
             self._replay_squares(values, out, axes)
-        return self._stored(out)
+        return out
 
     def _operands(
         self, values: np.ndarray, out: Optional[np.ndarray]
@@ -209,17 +202,6 @@ class CompiledSweep:
             raise ValueError(f"CompiledSweep.replay expects a {self.dims}-D grid")
         axes = self.ir.block_axes(values.shape)
         return values, _check_contiguous_out(out, values), axes
-
-    def _stored(self, out: np.ndarray) -> np.ndarray:
-        """The sweep's result from its output array: row-oriented tiles of a
-        program that stores transposed ones (``transpose_back=False``)."""
-        if self.dims == 1 or self.transpose_back:
-            return out
-        from repro.core.vectorized_folding import _untranspose_plane_tiles, _untranspose_tiles
-
-        if self.dims == 2:
-            return _untranspose_tiles(out, self.vl)
-        return _untranspose_plane_tiles(out, self.vl)
 
     def _replay_sets(self, values_t: np.ndarray, out_t: np.ndarray, axes: Tuple[int, ...]) -> None:
         vl = self.vl
@@ -287,35 +269,26 @@ class CompiledSweep:
 
 
 def _lower_and_optimize(
-    schedule,
-    isa: IsaSpec,
-    transpose_back: bool = True,
-    optimize: Optional[bool] = False,
+    schedule, isa: IsaSpec, optimize: Optional[bool] = False
 ) -> Tuple[ScheduleIR, Tuple[PassReport, ...]]:
     """``(ir, pass reports)`` of ``schedule``, after the default pipeline when
     ``optimize`` (see :func:`~repro.ir.passes.optimize_flag`): the front end
     of :func:`compile_sweep` and :func:`repro.backend.codegen.compile_kernel`.
 
-    The default store layout reads the schedule's per-ISA cache, which the
-    cost model's instruction profile shares, so the recording and the
-    default pipeline run once per (schedule, ISA) however many engines are
-    built from it.
+    It reads the schedule's per-ISA cache, which the cost model's
+    instruction profile shares, so the recording and the default pipeline
+    run once per (schedule, ISA) however many engines are built from it.
     """
     optimize = optimize_flag(optimize)
-    if transpose_back and isa in (AVX2, AVX512):
-        lowered = schedule._lowered_ir(isa.vector_lanes, optimize=optimize)
-        if lowered is not None:
-            return lowered
-    ir = lower_schedule(schedule, isa, transpose_back=transpose_back)
-    return PassManager(True).run(ir) if optimize else (ir, ())
+    if isa not in (AVX2, AVX512):
+        raise ValueError(f"unknown ISA {isa.name!r}; expected avx2 or avx512")
+    lowered = schedule._lowered_ir(isa.vector_lanes, optimize=optimize)
+    if lowered is None:
+        lower_schedule(schedule, isa)  # raises check_lowerable's error
+    return lowered
 
 
-def compile_sweep(
-    schedule,
-    isa: IsaSpec,
-    transpose_back: bool = True,
-    optimize: Optional[bool] = False,
-) -> CompiledSweep:
+def compile_sweep(schedule, isa: IsaSpec, *, optimize: Optional[bool] = False) -> CompiledSweep:
     """Lower, optionally optimize, and compile the SIMD sweep of ``schedule``.
 
     Parameters
@@ -324,9 +297,6 @@ def compile_sweep(
         A 1-D/2-D/3-D :class:`~repro.core.vectorized_folding.FoldingSchedule`.
     isa:
         Target instruction set.
-    transpose_back:
-        Mirrors the interpreted sweeps' weighted-transpose flag (ignored for
-        1-D schedules, which always stay in the transpose layout).
     optimize:
         ``False`` or ``None`` (default ``False``) compiles the recorded
         program as-is — replay values *and* instruction counts are identical
@@ -338,5 +308,5 @@ def compile_sweep(
         ``ValueError``; wrap ``PassManager(names).run(ir)`` in
         :class:`CompiledSweep` to replay chosen passes.
     """
-    ir, reports = _lower_and_optimize(schedule, isa, transpose_back, optimize)
-    return CompiledSweep(ir, schedule=schedule, pass_reports=reports)
+    ir, reports = _lower_and_optimize(schedule, isa, optimize)
+    return CompiledSweep(ir, pass_reports=reports)

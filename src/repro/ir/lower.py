@@ -47,7 +47,7 @@ def check_lowerable(schedule, vl: int) -> None:
         )
 
 
-def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> ScheduleIR:
+def lower_schedule(schedule, isa: IsaSpec) -> ScheduleIR:
     """Lower ``schedule`` for ``isa`` into a typed :class:`ScheduleIR`.
 
     Parameters
@@ -57,10 +57,6 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
         or 3-D).
     isa:
         Target instruction set.
-    transpose_back:
-        Whether the square pipelines restore row orientation on store (the
-        weighted transpose); ignored for 1-D schedules, which always stay in
-        the transpose layout.
 
     Raises
     ------
@@ -91,7 +87,6 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
             m=schedule.m,
             nregs=rec.nregs,
             segments=rec.segments,
-            transpose_back=True,
             source=source,
         )
 
@@ -119,10 +114,7 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
     prev_t, cur_t, next_t = stage_inputs(-1), stage_inputs(0), stage_inputs(+1)
     out_cols = schedule._sweep_square_horizontal(rec, weights, prev_t, cur_t, next_t)
     schedule._sweep_square_store(
-        rec,
-        out_cols,
-        store=lambda oi, vec: rec.emit_store(("out_row", oi), vec),
-        transpose_back=transpose_back,
+        rec, out_cols, store=lambda oi, vec: rec.emit_store(("out_row", oi), vec)
     )
     return ScheduleIR(
         isa=isa,
@@ -131,6 +123,5 @@ def lower_schedule(schedule, isa: IsaSpec, transpose_back: bool = True) -> Sched
         nregs=rec.nregs,
         segments=rec.segments,
         vt_out=vt_out,
-        transpose_back=transpose_back,
         source=source,
     )

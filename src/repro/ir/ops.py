@@ -192,9 +192,6 @@ class ScheduleIR:
         holding transposed column ``k`` of materialised counterpart ``ci``
         after the vertical phase — the values the horizontal phase reads
         through its ``("vt", delta, ci, k)`` input tags.
-    transpose_back:
-        Whether the store phase restores row orientation (the weighted
-        transpose) or stores transposed tiles.
     source:
         Free-form provenance label (stencil name, m, isa).
     """
@@ -205,7 +202,6 @@ class ScheduleIR:
     nregs: int
     segments: List[IrSegment]
     vt_out: Tuple[Tuple[int, ...], ...] = ()
-    transpose_back: bool = True
     source: str = ""
 
     @property

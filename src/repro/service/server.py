@@ -409,7 +409,7 @@ class StencilService:
 
         found, value = await loop.run_in_executor(None, self.store.load, request.kind, request.key)
         if found:
-            self.memo.put(request.kind, request.key, value, persist=False)
+            self.memo.put(request.kind, request.key, value)
             self.stats.count(request.kind, "store_hits")
             if not future.done():
                 future.set_result((value, "store"))
@@ -439,7 +439,7 @@ class StencilService:
         except (ValueError, KeyError) as exc:
             raise ServiceError("execution-error", str(exc), status=422) from exc
 
-        self.memo.put(request.kind, request.key, result, persist=False)
+        self.memo.put(request.kind, request.key, result)
         self.stats.count(request.kind, "computed")
         await loop.run_in_executor(None, self.store.save, request.kind, request.key, result)
         if not future.done():

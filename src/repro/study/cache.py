@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.machine import MachineSpec
-from repro.study.hashing import config_hash, freeze
+from repro.study.hashing import freeze
 
 __all__ = ["CacheStats", "EvalCache"]
 
@@ -37,15 +37,12 @@ class CacheStats:
     """Snapshot of an :class:`EvalCache`'s accounting.
 
     ``hits + misses`` equals the number of memoized calls served; ``entries``
-    is the number of distinct keys currently held; ``store_hits`` counts the
-    misses that were satisfied by the persistent store backing the cache
-    (a subset of ``misses`` — the in-memory table still missed).
+    is the number of distinct keys currently held.
     """
 
     hits: int
     misses: int
     entries: int
-    store_hits: int = 0
 
     @property
     def calls(self) -> int:
@@ -65,7 +62,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "entries": self.entries,
-            "store_hits": self.store_hits,
             "hit_rate": self.hit_rate,
         }
 
@@ -90,23 +86,12 @@ class EvalCache:
     profiles between unrelated sweeps.
     """
 
-    def __init__(self, store: Optional[Any] = None) -> None:
-        """``store`` optionally layers a persistent table under the memory one.
-
-        Any object with ``load(kind, key_hash) -> (found, value)`` and
-        ``save(kind, key_hash, value) -> bool`` works (the service's
-        :class:`repro.service.store.ResultStore` is the canonical one): a
-        memory miss consults the store before computing, and freshly computed
-        values are written through best-effort, so identical keys are hits
-        across process restarts.
-        """
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cells: Dict[Hashable, _Cell] = {}
         self._hits = 0
         self._misses = 0
-        self._store_hits = 0
         self._by_kind: Dict[str, List[int]] = {}
-        self._store = store
 
     # ------------------------------------------------------------------ #
     # core memoization
@@ -138,15 +123,6 @@ class EvalCache:
                 self._kind_counts(kind)[0] += 1
                 owner = False
         if owner:
-            if self._store is not None:
-                found, value = self._store_load(kind, key_parts)
-                if found:
-                    cell.value = value
-                    cell.ready.set()
-                    with self._lock:
-                        self._store_hits += 1
-                        self._kind_counts(kind)[2] += 1
-                    return value
             try:
                 cell.value = compute()
             except BaseException as exc:
@@ -159,8 +135,6 @@ class EvalCache:
                 raise
             finally:
                 cell.ready.set()
-            if self._store is not None:
-                self._store_save(kind, key_parts, cell.value)
             return cell.value
         cell.ready.wait()
         if cell.error is not None:
@@ -170,26 +144,11 @@ class EvalCache:
         return cell.value
 
     def _kind_counts(self, kind: str) -> List[int]:
-        """[hits, misses, store_hits] counters of ``kind`` (lock held)."""
+        """[hits, misses] counters of ``kind`` (lock held)."""
         counts = self._by_kind.get(kind)
         if counts is None:
-            counts = self._by_kind[kind] = [0, 0, 0]
+            counts = self._by_kind[kind] = [0, 0]
         return counts
-
-    def _store_load(self, kind: str, key_parts: Any) -> Tuple[bool, Any]:
-        """Best-effort persistent lookup; unreadable entries are cold misses."""
-        try:
-            return self._store.load(kind, config_hash(kind, key_parts))
-        except Exception:
-            return False, None
-
-    def _store_save(self, kind: str, key_parts: Any, value: Any) -> bool:
-        """Best-effort write-through; unserialisable values simply stay
-        memory-only (the store, not the cache, owns what it can persist)."""
-        try:
-            return bool(self._store.save(kind, config_hash(kind, key_parts), value))
-        except Exception:
-            return False
 
     # ------------------------------------------------------------------ #
     # non-blocking access (the async service front end cannot sit on the
@@ -211,11 +170,9 @@ class EvalCache:
             self._kind_counts(kind)[0] += 1
             return True, cell.value
 
-    def put(self, kind: str, key_parts: Any, value: Any, persist: bool = True) -> None:
+    def put(self, kind: str, key_parts: Any, value: Any) -> None:
         """Insert a ready value, counting one miss (the computation happened).
 
-        ``persist`` additionally writes the value through to the backing
-        store (when one is attached), making it a hit across restarts.
         An existing ready cell for the key is left untouched.
         """
         key = (kind, freeze(key_parts))
@@ -229,8 +186,6 @@ class EvalCache:
             self._cells[key] = fresh
             self._misses += 1
             self._kind_counts(kind)[1] += 1
-        if persist and self._store is not None:
-            self._store_save(kind, key_parts, value)
 
     # ------------------------------------------------------------------ #
     # pipeline stages
@@ -321,12 +276,7 @@ class EvalCache:
     def stats(self) -> CacheStats:
         """Current hit/miss/entry counts (atomic snapshot)."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                entries=len(self._cells),
-                store_hits=self._store_hits,
-            )
+            return CacheStats(hits=self._hits, misses=self._misses, entries=len(self._cells))
 
     def stats_by_kind(self) -> Dict[str, CacheStats]:
         """Per-kind accounting (``entries`` is not tracked per kind: 0).
@@ -337,8 +287,8 @@ class EvalCache:
         """
         with self._lock:
             return {
-                kind: CacheStats(hits=h, misses=m, entries=0, store_hits=s)
-                for kind, (h, m, s) in sorted(self._by_kind.items())
+                kind: CacheStats(hits=h, misses=m, entries=0)
+                for kind, (h, m) in sorted(self._by_kind.items())
             }
 
     def clear(self) -> None:
@@ -347,7 +297,6 @@ class EvalCache:
             self._cells.clear()
             self._hits = 0
             self._misses = 0
-            self._store_hits = 0
             self._by_kind.clear()
 
     def __len__(self) -> int:

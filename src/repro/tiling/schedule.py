@@ -28,8 +28,6 @@ class Tile:
 
     Attributes
     ----------
-    tile_id:
-        Unique identifier within the schedule.
     stage:
         Stage index the tile belongs to (0-based).
     steps:
@@ -39,7 +37,6 @@ class Tile:
         around a periodic boundary).
     """
 
-    tile_id: int
     stage: int
     steps: Tuple[Tuple[Region, ...], ...]
 
@@ -116,7 +113,3 @@ class TileSchedule:
         for extent in self.grid_shape:
             size *= extent
         return size * self.time_range
-
-    def max_concurrency(self) -> int:
-        """Largest number of tiles that may run at the same time."""
-        return max((len(stage.tiles) for stage in self.stages), default=0)

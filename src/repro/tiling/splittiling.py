@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
-from repro.tiling.schedule import TileSchedule
-from repro.tiling.tessellate import (
-    TessellationConfig,
-    build_tessellation,
-    tessellate_run,
-)
+from repro.tiling.tessellate import TessellationConfig, tessellate_run
 
 
 @dataclass(frozen=True)
@@ -63,18 +58,6 @@ class SplitTilingConfig:
             self.block_size if d == self.split_dimension else None for d in range(dims)
         )
         return TessellationConfig(block_sizes=blocks, time_range=self.time_range)
-
-
-def split_tiling_schedule(
-    grid_shape: Sequence[int],
-    radius: int,
-    config: SplitTilingConfig,
-    boundary,
-) -> TileSchedule:
-    """Build the two-phase split-tiling schedule for one pass."""
-    return build_tessellation(
-        grid_shape, radius, config.as_tessellation(len(grid_shape)), boundary
-    )
 
 
 def split_tiling_run(

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.stencils.boundary import BoundaryCondition, DIRICHLET_VALUE
 from repro.stencils.grid import Grid
+from repro.stencils.reference import linear_sum
 from repro.stencils.spec import StencilSpec
 from repro.tiling.schedule import Region, Tile, TileSchedule, TileStage
 
@@ -183,10 +184,8 @@ def build_tessellation(
 
     dims = len(grid_shape)
     stages_tiles: List[List[Tile]] = [[] for _ in range(dims + 1)]
-    tile_id = 0
 
     def _product(dim: int, chosen: List[Tuple[int, List[List[Tuple[int, int]]]]]) -> None:
-        nonlocal tile_id
         if dim == dims:
             stage = sum(flag for flag, _ in chosen)
             steps: List[Tuple[Region, ...]] = []
@@ -207,10 +206,7 @@ def build_tessellation(
                     _regions(0, [])
                 steps.append(tuple(regions))
             if any(steps):
-                stages_tiles[stage].append(
-                    Tile(tile_id=tile_id, stage=stage, steps=tuple(steps))
-                )
-                tile_id += 1
+                stages_tiles[stage].append(Tile(stage=stage, steps=tuple(steps)))
             return
         for component in per_dim[dim]:
             chosen.append(component)
@@ -245,9 +241,12 @@ def update_region(
 ) -> None:
     """Apply one stencil update to the points of ``region``.
 
-    Reads neighbours from ``src`` (wrapping or reading the constant halo
-    according to ``boundary``) and writes the updated values into ``dst`` at
-    the region.  Used by the tessellation executor, and through it by the
+    Gathers one halo slab, the region plus ``spec.radius`` on every side
+    (wrapped on a periodic grid, :data:`DIRICHLET_VALUE` outside a Dirichlet
+    one), correlates it with ``spec.kernel`` exactly as
+    :func:`~repro.stencils.reference.reference_step` does, and writes the
+    cropped, post-ruled values into ``dst`` at the region: the reference's
+    bits.  Used by the tessellation executor, and through it by the
     split-tiling baseline.  It reads only ``src`` and writes only ``dst`` at
     ``region``, so the regions of one tessellation stage may be updated in
     any order.
@@ -255,47 +254,21 @@ def update_region(
     slices = tuple(slice(start, stop) for start, stop in region)
     if any(s.start >= s.stop for s in slices):
         return
-    acc: Optional[np.ndarray] = None
-    for offset, weight in spec.offsets_and_weights().items():
-        gathered = _gather(src, region, offset, boundary)
-        term = weight * gathered
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return
-    if spec.post_rule is not None:
-        prev = src[slices]
-        aux_slice = None if aux is None else aux[slices]
-        acc = spec.post_rule(acc, prev, aux_slice)
-    dst[slices] = acc
-
-
-def _gather(
-    src: np.ndarray,
-    region: Region,
-    offset: Tuple[int, ...],
-    boundary: BoundaryCondition,
-) -> np.ndarray:
-    """Gather ``src`` at ``region`` shifted by ``offset`` under ``boundary``."""
-    index_arrays = []
-    masks = []
-    for (start, stop), off, extent in zip(region, offset, src.shape):
-        idx = np.arange(start, stop) + off
+    radius = spec.radius
+    slab = src
+    for axis, ((start, stop), extent) in enumerate(zip(region, src.shape)):
+        idx = np.arange(start - radius, stop + radius)
         if boundary is BoundaryCondition.PERIODIC:
-            index_arrays.append(idx % extent)
-            masks.append(None)
+            slab = np.take(slab, idx % extent, axis=axis)
         else:
-            valid = (idx >= 0) & (idx < extent)
-            index_arrays.append(np.clip(idx, 0, extent - 1))
-            masks.append(valid)
-    gathered = src[np.ix_(*index_arrays)]
-    if boundary is BoundaryCondition.DIRICHLET:
-        for axis, valid in enumerate(masks):
-            if valid is None or bool(valid.all()):
-                continue
-            shape = [1] * gathered.ndim
-            shape[axis] = valid.size
-            gathered = np.where(valid.reshape(shape), gathered, DIRICHLET_VALUE)
-    return gathered
+            slab = np.take(slab, idx, axis=axis, mode="clip")
+            outside = (idx < 0) | (idx >= extent)
+            slab[(slice(None),) * axis + (outside,)] = DIRICHLET_VALUE
+    inner = tuple(slice(radius, radius + stop - start) for start, stop in region)
+    acc = linear_sum(spec, slab, boundary)[inner]
+    if spec.post_rule is not None:
+        acc = spec.post_rule(acc, src[slices], None if aux is None else aux[slices])
+    dst[slices] = acc
 
 
 def tessellate_run(

@@ -1,9 +1,10 @@
 """The kernel backend (repro.backend): the contract under test.
 
 * The kernel's replay is **bit-identical** to the interpreted SIMD sweep on
-  every linear library stencil, both ISAs, both store layouts and all
-  supported dimensionalities — unoptimized and through the default pass
-  pipeline — and its derived accounting reproduces the interpreted machine.
+  every linear library stencil, both ISAs and all supported
+  dimensionalities — unoptimized and through the default pass pipeline —
+  its derived accounting reproduces the interpreted machine, and it stores
+  in the layout it read, agreeing with the NumPy reference.
 * Kernels are content-key cached: identical programs share one compiled
   kernel, and the cache is observable (stats) and clearable.
 * Each program runs as native code built from C: equal bit for bit to trace
@@ -50,12 +51,13 @@ from repro.core.plan import plan
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import CompiledSweep, PassManager, compile_sweep, lower_schedule
 from repro.ir.passes import DEFAULT_PASSES
-from repro.layout.transpose_layout import to_transpose_layout
+from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import AVX2, AVX512
 from repro.simd.machine import SimdMachine
 from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS
+from repro.stencils.reference import reference_run
 from repro.stencils.spec import StencilSpec
 from tests.conftest import EPS, stencil_weights
 
@@ -93,12 +95,12 @@ def _schedule_inputs(spec, isa, m=2, seed=5):
     return sched, grid.values, grid.values.shape
 
 
-def _interpret(sched, machine, values, transpose_back=True):
+def _interpret(sched, machine, values):
     if sched.dims == 1:
         return sched.simd_sweep_1d(machine, values.copy())
     if sched.dims == 2:
-        return sched.simd_sweep_2d(machine, values.copy(), transpose_back=transpose_back)
-    return sched.simd_sweep_3d(machine, values.copy(), transpose_back=transpose_back)
+        return sched.simd_sweep_2d(machine, values.copy())
+    return sched.simd_sweep_3d(machine, values.copy())
 
 
 def bits(array: np.ndarray) -> np.ndarray:
@@ -153,17 +155,23 @@ class TestKernelEquivalence:
         opt, _, _ = kernel.sweep_counts(shape)
         assert opt.total <= base.total
 
-    def test_transposed_store_layout_bit_identical(self, key, isa):
+    def test_store_layout_matches_reference(self, key, isa):
+        """Raw and optimized programs store in the layout they read: rows in
+        2-D and 3-D, after the weighted transpose, and the transpose layout
+        in 1-D.  Undone, the output agrees with ``reference_run``."""
         spec = BENCHMARKS[key].spec
-        if spec.dims == 1:
-            pytest.skip("1-D programs always stay in the transpose layout")
         bundle = _schedule_inputs(spec, isa)
         if bundle is None:
             pytest.skip("folded radius exceeds the vector length")
         sched, values, _shape = bundle
-        ref = _interpret(sched, SimdMachine(isa), values, transpose_back=False)
-        kernel = compile_kernel(sched, isa, transpose_back=False, optimize=True)
-        np.testing.assert_array_equal(kernel.replay(values.copy()), ref)
+        vl = isa.vector_lanes
+        natural = from_transpose_layout(values, vl) if spec.dims == 1 else values
+        ref = reference_run(spec, Grid(values=natural), sched.m)
+        for optimize in (False, True):
+            out = compile_kernel(sched, isa, optimize=optimize).replay(values.copy())
+            if spec.dims == 1:
+                out = from_transpose_layout(out, vl)
+            np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
 
 #: Three or more vector sets, row blocks and column blocks on both ISAs, so
@@ -172,16 +180,15 @@ NEIGHBOUR_SHAPES = {1: (192,), 2: (24, 24), 3: (3, 24, 24)}
 
 
 @pytest.mark.parametrize("key,m,isa", ENGINE_CONFIGS)
-def test_kernel_matches_interpret_raw_and_default_pipeline_both_layouts(key, m, isa):
+def test_kernel_matches_interpret_raw_and_default_pipeline(key, m, isa):
     p = plan(key).method("folded").isa(isa.name).unroll(m).compile()
     values = Grid.random(NEIGHBOUR_SHAPES[p.spec.dims], seed=2).values
     if p.spec.dims == 1:
         values = to_transpose_layout(values, isa.vector_lanes)
-    for transpose_back in (True,) if p.spec.dims == 1 else (True, False):
-        ref = _interpret(p.schedule, SimdMachine(isa), values, transpose_back)
-        for optimize in (False, True):
-            kernel = compile_kernel(p.schedule, isa, transpose_back, optimize)
-            np.testing.assert_array_equal(bits(kernel.replay(values)), bits(ref))
+    ref = _interpret(p.schedule, SimdMachine(isa), values)
+    for optimize in (False, True):
+        kernel = compile_kernel(p.schedule, isa, optimize=optimize)
+        np.testing.assert_array_equal(bits(kernel.replay(values)), bits(ref))
 
 
 #: The compile functions of the two engines the replay contract binds.
@@ -391,7 +398,7 @@ class TestNativeTarget:
 # --------------------------------------------------------------------------- #
 @st.composite
 def engine_cases(draw):
-    """(kernel, m, isa, passes, transpose_back, grid shape, seed) of a legal
+    """(kernel, m, isa, passes, grid shape, seed) of a legal
     engine program: radius·m <= vl, extents in the block multiples, and a
     random subset of the registered passes in a random order.
 
@@ -413,8 +420,7 @@ def engine_cases(draw):
         shape = tuple(draw(st.integers(1, 3)) * vl for _ in range(2))
         if dims == 3:
             shape = (draw(st.integers(1, 3)),) + shape
-    transpose_back = dims == 1 or draw(st.booleans())
-    return kernel, m, isa, passes, transpose_back, shape, draw(st.integers(0, 2**32 - 1))
+    return kernel, m, isa, passes, shape, draw(st.integers(0, 2**32 - 1))
 
 
 #: A 2-D box of 25 distinct weights: long reduction chains.
@@ -428,15 +434,15 @@ CONSTANT_COLUMNS = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, EPS], [0.0, 0.0, 0.0]])
     deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=engine_cases())
-@example(case=(LONG_CHAIN_BOX, 2, AVX2, ("reschedule",), True, (8, 12), 1))
-@example(case=(LONG_CHAIN_BOX, 1, AVX512, ("cse", "hoist"), False, (16, 8), 2))
-@example(case=(np.array([EPS, 1.0, -EPS / 2]), 3, AVX512, DEFAULT_PASSES, True, (64,), 3))
-@example(case=(CONSTANT_COLUMNS, 1, AVX2, (), False, (4, 4), 0))
-@example(case=(CONSTANT_COLUMNS, 2, AVX512, (), True, (8, 16), 0))
+@example(case=(LONG_CHAIN_BOX, 2, AVX2, ("reschedule",), (8, 12), 1))
+@example(case=(LONG_CHAIN_BOX, 1, AVX512, ("cse", "hoist"), (16, 8), 2))
+@example(case=(np.array([EPS, 1.0, -EPS / 2]), 3, AVX512, DEFAULT_PASSES, (64,), 3))
+@example(case=(CONSTANT_COLUMNS, 1, AVX2, (), (4, 4), 0))
+@example(case=(CONSTANT_COLUMNS, 2, AVX512, (), (8, 16), 0))
 def test_c_program_matches_trace_replay_and_interpret(native_build, case):
-    kernel, m, isa, passes, transpose_back, shape, seed = case
+    kernel, m, isa, passes, shape, seed = case
     schedule = FoldingSchedule(StencilSpec(name="fuzz", kernel=kernel), m)
-    ir, _ = PassManager(passes).run(lower_schedule(schedule, isa, transpose_back))
+    ir, _ = PassManager(passes).run(lower_schedule(schedule, isa))
     program = KernelProgram(ir, kernel_content_key(ir))
     assert program.native is not None, program.status
     rng = np.random.default_rng(seed)
@@ -447,7 +453,7 @@ def test_c_program_matches_trace_replay_and_interpret(native_build, case):
         values = to_transpose_layout(values, isa.vector_lanes)
     out = bits(program.replay(values))
     np.testing.assert_array_equal(out, bits(CompiledSweep(ir).replay(values)))
-    ref = _interpret(schedule, SimdMachine(isa), values, transpose_back)
+    ref = _interpret(schedule, SimdMachine(isa), values)
     np.testing.assert_array_equal(out, bits(ref))
 
 

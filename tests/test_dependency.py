@@ -158,7 +158,6 @@ class TestHoist:
             nregs=ir.nregs + 1,
             segments=seeded.segments,
             vt_out=seeded.vt_out,
-            transpose_back=seeded.transpose_back,
             source=seeded.source,
         )
         hoisted = hoist_loop_invariants(seeded)

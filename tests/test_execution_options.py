@@ -8,6 +8,8 @@ per-context defaults, the error messages and the cross-surface agreement.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -105,6 +107,21 @@ class TestPlanEntryPoints:
         }
         with pytest.raises(ValueError, match="optimize= must be True, False or None"):
             calls[surface]()
+
+    @pytest.mark.parametrize("build", [compile_sweep, compile_kernel])
+    def test_engine_builders_take_optimize_by_keyword_only(self, compiled, build):
+        """A third positional argument is refused rather than read as
+        ``optimize``."""
+        with pytest.raises(TypeError):
+            build(compiled.schedule, compiled.isa_spec, True)
+
+    @pytest.mark.parametrize("build", [compile_sweep, compile_kernel])
+    def test_engine_builders_refuse_an_unknown_isa(self, compiled, build):
+        """The engines lower for the two modelled ISAs only; another spec with
+        the same lane width must not get the avx2 program."""
+        custom = dataclasses.replace(compiled.isa_spec, name="custom", registers=8)
+        with pytest.raises(ValueError, match="unknown ISA 'custom'"):
+            build(compiled.schedule, custom)
 
     def test_measure_accepts_the_run_backends(self, compiled):
         """measure() times run(), so it validates in run()'s context."""

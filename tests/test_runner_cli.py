@@ -29,8 +29,24 @@ class TestRunExperiment:
         result = run_experiment("figure8", isa=None, benchmark=None)
         assert result.notes == "stencil=1d-heat, isa=avx2"
 
+    def test_keywords_no_experiment_declares_raise(self):
+        """A removed parameter or a misspelling fails instead of silently
+        running the default sweep; each one is named."""
+        with pytest.raises(TypeError, match="'corez', 'workers'"):
+            run_experiment("figure8", workers=4, corez=3)
+        with pytest.raises(TypeError, match="'workers'"):
+            run_all(["figure8", "figure9"], workers=4)
+        # None means "not given", whatever the keyword.
+        assert run_experiment("collects", workers=None).name == "collects"
+
 
 class TestRunAll:
+    def test_keyword_of_another_selected_experiment_is_filtered(self):
+        """``cores`` is figure9's; figure8 runs without it."""
+        results = run_all(["figure8", "figure9"], cores=4)
+        assert [r.name for r in results] == ["figure8", "figure9"]
+        assert results[1].notes == "cores=4"
+
     def test_duplicates_run_once_with_warning(self):
         with pytest.warns(UserWarning, match="duplicate experiment 'table2'"):
             results = run_all(["table2", "collects", "table2"])

@@ -158,24 +158,6 @@ class TestSimd2D:
         ref = reference_run(spec, grid, m)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-    def test_transpose_back_false_equivalent_after_untiling(self):
-        spec = box_2d9p()
-        sched = FoldingSchedule(spec, 2)
-        machine = SimdMachine(AVX2)
-        grid = Grid.random((16, 16), seed=16)
-        out = sched.simd_sweep_2d(machine, grid.values.copy(), transpose_back=False)
-        ref = reference_run(spec, grid, 2)
-        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
-
-    def test_transpose_back_false_saves_permutes(self):
-        spec = box_2d9p()
-        sched = FoldingSchedule(spec, 2)
-        m1, m2 = SimdMachine(AVX2), SimdMachine(AVX2)
-        grid = Grid.random((16, 16), seed=17)
-        sched.simd_sweep_2d(m1, grid.values.copy(), transpose_back=True)
-        sched.simd_sweep_2d(m2, grid.values.copy(), transpose_back=False)
-        assert m2.counts.data_organization < m1.counts.data_organization
-
     def test_rejects_unaligned_shape(self):
         sched = FoldingSchedule(box_2d9p(), 2)
         with pytest.raises(ValueError):
@@ -209,15 +191,6 @@ class TestSimd3D:
         machine = SimdMachine(AVX512)
         grid = Grid.random((4, 16, 16), seed=19)
         out = sched.simd_sweep_3d(machine, grid.values.copy())
-        ref = reference_run(spec, grid, 2)
-        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
-
-    def test_transpose_back_false_equivalent_after_untiling(self):
-        spec = heat_3d()
-        sched = FoldingSchedule(spec, 2)
-        machine = SimdMachine(AVX2)
-        grid = Grid.random((4, 8, 8), seed=20)
-        out = sched.simd_sweep_3d(machine, grid.values.copy(), transpose_back=False)
         ref = reference_run(spec, grid, 2)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
