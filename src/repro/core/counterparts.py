@@ -57,7 +57,7 @@ def separate_kernel(kernel: np.ndarray, rtol: float = _REL_TOL) -> Optional[List
     coef = mat @ base / base_norm2
     reconstruction = np.outer(coef, base)
     scale = float(np.max(np.abs(mat))) or 1.0
-    if not np.allclose(reconstruction, mat, rtol=0.0, atol=rtol * scale):
+    if not np.max(np.abs(reconstruction - mat)) <= rtol * scale:
         return None
     rest = separate_kernel(base.reshape(kernel.shape[1:]), rtol)
     if rest is None:

@@ -8,14 +8,20 @@
  * order, from the tap and position tables that module packs:
  *
  *   direct        V_c[j] = ((0 + w0*x0[j]) + w1*x1[j]) + ...
+ *   factored      Q_c[j] = ((0 + a0*x0[j]) + a1*x1[j]) + ...   (plane taps)
+ *                 V_c[j] = ((0 + b0*Q0[j]) + b1*Q1[j]) + ...   (row taps)
  *   combination   V_c[j] = ((0 + o0*V_a[j]) + o1*V_b[j]) + ...  [+ B_c[j]]
  *   bias          B_c[j] = ((0 + b0*x0[j]) + b1*x1[j]) + ...
  *   horizontal    out[j] = ((0 + p0*V_s0[j+d0]) + p1*V_s1[j+d1]) + ...
  *
  * x_t is the input row at the tap's (plane, row) offset from the output row,
- * and source -1 of a position is the input row itself (1-D stencils).  Reads
- * outside the grid wrap on every axis for periodic grids; for Dirichlet
- * grids they read cval, and so does a horizontal read of V outside the row.
+ * and source -1 of a position is the input row itself (1-D stencils).  A
+ * factored (plane-factored 3-D) counterpart first combines the planes of its
+ * plane taps into one plane Q_c per output plane, every row at once, and
+ * its row taps then read the rows of Q_c: each Q_c row is computed once and
+ * read by every output row that needs it.  Reads outside the grid wrap on
+ * every axis for periodic grids; for Dirichlet grids they read cval (x and
+ * Q_c alike), and so does a horizontal read of V outside the row.
  *
  * The output is produced row by row and, along the contiguous axis, in
  * chunks small enough that every counterpart row of a chunk stays in L1.
@@ -53,9 +59,12 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Fields of one counterpart record in the cp table. */
-enum { CP_MODE, CP_TAP_LO, CP_TAP_HI, CP_OMEGA_LO, CP_OMEGA_HI, CP_FIELDS };
-enum { CP_DIRECT = 0, CP_COMBINATION = 1, CP_COMBINATION_BIAS = 2 };
+/* Fields of one counterpart record in the cp table: its mode, then its taps
+ * (the direct weights, the bias or the row factor), its reuse terms and the
+ * taps of its plane factor. */
+enum { CP_MODE, CP_TAP_LO, CP_TAP_HI, CP_OMEGA_LO, CP_OMEGA_HI, CP_PLANE_LO, CP_PLANE_HI,
+       CP_FIELDS };
+enum { CP_DIRECT = 0, CP_COMBINATION = 1, CP_COMBINATION_BIAS = 2, CP_FACTORED = 3 };
 
 /* Counterpart rows of one chunk should fit in about half of a 32 KiB L1. */
 #define CHUNK_BYTES (16 * 1024)
@@ -124,7 +133,7 @@ struct fold {
     const int64_t *cp;
     const double *tap_w, *omega_w;
     const int64_t *omega_src;
-    const double **taprow; /* per tap: its input row, NULL outside the grid */
+    const double **taprow; /* per tap: its input or Q row, NULL outside the grid */
     double **vbuf;         /* per counterpart: its chunk of V, halo included */
     double *bias;          /* a combination's bias sum */
     const double *cvalrow; /* span copies of cval, read by taps outside the grid */
@@ -147,7 +156,7 @@ static void fold_counterpart(const struct fold *f, int64_t c, int64_t at, int64_
 {
     const int64_t *rec = f->cp + c * CP_FIELDS;
     double *dst = f->vbuf[c] + at;
-    if (rec[CP_MODE] == CP_DIRECT) {
+    if (rec[CP_MODE] == CP_DIRECT || rec[CP_MODE] == CP_FACTORED) {
         fold_taps(f, dst, rec[CP_TAP_LO], rec[CP_TAP_HI], col, len);
         return;
     }
@@ -215,9 +224,17 @@ int repro_fold_update(const double *x, double *out, int64_t planes, int64_t rows
     const int64_t nchunks = (cols + chunk - 1) / chunk;
     chunk = (cols + nchunks - 1) / nchunks;
     const int64_t span = chunk + 2 * halo;
+    /* A plane Q_c per factored counterpart; its plane taps read a plane of
+     * cval outside a Dirichlet grid. */
+    const int64_t plane = rows * cols;
+    int64_t nfactored = 0;
+    for (int64_t c = 0; c < ncp; c++)
+        nfactored += cp[c * CP_FIELDS + CP_MODE] == CP_FACTORED;
+    const int64_t ncval = nfactored > 0 && !periodic && plane > span ? plane : span;
 
-    double *work = malloc((size_t)(nbuf * span) * sizeof(double));
-    double **vbuf = malloc((size_t)(ncp + 1) * sizeof(double *));
+    double *work = malloc((size_t)((nbuf - 1) * span + ncval + nfactored * plane) *
+                          sizeof(double));
+    double **vbuf = malloc((size_t)(2 * ncp + 1) * sizeof(double *));
     const double **taprow = malloc((size_t)(ntaps + 1) * sizeof(double *));
     const double **term = malloc((size_t)(nterm + 1) * sizeof(double *));
     if (work == NULL || vbuf == NULL || taprow == NULL || term == NULL) {
@@ -227,11 +244,19 @@ int repro_fold_update(const double *x, double *out, int64_t planes, int64_t rows
         free(term);
         return 1;
     }
-    for (int64_t c = 0; c < ncp; c++)
-        vbuf[c] = work + c * span;
+    double **qbuf = vbuf + ncp; /* per counterpart: its plane Q_c, or NULL */
     double *ext = work + (ncp + 1) * span;
     double *cvalrow = work + (ncp + 2) * span;
-    for (int64_t i = 0; i < span; i++)
+    double *q = cvalrow + ncval;
+    for (int64_t c = 0; c < ncp; c++) {
+        vbuf[c] = work + c * span;
+        qbuf[c] = NULL;
+        if (cp[c * CP_FIELDS + CP_MODE] == CP_FACTORED) {
+            qbuf[c] = q;
+            q += plane;
+        }
+    }
+    for (int64_t i = 0; i < ncval; i++)
         cvalrow[i] = cval;
     const struct fold f = {
         .cols = cols, .cval = cval, .cp = cp, .tap_w = tap_w, .omega_w = omega_w,
@@ -240,17 +265,35 @@ int repro_fold_update(const double *x, double *out, int64_t planes, int64_t rows
     };
 
     for (int64_t z = 0; z < planes; z++) {
-        for (int64_t y = 0; y < rows; y++) {
-            for (int64_t t = 0; t < ntaps; t++) {
-                int64_t zz = z + tap_off[2 * t], yy = y + tap_off[2 * t + 1];
-                if (periodic) {
+        for (int64_t c = 0; c < ncp; c++) {
+            if (qbuf[c] == NULL)
+                continue;
+            const int64_t *rec = cp + c * CP_FIELDS;
+            const int64_t lo = rec[CP_PLANE_LO], hi = rec[CP_PLANE_HI];
+            for (int64_t t = lo; t < hi; t++) {
+                int64_t zz = z + tap_off[2 * t];
+                if (periodic)
                     zz = wrap(zz, planes);
-                    yy = wrap(yy, rows);
-                } else if (zz < 0 || zz >= planes || yy < 0 || yy >= rows) {
-                    taprow[t] = NULL;
-                    continue;
+                term[t - lo] = periodic || (zz >= 0 && zz < planes) ? x + zz * plane : cvalrow;
+            }
+            weighted_sum(qbuf[c], term, tap_w + lo, hi - lo, plane);
+        }
+        for (int64_t y = 0; y < rows; y++) {
+            /* The taps every row reads: a factored counterpart's read its Q_c. */
+            for (int64_t c = 0; c < ncp; c++) {
+                const int64_t *rec = cp + c * CP_FIELDS;
+                for (int64_t t = rec[CP_TAP_LO]; t < rec[CP_TAP_HI]; t++) {
+                    int64_t zz = z + tap_off[2 * t], yy = y + tap_off[2 * t + 1];
+                    if (periodic) {
+                        zz = wrap(zz, planes);
+                        yy = wrap(yy, rows);
+                    } else if (zz < 0 || zz >= planes || yy < 0 || yy >= rows) {
+                        taprow[t] = NULL;
+                        continue;
+                    }
+                    taprow[t] = qbuf[c] != NULL ? qbuf[c] + yy * cols
+                                                : x + (zz * rows + yy) * cols;
                 }
-                taprow[t] = x + (zz * rows + yy) * cols;
             }
             const double *xrow = x + (z * rows + y) * cols;
             double *orow = out + (z * rows + y) * cols;

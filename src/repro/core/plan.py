@@ -1087,8 +1087,11 @@ def _describe_folded(plan_: CompiledPlan) -> str:
         if plan_.schedule.separable_fast_path
         else "counterpart reuse"
     )
+    vertical = plan_.schedule.describe_vertical_phase()
     return (
-        f"{plan_.config.unroll}-step temporal folding ({variant}): "
+        f"{plan_.config.unroll}-step temporal folding ({variant})"
+        + ("" if vertical is None else f", {vertical}")
+        + ": "
         + plan_._native_run_description()
         + "; on a Dirichlet grid each folded update's band is recomputed exactly"
     )

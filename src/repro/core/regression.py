@@ -139,6 +139,11 @@ class CounterpartPlan:
         return matrix.reshape(shape)
 
 
+def _kept(vector: np.ndarray) -> np.ndarray:
+    """Where the fold sums a weight: ``|w| > DBL_EPSILON`` (``ndimage``'s footprint)."""
+    return np.abs(vector) > np.finfo(np.float64).eps
+
+
 def _unique_columns(matrix: np.ndarray, rtol: float) -> List[Tuple[np.ndarray, List[int]]]:
     """Group equal (non-zero) columns of ``matrix`` preserving first-seen order."""
     if matrix.ndim == 1:
@@ -175,7 +180,13 @@ def _fit_combination(
     bias = target - fitted
     scale = float(np.max(np.abs(target))) or 1.0
     bias[np.abs(bias) <= rtol * scale] = 0.0
-    omega = {j: float(c) for j, c in zip(subset, coef) if abs(c) > rtol}
+    # A term is numerically zero when its coefficient is, unless it still
+    # contributes more than rtol of a small target.
+    omega = {
+        j: float(c)
+        for j, c in zip(subset, coef)
+        if abs(c) > rtol or abs(c) * float(np.max(np.abs(basis[j]))) > rtol * scale
+    }
     return omega, bias
 
 
@@ -231,9 +242,11 @@ def _plan_counterparts_uncached(
     if not groups:
         raise ValueError("folding matrix has no non-zero column")
 
-    # Order: compute the counterpart with the most non-zeros first (it is the
-    # most useful basis vector), then the rest by decreasing support.
-    order = sorted(range(len(groups)), key=lambda i: -int(np.count_nonzero(groups[i][0])))
+    # Order: compute the counterpart with the most taps first (it is the most
+    # useful basis vector), then the rest by decreasing support.  Support
+    # counts the weights the fold keeps, |w| > DBL_EPSILON: a base whose taps
+    # the fold drops would lose them from every multiple of it as well.
+    order = sorted(range(len(groups)), key=lambda i: -int(np.count_nonzero(_kept(groups[i][0]))))
 
     steps: List[CounterpartStep] = []
     computed_vectors: List[np.ndarray] = []

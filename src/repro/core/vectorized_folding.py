@@ -25,8 +25,9 @@ folded update of a linear stencil:
     register transpose → horizontal folding → weighted transpose → store,
     Figure 5), with shifts reuse between horizontally adjacent squares,
   - :meth:`FoldingSchedule.simd_sweep_3d` — the same square pipeline applied
-    plane by plane to 3-D stencils: the vertical phase folds across the full
-    leading (plane, row) neighbourhood of each ``vl × vl`` square, the
+    plane by plane to 3-D stencils: the vertical phase folds across the
+    leading (plane, row) neighbourhood of each ``vl × vl`` square — a
+    plane-factored counterpart planes first, then rows — and the
     horizontal phase and the weighted transpose are shared with the 2-D
     sweep unchanged.
 
@@ -58,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
+from repro.core.counterparts import separate_kernel
 from repro.core.fold_kernel import load_fold_kernel
 from repro.core.regression import CounterpartPlan, plan_counterparts
 from repro.simd.isa import InstructionClass
@@ -85,19 +87,73 @@ class MaterializedCounterpart:
         counterparts (indices into the materialised list).
     bias:
         For ``"combination"``: residual weights applied directly to the grid.
+    factors:
+        For a plane-factored ``"direct"`` counterpart of a 3-D stencil: the
+        plane factor ``a`` and the row factor ``b``, with ``vector`` equal to
+        ``outer(a, b)`` to rounding.  The vertical phase then folds planes
+        first, ``Q[s] = Σ a[dz]·x[z + dz][s]`` for every row ``s`` it reads,
+        then rows, ``Σ b[dy]·Q[y + dy]``.  ``None`` otherwise.
     """
 
     vector: np.ndarray
     mode: str
     omega: Dict[int, float]
     bias: np.ndarray
+    factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 #: ``ndimage.correlate`` drops weights with ``|w| <= DBL_EPSILON`` from its footprint.
 _DBL_EPSILON = float(np.finfo(np.float64).eps)
 
 # Counterpart modes of FoldTables.cp (the CP_* enum of fold_kernel.c).
-_CP_DIRECT, _CP_COMBINATION, _CP_COMBINATION_BIAS = 0, 1, 2
+_CP_DIRECT, _CP_COMBINATION, _CP_COMBINATION_BIAS, _CP_FACTORED = 0, 1, 2, 3
+
+#: Relations between weights the fold relies on hold to within this fraction
+#: of the largest weight, 4 ulps: equal and scaled counterparts, reuse fits,
+#: and the ``outer(a, b)`` of a plane-factored counterpart.  Anything looser
+#: shows in the folded grid beyond ``reference_run``'s rounding.
+_EXACT_RTOL = 4 * _DBL_EPSILON
+#: The lane width the factoring decision prices: the narrowest, so that a
+#: counterpart that factors pays on every ISA.
+_FACTOR_VL = 4
+
+
+def _plane_factors(weights: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(a, b)`` with ``outer(a, b)`` equal to a 3-D counterpart's
+    ``(plane, row)`` weights, or ``None`` unless folding it planes first, then
+    rows, is both exact to rounding and cheaper.
+
+    Exact: :func:`~repro.core.counterparts.separate_kernel` reproduces every
+    weight to within :data:`_EXACT_RTOL` of the largest.  Cheaper: at
+    :data:`_FACTOR_VL` lanes, the ``(vl + span_b)·n_a`` multiply-adds of the
+    plane-combined rows plus the ``vl·n_b`` of the row fold are fewer than the
+    ``vl·n_ab`` of the unfactored fold (``n`` counts the taps the fold keeps,
+    ``span_b`` the rows between the first and last kept row tap).  A wider
+    vector only makes the inequality more true.
+    """
+    factors = separate_kernel(weights, rtol=_EXACT_RTOL)
+    if factors is None:
+        return None
+    a, b = factors
+    if _n_kept(a) == 0 or _n_kept(b) == 0:
+        return None
+    vl = _FACTOR_VL
+    if _factored_ops(a, b, vl) >= vl * _n_kept(weights):
+        return None
+    return a, b
+
+
+def _n_kept(weights) -> int:
+    """How many of ``weights`` the fold sums (``|w| > DBL_EPSILON``)."""
+    return int(np.count_nonzero(np.abs(np.asarray(weights)) > _DBL_EPSILON))
+
+
+def _factored_ops(a: np.ndarray, b: np.ndarray, vl: int) -> int:
+    """Multiply-adds of one ``vl × vl`` square's plane-factored vertical
+    phase: the plane-combined rows the row fold reads, then the row fold."""
+    kept_b = np.flatnonzero(np.abs(b) > _DBL_EPSILON)
+    span_b = int(kept_b[-1] - kept_b[0])
+    return (vl + span_b) * _n_kept(a) + vl * kept_b.size
 
 
 @dataclass(frozen=True)
@@ -107,14 +163,17 @@ class FoldTables:
     Attributes
     ----------
     cp:
-        ``(ncp, 5)`` int64, per materialised counterpart: mode (direct,
-        combination, combination with bias), then the ``[lo, hi)`` ranges of
-        its taps (the direct weights or the bias) and of its reuse terms.
+        ``(ncp, 7)`` int64, per materialised counterpart: mode (direct,
+        combination, combination with bias, plane-factored), then the
+        ``[lo, hi)`` ranges of its taps (the direct weights, the bias or the
+        row factor), of its reuse terms and of its plane-factor taps.
         Empty for 1-D stencils, which have no vertical phase.
     tap_off, tap_w:
         ``(ntaps, 2)`` (plane, row) offsets and the weights of the vertical
         taps, in C order over the leading offsets, ``|w| <= DBL_EPSILON``
-        dropped.
+        dropped.  A plane-factored counterpart's taps are its plane factor's
+        ``(dz, 0)`` then its row factor's ``(0, dy)``; the row taps read the
+        plane-combined rows.
     omega_src, omega_w:
         Reuse terms: the earlier counterpart read and its coefficient.
     pos, pos_w:
@@ -162,8 +221,13 @@ class SquareWeights:
         The ``+0.0`` register the output chains start from, and the value of
         a counterpart without taps.
     row:
-        Per materialised counterpart, the broadcast vertical-fold weights,
-        ``None`` for a tap the fold drops (``|w| <= DBL_EPSILON``).
+        Per materialised counterpart, the broadcast vertical-fold weights
+        (of a plane-factored counterpart: its row factor), ``None`` for a
+        tap the fold drops (``|w| <= DBL_EPSILON``).
+    plane:
+        Per materialised counterpart, the broadcast plane factor of a
+        plane-factored one (``None`` for a dropped tap), ``None`` for the
+        others.
     bias:
         Per materialised counterpart, the broadcast bias weights (``None``
         for a dropped tap, and instead of the list when the counterpart has
@@ -178,6 +242,7 @@ class SquareWeights:
 
     zero: object
     row: List[List]
+    plane: List[Optional[List]]
     bias: List[Optional[List]]
     omega: List[Dict[int, object]]
     horiz: List[Optional[Tuple[int, object]]]
@@ -256,14 +321,19 @@ class FoldingSchedule:
         self.dims = self.matrix.ndim
         self.radius = self.folded.radius
         self.width = 2 * self.radius + 1
-        self.plan: CounterpartPlan = plan_counterparts(self.matrix)
+        self.plan: CounterpartPlan = plan_counterparts(self.matrix, rtol=_EXACT_RTOL)
         self._build_materialization()
 
     # ------------------------------------------------------------------ #
     # counterpart materialisation
     # ------------------------------------------------------------------ #
     def _build_materialization(self) -> None:
-        """Derive materialised counterparts and the per-position horizontal map."""
+        """Derive materialised counterparts and the per-position horizontal map.
+
+        A direct counterpart of a 3-D stencil is plane-factored when
+        :func:`_plane_factors` finds factors for it: a decision of the
+        stencil and ``m`` alone, which every engine follows.
+        """
         steps = self.plan.steps
         # plan-step index -> (materialised index, scale) once resolved.
         resolved: Dict[int, Tuple[int, float]] = {}
@@ -283,12 +353,16 @@ class FoldingSchedule:
                     omega_materialized[base_idx] = (
                         omega_materialized.get(base_idx, 0.0) + w * base_scale
                     )
+            factors = None
+            if self.dims == 3 and step.mode == "direct":
+                factors = _plane_factors(step.vector.reshape(self.matrix.shape[:2]))
             materialized.append(
                 MaterializedCounterpart(
                     vector=step.vector.copy(),
                     mode=step.mode,
                     omega=omega_materialized,
                     bias=step.bias.copy(),
+                    factors=factors,
                 )
             )
             resolved[step.index] = (len(materialized) - 1, 1.0)
@@ -316,6 +390,33 @@ class FoldingSchedule:
     def separable_fast_path(self) -> bool:
         """True when a single materialised counterpart suffices (Section 3.3)."""
         return self.num_materialized == 1
+
+    def describe_vertical_phase(self) -> Optional[str]:
+        """How a 3-D sweep's vertical phase folds each materialised
+        counterpart, in taps per output row (``None`` below 3-D):
+        ``plane-factored vertical phase (5 + 5 taps per row instead of 25)``
+        for 3d27p at ``m = 2``, ``vertical phases of 5, 1 (plane, row) taps
+        per row`` for 3d-heat at ``m = 1``."""
+        if self.dims != 3:
+            return None
+        if [cp.factors is not None for cp in self.materialized] == [True]:
+            (cp,) = self.materialized
+            a, b = cp.factors
+            return (
+                f"plane-factored vertical phase ({_n_kept(a)} + {_n_kept(b)} taps per row "
+                f"instead of {_n_kept(cp.vector)})"
+            )
+        phrases = []
+        for cp in self.materialized:
+            if cp.factors is not None:
+                a, b = cp.factors
+                phrases.append(f"{_n_kept(a)} + {_n_kept(b)} plane-factored")
+            elif cp.mode == "direct":
+                phrases.append(f"{_n_kept(cp.vector)}")
+            else:
+                phrases.append(f"{len(cp.omega)} reuse + {_n_kept(cp.bias)} bias")
+        plural = "s" if len(phrases) > 1 else ""
+        return f"vertical phase{plural} of {', '.join(phrases)} (plane, row) taps per row"
 
     # ------------------------------------------------------------------ #
     # NumPy execution path
@@ -368,8 +469,10 @@ class FoldingSchedule:
         reference the kernel is tested against bit for bit.  Its operation
         order is the contract :meth:`fold_tables` encodes: every
         ``ndimage.correlate`` sums ``0 + w·x`` over the kernel's weights with
-        ``|w| > DBL_EPSILON`` in C order; a combination adds its reuse terms
-        to zero in ``omega`` order, then its bias correlation; the
+        ``|w| > DBL_EPSILON`` in C order; a plane-factored counterpart is two
+        correlations, its plane factor's across planes, then its row
+        factor's across the result's rows; a combination adds its reuse
+        terms to zero in ``omega`` order, then its bias correlation; the
         horizontal fold adds ``w·V[j + Δ]`` to zero in position order.
         """
         values = self._grid_values(values)
@@ -384,7 +487,13 @@ class FoldingSchedule:
         # (combinations reuse previous results plus a sparse bias).
         vertical: List[np.ndarray] = []
         for cp in self.materialized:
-            if cp.mode == "direct":
+            if cp.factors is not None:
+                a, b = cp.factors
+                planes = ndimage.correlate(
+                    values, a.reshape(-1, 1, 1), mode=mode, cval=DIRICHLET_VALUE
+                )
+                vf = ndimage.correlate(planes, b.reshape(1, -1, 1), mode=mode, cval=DIRICHLET_VALUE)
+            elif cp.mode == "direct":
                 vf = ndimage.correlate(
                     values, self._leading_kernel(cp.vector), mode=mode, cval=DIRICHLET_VALUE
                 )
@@ -443,15 +552,14 @@ class FoldingSchedule:
 
     def _pack_fold_tables(self) -> FoldTables:
         leading = self.matrix.shape[:-1]
-        centre = [(k - 1) // 2 for k in leading]
 
-        def footprint(weights) -> List[Tuple[int, int, float]]:
+        def footprint(weights, shape=leading) -> List[Tuple[int, int, float]]:
             """(plane, row) offsets and weights ndimage keeps, in C order."""
             kept = []
             for flat, w in enumerate(np.asarray(weights, dtype=np.float64).ravel()):
                 if abs(w) > _DBL_EPSILON:
-                    index = np.unravel_index(flat, leading)
-                    dz, dy = ([0] + [int(i) - c for i, c in zip(index, centre)])[-2:]
+                    index = np.unravel_index(flat, shape)
+                    dz, dy = ([0] + [int(i) - (k - 1) // 2 for i, k in zip(index, shape)])[-2:]
                     kept.append((dz, dy, float(w)))
             return kept
 
@@ -460,8 +568,15 @@ class FoldingSchedule:
         omegas: List[Tuple[int, float]] = []
         # A 1-D fold has no vertical phase: it is one correlation of the input.
         for cp in self.materialized if self.dims > 1 else ():
+            plane_lo = len(taps)
+            if cp.factors is not None:
+                a, b = cp.factors
+                taps.extend(footprint(a, (len(a), 1)))
             tap_lo, omega_lo = len(taps), len(omegas)
-            if cp.mode == "direct":
+            if cp.factors is not None:
+                mode = _CP_FACTORED
+                taps.extend(footprint(b, (1, len(b))))
+            elif cp.mode == "direct":
                 mode = _CP_DIRECT
                 taps.extend(footprint(cp.vector))
             else:
@@ -469,7 +584,7 @@ class FoldingSchedule:
                 omegas.extend(cp.omega.items())
                 if mode == _CP_COMBINATION_BIAS:
                     taps.extend(footprint(cp.bias))
-            cp_rows.append((mode, tap_lo, len(taps), omega_lo, len(omegas)))
+            cp_rows.append((mode, tap_lo, len(taps), omega_lo, len(omegas), plane_lo, tap_lo))
 
         if self.dims == 1:
             # Source -1 is the input row, summed over the correlation's footprint.
@@ -487,7 +602,7 @@ class FoldingSchedule:
                 if entry is not None
             ]
         return FoldTables(
-            cp=np.array(cp_rows, dtype=np.int64).reshape(-1, 5),
+            cp=np.array(cp_rows, dtype=np.int64).reshape(-1, 7),
             tap_off=np.array([t[:2] for t in taps], dtype=np.int64).reshape(-1, 2),
             tap_w=np.array([t[2] for t in taps], dtype=np.float64),
             omega_src=np.array([o[0] for o in omegas], dtype=np.int64),
@@ -652,6 +767,8 @@ class FoldingSchedule:
         Shared by the 2-D and 3-D sweeps: a counterpart's ``vector``/``bias``
         run over the flattened leading offsets (kernel rows in 2-D,
         (plane, row) pairs in 3-D), so the broadcasts are dimension-generic.
+        A plane-factored counterpart broadcasts its two factors instead of
+        its weights.
         """
         zero, bcast = _broadcaster(machine)
 
@@ -660,7 +777,10 @@ class FoldingSchedule:
 
         return SquareWeights(
             zero=zero,
-            row=[taps(cp.vector) for cp in self.materialized],
+            row=[
+                taps(cp.vector if cp.factors is None else cp.factors[1]) for cp in self.materialized
+            ],
+            plane=[None if cp.factors is None else taps(cp.factors[0]) for cp in self.materialized],
             bias=[taps(cp.bias) if np.any(cp.bias) else None for cp in self.materialized],
             omega=[{idx: bcast(w) for idx, w in cp.omega.items()} for cp in self.materialized],
             horiz=[
@@ -682,7 +802,7 @@ class FoldingSchedule:
         loaded = [load_row(s) for s in range(-radius, vl + radius)]
         machine.note_live_registers(len(loaded) + vl + len(self.materialized) * vl)
         return self._square_vertical_folds(
-            machine, weights, lambda oi: loaded[oi : oi + 2 * radius + 1]
+            machine, weights, lambda ci, oi: loaded[oi : oi + 2 * radius + 1]
         )
 
     def _square_vertical_folds(
@@ -690,18 +810,19 @@ class FoldingSchedule:
     ) -> List[List]:
         """Every materialised counterpart's fold of one square, transposed.
 
-        ``window(oi)`` lists the loaded rows output row ``oi`` reads, aligned
-        with the flattened counterpart vectors.  Each sum follows
-        :meth:`numpy_fold` (see :func:`_chain`): a direct counterpart sums
-        ``w·x`` over the taps it keeps; a combination sums its reuse terms,
-        then adds its bias, summed on its own.
+        ``window(ci, oi)`` lists the rows output row ``oi`` of counterpart
+        ``ci`` reads, aligned with its weights in ``weights.row``: loaded
+        rows, or a plane-factored counterpart's plane-combined rows.  Each
+        sum follows :meth:`numpy_fold` (see :func:`_chain`): a direct
+        counterpart sums ``w·x`` over the taps it keeps; a combination sums
+        its reuse terms, then adds its bias, summed on its own.
         """
         per_rows: List[List] = []
         per_cp: List[List] = []
         for ci, cp in enumerate(self.materialized):
             folded_rows = []
             for oi in range(machine.vl):
-                rows = window(oi)
+                rows = window(ci, oi)
                 if cp.mode == "direct":
                     acc = _chain(machine, _taps(rows, weights.row[ci]))
                 else:
@@ -725,11 +846,17 @@ class FoldingSchedule:
 
         Shaped like the folded kernel's leading extents
         (``matrix.shape[:-1]``).  Direct counterparts read the rows their
-        weight vector is non-zero on; combination counterparts only touch the
-        grid through their bias (the rest comes from counterpart reuse).
+        weight vector is non-zero on, plane-factored ones the rows of the
+        planes and row offsets their factors keep; combination counterparts
+        only touch the grid through their bias (the rest comes from
+        counterpart reuse).
         """
         used = np.zeros(int(np.prod(self.matrix.shape[:-1])), dtype=bool)
         for cp in self.materialized:
+            if cp.factors is not None:
+                a, b = cp.factors
+                used |= np.outer(np.abs(a) > _DBL_EPSILON, np.abs(b) > _DBL_EPSILON).ravel()
+                continue
             src = cp.vector if cp.mode == "direct" else cp.bias
             used |= np.abs(np.asarray(src, dtype=np.float64)) > _DBL_EPSILON
         return used.reshape(self.matrix.shape[:-1])
@@ -739,12 +866,18 @@ class FoldingSchedule:
     ) -> List[List]:
         """Vertical folds of one 3-D square, transposed, per counterpart.
 
-        The vertical phase of a 3-D square folds over the full leading
+        The vertical phase of a 3-D square folds over the leading
         (plane, row) neighbourhood: ``load_row(dz, s)`` must return the row
         vector at plane offset ``dz`` ∈ ``[-R, R]`` and row offset ``s`` ∈
         ``[-R, vl + R)`` from the square's (plane, top-row) origin, wrapping
         periodically.  Only the contiguous per-plane row spans some
         materialised counterpart (or bias) actually reads are loaded.
+
+        A plane-factored counterpart folds planes first: every loaded row
+        ``s`` its row factor reads gets one plane-combined row
+        ``Q[s] = Σ a[dz]·x[dz][s]``, and output row ``oi`` sums
+        ``b[dy]·Q[oi + dy]``.  Every other counterpart sums all its
+        (plane, row) taps per output row.
         """
         vl = machine.vl
         k0, k1 = self.matrix.shape[0], self.matrix.shape[1]
@@ -759,12 +892,24 @@ class FoldingSchedule:
             for s in range(int(ts[0]), int(ts[-1]) + vl):
                 loaded[dz][s] = load_row(dz - r0, s - r1)
                 n_loads += 1
-        machine.note_live_registers(n_loads + vl + len(self.materialized) * vl)
-        return self._square_vertical_folds(
-            machine,
-            weights,
-            lambda oi: [loaded[dz][oi + t] for dz in range(k0) for t in range(k1)],
-        )
+        combined: Dict[int, List] = {}
+        for ci, plane_w in enumerate(weights.plane):
+            if plane_w is None:
+                continue
+            ts = [t for t, w in enumerate(weights.row[ci]) if w is not None]
+            combined[ci] = [None] * (vl + 2 * r1)
+            for s in range(ts[0], ts[-1] + vl):
+                column = [loaded[dz][s] for dz in range(k0)]
+                combined[ci][s] = _chain(machine, _taps(column, plane_w))
+        n_combined = sum(row is not None for rows in combined.values() for row in rows)
+        machine.note_live_registers(n_loads + n_combined + vl + len(self.materialized) * vl)
+
+        def window(ci: int, oi: int) -> List:
+            if ci in combined:
+                return combined[ci][oi : oi + k1]
+            return [loaded[dz][oi + t] for dz in range(k0) for t in range(k1)]
+
+        return self._square_vertical_folds(machine, weights, window)
 
     def _sweep_square_horizontal(
         self,
@@ -1029,7 +1174,9 @@ class FoldingSchedule:
             vertical_direct = 0.0
             vertical_reuse = 0.0
             for cp in self.materialized:
-                if cp.mode == "direct":
+                if cp.factors is not None:
+                    vertical_direct += float(_factored_ops(*cp.factors, vl))
+                elif cp.mode == "direct":
                     vertical_direct += vl * float(np.count_nonzero(cp.vector))
                 else:
                     vertical_reuse += vl * (len(cp.omega) + float(np.count_nonzero(cp.bias)))

@@ -30,7 +30,9 @@ returns a canonical :class:`Request` whose :attr:`~Request.key` is stable
 across processes, platforms and JSON key orders
 (:func:`repro.study.hashing.config_hash` — see the golden-hash tests).
 That key is the identity used for single-flight dedup, the in-memory
-response cache and the persistent store.
+response cache and the persistent store.  It includes the library's
+``repro.__version__``: a store written by another version of the code,
+whose numbers may differ, is never answered from.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+import repro
 from repro.backend import ExecutionOptions
 from repro.registry import get_method, is_registered
 from repro.stencils.library import BENCHMARKS, get_benchmark
@@ -407,7 +410,7 @@ def normalize(payload: Any) -> Request:
     if kind not in KINDS:
         raise _invalid(f"unknown kind {kind!r}; known: {', '.join(KINDS)}")
     params = _NORMALIZERS[kind](payload)
-    key = config_hash("service", PROTOCOL_VERSION, kind, params)
+    key = config_hash("service", PROTOCOL_VERSION, repro.__version__, kind, params)
     return Request(kind=kind, params=params, key=key)
 
 

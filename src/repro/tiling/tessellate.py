@@ -27,7 +27,7 @@ sequential executor validated against the reference
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,17 +294,24 @@ def tessellate_run(
         ``steps`` is not a multiple of ``config.time_range``.
     config:
         Block sizes and time range of the tessellation.
+
+    At most two schedules are built per run: the full time range's, shared
+    by every full pass, and the shorter last pass's.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     radius = spec.radius
     arrays = [grid.values.copy(), np.empty_like(grid.values)]
+    schedules: Dict[int, TileSchedule] = {}
     done = 0
     parity = 0  # arrays[parity] holds the current time level
     while done < steps:
         tr = min(config.time_range, steps - done)
-        pass_config = TessellationConfig(block_sizes=config.block_sizes, time_range=tr)
-        schedule = build_tessellation(grid.shape, radius, pass_config, grid.boundary)
+        schedule = schedules.get(tr)
+        if schedule is None:
+            pass_config = TessellationConfig(block_sizes=config.block_sizes, time_range=tr)
+            schedule = build_tessellation(grid.shape, radius, pass_config, grid.boundary)
+            schedules[tr] = schedule
         for stage in schedule.stages:
             for tile in stage.tiles:
                 for t, regions in enumerate(tile.steps, start=1):

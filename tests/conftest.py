@@ -141,3 +141,38 @@ def stencil_weights(draw, dims: int, isotropic: bool = False) -> np.ndarray:
     kernel = np.array(draw(st.lists(WEIGHTS, min_size=size, max_size=size))).reshape(shape)
     kernel[radii] = draw(st.floats(0.25, 1.0))
     return kernel
+
+
+#: Factor entries of plane-separable kernels: general and negative ones,
+#: zeros, and entries at or below DBL_EPSILON, which a factor's fold drops.
+FACTOR_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([0.0, -1.0, 0.5, EPS, -EPS / 2, 1e-300]),
+)
+
+
+@st.composite
+def separable_weights(draw, perturbed: bool = False) -> np.ndarray:
+    """The weights ``outer(a, b, c)`` of a plane-separable 3-D stencil of
+    radius 1 or 2, with :data:`FACTOR_ENTRIES` off the factors' centres and
+    non-zero centres, so the folded matrix is never all zero.  The weights
+    are divided by the sum of their absolute values, so that no step grows
+    the grid and the heat example's error bound applies.
+
+    ``perturbed`` adds ``1e-10 · max|w|`` times a uniform draw from
+    ``[-1, 1)`` to every weight: a near-separable kernel, whose folds must
+    not be plane-factored.
+    """
+    radius = draw(st.integers(1, 2))
+    size = 2 * radius + 1
+    factors = []
+    for _ in range(3):
+        factor = np.array(draw(st.lists(FACTOR_ENTRIES, min_size=size, max_size=size)))
+        factor[radius] = draw(st.floats(0.25, 1.0))
+        factors.append(factor)
+    kernel = np.einsum("i,j,k->ijk", *factors)
+    kernel = kernel / np.abs(kernel).sum()
+    if perturbed:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kernel = kernel + 1e-10 * np.abs(kernel).max() * rng.uniform(-1.0, 1.0, kernel.shape)
+    return kernel

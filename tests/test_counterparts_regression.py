@@ -129,6 +129,25 @@ class TestRegressionPlan:
         scaled = [s for s in plan.steps if s.mode == "scaled"]
         assert scaled and all(s.cost == 0 for s in scaled)
 
+    def test_the_base_counterpart_keeps_taps_the_fold_sums(self):
+        """A column of weights at or below DBL_EPSILON never becomes the base
+        of larger multiples: the fold drops its taps, and with them every
+        multiple's.  Here it comes first and ties the others' support, so
+        support counts the weights the fold keeps."""
+        eps = np.finfo(np.float64).eps
+        matrix = np.outer([0.25, 0.5, 0.25], [eps / 2, 1.0, 1.0])
+        plan = plan_counterparts(matrix)
+        assert plan.steps[0].mode == "direct"
+        np.testing.assert_array_equal(plan.steps[0].vector, matrix[:, 1])
+
+    def test_small_reuse_coefficients_are_kept(self):
+        """A counterpart 1e-10 times another is that one scaled, not zero: a
+        reuse term is dropped only when it contributes nothing to its target."""
+        matrix = np.outer([0.25, 0.5, 0.25], [1.0, 1e-10])
+        plan = plan_counterparts(matrix)
+        assert [step.mode for step in plan.steps] == ["direct", "scaled"]
+        np.testing.assert_allclose(plan.reconstruct_matrix(matrix.shape), matrix, rtol=1e-12)
+
     def test_1d_matrix_plan(self):
         plan = plan_counterparts(np.array([0.25, 0.5, 0.25]))
         assert plan.total_collect >= 1

@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+import repro
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -106,6 +107,25 @@ class TestCacheHierarchy:
         assert json.dumps(serial.encode(before["result"]), sort_keys=True) == \
             json.dumps(serial.encode(after["result"]), sort_keys=True)
         assert np.array_equal(before["result"]["values"], after["result"]["values"])
+
+    def test_a_store_written_by_another_version_is_not_answered_from(self, tmp_path, monkeypatch):
+        """Request keys include ``repro.__version__``: after a restart under
+        another version the store misses, under the same version it hits."""
+
+        async def life(service):
+            return await service.handle_request(dict(ESTIMATE))
+
+        monkeypatch.setattr(repro, "__version__", "0.1.0")
+        _, first = drive(_config(tmp_path), life)
+        monkeypatch.setattr(repro, "__version__", "0.2.0")
+        _, other = drive(_config(tmp_path), life)
+        monkeypatch.setattr(repro, "__version__", "0.1.0")
+        _, same = drive(_config(tmp_path), life)
+        assert first["served_from"] == other["served_from"] == "computed"
+        assert other["key"] != first["key"]
+        assert same["served_from"] == "store"
+        assert same["key"] == first["key"]
+        assert same["result"] == first["result"]
 
     def test_stats_reflect_the_hierarchy(self, tmp_path):
         async def scenario(service):

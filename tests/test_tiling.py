@@ -171,6 +171,26 @@ class TestTessellationExecution:
         out = tessellate_run(spec, grid, 6, config)
         np.testing.assert_array_equal(bits(out), bits(reference_run(spec, grid, 6)))
 
+    def test_a_run_builds_one_schedule_per_pass_length(self, monkeypatch):
+        """The heat example's tiled run, 60 steps in passes of 8: seven full
+        passes share one schedule and the last pass of 4 has its own."""
+        import repro.tiling.tessellate as tessellate
+
+        built = []
+        build = tessellate.build_tessellation
+
+        def counted(shape, radius, config, boundary):
+            built.append(config.time_range)
+            return build(shape, radius, config, boundary)
+
+        monkeypatch.setattr(tessellate, "build_tessellation", counted)
+        spec = heat_2d(alpha=0.125)
+        grid = Grid.gaussian_bump((96, 96), boundary=BoundaryCondition.DIRICHLET, amplitude=100.0)
+        config = TessellationConfig(block_sizes=(32, 32), time_range=8)
+        out = tessellate_run(spec, grid, 60, config)
+        assert sorted(built) == [4, 8]
+        np.testing.assert_array_equal(bits(out), bits(reference_run(spec, grid, 60)))
+
     def test_zero_steps(self):
         spec = heat_1d()
         grid = Grid.random((64,), seed=44)
