@@ -115,7 +115,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "MachineSpec",

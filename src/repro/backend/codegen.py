@@ -462,8 +462,7 @@ def _build_native(ir: ScheduleIR) -> Tuple[Optional[NativeProgram], str]:
         program = NativeProgram(ctypes.CDLL(str(path)), path)
     except (native.NativeBuildError, OSError, AttributeError) as exc:
         return None, str(exc)
-    detail = " ".join(flags) or "no ISA flags"
-    return program, f"{path}, {detail}{'; ' + note if note else ''}"
+    return program, native.describe_build(path, flags, note)
 
 
 #: Layout names of :meth:`KernelProgram.replay`'s ``layouts``: is it the original?

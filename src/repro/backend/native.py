@@ -10,12 +10,13 @@ so later processes only ``dlopen`` it.  A build is written to a temporary
 file and ``os.replace``-d into place: processes racing to build the same
 library each leave a complete file.
 
-Two libraries are built here: the fold kernel behind the default ``run()``
-(no ISA flags) and one library per IR program of the ``kernel`` backend
-(:mod:`repro.backend.codegen`), whose ISA flags :func:`isa_flags` picks: the
-plan ISA's flags, reduced to what the host supports.  A tiny probe library,
-built without ISA flags, asks ``__builtin_cpu_supports`` once per compiler
-and process, so a host without AVX-512 never loads AVX-512 code.
+Two libraries are built here, both with ISA flags :func:`isa_flags` picks:
+the fold kernel behind the default ``run()`` (:mod:`repro.core.fold_kernel`),
+with the widest flag the host supports, and one library per IR program of
+the ``kernel`` backend (:mod:`repro.backend.codegen`), with the plan ISA's
+flags, reduced to what the host supports.  A tiny probe library, built
+without ISA flags, asks ``__builtin_cpu_supports`` once per compiler and
+process, so a host without AVX-512 never loads AVX-512 code.
 """
 
 from __future__ import annotations
@@ -169,3 +170,10 @@ def isa_flags(isa_name: str, compiler: str) -> Tuple[Tuple[str, ...], str]:
             return (flag,), f"host lacks {', '.join(lacked)}" if lacked else ""
         lacked.append(feature)
     return (), reason or f"host lacks {', '.join(lacked)}"
+
+
+def describe_build(path: Path, flags: Sequence[str], note: str) -> str:
+    """``<path>, <flags>`` or ``<path>, no ISA flags``, then ``; <note>``
+    when :func:`isa_flags` left a flag out."""
+    detail = " ".join(flags) or "no ISA flags"
+    return f"{path}, {detail}{'; ' + note if note else ''}"

@@ -27,10 +27,7 @@
  * chunks small enough that every counterpart row of a chunk stays in L1.
  * Interior chunks read the grid directly.  Only the few halo columns a
  * boundary chunk reaches past the row ends are wrapped: copied when the
- * chunk has already folded that column, folded again otherwise.  Per
- * element the loops keep the order above, so vectorising across elements
- * changes no result; build with -ffp-contract=off so that no multiply-add
- * is fused into one rounding.
+ * chunk has already folded that column, folded again otherwise.
  *
  * repro_reference_step computes reference_step in repro/stencils/reference.py
  * bit for bit: scipy.ndimage.correlate sums, for every output point,
@@ -39,7 +36,10 @@
  *
  * over the kernel's taps with |w| > DBL_EPSILON in C order (the table
  * FoldingSchedule.step_tables packs), reading wrapped values outside the grid
- * for periodic grids and cval for Dirichlet ones.
+ * for periodic grids and cval for Dirichlet ones.  Each output row sums the
+ * columns whose taps stay inside the row straight from the grid; its few
+ * columns at each end come from scratch copies of the source rows' ends,
+ * which carry the values past the row's ends (struct step).
  *
  * repro_dirichlet_band recomputes the band a folded update of a Dirichlet
  * grid gets wrong: the points closer than (m-1)*r to a face, r the stencil's
@@ -47,10 +47,15 @@
  * on a frame that shrinks by r per step (thickness (m-1)*r + (m-k)*r after
  * step k), every face in one pass over the rows, and writes the last step
  * straight into the folded output.  A frame row inside the thickness of a
- * plane or row face is kept whole; any other keeps its two end segments.
- * The points a step computes only read points the previous frame holds, so
- * each band point gets the bits of m full-grid reference steps.
+ * plane or row face is kept whole; any other keeps only its two ends, in
+ * the padded scratch copy a whole row's ends also get.  The points a step
+ * computes only read points the previous frame holds, so each band point
+ * gets the bits of m full-grid reference steps.
  *
+ * Every sum runs in whole vectors of as many lanes as the build's ISA flags
+ * allow (weighted_sum): per element the loops keep the order above, so
+ * vectorising across elements changes no result, whatever the width; build
+ * with -ffp-contract=off so that no multiply-add is fused into one rounding.
  * The functions keep no static state and allocate their scratch per call:
  * concurrent calls on distinct outputs are safe.  Each returns 0, or 1 when
  * a work buffer cannot be allocated.
@@ -69,12 +74,22 @@ enum { CP_DIRECT = 0, CP_COMBINATION = 1, CP_COMBINATION_BIAS = 2, CP_FACTORED =
 /* Counterpart rows of one chunk should fit in about half of a 32 KiB L1. */
 #define CHUNK_BYTES (16 * 1024)
 #define CHUNK_MIN 64
-/* Columns summed at once: eight two-lane accumulators, enough to hide the
- * latency of the adds and few enough to stay in SSE2 registers.  The vector
- * type allows unaligned loads and aliases double, like the intrinsics'. */
-typedef double vec2 __attribute__((vector_size(16), aligned(8), may_alias));
-#define NACC 8
-#define BLOCK (2 * NACC)
+/* Doubles per vector: eight with -mavx512f, four with -mavx2, else SSE2's
+ * two, the x86-64 baseline. */
+#if defined(__AVX512F__)
+#define LANES 8
+#elif defined(__AVX2__)
+#define LANES 4
+#else
+#define LANES 2
+#endif
+/* Vectors summed side by side: four accumulators hide the latency of the
+ * adds, and a block of four 8-lane vectors spans 32 columns, so rows of 32
+ * or 48 columns take one or two blocks.  The vector type allows unaligned
+ * loads and aliases double, like the intrinsics'. */
+#define NACC 4
+#define BLOCK (NACC * LANES)
+typedef double vec __attribute__((vector_size(8 * LANES), aligned(8), may_alias));
 
 static int64_t wrap(int64_t i, int64_t n)
 {
@@ -86,39 +101,46 @@ static int64_t wrap(int64_t i, int64_t n)
     return r < 0 ? r + n : r;
 }
 
-/* Columns [i, i + BLOCK) of weighted_sum. */
-static inline void weighted_block(double *restrict dst, const double *const *src,
-                                  const double *w, int64_t nterms, int64_t i)
+/* NACC vectors at the offsets at[k] from dst and from every src[t]:
+ * dst[a] = ((0 + w[0]*src[0][a]) + w[1]*src[1][a]) + ... for the LANES
+ * columns a from each at[k].  Offsets may repeat: a column summed twice
+ * gets the same bits. */
+static inline void sum_block(double *restrict dst, const double *const *src, const double *w,
+                             int64_t nterms, const int64_t *at)
 {
-    vec2 acc[NACC];
-    for (int k = 0; k < NACC; k++)
-        acc[k] = (vec2){0.0, 0.0};
-    for (int64_t t = 0; t < nterms; t++) {
-        const vec2 wt = {w[t], w[t]};
-        const vec2 *s = (const vec2 *)(src[t] + i);
-        for (int k = 0; k < NACC; k++)
-            acc[k] += wt * s[k];
+    int64_t a[NACC];
+    vec acc[NACC];
+    for (int k = 0; k < NACC; k++) {
+        a[k] = at[k];
+        acc[k] = (vec){0.0};
     }
-    vec2 *d = (vec2 *)(dst + i);
+    for (int64_t t = 0; t < nterms; t++) {
+        const double wt = w[t]; /* a scalar operand is broadcast */
+        const double *s = src[t];
+        for (int k = 0; k < NACC; k++)
+            acc[k] += wt * *(const vec *)(s + a[k]);
+    }
     for (int k = 0; k < NACC; k++)
-        d[k] = acc[k];
+        *(vec *)(dst + a[k]) = acc[k];
 }
 
-/* dst[i] = ((0 + w[0]*src[0][i]) + w[1]*src[1][i]) + ... for i < len. */
+/* dst[i] = ((0 + w[0]*src[0][i]) + w[1]*src[1][i]) + ... for i < len, in
+ * blocks of NACC vectors when the sum is at least one vector long (a vector
+ * that would pass len ends at len instead), else one column at a time; it
+ * reads and writes no column past len. */
 static void weighted_sum(double *restrict dst, const double *const *src, const double *w,
                          int64_t nterms, int64_t len)
 {
-    int64_t i = 0;
-    for (; i + BLOCK <= len; i += BLOCK)
-        weighted_block(dst, src, w, nterms, i);
-    /* The last columns: one more block ending at len when the sum is at
-     * least a block long (it recomputes some columns, with the same bits),
-     * else one column at a time. */
-    if (i < len && len >= BLOCK) {
-        weighted_block(dst, src, w, nterms, len - BLOCK);
+    if (len >= LANES) {
+        int64_t at[NACC];
+        for (int64_t i = 0; i < len; i += BLOCK) {
+            for (int k = 0; k < NACC; k++)
+                at[k] = i + k * LANES < len - LANES ? i + k * LANES : len - LANES;
+            sum_block(dst, src, w, nterms, at);
+        }
         return;
     }
-    for (; i < len; i++) {
+    for (int64_t i = 0; i < len; i++) {
         double acc = 0.0;
         for (int64_t t = 0; t < nterms; t++)
             acc += w[t] * src[t][i];
@@ -333,12 +355,26 @@ int repro_fold_update(const double *x, double *out, int64_t planes, int64_t rows
     return 0;
 }
 
-/* Interior columns a reference step sums at once: the span of its cval row. */
-#define STEP_CHUNK 512
-/* The offset of a source row that lies outside a Dirichlet grid. */
-#define OUTSIDE INT64_MIN
-
-/* State of one reference-step or band call, shared by the helpers below. */
+/* State of one reference-step or band call, shared by the helpers below.
+ *
+ * An output row sums its columns [lo, hi), whose taps stay inside the row,
+ * straight from its source rows.  The rest it sums from the source rows' cut
+ * copies: width columns (a multiple of LANES) that hold a row's columns
+ * [0, half) at [0, half) and its columns [cols - half, cols) at
+ * [width - half, width), with left columns before them and right after of
+ * the values past the row's ends (cval on a Dirichlet grid, wrapped on a
+ * periodic one).  The middle of the row is cut out, and a row shorter than
+ * 2*half shows in both halves.  Summed like a row, in whole vectors, the cut
+ * copies of a row's sources give its columns [0, half - right) at the same
+ * place and [cols - half + left, cols) at [width - half + left, width); the
+ * columns between are discarded.
+ *
+ * Rows are found by slot: one per row of the grid, and ghost slots for the
+ * rows the taps reach past its faces (a row of cval, or the wrapped row), so
+ * each tap reads the slot at a fixed offset from its output row's.  Cut
+ * copies sit stride doubles apart in slot order, so the cut sums of a
+ * plane's rows run as one weighted sum, NACC rows per block.  Every read
+ * lands on a value. */
 struct step {
     int64_t planes, rows, cols;
     int32_t periodic;
@@ -347,128 +383,191 @@ struct step {
     const int64_t *off;    /* per tap: (plane, row, column) offset */
     const double *w;
     int64_t left, right;   /* columns the taps reach before and after a point */
-    int64_t nsrc;          /* distinct (plane, row) offsets of the taps */
-    int64_t *src_of;       /* per tap: its (plane, row) offset's index */
-    int64_t *src_off;      /* per distinct offset: (plane, row) */
-    double *cvalrow;       /* STEP_CHUNK copies of cval, read by rows outside the grid */
+    int64_t gz, gy;        /* planes and rows the taps reach: the ghost slots */
+    int64_t *tap_slot;     /* per tap: the offset of its source row's slot */
+    int64_t *tap_cut;      /* per tap: where it reads from its row's cut copy */
+    int64_t half, width;   /* of a cut copy */
+    int64_t stride;        /* doubles per cut copy: left + width + right */
+    int64_t lo, hi;        /* the columns a row sums straight from its sources */
+    int64_t *job;          /* the vectors of a plane's cut sums, by offset */
+    double *outside;       /* a row of cval, read past a Dirichlet grid's faces */
     const double **term;   /* scratch: the rows of one weighted sum */
-    int64_t *base, *rbase; /* scratch: per distinct offset, where column 0 of the
-                            * source row's left and right part sits, or OUTSIDE */
 };
 
 static void step_free(struct step *s)
 {
-    free(s->src_of);
-    free(s->cvalrow);
+    free(s->tap_slot);
     free(s->term);
+    free(s->job);
+    free(s->outside);
 }
 
+/* s for a call on a planes x rows x cols grid whose cut copies hold at
+ * least half columns at each end.  Returns 1 when out of memory. */
 static int step_setup(struct step *s, int64_t planes, int64_t rows, int64_t cols,
                       int32_t periodic, double cval, int64_t ntaps, const int64_t *off,
-                      const double *w)
+                      const double *w, int64_t half)
 {
     *s = (struct step){
         .planes = planes, .rows = rows, .cols = cols, .periodic = periodic, .cval = cval,
         .ntaps = ntaps, .off = off, .w = w,
     };
-    s->src_of = malloc((size_t)(5 * ntaps + 1) * sizeof(int64_t));
-    s->cvalrow = malloc(STEP_CHUNK * sizeof(double));
+    s->tap_slot = malloc((size_t)(2 * ntaps + 1) * sizeof(int64_t));
     s->term = malloc((size_t)(ntaps + 1) * sizeof(double *));
-    if (s->src_of == NULL || s->cvalrow == NULL || s->term == NULL) {
+    if (s->tap_slot == NULL || s->term == NULL) {
         step_free(s);
         return 1;
     }
-    s->src_off = s->src_of + ntaps;
-    s->base = s->src_off + 2 * ntaps;
-    s->rbase = s->base + ntaps;
+    s->tap_cut = s->tap_slot + ntaps;
     for (int64_t t = 0; t < ntaps; t++) {
-        const int64_t dx = off[3 * t + 2];
+        const int64_t dz = off[3 * t], dy = off[3 * t + 1], dx = off[3 * t + 2];
         s->left = -dx > s->left ? -dx : s->left;
         s->right = dx > s->right ? dx : s->right;
-        int64_t i = 0;
-        while (i < s->nsrc && (s->src_off[2 * i] != off[3 * t] ||
-                               s->src_off[2 * i + 1] != off[3 * t + 1]))
-            i++;
-        if (i == s->nsrc) {
-            s->src_off[2 * i] = off[3 * t];
-            s->src_off[2 * i + 1] = off[3 * t + 1];
-            s->nsrc++;
-        }
-        s->src_of[t] = i;
+        s->gz = (dz < 0 ? -dz : dz) > s->gz ? (dz < 0 ? -dz : dz) : s->gz;
+        s->gy = (dy < 0 ? -dy : dy) > s->gy ? (dy < 0 ? -dy : dy) : s->gy;
     }
-    for (int64_t i = 0; i < STEP_CHUNK; i++)
-        s->cvalrow[i] = cval;
+    const int64_t reach = s->left + s->right;
+    half = half > reach ? half : reach;
+    if (cols - reach >= LANES) {
+        s->lo = s->left;
+        s->hi = cols - s->right;
+    } else {
+        /* No whole vector fits inside the row: every column comes from the
+         * cut copies, which then cover the row. */
+        half = half > (cols + reach + 1) / 2 ? half : (cols + reach + 1) / 2;
+        s->lo = s->hi = half - s->right < cols ? half - s->right : cols;
+    }
+    s->half = half;
+    s->width = (2 * half + LANES - 1) / LANES * LANES;
+    s->stride = s->left + s->width + s->right;
+    for (int64_t t = 0; t < ntaps; t++) {
+        s->tap_slot[t] = off[3 * t] * (rows + 2 * s->gy) + off[3 * t + 1];
+        s->tap_cut[t] = s->tap_slot[t] * s->stride + off[3 * t + 2];
+    }
+    /* Only a Dirichlet grid's ghost rows read the row of cval. */
+    const int64_t nout = !periodic && (s->gz > 0 || s->gy > 0) ? cols : 0;
+    const int64_t nvec = s->width / LANES;
+    s->job = malloc((size_t)(rows * nvec) * sizeof(int64_t));
+    s->outside = malloc((size_t)(nout + 1) * sizeof(double));
+    if (s->job == NULL || s->outside == NULL) {
+        step_free(s);
+        return 1;
+    }
+    for (int64_t y = 0, j = 0; y < rows; y++)
+        for (int64_t v = 0; v < nvec; v++)
+            s->job[j++] = y * s->stride + v * LANES;
+    for (int64_t i = 0; i < nout; i++)
+        s->outside[i] = cval;
     return 0;
 }
 
-/* Columns [lo, hi) of an output row into dst, one point at a time with
- * every read checked: the columns whose taps reach past the row's ends, and
- * narrow segments.  A tap reads src[base[i] + column], i the index of its
- * (plane, row) offset, or cval where base[i] is OUTSIDE. */
-static void step_edge(const struct step *s, double *dst, const double *src,
-                      const int64_t *base, int64_t lo, int64_t hi)
+/* The slots of a grid, ghosts included. */
+static int64_t nslots(const struct step *s)
 {
-    for (int64_t j = lo; j < hi; j++) {
-        double acc = 0.0;
-        for (int64_t t = 0; t < s->ntaps; t++) {
-            const int64_t b = base[s->src_of[t]], col = j + s->off[3 * t + 2];
-            double v = s->cval;
-            if (s->periodic)
-                v = src[b + wrap(col, s->cols)];
-            else if (b != OUTSIDE && col >= 0 && col < s->cols)
-                v = src[b + col];
-            acc += s->w[t] * v;
+    return (s->planes + 2 * s->gz) * (s->rows + 2 * s->gy);
+}
+
+/* The slot of row (z, y); ghost rows lie past the faces. */
+static int64_t slot(const struct step *s, int64_t z, int64_t y)
+{
+    return (z + s->gz) * (s->rows + 2 * s->gy) + y + s->gy;
+}
+
+/* Fills table with the row each slot holds: row r of a frame at
+ * frame + loff[r] (the grid layout when loff is NULL), the wrapped row of a
+ * periodic grid, or s->outside past a Dirichlet grid's faces. */
+static void row_table(const struct step *s, const double **table, const double *frame,
+                      const int64_t *loff)
+{
+    for (int64_t z = -s->gz; z < s->planes + s->gz; z++) {
+        for (int64_t y = -s->gy; y < s->rows + s->gy; y++) {
+            const double *row = s->outside;
+            if (s->periodic || (z >= 0 && z < s->planes && y >= 0 && y < s->rows)) {
+                const int64_t r = wrap(z, s->planes) * s->rows + wrap(y, s->rows);
+                row = frame + (loff != NULL ? loff[r] : r * s->cols);
+            }
+            table[slot(s, z, y)] = row;
         }
-        dst[j - lo] = acc;
     }
 }
 
-/* Columns [j0, j1) of an output row into dst[0, j1 - j0), reading as
- * step_edge does.  In a segment of at least BLOCK columns, the columns
- * whose taps stay inside the row are summed directly from the source rows. */
-static void step_columns(const struct step *s, double *dst, const double *src,
-                         const int64_t *base, int64_t j0, int64_t j1)
+/* Columns [c0, c1) of the grid row src into dst[c0 - at, c1 - at), past the
+ * row's ends included. */
+static void copy_columns(const struct step *s, double *dst, const double *src, int64_t at,
+                         int64_t c0, int64_t c1)
 {
-    if (j1 - j0 < BLOCK) {
-        step_edge(s, dst, src, base, j0, j1);
+    int64_t c = c0;
+    for (; c < c1 && (c < 0 || c >= s->cols); c++)
+        dst[c - at] = s->periodic ? src[wrap(c, s->cols)] : s->cval;
+    for (; c < c1 && c < s->cols; c++)
+        dst[c - at] = src[c];
+    for (; c < c1; c++)
+        dst[c - at] = s->periodic ? src[wrap(c, s->cols)] : s->cval;
+}
+
+/* The cut copy of the row src into the slot whose column 0 is dst: its two
+ * halves, and its halo on a periodic grid.  The slots start out as cval,
+ * which a Dirichlet grid's halo keeps. */
+static void cut_copy(const struct step *s, double *dst, const double *src)
+{
+    const int64_t shift = s->cols - s->width, left = s->periodic ? s->left : 0;
+    if (!s->periodic && s->half <= s->cols) {
+        for (int64_t v = 0; v < s->half; v++) {
+            dst[v] = src[v];
+            dst[s->width - s->half + v] = src[s->cols - s->half + v];
+        }
         return;
     }
-    int64_t a = s->left > j0 ? s->left : j0;
-    a = a < j1 ? a : j1;
-    int64_t b = s->cols - s->right < j1 ? s->cols - s->right : j1;
-    b = b > a ? b : a;
-    step_edge(s, dst, src, base, j0, a);
-    for (int64_t i = a; i < b; i += STEP_CHUNK) {
-        const int64_t len = b - i < STEP_CHUNK ? b - i : STEP_CHUNK;
-        for (int64_t t = 0; t < s->ntaps; t++) {
-            const int64_t row = base[s->src_of[t]];
-            s->term[t] = row == OUTSIDE ? s->cvalrow : src + (row + i + s->off[3 * t + 2]);
-        }
-        weighted_sum(dst + (i - j0), s->term, s->w, s->ntaps, len);
-    }
-    step_edge(s, dst + (b - j0), src, base, b, j1);
+    copy_columns(s, dst, src, 0, -left, s->half);
+    copy_columns(s, dst, src, shift, s->width - s->half + shift,
+                 s->cols + (s->periodic ? s->right : 0));
 }
 
-/* Columns [0, thick) and [cols - thick, cols) of a frame row whose source
- * rows all lie inside the grid, into dl and dr: the two ends summed side by
- * side so that their chains of adds overlap.  Only the columns past the
- * row's ends read cval. */
-static void step_ends(const struct step *s, double *dl, double *dr, const double *src,
-                      int64_t thick)
+/* Fills n slots of cut copies from the row table: cval, then the cut copy of
+ * each row (a Dirichlet grid's ghost rows stay cval). */
+static void cut_rows(const struct step *s, double *cuts, const double *const *table, int64_t n)
 {
-    const int64_t shift = s->cols - thick;
-    for (int64_t j = 0; j < thick; j++) {
-        double accl = 0.0, accr = 0.0;
-        for (int64_t t = 0; t < s->ntaps; t++) {
-            const int64_t i = s->src_of[t], col = j + s->off[3 * t + 2];
-            const double vl = col >= 0 ? src[s->base[i] + col] : s->cval;
-            const double vr = col + shift < s->cols ? src[s->rbase[i] + col + shift] : s->cval;
-            accl += s->w[t] * vl;
-            accr += s->w[t] * vr;
-        }
-        dl[j] = accl;
-        dr[j] = accr;
+    const double cval = s->cval;
+    double *start = cuts - s->left;
+    for (int64_t i = 0; i < n * s->stride; i++)
+        start[i] = cval;
+    for (int64_t i = 0; i < n; i++)
+        if (table[i] != s->outside)
+            cut_copy(s, cuts + i * s->stride, table[i]);
+}
+
+/* The rows of nb consecutive slots of a plane from first, each summed over
+ * its sources' cut copies at cuts into dst + j * stride, row j: the sums of
+ * all nb rows in blocks of NACC vectors. */
+static void cut_sums(const struct step *s, double *dst, const double *cuts, int64_t first,
+                     int64_t nb)
+{
+    for (int64_t t = 0; t < s->ntaps; t++)
+        s->term[t] = cuts + first * s->stride + s->tap_cut[t];
+    const int64_t njobs = nb * (s->width / LANES);
+    int64_t at[NACC];
+    for (int64_t j0 = 0; j0 < njobs; j0 += NACC) {
+        for (int k = 0; k < NACC; k++)
+            at[k] = s->job[j0 + k < njobs ? j0 + k : njobs - 1];
+        sum_block(dst, s->term, s->w, s->ntaps, at);
     }
+}
+
+/* The output row of slot at into dst[0, cols): the columns [lo, hi) from the
+ * source rows the table holds, the rest from sums, the row's cut sums. */
+static void step_row(const struct step *s, double *dst, const double *const *table,
+                     int64_t at, const double *sums)
+{
+    if (s->hi > s->lo) {
+        for (int64_t t = 0; t < s->ntaps; t++)
+            s->term[t] = table[at + s->tap_slot[t]] + s->lo + s->off[3 * t + 2];
+        weighted_sum(dst + s->lo, s->term, s->w, s->ntaps, s->hi - s->lo);
+    }
+    const double *tail = sums + s->width - s->cols;
+    for (int64_t j = 0; j < s->lo; j++)
+        dst[j] = sums[j];
+    for (int64_t j = s->hi; j < s->cols; j++)
+        dst[j] = tail[j];
 }
 
 int repro_reference_step(const double *x, double *out, int64_t planes, int64_t rows,
@@ -478,65 +577,63 @@ int repro_reference_step(const double *x, double *out, int64_t planes, int64_t r
     if (planes <= 0 || rows <= 0 || cols <= 0)
         return 0;
     struct step s;
-    if (step_setup(&s, planes, rows, cols, periodic, cval, ntaps, off, w) != 0)
+    if (step_setup(&s, planes, rows, cols, periodic, cval, ntaps, off, w, 0) != 0)
         return 1;
-    for (int64_t z = 0; z < planes; z++) {
-        for (int64_t y = 0; y < rows; y++) {
-            for (int64_t i = 0; i < s.nsrc; i++) {
-                int64_t zz = z + s.src_off[2 * i], yy = y + s.src_off[2 * i + 1];
-                if (periodic) {
-                    zz = wrap(zz, planes);
-                    yy = wrap(yy, rows);
-                } else if (zz < 0 || zz >= planes || yy < 0 || yy >= rows) {
-                    s.base[i] = OUTSIDE;
-                    continue;
-                }
-                s.base[i] = (zz * rows + yy) * cols;
-            }
-            step_columns(&s, out + (z * rows + y) * cols, x, s.base, 0, cols);
-        }
+    /* The cut copies, then a plane's cut sums. */
+    const int64_t n = nslots(&s);
+    double *work = malloc((size_t)((n + rows) * s.stride) * sizeof(double));
+    const double **table = malloc((size_t)n * sizeof(double *));
+    if (work == NULL || table == NULL) {
+        free(work);
+        free(table);
+        step_free(&s);
+        return 1;
     }
+    double *cuts = work + s.left, *sums = cuts + n * s.stride;
+    row_table(&s, table, x, NULL);
+    cut_rows(&s, cuts, table, n);
+    for (int64_t z = 0; z < planes; z++) {
+        const int64_t first = slot(&s, z, 0);
+        cut_sums(&s, sums, cuts, first, rows);
+        for (int64_t y = 0; y < rows; y++)
+            step_row(&s, out + (z * rows + y) * cols, table, first + y, sums + y * s.stride);
+    }
+    free(work);
+    free(table);
     step_free(&s);
     return 0;
 }
 
-/* Whether row (z, y) of a band frame of thickness thick is kept whole: it
- * lies within thick of a plane or row face of the grid's ndim axes, or the
- * segments at its two ends would meet. */
-static int whole_row(const struct step *s, int64_t ndim, int64_t z, int64_t y, int64_t thick)
+/* The rows [*a, *b) of plane z of a band frame of thickness thick keep only
+ * their ends.  The others are kept whole: they lie within thick of a plane
+ * or row face of the grid's ndim axes, or the ends at their two sides would
+ * meet. */
+static void end_rows(const struct step *s, int64_t ndim, int64_t z, int64_t thick, int64_t *a,
+                     int64_t *b)
 {
-    return 2 * thick >= s->cols || (ndim == 3 && (z < thick || z >= s->planes - thick)) ||
-           (ndim >= 2 && (y < thick || y >= s->rows - thick));
+    *a = *b = 0;
+    if (2 * thick >= s->cols || (ndim == 3 && (z < thick || z >= s->planes - thick)))
+        return;
+    *a = ndim >= 2 ? thick : 0;
+    *b = ndim >= 2 ? s->rows - thick : s->rows;
+    *b = *b > *a ? *b : *a;
 }
 
-/* Where each row of a frame of thickness thick stores column 0 of its left
- * part (loff) and of its right part (roff): a whole row holds every column,
- * any other holds [0, thick) then [cols - thick, cols).  Returns the size. */
-static int64_t frame_layout(const struct step *s, int64_t ndim, int64_t thick, int64_t *loff,
-                            int64_t *roff)
+/* Where each whole row of a frame of thickness thick stores column 0
+ * (loff); the other rows live in their cut copies only.  Returns the size. */
+static int64_t frame_layout(const struct step *s, int64_t ndim, int64_t thick, int64_t *loff)
 {
     int64_t size = 0;
     for (int64_t z = 0; z < s->planes; z++) {
+        int64_t a, b;
+        end_rows(s, ndim, z, thick, &a, &b);
         for (int64_t y = 0; y < s->rows; y++) {
-            const int64_t row = z * s->rows + y;
-            loff[row] = size;
-            if (whole_row(s, ndim, z, y, thick)) {
-                roff[row] = size;
+            loff[z * s->rows + y] = size;
+            if (y < a || y >= b)
                 size += s->cols;
-            } else {
-                roff[row] = size + 2 * thick - s->cols;
-                size += 2 * thick;
-            }
         }
     }
     return size;
-}
-
-/* The layout of a whole grid: every row whole, in C order. */
-static void grid_layout(const struct step *s, int64_t *loff, int64_t *roff)
-{
-    for (int64_t row = 0; row < s->planes * s->rows; row++)
-        loff[row] = roff[row] = row * s->cols;
 }
 
 int repro_dirichlet_band(const double *x, double *out, int64_t planes, int64_t rows,
@@ -546,57 +643,75 @@ int repro_dirichlet_band(const double *x, double *out, int64_t planes, int64_t r
     const int64_t band = (m - 1) * radius;
     if (planes <= 0 || rows <= 0 || cols <= 0 || band <= 0)
         return 0;
+    /* Step 1 computes band + (m-1)*radius columns at each end, and reads
+     * radius more. */
     struct step s;
-    if (step_setup(&s, planes, rows, cols, 0, cval, ntaps, off, w) != 0)
+    if (step_setup(&s, planes, rows, cols, 0, cval, ntaps, off, w, band + m * radius) != 0)
         return 1;
-    /* Frame k keeps its offsets in slot k % 2 and, for 0 < k < m, its values
-     * in data slot (k - 1) % 2; frame 0 is x and frame m is out. */
-    const int64_t nrows = planes * rows;
-    int64_t *offs = malloc((size_t)(4 * nrows) * sizeof(int64_t));
-    const int64_t size = offs == NULL ? 0 : frame_layout(&s, ndim, band + (m - 1) * radius,
-                                                         offs + 2 * nrows, offs + 3 * nrows);
+    /* Frame k keeps its whole rows' offsets in loff slot k % 2 and, for
+     * 0 < k < m, their values in data slot (k - 1) % 2; its cut copies are
+     * in cut slot k % 2.  Frame 0 is x and frame m is out. */
+    const int64_t nrows = planes * rows, n = nslots(&s), ncut = n * s.stride;
+    int64_t *offs = malloc((size_t)(2 * nrows) * sizeof(int64_t));
+    const double **table = malloc((size_t)n * sizeof(double *));
+    const int64_t size = offs == NULL ? 0 : frame_layout(&s, ndim, band + (m - 1) * radius, offs);
+    const int64_t nframes = m > 2 ? 2 : 1;
     double *frames = offs == NULL ? NULL
-                                  : malloc((size_t)((m > 2 ? 2 : 1) * size + 1) * sizeof(double));
-    if (frames == NULL) {
+                                  : malloc((size_t)(nframes * size + 2 * ncut) * sizeof(double));
+    if (frames == NULL || table == NULL) {
+        free(frames);
+        free(table);
         free(offs);
         step_free(&s);
         return 1;
     }
-    grid_layout(&s, offs, offs + nrows);
+    double *cuts = frames + nframes * size + s.left;
+    row_table(&s, table, x, NULL);
+    cut_rows(&s, cuts, table, n);
+    for (int64_t i = 0; i < ncut; i++)
+        cuts[ncut - s.left + i] = cval;
 
     for (int64_t k = 1; k <= m; k++) {
         const int64_t thick = band + (m - k) * radius;
-        const int64_t *ploff = offs + 2 * ((k - 1) % 2) * nrows, *proff = ploff + nrows;
-        int64_t *cloff = offs + 2 * (k % 2) * nrows, *croff = cloff + nrows;
-        const double *src = k == 1 ? x : frames + (k % 2) * size;
+        int64_t *loff = offs + (k % 2) * nrows;
         double *dst = k == m ? out : frames + ((k - 1) % 2) * size;
-        if (k == m)
-            grid_layout(&s, cloff, croff);
-        else
-            frame_layout(&s, ndim, thick, cloff, croff);
+        const double *pcuts = cuts + ((k - 1) % 2) * ncut;
+        double *ccuts = cuts + (k % 2) * ncut;
+        if (k > 1)
+            row_table(&s, table, frames + (k % 2) * size, offs + ((k - 1) % 2) * nrows);
+        if (k < m)
+            frame_layout(&s, ndim, thick, loff);
 
         for (int64_t z = 0; z < planes; z++) {
+            const int64_t first = slot(&s, z, 0);
+            /* Before the last step the cut sums are the frame's cut copies
+             * (a whole row's are then made from its columns); the last
+             * step only reads them. */
+            double *sums = ccuts + first * s.stride;
+            cut_sums(&s, sums, pcuts, first, rows);
+            int64_t a, b;
+            end_rows(&s, ndim, z, thick, &a, &b);
             for (int64_t y = 0; y < rows; y++) {
-                for (int64_t i = 0; i < s.nsrc; i++) {
-                    const int64_t zz = z + s.src_off[2 * i], yy = y + s.src_off[2 * i + 1];
-                    if (zz < 0 || zz >= planes || yy < 0 || yy >= rows) {
-                        s.base[i] = s.rbase[i] = OUTSIDE;
-                        continue;
+                const int64_t r = z * rows + y;
+                const double *e = sums + y * s.stride;
+                if (y < a || y >= b) {
+                    double *row = dst + (k == m ? r * cols : loff[r]);
+                    step_row(&s, row, table, first + y, e);
+                    if (k < m)
+                        cut_copy(&s, ccuts + (first + y) * s.stride, row);
+                } else if (k == m) {
+                    double *row = out + r * cols;
+                    const double *tail = e + s.width - cols;
+                    for (int64_t c = 0; c < thick; c++) {
+                        row[c] = e[c];
+                        row[cols - thick + c] = tail[cols - thick + c];
                     }
-                    s.base[i] = ploff[zz * rows + yy];
-                    s.rbase[i] = proff[zz * rows + yy];
-                }
-                const int64_t row = z * rows + y;
-                if (whole_row(&s, ndim, z, y, thick)) {
-                    step_columns(&s, dst + cloff[row], src, s.base, 0, cols);
-                } else {
-                    step_ends(&s, dst + cloff[row], dst + (croff[row] + cols - thick), src,
-                              thick);
                 }
             }
         }
     }
     free(frames);
+    free(table);
     free(offs);
     step_free(&s);
     return 0;

@@ -20,11 +20,15 @@ image of a NumPy/``scipy.ndimage`` computation:
 
 The kernel is built on the first fold of a process by
 :mod:`repro.backend.native` (or found in its on-disk cache) and loaded once,
-behind a lock.  When there is no C compiler on ``PATH``, or the build or the
-load fails, every fold of the process runs the NumPy body instead, and the
-band and the remainder steps run on ``ndimage``; :func:`fold_kernel_status`
-says why and ``CompiledPlan.explain()`` prints it.  A kernel that loaded
-never falls back: a failed call raises.
+behind a lock.  It is built with the widest of
+:data:`~repro.backend.native.ISA_FLAGS`' flags the host's CPU probe reports
+(``-mavx512f``, else ``-mavx2``, else none), and sums in vectors of that
+width; every width returns the same bits.  When there is no C compiler on
+``PATH``, or the build or the load fails, every fold of the process runs
+the NumPy body instead, and the band and the remainder steps run on
+``ndimage``; :func:`fold_kernel_status` says why and
+``CompiledPlan.explain()`` prints it.  A kernel that loaded never falls
+back: a failed call raises.
 """
 
 from __future__ import annotations
@@ -133,15 +137,7 @@ class FoldKernel:
             cols,
             boundary is BoundaryCondition.PERIODIC,
             DIRICHLET_VALUE,
-            len(tables.cp),
-            tables.cp.ctypes.data,
-            tables.tap_off.ctypes.data,
-            tables.tap_w.ctypes.data,
-            tables.omega_src.ctypes.data,
-            tables.omega_w.ctypes.data,
-            len(tables.pos),
-            tables.pos.ctypes.data,
-            tables.pos_w.ctypes.data,
+            *tables.args,
         )
         _check(status)
         return out
@@ -160,9 +156,7 @@ class FoldKernel:
             cols,
             boundary is BoundaryCondition.PERIODIC,
             DIRICHLET_VALUE,
-            len(taps.w),
-            taps.off.ctypes.data,
-            taps.w.ctypes.data,
+            *taps.args,
         )
         _check(status)
         return out
@@ -173,7 +167,9 @@ class FoldKernel:
         by ``m`` reference steps; written in place when ``folded`` is a
         C-contiguous ``float64`` array."""
         x = np.ascontiguousarray(before, dtype=np.float64)
-        out = np.require(folded, dtype=np.float64, requirements=("C", "W"))
+        out = folded
+        if out.dtype != np.float64 or not (out.flags.c_contiguous and out.flags.writeable):
+            out = np.array(folded, dtype=np.float64, order="C")
         planes, rows, cols = _extents(x)
         status = self._band(
             x.ctypes.data,
@@ -183,9 +179,7 @@ class FoldKernel:
             cols,
             x.ndim,
             DIRICHLET_VALUE,
-            len(taps.w),
-            taps.off.ctypes.data,
-            taps.w.ctypes.data,
+            *taps.args,
             m,
             radius,
         )
@@ -204,12 +198,14 @@ def _decide() -> Tuple[Optional[FoldKernel], str]:
     compiler = native.find_c_compiler()
     if compiler is None:
         return None, "numpy (no C compiler on PATH)"
+    # The avx512 ladder holds every ISA flag, widest first.
+    flags, note = native.isa_flags("avx512", compiler)
     try:
-        path = native.build_library("fold_kernel", _SOURCE.read_text(), compiler)
+        path = native.build_library("fold_kernel", _SOURCE.read_text(), compiler, flags)
         kernel = FoldKernel(ctypes.CDLL(str(path)), path)
     except (native.NativeBuildError, OSError, AttributeError) as exc:
         return None, f"numpy ({exc})"
-    return kernel, f"compiled ({path})"
+    return kernel, f"compiled ({native.describe_build(path, flags, note)})"
 
 
 def _decided() -> Tuple[Optional[FoldKernel], str]:
@@ -229,7 +225,8 @@ def load_fold_kernel() -> Optional[FoldKernel]:
 
 
 def fold_kernel_status() -> str:
-    """``compiled (<cached .so path>)`` or ``numpy (<reason>)``, and ``not
+    """``compiled (<cached .so path>, <ISA flags>)`` (``; host lacks ...``
+    when a wider flag was left out) or ``numpy (<reason>)``, and ``not
     loaded yet`` until the process's first fold decided; decides nothing."""
     decision = _decision
     if decision is None:

@@ -53,7 +53,8 @@ just the transpose-layout vectorisation), so the same class also serves as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,6 +191,25 @@ class FoldTables:
     pos: np.ndarray
     pos_w: np.ndarray
 
+    def __post_init__(self):
+        _freeze(self)
+
+    @cached_property
+    def args(self) -> Tuple[int, ...]:
+        """``repro_fold_update``'s arguments from ``ncp`` on: the counts and
+        the tables' addresses, read once (:func:`_freeze`)."""
+        return (
+            len(self.cp),
+            self.cp.ctypes.data,
+            self.tap_off.ctypes.data,
+            self.tap_w.ctypes.data,
+            self.omega_src.ctypes.data,
+            self.omega_w.ctypes.data,
+            len(self.pos),
+            self.pos.ctypes.data,
+            self.pos_w.ctypes.data,
+        )
+
 
 @dataclass(frozen=True)
 class StepTables:
@@ -209,6 +229,23 @@ class StepTables:
 
     off: np.ndarray
     w: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self)
+
+    @cached_property
+    def args(self) -> Tuple[int, ...]:
+        """The reference step's and the band's ``ntaps``, ``off`` and ``w``
+        arguments, read once (:func:`_freeze`)."""
+        return len(self.w), self.off.ctypes.data, self.w.ctypes.data
+
+
+def _freeze(tables) -> None:
+    """Make the arrays of ``tables`` read-only: they are packed once per
+    schedule and never written.  ``tables.args`` holds their addresses,
+    valid as long as ``tables`` lives."""
+    for field in fields(tables):
+        getattr(tables, field.name).setflags(write=False)
 
 
 @dataclass

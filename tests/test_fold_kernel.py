@@ -106,6 +106,18 @@ COMBINATION_REUSE = np.array([[-1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 2.0, 2.
 COMBINATION_BIAS = np.array([[2.0, -1.0, 2.0], [0.0, 1.0, 1.0], [2.0, -1.0, 1.0]])
 COMBINATION_3D = np.array([[[1.0, 2.0, 1.0], [2.0, 1.0, -1.0], [2.0, 1.0, -1.0]]])
 
+#: Kernels of the pinned row widths: dirichlet-small's 3-D stencils (32- and
+#: 48-column rows) and a 2-D and 1-D kernel reaching two columns to the left
+#: and one to the right.
+BOX_3D = np.full((3, 3, 3), 1.0 / 27.0)
+HEAT_3D = np.zeros((3, 3, 3))
+HEAT_3D[1, 1, :] = HEAT_3D[1, :, 1] = HEAT_3D[:, 1, 1] = 0.125
+HEAT_3D[1, 1, 1] = 0.25
+WIDE_2D = np.array(
+    [[0.0, 0.5, 1.0, -0.5, 0.0], [0.25, -1.0, 2.0, 0.75, 0.0], [0.0, 0.0, 1.0, EPS, 0.0]]
+)
+WIDE_1D = np.array([0.5, -0.25, 1.0, 0.125, 0.0])
+
 
 @settings(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -151,14 +163,15 @@ def test_compiled_fold_reads_non_contiguous_grids(compiled):
 def step_cases(draw):
     """(kernel, grid shape, boundary, layout, seed): radius <= 2 per axis.
 
-    Extents run from 0 and 1 (periodic reads wrap more than once) to rows
-    that span several of the kernel's chunks.
+    Extents run from 0 and 1 (periodic reads wrap more than once) through
+    rows of a few register blocks to rows that span several of the kernel's
+    chunks.
     """
     dims = draw(st.integers(1, 3))
     kernel = draw(stencil_weights(dims))
     leading = {1: 1, 2: 9, 3: 5}[dims]
     grid = tuple(draw(st.integers(0, leading)) for _ in range(dims - 1))
-    grid += (draw(st.one_of(st.integers(0, 24), st.integers(1000, 1700))),)
+    grid += (draw(st.one_of(st.integers(0, 24), st.integers(25, 200), st.integers(1000, 1700))),)
     boundary = draw(st.sampled_from([PERIODIC, DIRICHLET]))
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     return kernel, grid, boundary, layout, draw(st.integers(0, 2**32 - 1))
@@ -171,6 +184,14 @@ def step_cases(draw):
 @example(case=(np.array([1.0, EPS / 2, 2.0, -EPS, 0.5]), (1,), PERIODIC, "C", 1))
 @example(case=(np.array([[1.0], [0.5], [1e-300]]), (2, 3), PERIODIC, "F", 2))
 @example(case=(np.ones((3, 1, 5)), (2, 0, 1100), DIRICHLET, "strided", 3))
+@example(case=(BOX_3D, (3, 5, 32), DIRICHLET, "C", 4))
+@example(case=(BOX_3D, (2, 4, 48), PERIODIC, "C", 5))
+@example(case=(HEAT_3D, (3, 5, 32), PERIODIC, "F", 6))
+@example(case=(HEAT_3D, (2, 4, 48), DIRICHLET, "C", 7))
+@example(case=(WIDE_2D, (3, 31), DIRICHLET, "C", 8))
+@example(case=(WIDE_2D, (2, 33), PERIODIC, "strided", 9))
+@example(case=(WIDE_1D, (63,), DIRICHLET, "C", 10))
+@example(case=(WIDE_1D, (65,), PERIODIC, "C", 11))
 def test_compiled_step_matches_reference_step_bit_for_bit(compiled, case):
     kernel, shape, boundary, layout, seed = case
     spec = StencilSpec(name="fuzz", kernel=kernel)
@@ -250,7 +271,7 @@ def dirichlet_run_cases(draw):
     m = draw(st.integers(1, 4))
     leading = {1: 1, 2: 14, 3: 9}[dims]
     grid = tuple(draw(st.integers(1, leading)) for _ in range(dims - 1))
-    grid += (draw(st.integers(1, 40)),)
+    grid += (draw(st.one_of(st.integers(1, 40), st.integers(25, 200))),)
     steps = draw(st.sampled_from([m - 1, m, 2 * m + 1]))
     return kernel, m, grid, steps, draw(st.integers(0, 2**32 - 1))
 
@@ -261,6 +282,13 @@ def dirichlet_run_cases(draw):
 @given(case=dirichlet_run_cases())
 @example(case=(COMBINATION_BIAS, 4, (5, 3), 9, 1))
 @example(case=(COMBINATION_3D, 3, (2, 6, 7), 7, 2))
+@example(case=(BOX_3D, 2, (3, 5, 32), 5, 3))
+@example(case=(HEAT_3D, 3, (2, 4, 48), 7, 4))
+@example(case=(BOX_3D, 4, (3, 5, 32), 9, 5))
+@example(case=(WIDE_2D, 2, (9, 31), 5, 6))
+@example(case=(WIDE_2D, 3, (7, 33), 7, 7))
+@example(case=(WIDE_1D, 2, (63,), 5, 8))
+@example(case=(WIDE_1D, 4, (65,), 9, 9))
 def test_dirichlet_run_keeps_its_bits_on_random_stencils(monkeypatch, case):
     kernel, m, shape, steps, seed = case
     p = plan(StencilSpec(name="fuzz", kernel=kernel)).unroll(m).compile()
@@ -293,6 +321,82 @@ def test_dirichlet_run_batch_on_four_threads_matches_sequential_runs():
             batch = p.run_batch(grids, steps, workers=4)
             for out, want in zip(batch, expected):
                 np.testing.assert_array_equal(bits(out), want)
+
+
+# --------------------------------------------------------------------------- #
+# every ISA build returns the same bits
+# --------------------------------------------------------------------------- #
+#: Columns of one register block of the widest (8-lane) build.
+WIDEST_BLOCK = 32
+
+
+@pytest.fixture(scope="module")
+def isa_builds(tmp_path_factory) -> dict:
+    """The fold kernel built into an empty cache with no ISA flags and with
+    each ISA flag the host supports, by flags."""
+    compiler = native.find_c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    features, _ = native.host_features(compiler)
+    pairs = {pair for ladder in native.ISA_FLAGS.values() for pair in ladder}
+    flags = sorted(flag for feature, flag in pairs if feature in features)
+    builds = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("isa-builds")))
+        for flagset in [(), *((flag,) for flag in flags)]:
+            path = native.build_library(
+                "fold_kernel", fold_kernel._SOURCE.read_text(), compiler, flagset
+            )
+            builds[" ".join(flagset) or "no ISA flags"] = FoldKernel(ctypes.CDLL(str(path)), path)
+    return builds
+
+
+@st.composite
+def isa_cases(draw):
+    """(kernel, m, grid shape, boundary, seed): rows of 1 to two blocks and
+    one column, 3-D grids of 1-2 planes, bands thicker than the grid."""
+    dims = draw(st.integers(1, 3))
+    kernel = draw(stencil_weights(dims))
+    m = draw(st.integers(1, 4))
+    leading = ()
+    if dims == 2:
+        leading = (draw(st.integers(1, 9)),)
+    elif dims == 3:
+        leading = (draw(st.integers(1, 2)), draw(st.integers(1, 7)))
+    grid = leading + (draw(st.integers(1, 2 * WIDEST_BLOCK + 1)),)
+    boundary = draw(st.sampled_from([PERIODIC, DIRICHLET]))
+    return kernel, m, grid, boundary, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(
+    deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=isa_cases())
+@example(case=(BOX_3D, 2, (2, 5, 32), DIRICHLET, 1))
+@example(case=(HEAT_3D, 3, (1, 4, 48), PERIODIC, 2))
+@example(case=(HEAT_3D, 4, (2, 3, 1), DIRICHLET, 3))
+@example(case=(WIDE_2D, 2, (6, 2 * WIDEST_BLOCK + 1), DIRICHLET, 4))
+@example(case=(WIDE_2D, 3, (2, 7), PERIODIC, 5))
+@example(case=(WIDE_1D, 4, (1,), DIRICHLET, 6))
+@example(case=(WIDE_1D, 1, (8,), PERIODIC, 7))
+def test_every_isa_build_returns_the_same_bits(isa_builds, case):
+    """Each build's fold, reference step and band against ``numpy_fold``,
+    ``reference_step`` and the band oracle."""
+    kernel, m, shape, boundary, seed = case
+    spec = StencilSpec(name="fuzz", kernel=kernel)
+    schedule = FoldingSchedule(spec, m)
+    values = special_values(np.random.default_rng(seed), shape)
+    fold = bits(schedule.numpy_fold(values, boundary))
+    step = bits(reference_step(spec, values, boundary))
+    band = bits(band_oracle(spec, values, m, m))
+    for flags, build in isa_builds.items():
+        got = build(schedule.fold_tables(), values, boundary)
+        np.testing.assert_array_equal(bits(got), fold, err_msg=f"fold, {flags}")
+        got = build.step(schedule.step_tables(), values, boundary)
+        np.testing.assert_array_equal(bits(got), step, err_msg=f"step, {flags}")
+        folded = schedule.numpy_fold(values, DIRICHLET)
+        got = build.band(schedule.step_tables(), values, folded, m, spec.radius)
+        np.testing.assert_array_equal(bits(got), band, err_msg=f"band, {flags}")
 
 
 # --------------------------------------------------------------------------- #
@@ -347,10 +451,44 @@ def fold_kernel_line(key: str = "2d9p") -> str:
 
 
 def test_explain_names_the_cached_library(compiled):
-    line = fold_kernel_line()
-    assert line == f"compiled ({compiled.path})"
+    """The line names the library and the widest ISA flag the host's CPU
+    probe reports, or why it was built with fewer."""
+    features, reason = native.host_features(native.find_c_compiler())
+    if "avx512f" in features:
+        flags = "-mavx512f"
+    elif "avx2" in features:
+        flags = "-mavx2; host lacks avx512f"
+    else:
+        flags = f"no ISA flags; {reason or 'host lacks avx512f, avx2'}"
+    assert fold_kernel_line() == f"compiled ({compiled.path}, {flags})"
     assert compiled.path.suffix == ".so" and compiled.path.is_file()
     assert compiled.path.parent == native.cache_dir()
+
+
+@pytest.mark.parametrize(
+    "features,flags",
+    [
+        ({"avx512f", "avx2"}, "-mavx512f"),
+        ({"avx2"}, "-mavx2; host lacks avx512f"),
+        (set(), "no ISA flags; host lacks avx512f, avx2"),
+    ],
+)
+def test_a_host_without_the_widest_isa_builds_with_fewer_flags(
+    undecided, monkeypatch, features, flags
+):
+    compiler = native.find_c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    supported, _ = native.host_features(compiler)
+    monkeypatch.setattr(native, "host_features", lambda compiler: (frozenset(features), ""))
+    kernel = load_fold_kernel()
+    assert fold_kernel_status() == f"compiled ({kernel.path}, {flags})"
+    assert fold_kernel_line() == f"compiled ({kernel.path}, {flags})"
+    if set(features) <= supported:  # never run code for features the CPU lacks
+        spec = plan("3d27p").compile().spec
+        values = special_values(np.random.default_rng(9), (3, 5, 32))
+        step = kernel.step(FoldingSchedule(spec, 1).step_tables(), values, DIRICHLET)
+        np.testing.assert_array_equal(bits(step), bits(reference_step(spec, values, DIRICHLET)))
 
 
 def test_explain_names_the_decision_whatever_the_host():
