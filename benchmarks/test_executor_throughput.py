@@ -1,11 +1,12 @@
 """Measured wall-clock throughput of the NumPy executors.
 
 These are real measurements (not model numbers): the reference executor, the
-folded fast path, the DLT-layout executor and the tessellated executor on a
-moderately sized 2-D problem.  They demonstrate that the *algorithmic* effect
-of temporal folding — fewer passes over the data per logical time step — is
-visible even through the NumPy substrate, and they give a downstream user a
-feel for the library's raw execution speed.
+folded fast path and the DLT-layout executor on a moderately sized 2-D
+problem, and the folded path on the 1-D APOP option-pricing problem.  They
+demonstrate that the *algorithmic* effect of temporal folding — fewer passes
+over the data per logical time step — is visible even through the NumPy
+substrate, and they give a downstream user a feel for the library's raw
+execution speed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from repro.core.plan import plan
 from repro.stencils.grid import Grid
 from repro.stencils.library import box_2d9p, get_benchmark
 from repro.stencils.reference import reference_run
-from repro.tiling.tessellate import TessellationConfig
 
 STEPS = 8
 SHAPE = (256, 256)
@@ -44,18 +44,6 @@ def test_folded_plan_executor(benchmark, grid):
 @pytest.mark.benchmark(group="executor-throughput")
 def test_dlt_plan_executor(benchmark, grid):
     p = plan(box_2d9p()).method("dlt").compile()
-    result = benchmark(p.run, grid, STEPS)
-    assert result.shape == SHAPE
-
-
-@pytest.mark.benchmark(group="executor-throughput")
-def test_tessellated_executor(benchmark, grid):
-    p = (
-        plan(box_2d9p())
-        .method("transpose")
-        .tile(TessellationConfig(block_sizes=(64, 64), time_range=4))
-        .compile()
-    )
     result = benchmark(p.run, grid, STEPS)
     assert result.shape == SHAPE
 

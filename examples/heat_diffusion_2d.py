@@ -5,10 +5,10 @@ Run with::
     python examples/heat_diffusion_2d.py
 
 A Gaussian temperature bump diffuses on a plate with cold (Dirichlet)
-boundaries.  The same simulation is executed through four different paths of
-the library — the naive reference, the DLT-layout baseline, the 2-step folded
-plan and tessellate tiling — and the example reports each path's deviation
-from the reference together with the physical diagnostics (total heat, peak
+boundaries.  The same simulation is executed through three different paths
+of the library — the naive reference, the DLT-layout baseline and the 2-step
+folded plan — and the example reports each path's deviation from the
+reference together with the physical diagnostics (total heat, peak
 temperature) over time.  It exits non-zero when a deviation exceeds a
 float64 bound fixed before any run: ``steps · npoints · eps · max(1,
 max|reference|)``, the forward error of ``steps`` sums of ``npoints``
@@ -48,22 +48,12 @@ def main() -> None:
     folded_plan = repro.plan(spec).method("folded").isa("avx2").unroll(2).compile()
     folded_result = folded_plan.run(grid, steps)
 
-    # Tessellate tiling, executed stage by stage.
-    tiled_plan = (
-        repro.plan(spec)
-        .method("transpose")
-        .tile(block_sizes=(32, 32), time_range=8)
-        .compile()
-    )
-    tiled_result = tiled_plan.run(grid, steps)
-
     def deviation(result):
         return float(np.max(np.abs(result - reference)))
 
     rows = [
         {"path": "DLT layout", "max |Δ| vs reference": deviation(dlt_result)},
         {"path": "folded (m=2)", "max |Δ| vs reference": deviation(folded_result)},
-        {"path": "tessellated tiles", "max |Δ| vs reference": deviation(tiled_result)},
     ]
     print()
     print(format_table(rows, float_fmt=".2e", title="Numerical agreement of the execution paths"))

@@ -2,12 +2,13 @@
 Arithmetic Calculation for Stencil Computations" (SC'21).
 
 The package implements the paper's transpose data layout, temporal
-computation folding (with shifts reuse, tessellate-tiling integration and the
-linear-regression generalisation for arbitrary stencils), the baselines it
-compares against (multiple loads, data reorganisation, DLT, SDSL) and the
-substrates needed to evaluate everything from Python: a simulated SIMD
-machine with instruction accounting, an analytic cache model and an analytic
-multicore performance model mirroring the paper's Xeon Gold 6140.
+computation folding (with shifts reuse, tessellate tiling as a model and
+tuner axis, and the linear-regression generalisation for arbitrary
+stencils), the baselines it compares against (multiple loads, data
+reorganisation, DLT, SDSL) and the substrates needed to evaluate everything
+from Python: a simulated SIMD machine with instruction accounting, an
+analytic cache model and an analytic multicore performance model mirroring
+the paper's Xeon Gold 6140.
 
 Quick start
 -----------
@@ -89,7 +90,7 @@ from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.spec import StencilSpec, StencilShape
 from repro.stencils.library import BENCHMARKS, BenchmarkCase, get_benchmark
 from repro.stencils.reference import reference_run, reference_step
-from repro.tiling.tessellate import TessellationConfig, tessellate_run
+from repro.tiling.tessellate import TessellationConfig
 from repro.perfmodel.costmodel import estimate_performance, PerformanceEstimate
 from repro.ir import (
     DEFAULT_PASSES,
@@ -115,7 +116,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "MachineSpec",
@@ -151,7 +152,6 @@ __all__ = [
     "reference_run",
     "reference_step",
     "TessellationConfig",
-    "tessellate_run",
     "estimate_performance",
     "PerformanceEstimate",
     "CompiledSweep",

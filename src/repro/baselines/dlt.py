@@ -208,20 +208,11 @@ def dlt_run(spec: StencilSpec, grid: Grid, steps: int, vl: int = 4) -> np.ndarra
 # registry executor
 # --------------------------------------------------------------------------- #
 def _execute_dlt(plan, grid: Grid, steps: int) -> np.ndarray:
-    """Numeric path of a compiled DLT plan: run in the DLT layout.
-
-    Under a tiling configuration the plan's generic tessellated path takes
-    over (DLT composes poorly with cache tiling — the paper's criticism —
-    and the reproduction mirrors the engine's historical behaviour here).
-    """
-    if plan.config.tiling is not None:
-        return plan.execute_generic(grid, steps)
+    """Numeric path of a compiled DLT plan: run in the DLT layout."""
     return dlt_run(spec=plan.spec, grid=grid, steps=steps, vl=plan.isa_spec.vector_lanes)
 
 
 def _describe_dlt(plan) -> str:
-    if plan.config.tiling is not None:
-        return "tessellated tiles (tiling overrides the DLT layout executor)"
     return "dimension-lifted transpose layout, boundary-column fixups each sweep"
 
 

@@ -10,8 +10,11 @@ configuration is composed from the two pieces built elsewhere:
 * the temporal cache-reuse factors of split tiling under the DLT layout's
   locality penalty (:func:`repro.tiling.splittiling.split_tiling_cache_reuse`).
 
-The numerical executor is :func:`repro.tiling.splittiling.split_tiling_run`
-(the tile shapes are layout-independent; only the performance differs).
+SDSL is profile-only: it has no numeric executor, and
+:meth:`~repro.core.plan.PlanBuilder.compile` refuses it.  Split tiling
+reorders the reference's point updates, so its values would be
+``reference_run``'s; only the performance differs, and that is what the
+profile models.
 """
 
 from __future__ import annotations

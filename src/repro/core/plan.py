@@ -62,7 +62,7 @@ from repro.stencils.grid import Grid
 from repro.stencils.library import BenchmarkCase, get_benchmark
 from repro.stencils.reference import check_dims, reference_run, reference_step
 from repro.stencils.spec import StencilSpec
-from repro.tiling.tessellate import TessellationConfig, tessellate_run
+from repro.tiling.tessellate import TessellationConfig
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,9 @@ class PlanConfig:
         Temporal folding factor ``m`` (consumed by methods with
         ``uses_unroll``).
     tiling:
-        Optional tessellate-tiling configuration.
+        Optional tessellate-tiling configuration, a model and tuner axis:
+        :meth:`CompiledPlan.estimate` and the tuner price it,
+        :meth:`CompiledPlan.run` executes untiled whatever it says.
     shifts_reuse:
         Whether the shifts-reuse optimisation (Section 3.4) is assumed by the
         instruction profile; the ablation benchmarks switch it off.
@@ -155,6 +157,10 @@ class PlanBuilder:
     ) -> "PlanBuilder":
         """Attach a tessellate tiling (a config object, or block sizes + TR).
 
+        The tiling feeds :meth:`CompiledPlan.estimate` (the multicore
+        model's cache reuse and tiles per stage) and the tuner's tiling
+        axis; :meth:`CompiledPlan.run` executes untiled, with the same
+        values.  :meth:`compile` validates it against the stencil.
         ``tile(None)`` removes a previously configured tiling.
         """
         if block_sizes is None and time_range is None:
@@ -177,7 +183,7 @@ class PlanBuilder:
 
         ``workers=1`` pins ``run_batch`` to a sequential loop; leaving
         ``parallel`` uncalled lets it pick its own default pool.  A single
-        :meth:`CompiledPlan.run`, tiled or not, is sequential either way.
+        :meth:`CompiledPlan.run` is sequential either way.
         """
         self._workers = int(workers)
         return self
@@ -191,7 +197,9 @@ class PlanBuilder:
         """Validate the configuration and build the immutable plan.
 
         Raises ``KeyError`` for unknown methods/ISAs and ``ValueError`` for
-        invalid numeric settings or method/stencil mismatches.
+        invalid numeric settings, method/stencil mismatches or a tiling the
+        stencil cannot have (:meth:`TessellationConfig.validate
+        <repro.tiling.tessellate.TessellationConfig.validate>`).
         """
         descriptor = get_method(self._method)
         if descriptor.virtual:
@@ -207,6 +215,8 @@ class PlanBuilder:
             raise ValueError("unroll must be >= 1")
         if self._workers is not None and self._workers < 1:
             raise ValueError("workers must be >= 1")
+        if self._tiling is not None:
+            self._tiling.validate(self._spec.dims, self._spec.radius)
         isa_spec = isa_for(self._isa)
         if descriptor.requires_linear and not self._spec.linear:
             raise ValueError(
@@ -385,9 +395,12 @@ class CompiledPlan:
         Every method produces the same numerical answer as the reference
         executor (asserted by the test suite); what changes between methods
         is *how* it is computed — the DLT layout, the folded multi-step path,
-        tessellated tiles, or plain reference arithmetic.  ``run`` is pure
-        (the grid is not mutated), which is what makes :meth:`run_batch`
-        deterministic under thread fan-out.
+        or plain reference arithmetic (:func:`reference_run
+        <repro.stencils.reference.reference_run>` for a method without an
+        executor).  A tiling configuration selects no path: a tiled plan runs
+        as the same plan untiled.  ``run`` is pure (the grid is not mutated),
+        which is what makes :meth:`run_batch` deterministic under thread
+        fan-out.
 
         ``backend`` selects the execution engine: ``None`` / ``"auto"`` (the
         default) runs the method's own numeric executor.  For the folded
@@ -415,10 +428,9 @@ class CompiledPlan:
         ``"interpret"`` force the register-level schedule through the named
         engine (periodic linear stencils on simulation-capable methods only,
         grid extents in the schedule's block multiples, checked whatever
-        ``steps`` is; tiling configuration is bypassed).  Whole folded updates run on the chosen
-        engine and any ``steps % m`` remainder finishes with exact
-        reference steps (compiled, as above), so every backend returns
-        bit-identical values.
+        ``steps`` is).  Whole folded updates run on the chosen engine and
+        any ``steps % m`` remainder finishes with exact reference steps
+        (compiled, as above), so every backend returns bit-identical values.
         ``optimize=True`` runs the default IR pass pipeline first on an
         explicit trace or kernel backend (see :meth:`simulate`); it requires
         one.  Both keywords validate through :meth:`ExecutionOptions.normalize
@@ -433,7 +445,7 @@ class CompiledPlan:
             return grid.values.copy()
         if self.descriptor.executor is not None:
             return self.descriptor.executor(self, grid, steps)
-        return self.execute_generic(grid, steps)
+        return reference_run(self.spec, grid, steps)
 
     def _run_backend(
         self,
@@ -455,17 +467,6 @@ class CompiledPlan:
         else:
             values = grid.values.copy()
         return _reference_steps(self._simulation_schedule(), values, grid, remainder)
-
-    def execute_generic(self, grid: Grid, steps: int) -> np.ndarray:
-        """Shared fallback path: tessellated tiles if tiled, else reference.
-
-        Method executors call back into this when their fast path does not
-        apply (e.g. the DLT executor under tiling, the folded executor on a
-        non-linear stencil).
-        """
-        if self.config.tiling is not None:
-            return tessellate_run(self.spec, grid, steps, self.config.tiling)
-        return reference_run(self.spec, grid, steps)
 
     def run_batch(
         self,
@@ -828,7 +829,8 @@ class CompiledPlan:
         if config.tiling is not None:
             lines.append(
                 f"  tiling         : tessellation blocks={config.tiling.block_sizes} "
-                f"time_range={config.tiling.time_range}"
+                f"time_range={config.tiling.time_range} "
+                "(model and tuner axis; run() executes untiled)"
             )
         else:
             lines.append("  tiling         : none")
@@ -926,9 +928,8 @@ class CompiledPlan:
 # generic + folded numeric paths (registered with the registry below)
 # --------------------------------------------------------------------------- #
 def describe_generic_path(plan_: CompiledPlan) -> str:
-    """Description of :meth:`CompiledPlan.execute_generic` for ``explain()``."""
-    if plan_.config.tiling is not None:
-        return "tessellated tiles, sequential stage-by-stage execution"
+    """Description of the path of a method without an executor
+    (:func:`~repro.stencils.reference.reference_run`) for ``explain()``."""
     return "reference arithmetic, one sweep per time step"
 
 
@@ -986,9 +987,9 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
-        # degenerates to the generic path (profile-wise it still models the
-        # in-register m-step update, see repro.methods.profile_folded).
-        return plan_.execute_generic(grid, steps)
+        # degenerates to reference arithmetic (profile-wise it still models
+        # the in-register m-step update, see repro.methods.profile_folded).
+        return reference_run(plan_.spec, grid, steps)
     check_dims(plan_.spec, grid.values)
     schedule = plan_.schedule
     sweeps, remainder = divmod(steps, schedule.m)

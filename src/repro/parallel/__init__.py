@@ -11,9 +11,10 @@ Two pieces:
   Table 3.
 
 Python threads cannot demonstrate real 36-core speedups, so the experiments'
-multicore numbers come from the model.  The model assumes what the
-tessellation tests check: the tiles of one stage may run in any order and
-give the same result.
+multicore numbers come from the model.  The model assumes what tessellate
+tiling guarantees by construction: the tiles of one stage are independent,
+so they may run concurrently and give the untiled result.  No executor runs
+tiles; a tiled plan's ``run()`` executes untiled.
 """
 
 from repro.parallel.executor import run_plan_batch

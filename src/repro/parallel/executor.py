@@ -6,8 +6,8 @@ half of the compile-once/run-many API.  Because a plan's ``run`` is pure and
 its folding schedule is frozen at compile time, the batch result is
 bit-identical to the sequential loop for any worker count.  A pool pays
 off here because the native sweeps behind ``run`` release the GIL.
-Tessellation tiles and study cells run sequentially: their work holds the
-GIL, so threads only add overhead to it.
+Study cells run sequentially: their work holds the GIL, so threads only
+add overhead to it.
 """
 
 from __future__ import annotations

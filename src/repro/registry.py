@@ -11,8 +11,8 @@ system needs to treat methods uniformly:
   :class:`~repro.perfmodel.profiles.MethodProfile` (``None`` for methods
   without a vectorization model, such as the reference executor),
 * ``executor`` — the numeric fast path invoked by
-  :meth:`repro.core.plan.CompiledPlan.run` (``None`` means the generic
-  tiling/reference path applies),
+  :meth:`repro.core.plan.CompiledPlan.run` (``None`` means reference
+  arithmetic, :func:`~repro.stencils.reference.reference_run`),
 * capability flags (``supports_simulation``, ``requires_linear``,
   ``uses_unroll``, ``uses_schedule``) consumed by the plan compiler.
 
@@ -67,8 +67,9 @@ class MethodDescriptor:
         has no vectorization model (e.g. the reference executor).
     executor:
         Numeric fast path ``(plan, grid, steps) -> ndarray``; ``None`` means
-        the generic path (tessellated tiles when a tiling is configured,
-        reference arithmetic otherwise) is used.
+        :meth:`~repro.core.plan.CompiledPlan.run` calls
+        :func:`~repro.stencils.reference.reference_run`.  A plan's tiling
+        selects no path: the executor runs tiled and untiled plans alike.
     describe_path:
         Optional one-line description of the numeric path for
         :meth:`~repro.core.plan.CompiledPlan.explain`.

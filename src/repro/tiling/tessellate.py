@@ -13,29 +13,21 @@ The iteration space of ``TR`` consecutive time steps is covered by ``d + 1``
 
 A d-dimensional tile is a tensor product of per-dimension components; its
 stage is the number of inverted components.  Tiles of one stage are mutually
-independent (they only depend on earlier stages), every grid point is updated
-exactly once per time step (no redundant computation — the key advantage
-over overlapped/ghost-zone tiling), and the whole pass works in-place on the
-usual two Jacobi arrays.
+independent, and every grid point is updated exactly once per time step (no
+redundant computation — the key advantage over overlapped/ghost-zone
+tiling).  The paper runs the tiles of a stage concurrently under OpenMP.
 
-The module provides the schedule builder (:func:`build_tessellation`), a
-sequential executor validated against the reference
-(:func:`tessellate_run`), and the per-region update helper it runs on
-(:func:`update_region`).
+Here the tessellation is a model and tuner axis: :class:`TessellationConfig`
+and :func:`cache_reuse_factors` feed the multicore model
+(:mod:`repro.parallel.model`) behind ``estimate()``, the harness figures and
+the tuner.  A tiled plan's ``run()`` executes untiled, since a reordering of
+the same point updates returns the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.stencils.boundary import BoundaryCondition, DIRICHLET_VALUE
-from repro.stencils.grid import Grid
-from repro.stencils.reference import linear_sum
-from repro.stencils.spec import StencilSpec
-from repro.tiling.schedule import Region, Tile, TileSchedule, TileStage
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -57,271 +49,32 @@ class TessellationConfig:
     block_sizes: Tuple[Optional[int], ...]
     time_range: int
 
-    def validate(self, grid_shape: Sequence[int], radius: int) -> None:
-        """Check the configuration against a grid and stencil radius."""
+    def validate(self, dims: int, radius: int) -> None:
+        """Check the configuration against a ``dims``-D stencil of ``radius``.
+
+        The time range must be at least 1, there must be one block per
+        dimension, and each block must be positive and at least
+        ``2 * radius * time_range`` (``None`` blocks stream their dimension).
+        A block need not divide the grid extent: the model counts
+        ``extent // block`` tiles.
+        """
         if self.time_range < 1:
             raise ValueError("time_range must be >= 1")
-        if len(self.block_sizes) != len(grid_shape):
-            raise ValueError("block_sizes must match the grid dimensionality")
-        for extent, block in zip(grid_shape, self.block_sizes):
+        if len(self.block_sizes) != dims:
+            raise ValueError(
+                f"block_sizes {self.block_sizes} must have one entry per dimension "
+                f"of the {dims}-D stencil"
+            )
+        for block in self.block_sizes:
             if block is None:
                 continue
             if block <= 0:
                 raise ValueError("block sizes must be positive")
-            if extent % block != 0:
-                raise ValueError(
-                    f"extent {extent} is not divisible by the block size {block}"
-                )
             if block < 2 * radius * self.time_range:
                 raise ValueError(
                     f"block size {block} is too small for radius {radius} and "
                     f"time range {self.time_range} (needs >= {2 * radius * self.time_range})"
                 )
-
-
-# --------------------------------------------------------------------------- #
-# per-dimension component intervals
-# --------------------------------------------------------------------------- #
-def _triangle_intervals(
-    block_index: int, block: int, radius: int, step: int
-) -> List[Tuple[int, int]]:
-    """Interval updated by triangle ``block_index`` at local step ``step`` (1-based)."""
-    start = block_index * block + step * radius
-    stop = (block_index + 1) * block - step * radius
-    if start >= stop:
-        return []
-    return [(start, stop)]
-
-
-def _inverted_intervals(
-    boundary_pos: int,
-    extent: int,
-    radius: int,
-    step: int,
-    boundary: BoundaryCondition,
-) -> List[Tuple[int, int]]:
-    """Interval(s) updated by the inverted component at ``boundary_pos``.
-
-    The inverted triangle is centred on the block boundary; with periodic
-    boundaries the component at position 0 wraps around the end of the
-    dimension and is represented as two intervals.
-    """
-    lo = boundary_pos - step * radius
-    hi = boundary_pos + step * radius
-    if lo >= hi:
-        return []
-    if boundary is BoundaryCondition.PERIODIC:
-        if lo < 0:
-            return [(lo % extent, extent), (0, hi)]
-        return [(lo, hi)]
-    return [(max(0, lo), min(extent, hi))]
-
-
-def _dimension_components(
-    extent: int,
-    block: Optional[int],
-    radius: int,
-    time_range: int,
-    boundary: BoundaryCondition,
-) -> List[Tuple[int, List[List[Tuple[int, int]]]]]:
-    """Enumerate the components of one dimension.
-
-    Returns a list of ``(inverted_flag, per_step_intervals)`` where
-    ``per_step_intervals[t]`` is the list of intervals updated at local step
-    ``t + 1``.  A ``block`` of ``None`` yields a single full-extent component
-    flagged as not inverted.
-    """
-    if block is None:
-        full = [[(0, extent)] for _ in range(time_range)]
-        return [(0, full)]
-    nblocks = extent // block
-    components: List[Tuple[int, List[List[Tuple[int, int]]]]] = []
-    for k in range(nblocks):
-        steps = [_triangle_intervals(k, block, radius, t) for t in range(1, time_range + 1)]
-        components.append((0, steps))
-    if boundary is BoundaryCondition.PERIODIC:
-        boundaries = [k * block for k in range(nblocks)]
-    else:
-        boundaries = [k * block for k in range(nblocks + 1)]
-    for pos in boundaries:
-        steps = [
-            _inverted_intervals(pos, extent, radius, t, boundary)
-            for t in range(1, time_range + 1)
-        ]
-        components.append((1, steps))
-    return components
-
-
-# --------------------------------------------------------------------------- #
-# schedule construction
-# --------------------------------------------------------------------------- #
-def build_tessellation(
-    grid_shape: Sequence[int],
-    radius: int,
-    config: TessellationConfig,
-    boundary: BoundaryCondition = BoundaryCondition.PERIODIC,
-) -> TileSchedule:
-    """Build the tessellate tile schedule for one pass of ``config.time_range`` steps.
-
-    Parameters
-    ----------
-    grid_shape:
-        Spatial extents of the grid.
-    radius:
-        Stencil radius ``r`` (per time step).
-    config:
-        Block sizes and time range.
-    boundary:
-        Boundary condition; it determines how many inverted components each
-        dimension has and whether they wrap.
-    """
-    grid_shape = tuple(int(s) for s in grid_shape)
-    config.validate(grid_shape, radius)
-    per_dim = [
-        _dimension_components(extent, block, radius, config.time_range, boundary)
-        for extent, block in zip(grid_shape, config.block_sizes)
-    ]
-
-    dims = len(grid_shape)
-    stages_tiles: List[List[Tile]] = [[] for _ in range(dims + 1)]
-
-    def _product(dim: int, chosen: List[Tuple[int, List[List[Tuple[int, int]]]]]) -> None:
-        if dim == dims:
-            stage = sum(flag for flag, _ in chosen)
-            steps: List[Tuple[Region, ...]] = []
-            for t in range(config.time_range):
-                regions: List[Region] = []
-                per_dim_intervals = [steps_list[t] for _flag, steps_list in chosen]
-                # Cartesian product of the per-dimension interval lists.
-                def _regions(d: int, prefix: List[Tuple[int, int]]) -> None:
-                    if d == dims:
-                        regions.append(tuple(prefix))
-                        return
-                    for interval in per_dim_intervals[d]:
-                        prefix.append(interval)
-                        _regions(d + 1, prefix)
-                        prefix.pop()
-
-                if all(per_dim_intervals):
-                    _regions(0, [])
-                steps.append(tuple(regions))
-            if any(steps):
-                stages_tiles[stage].append(Tile(stage=stage, steps=tuple(steps)))
-            return
-        for component in per_dim[dim]:
-            chosen.append(component)
-            _product(dim + 1, chosen)
-            chosen.pop()
-
-    _product(0, [])
-
-    stages = tuple(
-        TileStage(index=i, tiles=tuple(tiles))
-        for i, tiles in enumerate(stages_tiles)
-        if tiles
-    )
-    # Re-index stages densely (a dimension with block=None contributes no
-    # inverted components, so some stage numbers may be empty).
-    stages = tuple(
-        TileStage(index=i, tiles=stage.tiles) for i, stage in enumerate(stages)
-    )
-    return TileSchedule(stages=stages, grid_shape=grid_shape, time_range=config.time_range)
-
-
-# --------------------------------------------------------------------------- #
-# region update + executor
-# --------------------------------------------------------------------------- #
-def update_region(
-    spec: StencilSpec,
-    src: np.ndarray,
-    dst: np.ndarray,
-    region: Region,
-    boundary: BoundaryCondition,
-    aux: Optional[np.ndarray] = None,
-) -> None:
-    """Apply one stencil update to the points of ``region``.
-
-    Gathers one halo slab, the region plus ``spec.radius`` on every side
-    (wrapped on a periodic grid, :data:`DIRICHLET_VALUE` outside a Dirichlet
-    one), correlates it with ``spec.kernel`` exactly as
-    :func:`~repro.stencils.reference.reference_step` does, and writes the
-    cropped, post-ruled values into ``dst`` at the region: the reference's
-    bits.  Used by the tessellation executor, and through it by the
-    split-tiling baseline.  It reads only ``src`` and writes only ``dst`` at
-    ``region``, so the regions of one tessellation stage may be updated in
-    any order.
-    """
-    slices = tuple(slice(start, stop) for start, stop in region)
-    if any(s.start >= s.stop for s in slices):
-        return
-    radius = spec.radius
-    slab = src
-    for axis, ((start, stop), extent) in enumerate(zip(region, src.shape)):
-        idx = np.arange(start - radius, stop + radius)
-        if boundary is BoundaryCondition.PERIODIC:
-            slab = np.take(slab, idx % extent, axis=axis)
-        else:
-            slab = np.take(slab, idx, axis=axis, mode="clip")
-            outside = (idx < 0) | (idx >= extent)
-            slab[(slice(None),) * axis + (outside,)] = DIRICHLET_VALUE
-    inner = tuple(slice(radius, radius + stop - start) for start, stop in region)
-    acc = linear_sum(spec, slab, boundary)[inner]
-    if spec.post_rule is not None:
-        acc = spec.post_rule(acc, src[slices], None if aux is None else aux[slices])
-    dst[slices] = acc
-
-
-def tessellate_run(
-    spec: StencilSpec,
-    grid: Grid,
-    steps: int,
-    config: TessellationConfig,
-) -> np.ndarray:
-    """Run ``steps`` time steps using tessellate tiling (sequential executor).
-
-    The result is exactly equal to the reference executor: tessellation is a
-    reordering of the same point updates, and the tests assert the equality
-    on random grids for 1-D, 2-D and 3-D stencils.
-
-    Parameters
-    ----------
-    spec:
-        Stencil to execute.
-    grid:
-        Initial grid (the boundary condition of the grid is honoured).
-    steps:
-        Total time steps; the final pass uses a reduced time range when
-        ``steps`` is not a multiple of ``config.time_range``.
-    config:
-        Block sizes and time range of the tessellation.
-
-    At most two schedules are built per run: the full time range's, shared
-    by every full pass, and the shorter last pass's.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    radius = spec.radius
-    arrays = [grid.values.copy(), np.empty_like(grid.values)]
-    schedules: Dict[int, TileSchedule] = {}
-    done = 0
-    parity = 0  # arrays[parity] holds the current time level
-    while done < steps:
-        tr = min(config.time_range, steps - done)
-        schedule = schedules.get(tr)
-        if schedule is None:
-            pass_config = TessellationConfig(block_sizes=config.block_sizes, time_range=tr)
-            schedule = build_tessellation(grid.shape, radius, pass_config, grid.boundary)
-            schedules[tr] = schedule
-        for stage in schedule.stages:
-            for tile in stage.tiles:
-                for t, regions in enumerate(tile.steps, start=1):
-                    src = arrays[(parity + t - 1) % 2]
-                    dst = arrays[(parity + t) % 2]
-                    for region in regions:
-                        update_region(spec, src, dst, region, grid.boundary, aux=grid.aux)
-        done += tr
-        parity = (parity + tr) % 2
-    return arrays[parity]
 
 
 def cache_reuse_factors(

@@ -1,7 +1,7 @@
 """Numerical validation helpers.
 
 All optimized execution schedules in this package (transpose layout,
-temporal folding, tessellate tiling, the DLT baseline, ...) are required to
+temporal folding, the DLT baseline, ...) are required to
 produce the same numerical answer as the naive reference executor.  The
 helpers here centralise the tolerances used for those comparisons so that
 tests and the experiment harness agree on what "equal" means.

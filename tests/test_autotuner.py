@@ -241,7 +241,7 @@ class TestTilingAxis:
         )
         assert result.generated == len(tilings)
         assert result.winner.tiling is not None
-        result.plan().config.tiling.validate(shape, radius=spec.radius)
+        result.plan().config.tiling.validate(len(shape), radius=spec.radius)
 
     def test_no_feasible_tiling_leaves_nothing_to_score(self):
         tilings = tiling_candidates((4, 4), 3, time_ranges=(64,))

@@ -15,7 +15,7 @@ from repro.stencils.boundary import BoundaryCondition
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS, box_2d9p, get_benchmark, heat_1d, heat_2d
 from repro.stencils.reference import reference_run
-from repro.tiling.tessellate import TessellationConfig, tessellate_run
+from repro.tiling.tessellate import TessellationConfig
 from repro.utils.validation import assert_allclose
 
 
@@ -125,9 +125,9 @@ class TestCompiledPlanExecution:
         config = TessellationConfig((16, 16), 4)
         p = plan(case.spec).method("transpose").tile(config).parallel(workers=3).compile()
         out = p.run(grid, 10)
-        assert_allclose(out, reference_run(case.spec, grid, 10))
-        # parallel(n) sizes only run_batch: a tiled run() is tessellate_run's bits.
-        np.testing.assert_array_equal(out, tessellate_run(case.spec, grid, 10, config))
+        # parallel(n) sizes only run_batch, and a tiled run() executes
+        # untiled: the transpose method's run() is reference_run's bits.
+        np.testing.assert_array_equal(out, reference_run(case.spec, grid, 10))
         sequential = plan(case.spec).method("transpose").tile(config).compile()
         np.testing.assert_array_equal(sequential.run(grid, 10), out)
 
@@ -256,7 +256,11 @@ class TestImmutabilityAndIntrospection:
             .compile()
         )
         text = p.explain()
-        assert "tessellated tiles, sequential stage-by-stage execution" in text
+        assert (
+            "tiling         : tessellation blocks=(16, 16) time_range=2 "
+            "(model and tuner axis; run() executes untiled)" in text
+        )
+        assert "execution path : reference arithmetic, one sweep per time step" in text
         assert "workers        : 4 (run_batch)" in text
 
     def test_repr(self):
