@@ -6,9 +6,11 @@ CI regenerates ``BENCH_simulation.json`` on every run and then calls::
         --baseline baseline-simulation.json
 
 The baseline is the artifact of the last successful run on ``main`` when one
-can be downloaded, falling back to the committed ``BENCH_simulation.json``
-(every PR commits the artifact it produced, so the committed copy *is* the
-previous PR's trajectory point).  The gate fails when:
+can be downloaded, falling back to the committed ``BENCH_simulation.json``.
+The committed root ``BENCH_*.json`` files are fixed fallback baselines, last
+regenerated when the wall-clock benchmark was added (``git log --
+'BENCH_*.json'``); nothing refreshes them per change, so they are not the
+previous change's trajectory point.  The gate fails when:
 
 * any case present in the baseline has disappeared from the fresh artifact
   (a dimensionality silently dropping out of the benchmark would otherwise

@@ -116,7 +116,7 @@ from repro.autotune import (
     autotune,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "MachineSpec",

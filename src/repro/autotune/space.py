@@ -314,10 +314,6 @@ def measurability(spec: StencilSpec, candidate: Dict[str, Any]) -> Optional[str]
         return f"method {descriptor.key!r} has no register-level schedule to measure"
     if not spec.linear:
         return "measured replay requires a linear stencil"
-    if spec.dims not in descriptor.simulation_dims:
-        return (
-            f"method {descriptor.key!r} has no {spec.dims}-D register-level schedule"
-        )
     if tiling_config(candidate) is not None:
         return "backend replay bypasses tessellation tiling"
     return None

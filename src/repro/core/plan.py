@@ -54,7 +54,7 @@ from repro.parallel.executor import DEFAULT_BATCH_WORKERS, run_plan_batch
 from repro.parallel.model import MulticoreConfig, multicore_estimate
 from repro.perfmodel.costmodel import PerformanceEstimate
 from repro.perfmodel.profiles import MethodProfile
-from repro.registry import MethodDescriptor, get_method, set_executor, simulation_support
+from repro.registry import MethodDescriptor, get_method, set_executor
 from repro.simd.isa import IsaSpec, isa_for
 from repro.simd.machine import InstructionCounts, SimdMachine
 from repro.stencils.boundary import BoundaryCondition
@@ -223,13 +223,6 @@ class PlanBuilder:
                 f"method {descriptor.key!r} requires a linear stencil; "
                 f"{self._spec.name!r} is non-linear"
             )
-        if descriptor.supports_simulation and self._spec.dims not in descriptor.simulation_dims:
-            raise ValueError(
-                f"method {descriptor.key!r} has no {self._spec.dims}-D register-level "
-                f"schedule (its simulation covers "
-                f"{'/'.join(f'{d}-D' for d in descriptor.simulation_dims)}); "
-                + _describe_simulation_support()
-            )
         config = PlanConfig(
             method=descriptor.key,
             isa=self._isa,
@@ -280,15 +273,6 @@ class PlanBuilder:
             objective=objective,
             **kwargs,
         )
-
-
-def _describe_simulation_support() -> str:
-    """One line naming, per dimensionality, the methods that can simulate it."""
-    support = simulation_support()
-    if not support:
-        return "no registered method supports simulated execution"
-    parts = [f"{dims}-D: {', '.join(keys)}" for dims, keys in support.items()]
-    return "simulation-capable methods by dimensionality — " + "; ".join(parts)
 
 
 def plan(
@@ -568,10 +552,9 @@ class CompiledPlan:
             for _ in range(sweeps):
                 data = schedule.simd_sweep_1d(machine, data)
             return from_transpose_layout(data, vl), machine.counts
-        sweep = schedule.simd_sweep_2d if grid.dims == 2 else schedule.simd_sweep_3d
         values = grid.values
         for _ in range(sweeps):
-            values = sweep(machine, values)
+            values = schedule.simd_sweep_squares(machine, values)
         return values, machine.counts
 
     def _check_engine_support(self, grid: Grid, vl: int, dirichlet: bool = False) -> None:
@@ -597,11 +580,6 @@ class CompiledPlan:
             accepted.add(BoundaryCondition.DIRICHLET)
         if grid.boundary not in accepted:
             raise ValueError("simulated execution requires periodic boundaries")
-        if grid.dims not in self.descriptor.simulation_dims:
-            raise ValueError(
-                f"method {self.config.method!r} cannot simulate a {grid.dims}-D grid; "
-                + _describe_simulation_support()
-            )
         block_axes(grid.values.shape, vl, grid.dims)  # raises outside the block multiples
         check_lowerable(self._simulation_schedule(), vl)
 
@@ -888,14 +866,10 @@ class CompiledPlan:
         """Pass-by-pass static count deltas of the default IR pipeline.
 
         ``None`` when the plan has no register-level schedule to lower (the
-        method does not simulate, the stencil's dimensionality is not
-        covered, or the folded radius exceeds the vector length).
+        method does not simulate, or the folded radius exceeds the vector
+        length).
         """
-        if (
-            self.schedule is None
-            or not self.descriptor.supports_simulation
-            or self.spec.dims not in self.descriptor.simulation_dims
-        ):
+        if self.schedule is None or not self.descriptor.supports_simulation:
             return None
         lowered = self.schedule._lowered_ir(self.isa_spec.vector_lanes, True)
         if lowered is None or not lowered[1]:

@@ -11,12 +11,14 @@ Two flavours of the same observation are used in the paper:
 * **vector-set reuse** — in the vectorised folding scheme (Figure 5), the
   last ``m·r`` registers of the transposed counterpart of one computing
   square are exactly the leading dependence columns of the next square, so
-  they are carried over in registers instead of being recomputed or
-  reloaded.
+  they are carried over in registers instead of being recomputed.  That
+  saves the neighbours' vertical folds and transposes, not row loads: every
+  square still loads all the rows its folds read.
 
-This module quantifies both: :func:`shifts_reuse_report` produces the scalar
-analysis for any 2-D/3-D stencil, and :func:`reusable_vectors` tells the
-schedules how many per-square loads/folds the optimisation removes.
+This module quantifies the scalar flavour: :func:`shifts_reuse_report`
+produces Figure 6's analysis for any stencil.
+:meth:`~repro.core.vectorized_folding.FoldingSchedule.instruction_profile`
+prices the vector-set flavour, with and without ``shifts_reuse``.
 """
 
 from __future__ import annotations
@@ -81,40 +83,3 @@ def shifts_reuse_report(spec: StencilSpec) -> ShiftsReuseReport:
         collect_with=with_reuse,
         profitability=without / with_reuse,
     )
-
-
-def reusable_vectors(radius: int, m: int = 1) -> int:
-    """Vectors of a computing square reusable as shifts by the next square.
-
-    In the vectorised folding scheme the horizontal folding of square ``q``
-    needs the ``m·r`` trailing transposed-counterpart registers of square
-    ``q − 1``; processing squares left-to-right keeps them in registers, so
-    ``m·r`` per-square vertical folds (and the loads feeding them) are saved.
-
-    Parameters
-    ----------
-    radius:
-        Spatial radius ``r`` of the (unfolded) stencil.
-    m:
-        Unrolling factor of the temporal folding (1 = no folding).
-    """
-    if radius < 0 or m < 1:
-        raise ValueError("radius must be >= 0 and m >= 1")
-    return radius * m
-
-
-def loads_per_square(vl: int, radius: int, m: int, shifts_reuse: bool) -> int:
-    """Row-vector loads needed per computing square of the folded scheme.
-
-    A ``vl × vl`` square folded over ``m`` steps reads rows
-    ``i − m·r … i + vl − 1 + m·r`` of the grid — ``vl + 2·m·r`` row vectors.
-    With shifts reuse enabled along the row direction the ``m·r`` leading
-    rows were already loaded by the previous square of the same row band and
-    stay in registers, leaving ``vl + m·r`` fresh loads.
-    """
-    if vl < 1:
-        raise ValueError("vl must be positive")
-    total = vl + 2 * radius * m
-    if shifts_reuse:
-        total -= reusable_vectors(radius, m)
-    return total

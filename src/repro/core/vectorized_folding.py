@@ -20,23 +20,20 @@ folded update of a linear stencil:
   - :meth:`FoldingSchedule.simd_sweep_1d` — the register-level schedule for
     1-D stencils stored in the transpose layout, executed on the simulated
     SIMD machine (vector sets, assembled dependence vectors, Figure 2),
-  - :meth:`FoldingSchedule.simd_sweep_2d` — the register-level schedule for
-    2-D stencils in the original layout (load rows → vertical folding →
-    register transpose → horizontal folding → weighted transpose → store,
-    Figure 5), with shifts reuse between horizontally adjacent squares,
-  - :meth:`FoldingSchedule.simd_sweep_3d` — the same square pipeline applied
-    plane by plane to 3-D stencils: the vertical phase folds across the
-    leading (plane, row) neighbourhood of each ``vl × vl`` square — a
-    plane-factored counterpart planes first, then rows — and the
-    horizontal phase and the weighted transpose are shared with the 2-D
-    sweep unchanged.
+  - :meth:`FoldingSchedule.simd_sweep_squares` — the register-level
+    schedule for 2-D and 3-D stencils in the original layout (load rows →
+    vertical folding → register transpose → horizontal folding → weighted
+    transpose → store, Figure 5), with shifts reuse between horizontally
+    adjacent squares.  The vertical phase folds across the leading
+    (plane, row) neighbourhood of each ``vl × vl`` square — a
+    plane-factored counterpart planes first, then rows — and a 2-D grid is
+    one plane of it.
 
 * an analytic per-point instruction profile used by the performance model.
 
 All SIMD sweeps are built from per-block pipeline pieces
 (:meth:`FoldingSchedule._sweep_1d_block`,
-:meth:`FoldingSchedule._sweep_2d_vertical`,
-:meth:`FoldingSchedule._sweep_3d_vertical`,
+:meth:`FoldingSchedule._sweep_vertical`,
 :meth:`FoldingSchedule._sweep_square_horizontal`, ...) that take the target
 machine plus abstract ``load``/``store`` callables.  The interpreted sweeps
 bind them to concrete :class:`~repro.simd.machine.SimdMachine` memory
@@ -250,7 +247,7 @@ def _freeze(tables) -> None:
 
 @dataclass
 class SquareWeights:
-    """Broadcast weight registers of the 2-D square pipeline (the prologue).
+    """Broadcast weight registers of the square pipeline (the prologue).
 
     Attributes
     ----------
@@ -314,6 +311,19 @@ def _taps(rows: Sequence, wvecs: Sequence) -> List[Tuple[object, object]]:
     """``(row, weight register)`` of the taps a fold keeps (``wvecs`` holds
     ``None`` for the dropped ones)."""
     return [(row, w) for row, w in zip(rows, wvecs) if w is not None]
+
+
+def _loaded_rows(used: np.ndarray, vl: int) -> List[Tuple[int, int]]:
+    """``(plane, row)`` indices into ``used`` (a ``(planes, rows)`` mask of
+    the leading offsets some fold reads) of the rows one ``vl × vl`` square
+    loads, in load order: per plane, the contiguous span from the first
+    offset read to ``vl - 1`` rows past the last."""
+    return [
+        (dz, s)
+        for dz, ts in enumerate(map(np.flatnonzero, used))
+        if ts.size
+        for s in range(int(ts[0]), int(ts[-1]) + vl)
+    ]
 
 
 def _chain(machine: SimdMachine, terms: Sequence[Tuple[object, object]], start=None):
@@ -738,74 +748,85 @@ class FoldingSchedule:
             store(j, _chain(machine, [(cols[j + t], wvec) for t, wvec in taps], start=zero))
 
     # ------------------------------------------------------------------ #
-    # simulated SIMD execution: 2-D (Figure 5 squares)
+    # simulated SIMD execution: 2-D and 3-D (Figure 5 squares)
     # ------------------------------------------------------------------ #
-    def simd_sweep_2d(self, machine: SimdMachine, values: np.ndarray) -> np.ndarray:
-        """One folded update of a 2-D grid via the Figure 5 square pipeline.
+    def simd_sweep_squares(self, machine: SimdMachine, values: np.ndarray) -> np.ndarray:
+        """One folded update of a 2-D or 3-D grid via the Figure 5 square pipeline.
 
         The grid stays in the original row-major layout; each ``vl × vl``
-        square is processed as: load its rows (plus ``2R`` halo rows) →
-        vertical folding into the materialised counterparts → register
-        transpose → horizontal folding using the transposed counterparts of
-        the previous / current / next square (shifts reuse) → transpose back →
-        store.  Boundaries are periodic and both extents must be multiples of
-        ``vl``.
+        square of each plane is processed as: load its rows (plus the halo
+        rows its folds read) → vertical folding into the materialised
+        counterparts → register transpose → horizontal folding using the
+        transposed counterparts of the previous / current / next square
+        (shifts reuse) → transpose back → store.  The vertical phase folds
+        over the square's leading (plane, row) neighbourhood, which is how
+        Section 3.3 absorbs the extra grid dimension; a 2-D grid is one
+        plane, viewed as ``(1, rows, cols)``.  Boundaries are periodic; the
+        two innermost extents must be multiples of ``vl`` (the plane count
+        is unconstrained).
 
         Parameters
         ----------
         machine:
             Simulated SIMD machine.
         values:
-            2-D ``float64`` grid.
+            2-D or 3-D ``float64`` grid, as many dimensions as the stencil.
         """
-        if self.dims != 2:
-            raise ValueError("simd_sweep_2d applies to 2-D stencils only")
+        if self.dims == 1:
+            raise ValueError("simd_sweep_squares applies to 2-D and 3-D stencils only")
+        values = self._grid_values(values)
         vl = machine.vl
-        rows, cols = values.shape
-        if rows % vl != 0 or cols % vl != 0:
-            raise ValueError(f"grid shape {values.shape} must be a multiple of vl={vl}")
-        radius = self.radius
-        if radius > vl:
+        if values.shape[-2] % vl != 0 or values.shape[-1] % vl != 0:
+            raise ValueError(
+                f"grid shape {values.shape} must be a multiple of vl={vl} "
+                "along its two innermost extents"
+            )
+        if self.radius > vl:
             raise ValueError("folded radius must not exceed the vector length")
-        out = np.empty_like(values)
-
-        n_row_blocks = rows // vl
+        grid = values.reshape((-1,) + values.shape[-2:])
+        out = np.empty_like(grid)
+        planes, rows, cols = grid.shape
         n_col_blocks = cols // vl
         weights = self._sweep_square_weight_vectors(machine)
 
-        def vertical_and_transpose(block_row: int, block_col: int) -> List[List]:
-            base_row = block_row * vl
-            col0 = block_col * vl
-
-            def load_row(s: int):
-                return machine.load(values[(base_row + s) % rows], col0)
-
-            return self._sweep_2d_vertical(machine, weights, load_row)
-
-        for br in range(n_row_blocks):
-            prev_t = vertical_and_transpose(br, n_col_blocks - 1)
-            cur_t = vertical_and_transpose(br, 0)
-            for bc in range(n_col_blocks):
-                next_t = vertical_and_transpose(br, (bc + 1) % n_col_blocks)
-                out_cols = self._sweep_square_horizontal(machine, weights, prev_t, cur_t, next_t)
+        for z in range(planes):
+            for br in range(rows // vl):
                 base_row = br * vl
-                col0 = bc * vl
 
-                def store(oi: int, vec, _base_row: int = base_row, _col0: int = col0) -> None:
-                    machine.store(vec, out[_base_row + oi], _col0)
+                def vertical_and_transpose(
+                    block_col: int, _z: int = z, _base_row: int = base_row
+                ) -> List[List]:
+                    col0 = block_col * vl
 
-                self._sweep_square_store(machine, out_cols, store)
-                prev_t, cur_t = cur_t, next_t
-        return out
+                    def load_row(dz: int, s: int):
+                        return machine.load(grid[(_z + dz) % planes, (_base_row + s) % rows], col0)
+
+                    return self._sweep_vertical(machine, weights, load_row)
+
+                prev_t = vertical_and_transpose(n_col_blocks - 1)
+                cur_t = vertical_and_transpose(0)
+                for bc in range(n_col_blocks):
+                    next_t = vertical_and_transpose((bc + 1) % n_col_blocks)
+                    out_cols = self._sweep_square_horizontal(
+                        machine, weights, prev_t, cur_t, next_t
+                    )
+
+                    def store(
+                        oi: int, vec, _z: int = z, _base_row: int = base_row, _col0: int = bc * vl
+                    ) -> None:
+                        machine.store(vec, out[_z, _base_row + oi], _col0)
+
+                    self._sweep_square_store(machine, out_cols, store)
+                    prev_t, cur_t = cur_t, next_t
+        return out.reshape(values.shape)
 
     def _sweep_square_weight_vectors(self, machine: SimdMachine) -> "SquareWeights":
         """Broadcast all weight vectors of the square pipeline (the prologue).
 
-        Shared by the 2-D and 3-D sweeps: a counterpart's ``vector``/``bias``
-        run over the flattened leading offsets (kernel rows in 2-D,
-        (plane, row) pairs in 3-D), so the broadcasts are dimension-generic.
-        A plane-factored counterpart broadcasts its two factors instead of
-        its weights.
+        A counterpart's ``vector``/``bias`` run over the flattened leading
+        (plane, row) offsets, so the broadcasts are dimension-generic.  A
+        plane-factored counterpart broadcasts its two factors instead of its
+        weights.
         """
         zero, bcast = _broadcaster(machine)
 
@@ -824,22 +845,6 @@ class FoldingSchedule:
                 None if entry is None else (entry[0], bcast(entry[1]))
                 for entry in self.position_map
             ],
-        )
-
-    def _sweep_2d_vertical(
-        self, machine: SimdMachine, weights: "SquareWeights", load_row
-    ) -> List[List]:
-        """Vertical folds of one square, transposed, per materialised counterpart.
-
-        ``load_row(s)`` must return the row vector at offset ``s`` ∈
-        ``[-R, vl + R)`` from the square's top row (wrapping periodically).
-        """
-        vl = machine.vl
-        radius = self.radius
-        loaded = [load_row(s) for s in range(-radius, vl + radius)]
-        machine.note_live_registers(len(loaded) + vl + len(self.materialized) * vl)
-        return self._square_vertical_folds(
-            machine, weights, lambda ci, oi: loaded[oi : oi + 2 * radius + 1]
         )
 
     def _square_vertical_folds(
@@ -879,14 +884,13 @@ class FoldingSchedule:
         return per_cp
 
     def _leading_use_mask(self) -> np.ndarray:
-        """Boolean mask over the leading offsets any materialised fold reads.
+        """Boolean ``(planes, rows)`` mask over the leading offsets any
+        materialised fold reads, a 2-D kernel being one plane.
 
-        Shaped like the folded kernel's leading extents
-        (``matrix.shape[:-1]``).  Direct counterparts read the rows their
-        weight vector is non-zero on, plane-factored ones the rows of the
-        planes and row offsets their factors keep; combination counterparts
-        only touch the grid through their bias (the rest comes from
-        counterpart reuse).
+        Direct counterparts read the rows their weight vector is non-zero
+        on, plane-factored ones the rows of the planes and row offsets their
+        factors keep; combination counterparts only touch the grid through
+        their bias (the rest comes from counterpart reuse).
         """
         used = np.zeros(int(np.prod(self.matrix.shape[:-1])), dtype=bool)
         for cp in self.materialized:
@@ -896,19 +900,20 @@ class FoldingSchedule:
                 continue
             src = cp.vector if cp.mode == "direct" else cp.bias
             used |= np.abs(np.asarray(src, dtype=np.float64)) > _DBL_EPSILON
-        return used.reshape(self.matrix.shape[:-1])
+        return used.reshape(-1, self.matrix.shape[-2])
 
-    def _sweep_3d_vertical(
+    def _sweep_vertical(
         self, machine: SimdMachine, weights: "SquareWeights", load_row
     ) -> List[List]:
-        """Vertical folds of one 3-D square, transposed, per counterpart.
+        """Vertical folds of one square, transposed, per materialised counterpart.
 
-        The vertical phase of a 3-D square folds over the leading
-        (plane, row) neighbourhood: ``load_row(dz, s)`` must return the row
-        vector at plane offset ``dz`` ∈ ``[-R, R]`` and row offset ``s`` ∈
-        ``[-R, vl + R)`` from the square's (plane, top-row) origin, wrapping
-        periodically.  Only the contiguous per-plane row spans some
-        materialised counterpart (or bias) actually reads are loaded.
+        The vertical phase folds over the square's leading (plane, row)
+        neighbourhood: ``load_row(dz, s)`` must return the row vector at
+        plane offset ``dz`` ∈ ``[-R, R]`` (always ``0`` in 2-D) and row
+        offset ``s`` ∈ ``[-R, vl + R)`` from the square's (plane, top-row)
+        origin, wrapping periodically.  Only the contiguous per-plane row
+        spans some materialised counterpart (or bias) actually reads are
+        loaded (:func:`_loaded_rows`).
 
         A plane-factored counterpart folds planes first: every loaded row
         ``s`` its row factor reads gets one plane-combined row
@@ -917,18 +922,13 @@ class FoldingSchedule:
         (plane, row) taps per output row.
         """
         vl = machine.vl
-        k0, k1 = self.matrix.shape[0], self.matrix.shape[1]
-        r0, r1 = (k0 - 1) // 2, (k1 - 1) // 2
         used = self._leading_use_mask()
+        k0, k1 = used.shape
+        r0, r1 = (k0 - 1) // 2, (k1 - 1) // 2
         loaded: List[List] = [[None] * (vl + 2 * r1) for _ in range(k0)]
-        n_loads = 0
-        for dz in range(k0):
-            ts = np.flatnonzero(used[dz])
-            if ts.size == 0:
-                continue
-            for s in range(int(ts[0]), int(ts[-1]) + vl):
-                loaded[dz][s] = load_row(dz - r0, s - r1)
-                n_loads += 1
+        row_loads = _loaded_rows(used, vl)
+        for dz, s in row_loads:
+            loaded[dz][s] = load_row(dz - r0, s - r1)
         combined: Dict[int, List] = {}
         for ci, plane_w in enumerate(weights.plane):
             if plane_w is None:
@@ -939,7 +939,7 @@ class FoldingSchedule:
                 column = [loaded[dz][s] for dz in range(k0)]
                 combined[ci][s] = _chain(machine, _taps(column, plane_w))
         n_combined = sum(row is not None for rows in combined.values() for row in rows)
-        machine.note_live_registers(n_loads + n_combined + vl + len(self.materialized) * vl)
+        machine.note_live_registers(len(row_loads) + n_combined + vl + len(self.materialized) * vl)
 
         def window(ci: int, oi: int) -> List:
             if ci in combined:
@@ -986,80 +986,6 @@ class FoldingSchedule:
         transpose) and store row ``oi`` via ``store(oi, vec)``."""
         for oi, row in enumerate(register_transpose(machine, out_cols)):
             store(oi, row)
-
-    # ------------------------------------------------------------------ #
-    # simulated SIMD execution: 3-D (plane-wise Figure 5 squares)
-    # ------------------------------------------------------------------ #
-    def simd_sweep_3d(self, machine: SimdMachine, values: np.ndarray) -> np.ndarray:
-        """One folded update of a 3-D grid via the plane-wise square pipeline.
-
-        The grid stays in the original row-major layout; each ``vl × vl``
-        square of each plane is processed exactly like the 2-D Figure 5
-        pipeline except that the vertical phase folds over the full leading
-        (plane, row) neighbourhood of the square — the extra grid dimension
-        is absorbed into the vertical folds, the horizontal folding, shifts
-        reuse and the weighted transpose are shared with the 2-D sweep
-        unchanged.  Boundaries are periodic; the two innermost extents must
-        be multiples of ``vl`` (the plane count is unconstrained).
-
-        Parameters
-        ----------
-        machine:
-            Simulated SIMD machine.
-        values:
-            3-D ``float64`` grid.
-        """
-        if self.dims != 3:
-            raise ValueError("simd_sweep_3d applies to 3-D stencils only")
-        vl = machine.vl
-        planes, rows, cols = values.shape
-        if rows % vl != 0 or cols % vl != 0:
-            raise ValueError(
-                f"grid shape {values.shape} must be a multiple of vl={vl} "
-                "along its two innermost extents"
-            )
-        radius = self.radius
-        if radius > vl:
-            raise ValueError("folded radius must not exceed the vector length")
-        out = np.empty_like(values)
-
-        n_row_blocks = rows // vl
-        n_col_blocks = cols // vl
-        weights = self._sweep_square_weight_vectors(machine)
-
-        for z in range(planes):
-            for br in range(n_row_blocks):
-                base_row = br * vl
-
-                def vertical_and_transpose(
-                    block_col: int, _z: int = z, _base_row: int = base_row
-                ) -> List[List]:
-                    col0 = block_col * vl
-
-                    def load_row(dz: int, s: int):
-                        return machine.load(
-                            values[(_z + dz) % planes, (_base_row + s) % rows], col0
-                        )
-
-                    return self._sweep_3d_vertical(machine, weights, load_row)
-
-                prev_t = vertical_and_transpose(n_col_blocks - 1)
-                cur_t = vertical_and_transpose(0)
-                for bc in range(n_col_blocks):
-                    next_t = vertical_and_transpose((bc + 1) % n_col_blocks)
-                    out_cols = self._sweep_square_horizontal(
-                        machine, weights, prev_t, cur_t, next_t
-                    )
-                    col0 = bc * vl
-
-                    def store(
-                        oi: int, vec, _z: int = z, _base_row: int = base_row, _col0: int = col0
-                    ) -> None:
-                        machine.store(vec, out[_z, _base_row + oi], _col0)
-
-                    self._sweep_square_store(machine, out_cols, store)
-                    prev_t, cur_t = cur_t, next_t
-        return out
 
     # ------------------------------------------------------------------ #
     # analytic instruction profile
@@ -1187,26 +1113,11 @@ class FoldingSchedule:
             counts.add(InstructionClass.FMA, fma)
             counts.add(InstructionClass.ARITH, mul)
         else:
-            # Vertical/horizontal square pipeline.  The leading dimensions of
-            # a d-dimensional folded kernel contribute rows_per_column row
-            # loads and MACs per vertical fold.
+            # Vertical/horizontal square pipeline.  Rows loaded per square:
+            # the contiguous per-plane row spans the materialised folds
+            # actually read, exactly what _sweep_vertical loads.
             points_per_unit = vl * vl
-            if self.dims == 3:
-                # Rows loaded per square: the contiguous per-plane (row) spans
-                # the materialised folds actually read — exactly what
-                # _sweep_3d_vertical loads.
-                used = self._leading_use_mask()
-                loads = 0.0
-                for dz in range(used.shape[0]):
-                    ts = np.flatnonzero(used[dz])
-                    if ts.size:
-                        loads += float(int(ts[-1]) - int(ts[0]) + vl)
-                if not shifts_reuse:
-                    # Recomputing the neighbour squares' verticals re-loads
-                    # the proportional share of their rows.
-                    loads *= 1.0 + radius / vl
-            else:
-                loads = float(vl + 2 * radius)
+            loads = float(len(_loaded_rows(self._leading_use_mask(), vl)))
             stores = float(vl)
             vertical_direct = 0.0
             vertical_reuse = 0.0
@@ -1223,8 +1134,9 @@ class FoldingSchedule:
             if not shifts_reuse:
                 # Without shifts reuse the leading R transposed columns of the
                 # square must be recomputed: charge the proportional share of
-                # the vertical folds and transposes again.
+                # the vertical phase's row loads, folds and transposes again.
                 extra_frac = radius / vl
+                loads *= 1.0 + extra_frac
                 vertical_direct *= 1.0 + extra_frac
                 vertical_reuse *= 1.0 + extra_frac
                 transposes *= 1.0 + extra_frac

@@ -2,8 +2,8 @@
 
 Lowering runs the schedule's own per-block pipeline pieces
 (:meth:`~repro.core.vectorized_folding.FoldingSchedule._sweep_1d_block`,
-``_sweep_2d_vertical`` / ``_sweep_3d_vertical``,
-``_sweep_square_horizontal``, ``_sweep_square_store``) once against a
+``_sweep_vertical``, ``_sweep_square_horizontal``,
+``_sweep_square_store``) once against a
 :class:`~repro.ir.recorder.TraceRecorder`, so the IR and the interpreted
 sweeps execute the *same* schedule code and cannot drift apart.  The result
 is produced once per ``(schedule, isa, dims)`` — recording is symbolic, its
@@ -61,12 +61,9 @@ def lower_schedule(schedule, isa: IsaSpec) -> ScheduleIR:
     Raises
     ------
     ValueError
-        When :func:`check_lowerable` rejects the schedule or the
-        dimensionality is unsupported.
+        When :func:`check_lowerable` rejects the schedule.
     """
     vl = isa.vector_lanes
-    if schedule.dims not in (1, 2, 3):
-        raise ValueError("lowering supports 1-D, 2-D and 3-D schedules only")
     check_lowerable(schedule, vl)
     rec = TraceRecorder(isa)
     source = f"{schedule.spec.name} m={schedule.m} {isa.name}"
@@ -93,14 +90,9 @@ def lower_schedule(schedule, isa: IsaSpec) -> ScheduleIR:
     rec.begin_segment("prologue", trip="once")
     weights = schedule._sweep_square_weight_vectors(rec)
     rec.begin_segment("vertical", trip="vertical")
-    if schedule.dims == 2:
-        vt = schedule._sweep_2d_vertical(
-            rec, weights, load_row=lambda s: rec.emit_load(("row", 0, s))
-        )
-    else:
-        vt = schedule._sweep_3d_vertical(
-            rec, weights, load_row=lambda dz, s: rec.emit_load(("row", dz, s))
-        )
+    vt = schedule._sweep_vertical(
+        rec, weights, load_row=lambda dz, s: rec.emit_load(("row", dz, s))
+    )
     vt_out = tuple(tuple(reg.vid for reg in cols) for cols in vt)
     rec.begin_segment("horizontal", trip="horizontal")
     n_mat = len(vt)

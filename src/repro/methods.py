@@ -57,7 +57,6 @@ from repro.stencils.spec import StencilSpec
     label="Our",
     figure_order=3,
     supports_simulation=True,
-    simulation_dims=(1, 2, 3),
     description="transpose layout, single-step vector-set updates",
 )
 def profile_transpose(spec: StencilSpec, isa: str = "avx2") -> MethodProfile:
@@ -101,7 +100,6 @@ def profile_transpose(spec: StencilSpec, isa: str = "avx2") -> MethodProfile:
     label="Our (2 steps)",
     figure_order=4,
     supports_simulation=True,
-    simulation_dims=(1, 2, 3),
     uses_unroll=True,
     uses_schedule=True,
     description="transpose layout + m-step temporal computation folding",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: ``profile_builder(spec, **kwargs) -> MethodProfile``.  Keyword arguments
 #: the builder does not declare are filtered out before the call, so builders
@@ -75,15 +75,10 @@ class MethodDescriptor:
         :meth:`~repro.core.plan.CompiledPlan.explain`.
     supports_simulation:
         Whether the method can execute on the simulated SIMD machine
-        (:meth:`~repro.core.plan.CompiledPlan.simulate`).
-    simulation_dims:
-        Grid dimensionalities the method's register-level schedule covers
-        (``(1, 2, 3)`` for the built-in transpose/folded schedules).
-        Normalised to that full set at registration time when a
-        simulation-capable method does not declare one; plug-in methods with
-        a narrower schedule declare theirs so
-        :meth:`~repro.core.plan.PlanBuilder.compile` can reject mismatched
-        stencils up front instead of deep inside a sweep.
+        (:meth:`~repro.core.plan.CompiledPlan.simulate`).  Such a method
+        runs the built-in register-level schedules, which cover every
+        stencil :class:`~repro.stencils.spec.StencilSpec` admits, 1-D to
+        3-D.
     requires_linear:
         Whether the method refuses to *compile* for non-linear stencils.
         (Simulation always requires linearity; this flag is for methods whose
@@ -116,7 +111,6 @@ class MethodDescriptor:
     executor: Optional[Executor] = None
     describe_path: Optional[PathDescriber] = None
     supports_simulation: bool = False
-    simulation_dims: Tuple[int, ...] = ()
     requires_linear: bool = False
     uses_unroll: bool = False
     uses_schedule: bool = False
@@ -170,12 +164,6 @@ def register(descriptor: MethodDescriptor, overwrite: bool = False) -> MethodDes
         raise ValueError("method key must be a non-empty string")
     if key != descriptor.key:
         descriptor = replace(descriptor, key=key)
-    if descriptor.supports_simulation and not descriptor.simulation_dims:
-        descriptor = replace(descriptor, simulation_dims=(1, 2, 3))
-    if descriptor.simulation_dims and not descriptor.supports_simulation:
-        raise ValueError(
-            f"method {key!r} declares simulation_dims but not supports_simulation"
-        )
     if key in _REGISTRY and not overwrite:
         raise ValueError(f"method {key!r} is already registered")
     _REGISTRY[key] = descriptor
@@ -189,7 +177,6 @@ def register_method(
     executor: Optional[Executor] = None,
     describe_path: Optional[PathDescriber] = None,
     supports_simulation: bool = False,
-    simulation_dims: Optional[Sequence[int]] = None,
     requires_linear: bool = False,
     uses_unroll: bool = False,
     uses_schedule: bool = False,
@@ -209,7 +196,6 @@ def register_method(
                 executor=executor,
                 describe_path=describe_path,
                 supports_simulation=supports_simulation,
-                simulation_dims=tuple(simulation_dims) if simulation_dims is not None else (),
                 requires_linear=requires_linear,
                 uses_unroll=uses_unroll,
                 uses_schedule=uses_schedule,
@@ -261,21 +247,6 @@ def get_method(key: str) -> MethodDescriptor:
     except KeyError:
         known = tuple(k for k, d in _REGISTRY.items() if not d.virtual)
         raise KeyError(f"unknown method {key!r}; known: {known}") from None
-
-
-def simulation_support() -> Dict[int, Tuple[str, ...]]:
-    """Dimensionality → keys of the methods whose schedules can simulate it.
-
-    Consumed by the plan compiler's error messages so that a dims/method
-    mismatch names the alternatives instead of failing deep inside a sweep.
-    """
-    support: Dict[int, List[str]] = {}
-    for key, descriptor in _REGISTRY.items():
-        if not descriptor.supports_simulation:
-            continue
-        for dims in descriptor.simulation_dims:
-            support.setdefault(dims, []).append(key)
-    return {dims: tuple(keys) for dims, keys in sorted(support.items())}
 
 
 def method_keys() -> Tuple[str, ...]:

@@ -98,9 +98,7 @@ def _schedule_inputs(spec, isa, m=2, seed=5):
 def _interpret(sched, machine, values):
     if sched.dims == 1:
         return sched.simd_sweep_1d(machine, values.copy())
-    if sched.dims == 2:
-        return sched.simd_sweep_2d(machine, values.copy())
-    return sched.simd_sweep_3d(machine, values.copy())
+    return sched.simd_sweep_squares(machine, values.copy())
 
 
 def bits(array: np.ndarray) -> np.ndarray:

@@ -15,10 +15,15 @@ The contract under test:
 * the plan API exposes both variants (``simulate(optimize=...)``) with
   side-by-side caching, and the cost-model profile equals the optimized
   IR's steady state (estimated == simulated, no drift),
-* integral instruction counts stay integral end to end.
+* integral instruction counts stay integral end to end,
+* every library configuration lowers to the raw program recorded in
+  ``golden_raw_programs.json``.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +44,7 @@ from repro.simd.machine import InstructionCounts, SimdMachine
 from repro.stencils.grid import Grid
 from repro.stencils.library import BENCHMARKS, box_1d5p, box_2d9p, heat_1d, heat_3d
 from repro.stencils.reference import reference_run
+from repro.study.hashing import config_hash
 
 #: Every registered linear library stencil (the non-linear ones cannot fold).
 LINEAR_KEYS = tuple(key for key, case in BENCHMARKS.items() if case.spec.linear)
@@ -65,9 +71,7 @@ def _schedule_inputs(spec, isa, m=2, seed=5):
 def _interpret(sched, machine, values):
     if sched.dims == 1:
         return sched.simd_sweep_1d(machine, values.copy())
-    if sched.dims == 2:
-        return sched.simd_sweep_2d(machine, values.copy())
-    return sched.simd_sweep_3d(machine, values.copy())
+    return sched.simd_sweep_squares(machine, values.copy())
 
 
 class TestLoweringStructure:
@@ -185,7 +189,7 @@ class TestEquivalenceAcrossLibrary:
         sched = FoldingSchedule(combination_3d, 1)
         assert any(cp.mode == "combination" and cp.omega for cp in sched.materialized)
         grid = Grid.random((4, 8, 8), seed=24)
-        ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
+        ref = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         base = compile_sweep(sched, AVX2)
         opt = compile_sweep(sched, AVX2, optimize=True)
         np.testing.assert_array_equal(opt.replay(grid.values.copy()), ref)
@@ -462,3 +466,56 @@ class TestPassAlgebra:
             once = PassManager(True).run(ir)[0]
             twice = PassManager(True).run(once)[0]
             assert twice == once
+
+
+# --------------------------------------------------------------------------- #
+# every library program, pinned
+# --------------------------------------------------------------------------- #
+#: Every lowerable linear library configuration at m = 1-4: name -> (stencil, m, ISA).
+RAW_PROGRAM_CONFIGS = {
+    f"{key}-m{m}-{isa.name}": (key, m, isa)
+    for key in LINEAR_KEYS
+    for m in (1, 2, 3, 4)
+    for isa in ISAS
+    if m * BENCHMARKS[key].spec.radius <= isa.vector_lanes
+}
+GOLDEN_RAW_PROGRAMS = json.loads(Path(__file__).with_name("golden_raw_programs.json").read_text())
+
+
+def raw_program_key(ir) -> str:
+    """Structural key of a raw program: each segment's name, trip, register
+    peak and spills, and each op's opcode, registers, tag and lanes.
+
+    Float immediates are left out, so the key does not depend on a
+    platform's last bits; optimized programs are left out of the golden
+    file, because their ``cse`` merges broadcast constants by float
+    equality.
+    """
+    return config_hash(
+        tuple(
+            (
+                seg.name,
+                seg.trip,
+                seg.peak_live,
+                seg.spills,
+                tuple((op.opcode, op.dst, op.srcs, op.tag, op.lanes) for op in seg.ops),
+            )
+            for seg in ir.segments
+        )
+    )
+
+
+class TestGoldenRawPrograms:
+    """A change that alters a library program on purpose rewrites
+    ``golden_raw_programs.json``: ``{name: raw_program_key(FoldingSchedule(
+    BENCHMARKS[key].spec, m).schedule_ir(isa.vector_lanes))}`` over
+    :data:`RAW_PROGRAM_CONFIGS`, sorted, indent 2."""
+
+    # An entry on one side only fails its lookup on the other.
+    @pytest.mark.parametrize(
+        "name", sorted(RAW_PROGRAM_CONFIGS.keys() | GOLDEN_RAW_PROGRAMS.keys())
+    )
+    def test_raw_program_is_the_recorded_one(self, name):
+        key, m, isa = RAW_PROGRAM_CONFIGS[name]
+        ir = FoldingSchedule(BENCHMARKS[key].spec, m).schedule_ir(isa.vector_lanes)
+        assert raw_program_key(ir) == GOLDEN_RAW_PROGRAMS[name]

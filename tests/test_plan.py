@@ -303,51 +303,12 @@ class TestAnalysis:
 
 
 class TestSimulationDimsValidation:
-    """Dims/method mismatches fail at plan-compile time, not inside a sweep."""
-
-    def _register_narrow(self):
-        from repro.registry import register_method
-
-        @register_method(
-            "narrow2d-test",
-            label="Narrow",
-            supports_simulation=True,
-            simulation_dims=(1, 2),
-        )
-        def _profile(spec, isa="avx2"):  # pragma: no cover - never profiled
-            raise NotImplementedError
-
-    def test_compile_rejects_unsupported_dims_with_method_listing(self):
-        from repro.registry import unregister
-
-        self._register_narrow()
-        try:
-            with pytest.raises(ValueError) as exc:
-                plan(get_benchmark("3d-heat").spec).method("narrow2d-test").compile()
-            message = str(exc.value)
-            # The error names the supported dims and lists, per
-            # dimensionality, the methods that do cover 3-D.
-            assert "3-D" in message
-            assert "folded" in message and "transpose" in message
-        finally:
-            unregister("narrow2d-test")
+    """The built-in simulating methods cover every library dimensionality."""
 
     def test_builtin_methods_compile_for_every_library_dimensionality(self):
         for key in ("1d-heat", "2d9p", "3d-heat", "3d27p"):
             compiled = plan(key).method("folded").unroll(2).compile()
-            assert compiled.descriptor.simulation_dims == (1, 2, 3)
-
-    def test_simulation_dims_default_normalization(self):
-        from repro.registry import get_method, register_method, unregister
-
-        @register_method("simdims-default-test", label="D", supports_simulation=True)
-        def _profile(spec, isa="avx2"):  # pragma: no cover
-            raise NotImplementedError
-
-        try:
-            assert get_method("simdims-default-test").simulation_dims == (1, 2, 3)
-        finally:
-            unregister("simdims-default-test")
+            assert compiled.descriptor.supports_simulation
 
     def test_3d_simulation_runs_for_builtin_methods(self):
         p = plan("3d-heat").method("folded").unroll(2).compile()

@@ -85,7 +85,7 @@ class TestBitIdentity2D:
         vl = isa.vector_lanes
         grid = Grid.random((4 * vl, 3 * vl), seed=9)
         machine = SimdMachine(isa)
-        ref = sched.simd_sweep_2d(machine, grid.values.copy())
+        ref = sched.simd_sweep_squares(machine, grid.values.copy())
         compiled = compile_sweep(sched, isa)
         got = compiled.replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
@@ -95,7 +95,7 @@ class TestBitIdentity2D:
         """Single-block rows/columns make prev/cur/next alias — still exact."""
         sched = FoldingSchedule(heat_2d(), 2)
         grid = Grid.random(shape, seed=10)
-        ref = sched.simd_sweep_2d(SimdMachine(AVX2), grid.values.copy())
+        ref = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         got = compile_sweep(sched, AVX2).replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
 
@@ -112,7 +112,9 @@ class TestBitIdentity2D:
         ]
         assert len(live_inputs) < len(recorded_inputs)
         grid = Grid.random((16, 16), seed=22)
-        ref = FoldingSchedule(box_2d9p(), 2).simd_sweep_2d(SimdMachine(AVX512), grid.values.copy())
+        ref = FoldingSchedule(box_2d9p(), 2).simd_sweep_squares(
+            SimdMachine(AVX512), grid.values.copy()
+        )
         np.testing.assert_array_equal(compiled.replay(grid.values.copy()), ref)
 
 
@@ -125,7 +127,7 @@ class TestBitIdentity3D:
         vl = isa.vector_lanes
         grid = Grid.random((5, 2 * vl, 3 * vl), seed=23)
         machine = SimdMachine(isa)
-        ref = sched.simd_sweep_3d(machine, grid.values.copy())
+        ref = sched.simd_sweep_squares(machine, grid.values.copy())
         compiled = compile_sweep(sched, isa)
         got = compiled.replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
@@ -136,7 +138,7 @@ class TestBitIdentity3D:
         sched = FoldingSchedule(combination_3d, 1)
         assert any(cp.mode == "combination" and cp.omega for cp in sched.materialized)
         grid = Grid.random((4, 8, 8), seed=24)
-        ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
+        ref = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         got = compile_sweep(sched, AVX2).replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
 
@@ -145,7 +147,7 @@ class TestBitIdentity3D:
         """Single-plane / single-block grids make prev/cur/next alias — still exact."""
         sched = FoldingSchedule(heat_3d(), 2)
         grid = Grid.random(shape, seed=25)
-        ref = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
+        ref = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         got = compile_sweep(sched, AVX2).replay(grid.values.copy())
         np.testing.assert_array_equal(got, ref)
 
@@ -170,7 +172,7 @@ class TestCountIdentity:
         vl = isa.vector_lanes
         grid = Grid.random((3 * vl, 4 * vl), seed=13)
         machine = SimdMachine(isa)
-        sched.simd_sweep_2d(machine, grid.values.copy())
+        sched.simd_sweep_squares(machine, grid.values.copy())
         compiled = compile_sweep(sched, isa)
         counts, peak, spills = compiled.sweep_counts(grid.values.shape)
         assert counts.counts == machine.counts.counts
@@ -185,7 +187,7 @@ class TestCountIdentity:
         vl = isa.vector_lanes
         grid = Grid.random((3, 2 * vl, 3 * vl), seed=27)
         machine = SimdMachine(isa)
-        sched.simd_sweep_3d(machine, grid.values.copy())
+        sched.simd_sweep_squares(machine, grid.values.copy())
         compiled = compile_sweep(sched, isa)
         counts, peak, spills = compiled.sweep_counts(grid.values.shape)
         assert counts.counts == machine.counts.counts

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.shifts_reuse import loads_per_square, reusable_vectors, shifts_reuse_report
+from repro.core.plan import plan
+from repro.core.shifts_reuse import shifts_reuse_report
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
@@ -154,19 +155,41 @@ class TestSimd2D:
         sched = FoldingSchedule(spec, m)
         machine = SimdMachine(AVX2)
         grid = Grid.random((16, 16), seed=15)
-        out = sched.simd_sweep_2d(machine, grid.values.copy())
+        out = sched.simd_sweep_squares(machine, grid.values.copy())
         ref = reference_run(spec, grid, m)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
     def test_rejects_unaligned_shape(self):
         sched = FoldingSchedule(box_2d9p(), 2)
         with pytest.raises(ValueError):
-            sched.simd_sweep_2d(SimdMachine(AVX2), np.zeros((15, 16)))
+            sched.simd_sweep_squares(SimdMachine(AVX2), np.zeros((15, 16)))
 
     def test_rejects_1d_stencil(self):
         sched = FoldingSchedule(heat_1d(), 2)
         with pytest.raises(ValueError):
-            sched.simd_sweep_2d(SimdMachine(AVX2), np.zeros((16, 16)))
+            sched.simd_sweep_squares(SimdMachine(AVX2), np.zeros((16, 16)))
+
+    def test_unused_leading_rows_are_not_loaded(self):
+        """A 2-D kernel is one plane of the square pipeline's vertical
+        phase, so a row no fold reads is not loaded, as in 3-D.  Counted as
+        the lowered program's ``("row", 0, s)`` load tags; every engine still
+        returns the fold's bits."""
+        spec = StencilSpec(
+            name="top-row-zero",
+            kernel=np.array([[0.0, 0.0, 0.0], [0.1, 0.4, 0.2], [0.05, 0.15, 0.1]]),
+        )
+        sched = FoldingSchedule(spec, 1)
+        vl = AVX2.vector_lanes
+        ir = sched.schedule_ir(vl)
+        loads = [op.tag for seg in ir.segments for op in seg.ops if op.opcode == "load"]
+        # Row -1 (the kernel's all-zero top row) is skipped.
+        assert sorted(loads) == [("row", 0, s) for s in range(vl + sched.radius)]
+        grid = Grid.random((2 * vl, 3 * vl), seed=21)
+        expected = sched.numpy_fold(grid.values, BoundaryCondition.PERIODIC)
+        compiled = plan(spec).method("folded").isa("avx2").unroll(1).compile()
+        for backend in ("interpret", "trace", "kernel"):
+            got, _ = compiled.simulate(grid, 1, backend=backend)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestSimd3D:
@@ -181,7 +204,7 @@ class TestSimd3D:
         sched = FoldingSchedule(spec, m)
         machine = SimdMachine(AVX2)
         grid = Grid.random((6, 8, 8), seed=18)
-        out = sched.simd_sweep_3d(machine, grid.values.copy())
+        out = sched.simd_sweep_squares(machine, grid.values.copy())
         ref = reference_run(spec, grid, m)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
@@ -190,7 +213,7 @@ class TestSimd3D:
         sched = FoldingSchedule(spec, 2)
         machine = SimdMachine(AVX512)
         grid = Grid.random((4, 16, 16), seed=19)
-        out = sched.simd_sweep_3d(machine, grid.values.copy())
+        out = sched.simd_sweep_squares(machine, grid.values.copy())
         ref = reference_run(spec, grid, 2)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
@@ -219,12 +242,12 @@ class TestSimd3D:
     def test_rejects_unaligned_shape(self):
         sched = FoldingSchedule(heat_3d(), 1)
         with pytest.raises(ValueError):
-            sched.simd_sweep_3d(SimdMachine(AVX2), np.zeros((4, 15, 16)))
+            sched.simd_sweep_squares(SimdMachine(AVX2), np.zeros((4, 15, 16)))
 
     def test_rejects_2d_stencil(self):
         sched = FoldingSchedule(heat_2d(), 2)
         with pytest.raises(ValueError):
-            sched.simd_sweep_3d(SimdMachine(AVX2), np.zeros((4, 16, 16)))
+            sched.simd_sweep_squares(SimdMachine(AVX2), np.zeros((4, 16, 16)))
 
 
 class TestCombinationCounterparts:
@@ -250,7 +273,7 @@ class TestCombinationCounterparts:
     def test_2d_sweep_matches_reference(self):
         sched = FoldingSchedule(self._spec(), 2)
         grid = Grid.random((16, 16), seed=22)
-        out = sched.simd_sweep_2d(SimdMachine(AVX2), grid.values.copy())
+        out = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         ref = reference_run(self._spec(), grid, 2)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
@@ -262,7 +285,7 @@ class TestCombinationCounterparts:
             for cp in sched.materialized
         )
         grid = Grid.random((4, 8, 8), seed=23)
-        out = sched.simd_sweep_3d(SimdMachine(AVX2), grid.values.copy())
+        out = sched.simd_sweep_squares(SimdMachine(AVX2), grid.values.copy())
         ref = reference_run(combination_3d, grid, 1)
         np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-11)
 
@@ -288,6 +311,34 @@ class TestInstructionProfile:
         profile = FoldingSchedule(heat_1d(), 2).instruction_profile(4)
         assert profile.data_organization > 0
 
+    @pytest.mark.parametrize("key", ["2d9p", "3d27p"])
+    def test_unlowered_square_reloads_rows_without_shifts_reuse(self, key):
+        """At a folded radius of 5 on 4 lanes the schedule does not lower,
+        and the analytic profile charges the recomputed neighbour columns'
+        row loads again: ``1 + R/vl`` for 2-D as for 3-D."""
+
+        def loads(shifts_reuse: bool) -> float:
+            compiled = plan(key).isa("avx2").unroll(5).shifts_reuse(shifts_reuse).compile()
+            return compiled.profile().counts_per_point.get(InstructionClass.LOAD)
+
+        assert loads(False) / loads(True) == pytest.approx(1 + 5 / 4)
+
+    @pytest.mark.parametrize("spec_factory", [box_2d9p, heat_2d, heat_3d, box_3d27p])
+    @pytest.mark.parametrize("vl", [4, 8])
+    def test_analytic_and_ir_profiles_price_shifts_reuse_alike(self, spec_factory, vl):
+        """Without shifts reuse both profiles scale a square's row loads by
+        the same factor."""
+        sched = FoldingSchedule(spec_factory(), 2)
+
+        def load_ratio(profile) -> float:
+            off, on = profile(vl, shifts_reuse=False), profile(vl, shifts_reuse=True)
+            return off.get(InstructionClass.LOAD) / on.get(InstructionClass.LOAD)
+
+        assert sched.schedule_ir(vl) is not None
+        assert load_ratio(sched._analytic_instruction_profile) == pytest.approx(
+            load_ratio(sched.instruction_profile)
+        )
+
     def test_3d_profile_is_finite_and_positive(self):
         profile = FoldingSchedule(box_3d27p(), 2).instruction_profile(4)
         assert profile.total > 0
@@ -311,17 +362,6 @@ class TestShiftsReuse:
         report = shifts_reuse_report(heat_1d())
         assert report.collect_with == 2
 
-    def test_reusable_vectors(self):
-        assert reusable_vectors(1, 2) == 2
-        assert reusable_vectors(2, 1) == 2
-        with pytest.raises(ValueError):
-            reusable_vectors(-1, 1)
-
-    def test_loads_per_square(self):
-        assert loads_per_square(4, 1, 2, shifts_reuse=False) == 8
-        assert loads_per_square(4, 1, 2, shifts_reuse=True) == 6
-        with pytest.raises(ValueError):
-            loads_per_square(0, 1, 1, True)
 
 
 # --------------------------------------------------------------------------- #
