@@ -429,19 +429,19 @@ class NativeProgram:
 
     def __call__(
         self,
-        values: np.ndarray,
-        out: np.ndarray,
+        addresses: Tuple[int, int],
         axes: Tuple[int, ...],
         originals: Tuple[bool, bool] = (False, False),
         dirichlet: bool = False,
     ) -> None:
-        """One sweep of ``values`` into ``out``, both already checked by
-        :meth:`CompiledSweep._operands <repro.ir.executor.CompiledSweep._operands>`;
+        """One sweep of the grid into the output at ``addresses``, both
+        already checked by :meth:`CompiledSweep._operands
+        <repro.ir.executor.CompiledSweep._operands>` or by the caller;
         ``originals`` says whether a 1-D program's grid and result are in
         the original layout, ``dirichlet`` whether reads outside the grid
         read zeros instead of wrapping."""
         n0, n1, n2 = (*axes, 0, 0)[:3]
-        status = self._fn(values.ctypes.data, out.ctypes.data, n0, n1, n2, *originals, dirichlet)
+        status = self._fn(*addresses, n0, n1, n2, *originals, dirichlet)
         if status != 0:
             raise RuntimeError(f"native kernel {self.path.name} failed with status {status}")
 
@@ -495,6 +495,8 @@ class KernelProgram(CompiledSweep):
         out: Optional[np.ndarray] = None,
         layouts: Tuple[str, str] = ("transpose", "transpose"),
         boundary: BoundaryCondition = BoundaryCondition.PERIODIC,
+        *,
+        addresses: Optional[Tuple[int, int]] = None,
     ) -> np.ndarray:
         """One sweep over every block position — the contract of
         :meth:`CompiledSweep.replay <repro.ir.executor.CompiledSweep.replay>`.
@@ -506,19 +508,29 @@ class KernelProgram(CompiledSweep):
         ``boundary`` of :attr:`BoundaryCondition.DIRICHLET` the native
         program reads zeros outside the grid (:func:`emit_c`); IR replay
         sweeps periodic grids only and raises ``ValueError`` there.
+        ``addresses`` are the data addresses of ``values`` and ``out`` when
+        the caller read them already (the folded ``run()`` reads them once
+        per run): the native program then takes both as C-contiguous
+        ``float64`` arrays of the grid's shape that share no memory, without
+        checking them again.
         """
         # Defined here rather than inherited, so patching one engine's
         # replay (perfbench's timing hooks) leaves the other's alone.
         try:
-            originals = tuple(_LAYOUTS[name] for name in layouts)
-        except KeyError:
+            first, last = layouts
+            originals = (_LAYOUTS[first], _LAYOUTS[last])
+        except (KeyError, ValueError):
             raise ValueError(f"unknown layouts {layouts!r}; use 'transpose' or 'original'")
         if self.dims > 1:
             originals = (False, False)
         dirichlet = BoundaryCondition(boundary) is BoundaryCondition.DIRICHLET
         if self.native is not None:
-            values, out, axes = self._operands(values, out)
-            self.native(values, out, axes, originals, dirichlet)
+            if addresses is None:
+                values, out, axes = self._operands(values, out)
+                addresses = (values.ctypes.data, out.ctypes.data)
+            else:
+                axes = self.ir.block_axes(values.shape)
+            self.native(addresses, axes, originals, dirichlet)
             return out
         if dirichlet:
             raise ValueError(

@@ -16,7 +16,15 @@ image of a NumPy/``scipy.ndimage`` computation:
   the ``steps % m`` remainder steps of ``run()``;
 * ``repro_dirichlet_band`` recomputes, with those reference steps, the band
   a folded update of a Dirichlet grid gets wrong — every face, all ``m``
-  steps, in one call that writes into the fold's output.
+  steps, in one call that writes into the fold's output — with the columns
+  near each row end packed across rows.
+
+The reference step and the band work in a scratch the caller allocates
+(``repro_reference_step_scratch`` and ``repro_dirichlet_band_scratch`` say
+how large; the band's is sized by the band).  The default folded ``run()``
+gives its sweeps, band fixes and remainder steps two arrays and those
+scratches, allocated once per run, with their addresses read once
+(:class:`RunArrays`).
 
 The kernel is built on the first fold of a process by
 :mod:`repro.backend.native` (or found in its on-disk cache) and loaded once,
@@ -36,7 +44,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +84,17 @@ _STEP_ARGTYPES = [
     ctypes.c_int64,  # ntaps
     ctypes.c_void_p,  # off
     ctypes.c_void_p,  # w
+    ctypes.c_void_p,  # scratch
+]
+
+#: ``repro_reference_step_scratch``'s parameters, in order.
+_STEP_SCRATCH_ARGTYPES = [
+    ctypes.c_int64,  # planes
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # cols
+    ctypes.c_int32,  # periodic
+    ctypes.c_int64,  # ntaps
+    ctypes.c_void_p,  # off
 ]
 
 #: ``repro_dirichlet_band``'s parameters, in order.
@@ -92,14 +111,32 @@ _BAND_ARGTYPES = [
     ctypes.c_void_p,  # w
     ctypes.c_int64,  # m
     ctypes.c_int64,  # radius
+    ctypes.c_void_p,  # scratch
+]
+
+#: ``repro_dirichlet_band_scratch``'s parameters, in order.
+_BAND_SCRATCH_ARGTYPES = [
+    ctypes.c_int64,  # planes
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # cols
+    ctypes.c_int64,  # ndim
+    ctypes.c_int64,  # ntaps
+    ctypes.c_void_p,  # off
+    ctypes.c_int64,  # m
+    ctypes.c_int64,  # radius
 ]
 
 
-def _bind(library: ctypes.CDLL, name: str, argtypes):
+def _bind(library: ctypes.CDLL, name: str, argtypes, restype=ctypes.c_int):
     fn = getattr(library, name)
     fn.argtypes = argtypes
-    fn.restype = ctypes.c_int
+    fn.restype = restype
     return fn
+
+
+def _scratch(nbytes: int) -> np.ndarray:
+    """Scratch of at least ``nbytes`` bytes, aligned for doubles and pointers."""
+    return np.empty(max(1, -(-nbytes // 8)), dtype=np.float64)
 
 
 def _check(status: int) -> None:
@@ -114,27 +151,52 @@ def _extents(array: np.ndarray) -> Tuple[int, int, int]:
     return (1,) * (3 - array.ndim) + array.shape
 
 
+def _output(out: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``out``, or a new array shaped like ``x``, once it is a C-contiguous
+    writeable ``float64`` array of ``x``'s shape."""
+    if out is None:
+        return np.empty_like(x)
+    if not (
+        out.dtype == np.float64
+        and out.shape == x.shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError("the fold kernel writes a C-contiguous float64 array of the grid's shape")
+    return out
+
+
 class FoldKernel:
     """The loaded kernel functions and the library they came from."""
 
     def __init__(self, library: ctypes.CDLL, path: Path):
         self._fn = _bind(library, "repro_fold_update", _FOLD_ARGTYPES)
         self._step = _bind(library, "repro_reference_step", _STEP_ARGTYPES)
+        self._step_nbytes = _bind(
+            library, "repro_reference_step_scratch", _STEP_SCRATCH_ARGTYPES, ctypes.c_int64
+        )
         self._band = _bind(library, "repro_dirichlet_band", _BAND_ARGTYPES)
+        self._band_nbytes = _bind(
+            library, "repro_dirichlet_band_scratch", _BAND_SCRATCH_ARGTYPES, ctypes.c_int64
+        )
         self._library = library
         self.path = path
 
-    def __call__(self, tables, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
-        """Fold ``values`` (``float64``, 1-3 dimensions) with packed ``tables``."""
+    def __call__(
+        self,
+        tables,
+        values: np.ndarray,
+        boundary: BoundaryCondition,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Fold ``values`` (``float64``, 1-3 dimensions) with packed
+        ``tables``, into ``out`` when given."""
         x = np.ascontiguousarray(values, dtype=np.float64)
-        out = np.empty_like(x)
-        planes, rows, cols = _extents(x)
+        out = _output(out, x)
         status = self._fn(
             x.ctypes.data,
             out.ctypes.data,
-            planes,
-            rows,
-            cols,
+            *_extents(x),
             boundary is BoundaryCondition.PERIODIC,
             DIRICHLET_VALUE,
             *tables.args,
@@ -144,47 +206,137 @@ class FoldKernel:
 
     def step(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
         """One reference step of ``values`` (``float64``, 1-3 dimensions)
-        with the packed tap table ``taps``."""
+        with the packed tap table ``taps``.  The scratch is allocated per
+        call: :class:`RunArrays` allocates it once per run."""
         x = np.ascontiguousarray(values, dtype=np.float64)
         out = np.empty_like(x)
-        planes, rows, cols = _extents(x)
+        scratch = self.step_scratch(taps, x, boundary)
         status = self._step(
             x.ctypes.data,
             out.ctypes.data,
-            planes,
-            rows,
-            cols,
+            *_extents(x),
             boundary is BoundaryCondition.PERIODIC,
             DIRICHLET_VALUE,
             *taps.args,
+            scratch.ctypes.data,
         )
         _check(status)
         return out
+
+    def step_scratch(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
+        """The scratch :meth:`step` needs on grids shaped like ``values``:
+        the source rows' padded end copies and the row table."""
+        ntaps, off, _ = taps.args
+        periodic = boundary is BoundaryCondition.PERIODIC
+        return _scratch(self._step_nbytes(*_extents(values), periodic, ntaps, off))
 
     def band(self, taps, before: np.ndarray, folded: np.ndarray, m: int, radius: int) -> np.ndarray:
         """``folded``, the ``m``-step fold of the Dirichlet grid ``before``,
         with the band closer than ``(m - 1) * radius`` to a face recomputed
         by ``m`` reference steps; written in place when ``folded`` is a
-        C-contiguous ``float64`` array."""
+        C-contiguous ``float64`` array.  The scratch is allocated per call:
+        :class:`RunArrays` allocates it once per run."""
         x = np.ascontiguousarray(before, dtype=np.float64)
         out = folded
         if out.dtype != np.float64 or not (out.flags.c_contiguous and out.flags.writeable):
             out = np.array(folded, dtype=np.float64, order="C")
-        planes, rows, cols = _extents(x)
+        scratch = self.band_scratch(taps, x, m, radius)
         status = self._band(
             x.ctypes.data,
             out.ctypes.data,
-            planes,
-            rows,
-            cols,
+            *_extents(x),
             x.ndim,
             DIRICHLET_VALUE,
             *taps.args,
             m,
             radius,
+            scratch.ctypes.data,
         )
         _check(status)
         return out
+
+    def band_scratch(self, taps, values: np.ndarray, m: int, radius: int) -> np.ndarray:
+        """The scratch :meth:`band` needs on grids shaped like ``values``:
+        the band's strips and whole rows, sized by the band."""
+        ntaps, off, _ = taps.args
+        return _scratch(self._band_nbytes(*_extents(values), values.ndim, ntaps, off, m, radius))
+
+
+class RunArrays:
+    """What one folded ``run()`` writes, allocated once per run.
+
+    Two arrays shaped like the grid take the run's sweeps, band fixes and
+    remainder steps in turn: each call writes the one its input is not, so
+    the grid is never written and the last result is one of the two.  Each
+    is allocated when a call first writes it, so a run of one call
+    allocates one.  The band's and the reference step's scratch are
+    allocated by the run's first band and first step and reused by the
+    others, which share their taps, boundary, ``m`` and radius.  The
+    addresses of the grid, the two arrays and the scratch are read once;
+    :meth:`addresses` hands them to the native sweeps.
+    """
+
+    def __init__(self, kernel: FoldKernel, grid: np.ndarray):
+        self.kernel = kernel
+        #: The grid as a C-contiguous ``float64`` array (a copy if it was not).
+        self.grid = np.ascontiguousarray(grid, dtype=np.float64)
+        self.arrays: List[Optional[np.ndarray]] = [None, None]
+        self._address = {id(self.grid): self.grid.ctypes.data}
+        self._extents = _extents(self.grid)
+        #: The band's and the step's scratch, and their calls' arguments
+        #: after the two arrays', once the run's first call allocated them.
+        self._band_scratch: Optional[np.ndarray] = None
+        self._band_args: Tuple = ()
+        self._step_scratch: Optional[np.ndarray] = None
+        self._step_args: Tuple = ()
+
+    def output(self, values: np.ndarray) -> np.ndarray:
+        """The array a call reading ``values`` (the grid or one of the two)
+        writes: the one of the two that ``values`` is not."""
+        i = int(values is self.arrays[0])
+        out = self.arrays[i]
+        if out is None:
+            out = self.arrays[i] = np.empty_like(self.grid)
+            self._address[id(out)] = out.ctypes.data
+        return out
+
+    def addresses(self, values: np.ndarray, out: np.ndarray) -> Tuple[int, int]:
+        """The data addresses of ``values`` and ``out``, each the grid or
+        one of the two arrays."""
+        return self._address[id(values)], self._address[id(out)]
+
+    def step(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
+        """:meth:`FoldKernel.step` of ``values`` into :meth:`output`, with
+        the run's scratch."""
+        out = self.output(values)
+        if self._step_scratch is None:
+            self._step_scratch = self.kernel.step_scratch(taps, self.grid, boundary)
+            self._step_args = (
+                *self._extents,
+                boundary is BoundaryCondition.PERIODIC,
+                DIRICHLET_VALUE,
+                *taps.args,
+                self._step_scratch.ctypes.data,
+            )
+        _check(self.kernel._step(*self.addresses(values, out), *self._step_args))
+        return out
+
+    def band(self, taps, before: np.ndarray, folded: np.ndarray, m: int, radius: int) -> np.ndarray:
+        """:meth:`FoldKernel.band` of ``folded``, in place, with the run's
+        scratch."""
+        if self._band_scratch is None:
+            self._band_scratch = self.kernel.band_scratch(taps, self.grid, m, radius)
+            self._band_args = (
+                *self._extents,
+                self.grid.ndim,
+                DIRICHLET_VALUE,
+                *taps.args,
+                m,
+                radius,
+                self._band_scratch.ctypes.data,
+            )
+        _check(self.kernel._band(*self.addresses(before, folded), *self._band_args))
+        return folded
 
 
 _lock = threading.Lock()

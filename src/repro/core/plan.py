@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.backend import codegen
 from repro.backend.options import ExecutionOptions
-from repro.core.fold_kernel import band_status, fold_kernel_status, load_fold_kernel
+from repro.core.fold_kernel import RunArrays, band_status, fold_kernel_status, load_fold_kernel
 from repro.core.folding import ProfitabilityReport, analyze_folding
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir.executor import compile_sweep
@@ -958,6 +958,12 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     process without a fold kernel.  Every engine returns the same bits, so
     the result never depends on which ran, or on whether, or when, the
     background build finished.
+
+    With a fold kernel, every sweep, band fix and reference step writes one
+    of two arrays allocated once per run (:class:`RunArrays
+    <repro.core.fold_kernel.RunArrays>`), whose addresses are read once, and
+    the last result is returned as it is.  Without one, each writes a new
+    array.  The grid is never written either way.
     """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
@@ -969,43 +975,59 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     sweeps, remainder = divmod(steps, schedule.m)
     program = plan_._native_program(grid) if sweeps else None
     dirichlet = grid.boundary is BoundaryCondition.DIRICHLET
-    # Every sweep, band fix and reference step writes a new array; the grid
-    # is never written, so it is not copied either.
-    values = grid.values
+    kernel = load_fold_kernel()
+    arrays = None if kernel is None else RunArrays(kernel, grid.values)
+    values = grid.values if arrays is None else arrays.grid
     for i in range(sweeps):
+        out = None if arrays is None else arrays.output(values)
         if program is None:
-            folded = schedule.numpy_step(values, grid.boundary)
+            folded = schedule.numpy_step(values, grid.boundary, out)
         else:
             layouts = _sweep_layouts(i, sweeps, original=dirichlet)
-            folded = program.replay(values, layouts=layouts, boundary=grid.boundary)
+            addresses = None if arrays is None else arrays.addresses(values, out)
+            folded = program.replay(
+                values, out, layouts=layouts, boundary=grid.boundary, addresses=addresses
+            )
         if dirichlet:
-            folded = _fix_dirichlet_band(schedule, values, folded)
+            folded = _fix_dirichlet_band(schedule, values, folded, arrays)
         values = folded
-    values = _reference_steps(schedule, values, grid, remainder)
+    values = _reference_steps(schedule, values, grid, remainder, arrays)
     return values.copy() if values is grid.values else values
 
 
 def _reference_steps(
-    schedule: FoldingSchedule, values: np.ndarray, grid: Grid, steps: int
+    schedule: FoldingSchedule,
+    values: np.ndarray,
+    grid: Grid,
+    steps: int,
+    arrays: Optional[RunArrays] = None,
 ) -> np.ndarray:
     """``steps`` reference steps of the schedule's stencil from ``values``.
 
     They run on the fold kernel's compiled reference step, fed with
     :meth:`FoldingSchedule.step_tables`, which returns ``reference_step``'s
-    bits; a process without a fold kernel calls ``reference_step``.
-    ``values`` itself is returned when ``steps`` is 0.
+    bits, into the run's ``arrays`` (new ones when none are given); a
+    process without a fold kernel calls ``reference_step``.  ``values``
+    itself is returned when ``steps`` is 0.
     """
-    kernel = load_fold_kernel() if steps else None
+    if steps and arrays is None:
+        kernel = load_fold_kernel()
+        if kernel is not None:
+            arrays = RunArrays(kernel, values)
+            values = arrays.grid
     for _ in range(steps):
-        if kernel is None:
+        if arrays is None:
             values = reference_step(schedule.spec, values, grid.boundary, aux=grid.aux)
         else:
-            values = kernel.step(schedule.step_tables(), values, grid.boundary)
+            values = arrays.step(schedule.step_tables(), values, grid.boundary)
     return values
 
 
 def _fix_dirichlet_band(
-    schedule: FoldingSchedule, before: np.ndarray, folded: np.ndarray
+    schedule: FoldingSchedule,
+    before: np.ndarray,
+    folded: np.ndarray,
+    arrays: Optional[RunArrays] = None,
 ) -> np.ndarray:
     """Recompute the boundary band of one folded update (ghost-zone handling).
 
@@ -1014,16 +1036,23 @@ def _fix_dirichlet_band(
     largest radius.  The band closer than that gets the values of ``m``
     reference steps, written into ``folded``, which is returned.  The fold
     kernel recomputes the whole band in one call (every face, all ``m``
-    steps, on a frame that shrinks by ``r`` per step).  Without a fold
-    kernel, each face's strip takes ``m`` ``reference_step`` calls, the
-    strip wide enough that its interior edge cannot contaminate the kept
-    band.  Both return the bits of ``m`` full-grid reference steps.
+    steps, on a frame that shrinks by ``r`` per step): the columns near
+    each row end packed across rows into strips that run along y, so every
+    vector sums as many band points as it has lanes; the rows near a face
+    across planes or rows summed whole.  Its scratch holds only the band's
+    strips and rows; a run's ``arrays`` allocate it once for all the run's
+    band fixes.  Without a fold kernel, each face's strip takes ``m``
+    ``reference_step`` calls, the strip wide enough that its interior edge
+    cannot contaminate the kept band.  Both return the bits of ``m``
+    full-grid reference steps.
     """
     spec, m = schedule.spec, schedule.m
-    radius = spec.radius
+    radius = schedule.step_radius
     band = (m - 1) * radius
     if band <= 0:
         return folded
+    if arrays is not None:
+        return arrays.band(schedule.step_tables(), before, folded, m, radius)
     kernel = load_fold_kernel()
     if kernel is not None:
         return kernel.band(schedule.step_tables(), before, folded, m, radius)

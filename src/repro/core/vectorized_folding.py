@@ -367,6 +367,9 @@ class FoldingSchedule:
         self.matrix = self.folded.kernel
         self.dims = self.matrix.ndim
         self.radius = self.folded.radius
+        #: The unfolded stencil's radius: a Dirichlet grid's band is
+        #: ``(m - 1) * step_radius`` thick.
+        self.step_radius = spec.radius
         self.width = 2 * self.radius + 1
         self.plan: CounterpartPlan = plan_counterparts(self.matrix, rtol=_EXACT_RTOL)
         self._build_materialization()
@@ -480,7 +483,12 @@ class FoldingSchedule:
         leading_shape = self.matrix.shape[:-1]
         return vector.reshape(leading_shape + (1,))
 
-    def numpy_step(self, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
+    def numpy_step(
+        self,
+        values: np.ndarray,
+        boundary: BoundaryCondition,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Advance ``values`` by ``m`` time steps via vertical+horizontal folding.
 
         For periodic boundaries the result is exactly ``m`` applications of
@@ -491,15 +499,16 @@ class FoldingSchedule:
 
         The update runs on the compiled fold kernel
         (:mod:`repro.core.fold_kernel`) fed with :meth:`fold_tables`, which
-        returns the same bits as :meth:`numpy_fold`; the NumPy body runs
-        when the process has no kernel (no C compiler, or a failed build or
-        load).
+        returns the same bits as :meth:`numpy_fold`, into ``out`` when
+        given (a C-contiguous ``float64`` array of the grid's shape); the
+        NumPy body runs, into a new array, when the process has no kernel
+        (no C compiler, or a failed build or load).
         """
         values = self._grid_values(values)
         kernel = load_fold_kernel()
         if kernel is None:
             return self.numpy_fold(values, boundary)
-        return kernel(self.fold_tables(), values, boundary)
+        return kernel(self.fold_tables(), values, boundary, out)
 
     def _grid_values(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -1094,24 +1103,19 @@ class FoldingSchedule:
         """Closed-form fallback profile for schedules the IR cannot express."""
         counts = InstructionCounts()
         radius = self.radius
-        width = self.width
         n_mat = self.num_materialized
 
         if self.dims == 1:
+            # What _sweep_1d_block does per vector set: load its vl registers
+            # and the 2R neighbour registers the assembled vectors need, and
+            # chain one FMA per kept tap from +0.0 for each of its vl outputs.
             points_per_unit = vl * vl  # one vector set
-            loads = float(vl)
-            stores = float(vl)
             assembled = 2.0 * min(radius, vl)
-            permutes = assembled  # one rotate per assembled vector
-            blends = assembled  # one blend per assembled vector
-            fma = float(vl * (width - 1))
-            mul = float(vl)
-            counts.add(InstructionClass.LOAD, loads)
-            counts.add(InstructionClass.STORE, stores)
-            counts.add(InstructionClass.PERMUTE, permutes)
-            counts.add(InstructionClass.BLEND, blends)
-            counts.add(InstructionClass.FMA, fma)
-            counts.add(InstructionClass.ARITH, mul)
+            counts.add(InstructionClass.LOAD, float(vl + 2 * radius))
+            counts.add(InstructionClass.STORE, float(vl))
+            counts.add(InstructionClass.PERMUTE, assembled)  # one rotate per assembled vector
+            counts.add(InstructionClass.BLEND, assembled)  # one blend per assembled vector
+            counts.add(InstructionClass.FMA, float(vl * _n_kept(self.matrix)))
         else:
             # Vertical/horizontal square pipeline.  Rows loaded per square:
             # the contiguous per-plane row spans the materialised folds

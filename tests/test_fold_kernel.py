@@ -209,23 +209,28 @@ def test_compiled_step_matches_reference_step_bit_for_bit(compiled, case):
 # --------------------------------------------------------------------------- #
 # Dirichlet run(): the same bits on both paths
 # --------------------------------------------------------------------------- #
+def band_mask(shape, band: int) -> np.ndarray:
+    """The points of a grid of ``shape`` closer than ``band`` to a face."""
+    near = np.zeros(shape, dtype=bool)
+    for axis, n in enumerate(shape):
+        index = np.arange(n).reshape([-1 if a == axis else 1 for a in range(len(shape))])
+        near |= (index < band) | (index >= n - band)
+    return near
+
+
 def band_oracle(spec: StencilSpec, values: np.ndarray, m: int, steps: int) -> np.ndarray:
     """What ``run()`` computes on a Dirichlet grid, from full-grid steps:
     each NumPy fold with its band (the points closer than ``(m - 1) * r``
     to a face) taken from ``m`` reference steps of the whole grid, then the
     ``steps % m`` remainder as reference steps."""
     schedule = FoldingSchedule(spec, m)
-    band = (m - 1) * spec.radius
+    near = band_mask(values.shape, (m - 1) * spec.radius)
     sweeps, remainder = divmod(steps, m)
     for _ in range(sweeps):
         folded = schedule.numpy_fold(values, DIRICHLET)
         exact = values
         for _ in range(m):
             exact = reference_step(spec, exact, DIRICHLET)
-        near = np.zeros(values.shape, dtype=bool)
-        for axis, n in enumerate(values.shape):
-            index = np.arange(n).reshape([-1 if a == axis else 1 for a in range(values.ndim)])
-            near |= (index < band) | (index >= n - band)
         folded[near] = exact[near]
         values = folded
     for _ in range(remainder):
@@ -368,6 +373,16 @@ def isa_cases(draw):
     return kernel, m, grid, boundary, draw(st.integers(0, 2**32 - 1))
 
 
+#: A NaN whose payload marks the points the band must not write.
+SENTINEL = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.int64).view(np.float64)[0]
+
+#: Kernels whose radius differs between axes: the band is as thick as
+#: their largest radius, and its packed strips reach as far as their taps.
+ROW_1X3 = np.array([[0.5, 1.0, -0.25]])
+COLUMN_3X1 = np.array([[0.75], [1.0], [-0.5]])
+ROW_1X1X3 = np.array([[[-0.5, 1.0, 0.25]]])
+
+
 @settings(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -379,23 +394,36 @@ def isa_cases(draw):
 @example(case=(WIDE_2D, 3, (2, 7), PERIODIC, 5))
 @example(case=(WIDE_1D, 4, (1,), DIRICHLET, 6))
 @example(case=(WIDE_1D, 1, (8,), PERIODIC, 7))
+@example(case=(ROW_1X3, 3, (9, 20), DIRICHLET, 8))
+@example(case=(COLUMN_3X1, 3, (11, 13), DIRICHLET, 9))
+@example(case=(ROW_1X1X3, 3, (5, 6, 17), DIRICHLET, 10))
+@example(case=(COLUMN_3X1, 2, (12, 1), DIRICHLET, 11))
+# Packed strips shorter than one vector: fewer rows than 4 or 8 lanes.
+@example(case=(BOX_3D, 2, (2, 3, 40), DIRICHLET, 12))
+@example(case=(HEAT_3D, 3, (2, 6, 2 * WIDEST_BLOCK + 1), DIRICHLET, 13))
+@example(case=(WIDE_2D, 2, (3, 40), DIRICHLET, 14))
+@example(case=(WIDE_2D, 3, (7, 33), DIRICHLET, 15))
 def test_every_isa_build_returns_the_same_bits(isa_builds, case):
     """Each build's fold, reference step and band against ``numpy_fold``,
-    ``reference_step`` and the band oracle."""
+    ``reference_step`` and the band oracle.  The band gets a fold whose
+    points outside the band are a NaN sentinel, and must leave every one of
+    them bit for bit."""
     kernel, m, shape, boundary, seed = case
     spec = StencilSpec(name="fuzz", kernel=kernel)
     schedule = FoldingSchedule(spec, m)
     values = special_values(np.random.default_rng(seed), shape)
     fold = bits(schedule.numpy_fold(values, boundary))
     step = bits(reference_step(spec, values, boundary))
-    band = bits(band_oracle(spec, values, m, m))
+    near = band_mask(shape, (m - 1) * spec.radius)
+    band = bits(np.where(near, band_oracle(spec, values, m, m), SENTINEL))
     for flags, build in isa_builds.items():
         got = build(schedule.fold_tables(), values, boundary)
         np.testing.assert_array_equal(bits(got), fold, err_msg=f"fold, {flags}")
         got = build.step(schedule.step_tables(), values, boundary)
         np.testing.assert_array_equal(bits(got), step, err_msg=f"step, {flags}")
-        folded = schedule.numpy_fold(values, DIRICHLET)
+        folded = np.where(near, schedule.numpy_fold(values, DIRICHLET), SENTINEL)
         got = build.band(schedule.step_tables(), values, folded, m, spec.radius)
+        assert got is folded
         np.testing.assert_array_equal(bits(got), band, err_msg=f"band, {flags}")
 
 
@@ -435,6 +463,25 @@ def test_run_never_writes_the_grid(request, path, boundary):
                 out = p.run(grid, steps)
                 assert out is not grid.values and out.flags.writeable
             np.testing.assert_array_equal(bits(grid.values), bits(before))
+
+
+@pytest.mark.parametrize("path", ["process", "numpy"])
+def test_consecutive_dirichlet_runs_share_no_memory(request, path):
+    """Each run writes its own arrays: two runs of one grid return arrays
+    that share no memory with each other or with the grid, and the grid
+    keeps its bits."""
+    if path == "numpy":
+        request.getfixturevalue("numpy_folds")
+    for key, shape, m in (("1d5p", (64,), 2), ("2d9p", (16, 12), 3), ("3d27p", (8, 8, 8), 2)):
+        p = plan(key).unroll(m).compile()
+        grid = Grid.random(shape, boundary=DIRICHLET, seed=m)
+        before = grid.values.copy()
+        for steps in (m - 1, m, 2 * m + 1):
+            first, second = p.run(grid, steps), p.run(grid, steps)
+            for a, b in ((first, second), (first, grid.values), (second, grid.values)):
+                assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(bits(first), bits(second))
+        np.testing.assert_array_equal(bits(grid.values), bits(before))
 
 
 # --------------------------------------------------------------------------- #
@@ -581,7 +628,13 @@ def _stub_kernel(status: int) -> FoldKernel:
     def stub(*args):
         return status
 
-    names = ("repro_fold_update", "repro_reference_step", "repro_dirichlet_band")
+    names = (
+        "repro_fold_update",
+        "repro_reference_step",
+        "repro_reference_step_scratch",
+        "repro_dirichlet_band",
+        "repro_dirichlet_band_scratch",
+    )
     library = types.SimpleNamespace(**{name: stub for name in names})
     return FoldKernel(library, Path("stub.so"))
 

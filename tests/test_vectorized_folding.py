@@ -339,6 +339,28 @@ class TestInstructionProfile:
             load_ratio(sched.instruction_profile)
         )
 
+    @pytest.mark.parametrize(
+        "spec_factory,vl,m",
+        [
+            (factory, vl, m)
+            for factory in (heat_1d, box_1d5p)
+            for vl in (4, 8)
+            for m in range(1, 7)
+            if m * factory().radius <= vl  # the schedules that lower
+        ],
+    )
+    def test_analytic_1d_profile_charges_what_the_program_does(self, spec_factory, vl, m):
+        """Wherever a 1-D schedule lowers, the closed form it falls back to
+        beyond vl charges the lowered program's loads (the set's vl
+        registers and 2R neighbour registers), FMAs (one per kept tap and
+        output, chained from +0.0) and no multiplies."""
+        sched = FoldingSchedule(spec_factory(), m)
+        assert sched.schedule_ir(vl) is not None
+        analytic = sched._analytic_instruction_profile(vl)
+        lowered = sched.instruction_profile(vl)
+        for cls in (InstructionClass.LOAD, InstructionClass.FMA, InstructionClass.ARITH):
+            assert analytic.get(cls) == pytest.approx(lowered.get(cls)), cls
+
     def test_3d_profile_is_finite_and_positive(self):
         profile = FoldingSchedule(box_3d27p(), 2).instruction_profile(4)
         assert profile.total > 0
