@@ -93,7 +93,7 @@ def results(kernel: FoldKernel, schedule: FoldingSchedule, values: np.ndarray):
         yield f"fold {boundary.value}", kernel(fold, values, boundary)
         yield f"step {boundary.value}", kernel.step(taps, values, boundary)
     folded = schedule.numpy_fold(values, BoundaryCondition.DIRICHLET)
-    yield "band", kernel.band(taps, values, folded, schedule.m, schedule.step_radius)
+    yield "band", kernel.band(taps, values, folded, schedule.m, schedule.spec.radius)
 
 
 def main() -> int:

@@ -45,18 +45,19 @@
  *
  * repro_dirichlet_band recomputes the band a folded update of a Dirichlet
  * grid gets wrong: the points closer than (m-1)*r to a face, r the stencil's
- * largest radius.  It runs the m reference steps of the band in one call,
- * in the same tap order, on a frame that shrinks by r per step (thickness
- * (m-1)*r + (m-k)*r after step k), and writes the last step straight into
- * the folded output, no other point.  The frame's x faces, the columns near
- * each row end, are packed across rows into strips that run along y, so
- * every vector sums LANES band points and keeps them all; its plane and row
- * faces are summed as whole rows read straight from the previous frame
- * (struct band).  The points a step computes only read points the previous
- * frame holds, so each band point gets the bits of m full-grid reference
- * steps.  Its scratch is the caller's, repro_dirichlet_band_scratch bytes
- * sized by the band of the planes in flight, so that a run allocates it
- * once for all its band calls.
+ * largest radius, which must be at least every tap's reach (the Python
+ * wrapper, RunArrays.band, checks it).  It runs the m reference steps of the
+ * band in one call, in the same tap order, on a frame that shrinks by r per
+ * step (thickness (m-1)*r + (m-k)*r after step k), and writes the last step
+ * straight into the folded output, no other point.  The frame's x faces,
+ * the columns near each row end, are packed across rows into strips that
+ * run along y, so every vector sums LANES band points and keeps them all;
+ * its plane and row faces are summed as whole rows read straight from the
+ * previous frame (struct band).  The points a step computes only read
+ * points the previous frame holds, so each band point gets the bits of m
+ * full-grid reference steps.  Its scratch is the caller's,
+ * repro_dirichlet_band_scratch bytes sized by the band of the planes in
+ * flight, so that a run allocates it once for all its band calls.
  *
  * Every sum runs in whole vectors of as many lanes as the build's ISA flags
  * allow (weighted_sum): per element the loops keep the order above, so
@@ -401,6 +402,21 @@ struct step {
     const double **term;   /* scratch: the rows of one weighted sum */
 };
 
+/* How far the taps reach: *left and *right columns before and after a
+ * point, *gz planes and *gy rows either way. */
+static void tap_reach(int64_t ntaps, const int64_t *off, int64_t *left, int64_t *right,
+                      int64_t *gz, int64_t *gy)
+{
+    *left = *right = *gz = *gy = 0;
+    for (int64_t t = 0; t < ntaps; t++) {
+        const int64_t dz = off[3 * t], dy = off[3 * t + 1], dx = off[3 * t + 2];
+        *left = -dx > *left ? -dx : *left;
+        *right = dx > *right ? dx : *right;
+        *gz = (dz < 0 ? -dz : dz) > *gz ? (dz < 0 ? -dz : dz) : *gz;
+        *gy = (dy < 0 ? -dy : dy) > *gy ? (dy < 0 ? -dy : dy) : *gy;
+    }
+}
+
 /* s's geometry for a call on a planes x rows x cols grid. */
 static void step_geometry(struct step *s, int64_t planes, int64_t rows, int64_t cols,
                           int32_t periodic, double cval, int64_t ntaps, const int64_t *off,
@@ -410,13 +426,7 @@ static void step_geometry(struct step *s, int64_t planes, int64_t rows, int64_t 
         .planes = planes, .rows = rows, .cols = cols, .periodic = periodic, .cval = cval,
         .ntaps = ntaps, .off = off, .w = w,
     };
-    for (int64_t t = 0; t < ntaps; t++) {
-        const int64_t dz = off[3 * t], dy = off[3 * t + 1], dx = off[3 * t + 2];
-        s->left = -dx > s->left ? -dx : s->left;
-        s->right = dx > s->right ? dx : s->right;
-        s->gz = (dz < 0 ? -dz : dz) > s->gz ? (dz < 0 ? -dz : dz) : s->gz;
-        s->gy = (dy < 0 ? -dy : dy) > s->gy ? (dy < 0 ? -dy : dy) : s->gy;
-    }
+    tap_reach(ntaps, off, &s->left, &s->right, &s->gz, &s->gy);
     const int64_t reach = s->left + s->right;
     int64_t half = reach;
     if (cols - reach >= LANES) {
@@ -717,13 +727,7 @@ static void band_geometry(struct band *b, int64_t planes, int64_t rows, int64_t 
         .planes = planes, .rows = rows, .cols = cols, .ndim = ndim, .ntaps = ntaps, .off = off,
         .m = m, .radius = radius, .t1 = 2 * (m - 1) * radius,
     };
-    for (int64_t t = 0; t < ntaps; t++) {
-        const int64_t dz = off[3 * t], dy = off[3 * t + 1], dx = off[3 * t + 2];
-        b->left = -dx > b->left ? -dx : b->left;
-        b->right = dx > b->right ? dx : b->right;
-        b->gz = (dz < 0 ? -dz : dz) > b->gz ? (dz < 0 ? -dz : dz) : b->gz;
-        b->gy = (dy < 0 ? -dy : dy) > b->gy ? (dy < 0 ? -dy : dy) : b->gy;
-    }
+    tap_reach(ntaps, off, &b->left, &b->right, &b->gz, &b->gy);
     b->nw = b->left + b->t1 + b->right;
     b->rs = rows + 2 * b->gy;
     b->ss = 2 * b->nw * b->rs;

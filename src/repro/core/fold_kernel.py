@@ -206,60 +206,20 @@ class FoldKernel:
 
     def step(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
         """One reference step of ``values`` (``float64``, 1-3 dimensions)
-        with the packed tap table ``taps``.  The scratch is allocated per
-        call: :class:`RunArrays` allocates it once per run."""
-        x = np.ascontiguousarray(values, dtype=np.float64)
-        out = np.empty_like(x)
-        scratch = self.step_scratch(taps, x, boundary)
-        status = self._step(
-            x.ctypes.data,
-            out.ctypes.data,
-            *_extents(x),
-            boundary is BoundaryCondition.PERIODIC,
-            DIRICHLET_VALUE,
-            *taps.args,
-            scratch.ctypes.data,
-        )
-        _check(status)
-        return out
-
-    def step_scratch(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
-        """The scratch :meth:`step` needs on grids shaped like ``values``:
-        the source rows' padded end copies and the row table."""
-        ntaps, off, _ = taps.args
-        periodic = boundary is BoundaryCondition.PERIODIC
-        return _scratch(self._step_nbytes(*_extents(values), periodic, ntaps, off))
+        with the packed tap table ``taps``, into a new array.  Its scratch
+        is allocated per call: a run's :class:`RunArrays` allocate it once."""
+        arrays = RunArrays(values)
+        return arrays.step(self, taps, arrays.grid, boundary)
 
     def band(self, taps, before: np.ndarray, folded: np.ndarray, m: int, radius: int) -> np.ndarray:
         """``folded``, the ``m``-step fold of the Dirichlet grid ``before``,
         with the band closer than ``(m - 1) * radius`` to a face recomputed
         by ``m`` reference steps; written in place when ``folded`` is a
-        C-contiguous ``float64`` array.  The scratch is allocated per call:
-        :class:`RunArrays` allocates it once per run."""
-        x = np.ascontiguousarray(before, dtype=np.float64)
-        out = folded
-        if out.dtype != np.float64 or not (out.flags.c_contiguous and out.flags.writeable):
-            out = np.array(folded, dtype=np.float64, order="C")
-        scratch = self.band_scratch(taps, x, m, radius)
-        status = self._band(
-            x.ctypes.data,
-            out.ctypes.data,
-            *_extents(x),
-            x.ndim,
-            DIRICHLET_VALUE,
-            *taps.args,
-            m,
-            radius,
-            scratch.ctypes.data,
-        )
-        _check(status)
-        return out
-
-    def band_scratch(self, taps, values: np.ndarray, m: int, radius: int) -> np.ndarray:
-        """The scratch :meth:`band` needs on grids shaped like ``values``:
-        the band's strips and whole rows, sized by the band."""
-        ntaps, off, _ = taps.args
-        return _scratch(self._band_nbytes(*_extents(values), values.ndim, ntaps, off, m, radius))
+        writeable C-contiguous ``float64`` array.  ``radius`` must be at
+        least every tap's reach (``ValueError`` otherwise).  Its scratch is
+        allocated per call: a run's :class:`RunArrays` allocate it once."""
+        arrays = RunArrays(before)
+        return arrays.band(self, taps, arrays.grid, folded, m, radius)
 
 
 class RunArrays:
@@ -269,26 +229,26 @@ class RunArrays:
     remainder steps in turn: each call writes the one its input is not, so
     the grid is never written and the last result is one of the two.  Each
     is allocated when a call first writes it, so a run of one call
-    allocates one.  The band's and the reference step's scratch are
-    allocated by the run's first band and first step and reused by the
-    others, which share their taps, boundary, ``m`` and radius.  The
-    addresses of the grid, the two arrays and the scratch are read once;
-    :meth:`addresses` hands them to the native sweeps.
+    allocates one.  The addresses of the grid and the two arrays are read
+    once; :meth:`addresses` hands them to the native sweeps, and to the
+    fold kernel's reference step and band (:meth:`step`, :meth:`band`).
+    Those take the kernel per call, so a run that needs neither never loads
+    it.  Their scratch is allocated by the run's first band and first step
+    and reused by the others, which share their taps, boundary, ``m`` and
+    radius.
     """
 
-    def __init__(self, kernel: FoldKernel, grid: np.ndarray):
-        self.kernel = kernel
+    def __init__(self, grid: np.ndarray):
         #: The grid as a C-contiguous ``float64`` array (a copy if it was not).
         self.grid = np.ascontiguousarray(grid, dtype=np.float64)
         self.arrays: List[Optional[np.ndarray]] = [None, None]
         self._address = {id(self.grid): self.grid.ctypes.data}
         self._extents = _extents(self.grid)
-        #: The band's and the step's scratch, and their calls' arguments
-        #: after the two arrays', once the run's first call allocated them.
-        self._band_scratch: Optional[np.ndarray] = None
-        self._band_args: Tuple = ()
-        self._step_scratch: Optional[np.ndarray] = None
-        self._step_args: Tuple = ()
+        #: The band's and the step's arguments after the two arrays', their
+        #: scratch last, once the run's first call allocated it.
+        self._band_args: Optional[Tuple] = None
+        self._step_args: Optional[Tuple] = None
+        self._scratch_arrays: List[np.ndarray] = []
 
     def output(self, values: np.ndarray) -> np.ndarray:
         """The array a call reading ``values`` (the grid or one of the two)
@@ -301,41 +261,74 @@ class RunArrays:
         return out
 
     def addresses(self, values: np.ndarray, out: np.ndarray) -> Tuple[int, int]:
-        """The data addresses of ``values`` and ``out``, each the grid or
-        one of the two arrays."""
-        return self._address[id(values)], self._address[id(out)]
+        """The data addresses of ``values`` and ``out``: read once for the
+        grid and the two arrays, on every call for any other array, which
+        must be C-contiguous ``float64`` of the grid's shape."""
+        address = self._address
+        return (
+            address.get(id(values)) or values.ctypes.data,
+            address.get(id(out)) or out.ctypes.data,
+        )
 
-    def step(self, taps, values: np.ndarray, boundary: BoundaryCondition) -> np.ndarray:
-        """:meth:`FoldKernel.step` of ``values`` into :meth:`output`, with
-        the run's scratch."""
+    def _scratch_address(self, nbytes: int) -> int:
+        """The address of new scratch of ``nbytes`` bytes, held by the run."""
+        scratch = _scratch(nbytes)
+        self._scratch_arrays.append(scratch)
+        return scratch.ctypes.data
+
+    def step(
+        self, kernel: FoldKernel, taps, values: np.ndarray, boundary: BoundaryCondition
+    ) -> np.ndarray:
+        """One reference step of ``values`` on ``kernel`` with the packed
+        tap table ``taps``, into :meth:`output`."""
         out = self.output(values)
-        if self._step_scratch is None:
-            self._step_scratch = self.kernel.step_scratch(taps, self.grid, boundary)
+        if self._step_args is None:
+            periodic = boundary is BoundaryCondition.PERIODIC
+            ntaps, off, _ = taps.args
+            nbytes = kernel._step_nbytes(*self._extents, periodic, ntaps, off)
             self._step_args = (
                 *self._extents,
-                boundary is BoundaryCondition.PERIODIC,
+                periodic,
                 DIRICHLET_VALUE,
                 *taps.args,
-                self._step_scratch.ctypes.data,
+                self._scratch_address(nbytes),
             )
-        _check(self.kernel._step(*self.addresses(values, out), *self._step_args))
+        _check(kernel._step(*self.addresses(values, out), *self._step_args))
         return out
 
-    def band(self, taps, before: np.ndarray, folded: np.ndarray, m: int, radius: int) -> np.ndarray:
-        """:meth:`FoldKernel.band` of ``folded``, in place, with the run's
-        scratch."""
-        if self._band_scratch is None:
-            self._band_scratch = self.kernel.band_scratch(taps, self.grid, m, radius)
+    def band(
+        self,
+        kernel: FoldKernel,
+        taps,
+        before: np.ndarray,
+        folded: np.ndarray,
+        m: int,
+        radius: int,
+    ) -> np.ndarray:
+        """:meth:`FoldKernel.band` of ``folded`` on ``kernel``: in place
+        when ``folded`` is one of the two arrays or another writeable
+        C-contiguous ``float64`` array, else in a copy."""
+        if id(folded) not in self._address and not (
+            folded.dtype == np.float64 and folded.flags.c_contiguous and folded.flags.writeable
+        ):
+            folded = np.array(folded, dtype=np.float64, order="C")
+        if self._band_args is None:
+            if radius < taps.reach:
+                raise ValueError(
+                    f"the band's radius {radius} is below its taps' reach {taps.reach}"
+                )
+            ndim, (ntaps, off, _) = self.grid.ndim, taps.args
+            nbytes = kernel._band_nbytes(*self._extents, ndim, ntaps, off, m, radius)
             self._band_args = (
                 *self._extents,
-                self.grid.ndim,
+                ndim,
                 DIRICHLET_VALUE,
                 *taps.args,
                 m,
                 radius,
-                self._band_scratch.ctypes.data,
+                self._scratch_address(nbytes),
             )
-        _check(self.kernel._band(*self.addresses(before, folded), *self._band_args))
+        _check(kernel._band(*self.addresses(before, folded), *self._band_args))
         return folded
 
 

@@ -959,11 +959,12 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     the result never depends on which ran, or on whether, or when, the
     background build finished.
 
-    With a fold kernel, every sweep, band fix and reference step writes one
-    of two arrays allocated once per run (:class:`RunArrays
+    Every sweep, band fix and compiled reference step writes one of two
+    arrays allocated once per run (:class:`RunArrays
     <repro.core.fold_kernel.RunArrays>`), whose addresses are read once, and
-    the last result is returned as it is.  Without one, each writes a new
-    array.  The grid is never written either way.
+    the last result is returned as it is.  The NumPy body and ``ndimage``,
+    which run without a fold kernel, write new arrays.  The grid is never
+    written either way.
     """
     if plan_.schedule is None:
         # Non-linear stencils cannot fold their arithmetic; the method
@@ -975,21 +976,24 @@ def _execute_folded(plan_: CompiledPlan, grid: Grid, steps: int) -> np.ndarray:
     sweeps, remainder = divmod(steps, schedule.m)
     program = plan_._native_program(grid) if sweeps else None
     dirichlet = grid.boundary is BoundaryCondition.DIRICHLET
-    kernel = load_fold_kernel()
-    arrays = None if kernel is None else RunArrays(kernel, grid.values)
-    values = grid.values if arrays is None else arrays.grid
+    radius = schedule.spec.radius
+    arrays = RunArrays(grid.values)
+    values = arrays.grid
     for i in range(sweeps):
-        out = None if arrays is None else arrays.output(values)
+        out = arrays.output(values)
         if program is None:
             folded = schedule.numpy_step(values, grid.boundary, out)
         else:
             layouts = _sweep_layouts(i, sweeps, original=dirichlet)
-            addresses = None if arrays is None else arrays.addresses(values, out)
             folded = program.replay(
-                values, out, layouts=layouts, boundary=grid.boundary, addresses=addresses
+                values,
+                out,
+                layouts=layouts,
+                boundary=grid.boundary,
+                addresses=arrays.addresses(values, out),
             )
         if dirichlet:
-            folded = _fix_dirichlet_band(schedule, values, folded, arrays)
+            folded = _fix_dirichlet_band(schedule, values, folded, arrays, radius)
         values = folded
     values = _reference_steps(schedule, values, grid, remainder, arrays)
     return values.copy() if values is grid.values else values
@@ -1010,16 +1014,15 @@ def _reference_steps(
     process without a fold kernel calls ``reference_step``.  ``values``
     itself is returned when ``steps`` is 0.
     """
-    if steps and arrays is None:
-        kernel = load_fold_kernel()
-        if kernel is not None:
-            arrays = RunArrays(kernel, values)
-            values = arrays.grid
+    kernel = load_fold_kernel() if steps else None
+    if kernel is not None and arrays is None:
+        arrays = RunArrays(values)
+        values = arrays.grid
     for _ in range(steps):
-        if arrays is None:
+        if kernel is None:
             values = reference_step(schedule.spec, values, grid.boundary, aux=grid.aux)
         else:
-            values = arrays.step(schedule.step_tables(), values, grid.boundary)
+            values = arrays.step(kernel, schedule.step_tables(), values, grid.boundary)
     return values
 
 
@@ -1028,34 +1031,38 @@ def _fix_dirichlet_band(
     before: np.ndarray,
     folded: np.ndarray,
     arrays: Optional[RunArrays] = None,
+    radius: Optional[int] = None,
 ) -> np.ndarray:
     """Recompute the boundary band of one folded update (ghost-zone handling).
 
     A folded ``m``-step update of ``before`` is exact only for points at
     distance ``>= (m-1)·r`` from a Dirichlet boundary, ``r`` the stencil's
-    largest radius.  The band closer than that gets the values of ``m``
-    reference steps, written into ``folded``, which is returned.  The fold
-    kernel recomputes the whole band in one call (every face, all ``m``
-    steps, on a frame that shrinks by ``r`` per step): the columns near
-    each row end packed across rows into strips that run along y, so every
-    vector sums as many band points as it has lanes; the rows near a face
-    across planes or rows summed whole.  Its scratch holds only the band's
-    strips and rows; a run's ``arrays`` allocate it once for all the run's
-    band fixes.  Without a fold kernel, each face's strip takes ``m``
-    ``reference_step`` calls, the strip wide enough that its interior edge
-    cannot contaminate the kept band.  Both return the bits of ``m``
-    full-grid reference steps.
+    largest radius (``radius``, read from the spec when not given).  The
+    band closer than that gets the values of ``m`` reference steps, written
+    into ``folded``, which is returned.  The fold kernel recomputes the
+    whole band in one call (every face, all ``m`` steps, on a frame that
+    shrinks by ``r`` per step): the columns near each row end packed across
+    rows into strips that run along y, so every vector sums as many band
+    points as it has lanes; the rows near a face across planes or rows
+    summed whole.  Its scratch holds only the band's strips and rows; a
+    run's ``arrays`` allocate it once for all the run's band fixes (new
+    ones serve a call without them).  Without a fold kernel, each face's
+    strip takes ``m`` ``reference_step`` calls, the strip wide enough that
+    its interior edge cannot contaminate the kept band.  Both return the
+    bits of ``m`` full-grid reference steps.
     """
     spec, m = schedule.spec, schedule.m
-    radius = schedule.step_radius
+    if radius is None:
+        radius = spec.radius
     band = (m - 1) * radius
     if band <= 0:
         return folded
-    if arrays is not None:
-        return arrays.band(schedule.step_tables(), before, folded, m, radius)
     kernel = load_fold_kernel()
     if kernel is not None:
-        return kernel.band(schedule.step_tables(), before, folded, m, radius)
+        if arrays is None:
+            arrays = RunArrays(before)
+            before = arrays.grid
+        return arrays.band(kernel, schedule.step_tables(), before, folded, m, radius)
     out = folded
     strip_width = band + m * radius
     for axis in range(before.ndim):

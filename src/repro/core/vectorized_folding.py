@@ -236,6 +236,12 @@ class StepTables:
         arguments, read once (:func:`_freeze`)."""
         return len(self.w), self.off.ctypes.data, self.w.ctypes.data
 
+    @cached_property
+    def reach(self) -> int:
+        """How far the farthest tap reaches along any axis: the least
+        radius the band recompute accepts."""
+        return int(np.abs(self.off).max(initial=0))
+
 
 def _freeze(tables) -> None:
     """Make the arrays of ``tables`` read-only: they are packed once per
@@ -367,9 +373,6 @@ class FoldingSchedule:
         self.matrix = self.folded.kernel
         self.dims = self.matrix.ndim
         self.radius = self.folded.radius
-        #: The unfolded stencil's radius: a Dirichlet grid's band is
-        #: ``(m - 1) * step_radius`` thick.
-        self.step_radius = spec.radius
         self.width = 2 * self.radius + 1
         self.plan: CounterpartPlan = plan_counterparts(self.matrix, rtol=_EXACT_RTOL)
         self._build_materialization()

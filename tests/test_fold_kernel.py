@@ -427,6 +427,31 @@ def test_every_isa_build_returns_the_same_bits(isa_builds, case):
         np.testing.assert_array_equal(bits(got), band, err_msg=f"band, {flags}")
 
 
+#: A 3-D star whose taps reach two points along every axis.
+STAR_3D = np.zeros((5, 5, 5))
+STAR_3D[2, 2, :] = STAR_3D[2, :, 2] = STAR_3D[:, 2, 2] = 0.0625
+STAR_3D[2, 2, 2] = 0.25
+
+
+@pytest.mark.parametrize(
+    "kernel,shape", [(WIDE_1D, (30,)), (WIDE_2D, (9, 20)), (STAR_3D, (6, 7, 20))]
+)
+def test_band_refuses_a_radius_below_its_taps_reach(isa_builds, kernel, shape):
+    """A frame thinner than the taps reach would leave rows and strips the
+    next step reads unwritten: every build raises ``ValueError`` before it
+    calls the C band, and leaves ``folded`` as it was."""
+    spec = StencilSpec(name="reach", kernel=kernel)
+    schedule = FoldingSchedule(spec, 3)
+    values = special_values(np.random.default_rng(3), shape)
+    folded = schedule.numpy_fold(values, DIRICHLET)
+    before = bits(folded).copy()
+    assert schedule.step_tables().reach == spec.radius == 2
+    for flags, build in isa_builds.items():
+        with pytest.raises(ValueError, match="radius 1 is below its taps' reach 2"):
+            build.band(schedule.step_tables(), values, folded, 3, 1)
+        np.testing.assert_array_equal(bits(folded), before, err_msg=flags)
+
+
 # --------------------------------------------------------------------------- #
 # run()'s input contract
 # --------------------------------------------------------------------------- #

@@ -258,6 +258,31 @@ def test_empty_grids_run_natively(native_build, native_sweeps, boundary):
         assert native_sweeps == [program] * 2
 
 
+def test_a_native_periodic_run_of_whole_sweeps_never_loads_the_fold_kernel(
+    native_build, native_sweeps, monkeypatch
+):
+    """Only a fold-kernel sweep, a band or a remainder step loads the fold
+    kernel: a periodic run whose sweeps all run natively leaves the
+    process's decision unmade, so it never waits for the kernel's build."""
+    p = plan("2d9p").isa("avx2").unroll(2).compile()
+    grid = Grid.random((16, 16), seed=5)
+    program = loaded(p, grid)
+    assert program is not None, p._engine_cache["run"].status
+    expected = p.run(grid, 4)
+    decisions = []
+
+    def decide():
+        decisions.append(1)
+        return None, "numpy (selected by the test)"
+
+    monkeypatch.setattr(fold_kernel, "_decision", None)
+    monkeypatch.setattr(fold_kernel, "_decide", decide)
+    del native_sweeps[:]
+    np.testing.assert_array_equal(bits(p.run(grid, 4)), bits(expected))
+    assert native_sweeps == [program] * 2
+    assert decisions == [] and fold_kernel.fold_kernel_status().startswith("not loaded yet")
+
+
 # --------------------------------------------------------------------------- #
 # the background build
 # --------------------------------------------------------------------------- #
