@@ -7,6 +7,12 @@ asserts they are answered from the persistent store with byte-identical
 payloads.  This is the restart-durability contract no in-process test can
 prove.
 
+Each SIGTERM arrives while the smoke holds an idle keep-alive connection to
+the server; the server must close it at once and exit within
+``EXIT_LIMIT_S`` seconds (on Python 3.12+, ``asyncio.Server.wait_closed()``
+waits for every open connection, so a missed close stalls the exit until the
+connection's 10 s read timeout).
+
 Usage (CI)::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
@@ -16,6 +22,7 @@ Exit status 0 on success; diagnostics and a non-zero exit otherwise.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -27,6 +34,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PORT = 8377  # fixed, obscure; CI runners have no listener here
+#: Longest a SIGTERM may take to stop the server, idle connection and all.
+EXIT_LIMIT_S = 5.0
 
 PLAN = {"kind": "plan", "stencil": "2d-heat", "method": "folded", "m": 4}
 STUDY = {
@@ -70,13 +79,35 @@ def start_server(store: Path) -> subprocess.Popen:
     raise RuntimeError("server did not report 'listening' within 60s")
 
 
-def stop_server(process: subprocess.Popen) -> None:
+def stop_server(process: subprocess.Popen) -> float:
+    """SIGTERM the server; seconds until it exited."""
+    started = time.perf_counter()
     process.send_signal(signal.SIGTERM)
     try:
         process.wait(timeout=30)
     except subprocess.TimeoutExpired:
         process.kill()
         raise RuntimeError("server did not drain within 30s of SIGTERM")
+    return time.perf_counter() - started
+
+
+def stop_holding_an_idle_connection(process: subprocess.Popen) -> None:
+    """SIGTERM the server while a keep-alive connection sits idle on it."""
+    idle = http.client.HTTPConnection("127.0.0.1", PORT, timeout=30)
+    try:
+        idle.request("GET", "/healthz")
+        response = idle.getresponse()
+        response.read()
+        assert response.status == 200, response.status
+        assert response.getheader("Connection") != "close", "the server closed the connection"
+        seconds = stop_server(process)
+    finally:
+        idle.close()
+    assert seconds <= EXIT_LIMIT_S, (
+        f"SIGTERM took {seconds:.1f}s to stop a server holding an idle connection "
+        f"(limit {EXIT_LIMIT_S:.0f}s)"
+    )
+    print(f"  drained cleanly on SIGTERM in {seconds:.2f}s, an idle keep-alive connection open")
 
 
 def wait_healthy(client, deadline_s: float = 30.0) -> None:
@@ -92,8 +123,11 @@ def main() -> int:
     from repro.service import ServiceClient
 
     store = Path(tempfile.mkdtemp(prefix="repro-smoke-store-"))
-    client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=60.0)
+    with ServiceClient(f"http://127.0.0.1:{PORT}", timeout=60.0) as client:
+        return smoke(client, store)
 
+
+def smoke(client, store: Path) -> int:
     print("[1/3] first server life: compute and persist")
     server = start_server(store)
     try:
@@ -110,9 +144,10 @@ def main() -> int:
         status, raw = client.submit_raw(PLAN)
         assert json.loads(raw)["served_from"] == "memory"
         print("  plan repeat: memory")
-    finally:
+    except BaseException:
         stop_server(server)
-    print("  drained cleanly on SIGTERM")
+        raise
+    stop_holding_an_idle_connection(server)
 
     print("[2/3] second server life over the same store")
     server = start_server(store)
@@ -143,8 +178,10 @@ def main() -> int:
             f"store: {stats['store']['entries']} entries, "
             f"{stats['store']['bytes']} bytes"
         )
-    finally:
+    except BaseException:
         stop_server(server)
+        raise
+    stop_holding_an_idle_connection(server)
 
     print("service smoke OK")
     return 0

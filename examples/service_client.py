@@ -18,10 +18,12 @@ walks the request lifecycle a deployment would see:
 6. dump the ``/stats`` surface: per-kind counters, cache hit rates, queue
    depth, latency histograms.
 
-Against a long-running server, replace :func:`serve_background` with the
-URL of your deployment::
+The client keeps its connection open between requests; the ``with`` block
+closes it.  Against a long-running server, replace :func:`serve_background`
+with the URL of your deployment::
 
-    client = ServiceClient("http://my-host:8750")
+    with ServiceClient("http://my-host:8750") as client:
+        ...
 """
 
 from __future__ import annotations
@@ -39,75 +41,77 @@ def main() -> None:
         return serve_background(ServiceConfig(port=0, store_path=str(store), workers=0))
 
     handle = fresh_service()
-    client = ServiceClient(handle.base_url)
     print(f"service up at {handle.base_url}, store at {store}")
+    with ServiceClient(handle.base_url) as client:
+        # -------------------------------------------------------------- #
+        # 1-2. a plan request, twice: computed, then an in-memory cache hit
+        # -------------------------------------------------------------- #
+        plan_request = {"kind": "plan", "stencil": "2d9p", "method": "folded", "m": 2}
+        reply = client.submit(plan_request)
+        print(f"\nplan: served_from={reply['served_from']} key={reply['key']}")
+        print(
+            f"  label={reply['result']['label']!r} "
+            f"steps/update={reply['result']['steps_per_update']}"
+        )
 
-    # ------------------------------------------------------------------ #
-    # 1-2. a plan request, twice: computed, then an in-memory cache hit
-    # ------------------------------------------------------------------ #
-    plan_request = {"kind": "plan", "stencil": "2d9p", "method": "folded", "m": 2}
-    reply = client.submit(plan_request)
-    print(f"\nplan: served_from={reply['served_from']} key={reply['key']}")
-    print(
-        f"  label={reply['result']['label']!r} "
-        f"steps/update={reply['result']['steps_per_update']}"
-    )
+        reply = client.submit(plan_request)
+        print(f"plan again: served_from={reply['served_from']} ({reply['elapsed_ms']:.2f} ms)")
 
-    reply = client.submit(plan_request)
-    print(f"plan again: served_from={reply['served_from']} ({reply['elapsed_ms']:.2f} ms)")
+        # -------------------------------------------------------------- #
+        # 3. an estimate and a study (the service shards the cross-product)
+        # -------------------------------------------------------------- #
+        reply = client.submit({"kind": "estimate", "stencil": "2d9p", "m": 4})
+        result = reply["result"]
+        print(f"\nestimate: {result['gflops']:.1f} GFLOPS ({result['bound']}-bound)")
 
-    # ------------------------------------------------------------------ #
-    # 3. an estimate and a study (the service shards the cross-product)
-    # ------------------------------------------------------------------ #
-    reply = client.submit({"kind": "estimate", "stencil": "2d9p", "m": 4})
-    print(f"\nestimate: {reply['result']['gflops']:.1f} GFLOPS ({reply['result']['bound']}-bound)")
+        reply = client.submit(
+            {
+                "kind": "study",
+                "stencil": "2d9p",
+                "axes": {"method": ["folded", "multiple_loads"], "m": [1, 2, 4]},
+            }
+        )
+        print(f"study: {reply['result']['cells']} cells")
+        for row in reply["result"]["rows"]:
+            print(f"  {row['method']:>15s} m={row['m']}: {row['gflops']:7.1f} GFLOPS")
 
-    reply = client.submit(
-        {
-            "kind": "study",
-            "stencil": "2d9p",
-            "axes": {"method": ["folded", "multiple_loads"], "m": [1, 2, 4]},
+        # -------------------------------------------------------------- #
+        # 4. simulate: the values come back as a real NumPy array
+        # -------------------------------------------------------------- #
+        simulate_request = {
+            "kind": "simulate",
+            "stencil": "1d-heat",
+            "m": 2,
+            "shape": [128],
+            "steps": 8,
         }
-    )
-    print(f"study: {reply['result']['cells']} cells")
-    for row in reply["result"]["rows"]:
-        print(f"  {row['method']:>15s} m={row['m']}: {row['gflops']:7.1f} GFLOPS")
+        reply = client.submit(simulate_request)
+        values = reply["result"]["values"]
+        print(
+            f"\nsimulate: values {values.shape} {values.dtype}, "
+            f"{reply['result']['instructions']['total']} simulated instructions"
+        )
 
-    # ------------------------------------------------------------------ #
-    # 4. simulate: the values come back as a real NumPy array
-    # ------------------------------------------------------------------ #
-    simulate_request = {
-        "kind": "simulate",
-        "stencil": "1d-heat",
-        "m": 2,
-        "shape": [128],
-        "steps": 8,
-    }
-    reply = client.submit(simulate_request)
-    values = reply["result"]["values"]
-    print(
-        f"\nsimulate: values {values.shape} {values.dtype}, "
-        f"{reply['result']['instructions']['total']} simulated instructions"
-    )
+    handle.stop()
 
     # ------------------------------------------------------------------ #
     # 5. restart over the same store: the repeat is a persistent-store hit
     # ------------------------------------------------------------------ #
-    handle.stop()
     print("\nservice stopped; restarting over the same store...")
     handle = fresh_service()
-    client = ServiceClient(handle.base_url)
-    reply = client.submit(simulate_request)
-    print(
-        f"simulate after restart: served_from={reply['served_from']} "
-        f"({reply['elapsed_ms']:.2f} ms, no recomputation)"
-    )
-    assert reply["served_from"] == "store"
+    with ServiceClient(handle.base_url) as client:
+        reply = client.submit(simulate_request)
+        print(
+            f"simulate after restart: served_from={reply['served_from']} "
+            f"({reply['elapsed_ms']:.2f} ms, no recomputation)"
+        )
+        assert reply["served_from"] == "store"
 
-    # ------------------------------------------------------------------ #
-    # 6. the /stats surface
-    # ------------------------------------------------------------------ #
-    stats = client.stats()
+        # -------------------------------------------------------------- #
+        # 6. the /stats surface
+        # -------------------------------------------------------------- #
+        stats = client.stats()
+    handle.stop()
     totals = stats["service"]["totals"]
     print(
         f"\nstats: {totals['received']} received, "
@@ -115,7 +119,6 @@ def main() -> None:
         f"hit rate {stats['service']['hit_rate']:.2f}"
     )
     print(f"  store: {stats['store']['entries']} entries, {stats['store']['bytes']} bytes")
-    handle.stop()
 
 
 if __name__ == "__main__":

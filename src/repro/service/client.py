@@ -9,6 +9,10 @@ back into Python objects.  Intended for scripts, tests and benchmarks::
                                "method": "folded", "m": 4})
         print(reply["served_from"], reply["result"]["gflops"])
 
+Connections are persistent: each calling thread keeps one open between its
+requests, and leaving the ``with`` block (or :meth:`ServiceClient.close`)
+closes them all.
+
 Retries are **opt-in**: pass a
 :class:`~repro.service.resilience.RetryPolicy` and :meth:`submit` retries
 idempotent requests (every service request is content-addressed, hence
@@ -23,13 +27,20 @@ import http.client
 import json
 import random
 import socket
+import threading
 import time
+import weakref
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.service import faults, serial
 from repro.service.resilience import RetryPolicy
 
 __all__ = ["ServiceClient", "ServiceUnavailable"]
+
+#: How a reused connection fails when the server closed it while it sat
+#: idle: the send breaks, or the connection ends before a response arrives
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``).
+_CLOSED_WHILE_IDLE = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 
 class ServiceUnavailable(ConnectionError):
@@ -43,7 +54,7 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         super().__init__("localhost", timeout=timeout)
         self._path = path
 
-    def connect(self) -> None:  # pragma: no cover - exercised via --unix runs
+    def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         if self.timeout is not None:
             sock.settimeout(self.timeout)
@@ -52,8 +63,15 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
 
 class ServiceClient:
-    """One service endpoint; connections are per-call (the server closes
-    after each response), so a client object is cheap and thread-safe."""
+    """One service endpoint over persistent HTTP/1.1 connections.
+
+    Each calling thread keeps its own connection open between requests, so
+    one client is safe to share between threads.  The server closes a
+    connection that sits idle for 10 s; the next request reopens it
+    transparently.  :meth:`close`, or leaving a ``with ServiceClient(...)``
+    block, closes every connection the client opened; a later request opens
+    a new one.
+    """
 
     def __init__(
         self,
@@ -78,39 +96,65 @@ class ServiceClient:
                 if stripped.startswith(prefix):
                     stripped = stripped[len(prefix) :]
             self._netloc = stripped
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = weakref.WeakSet()
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
-        if self._unix_path is not None:
-            return _UnixHTTPConnection(self._unix_path, timeout=self.timeout)
-        return http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+        """The calling thread's connection; it opens its socket on first use."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._unix_path is not None:
+                conn = _UnixHTTPConnection(self._unix_path, timeout=self.timeout)
+            else:
+                conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.add(conn)
+        return conn
 
     def request_full(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> Tuple[int, Mapping[str, str], bytes]:
         """One HTTP exchange; ``(status, headers, body_bytes)`` verbatim.
 
-        The ``client.request`` chaos site fires inside the same ``try`` the
-        real socket errors come from, so an injected connection reset is
-        indistinguishable from a genuine one.
+        The exchange runs on the calling thread's connection.  The
+        ``client.request`` chaos site fires once per call, before the send,
+        inside the same ``try`` the real socket errors come from, so an
+        injected connection reset is indistinguishable from a genuine one:
+        either raises :class:`ServiceUnavailable` and closes the connection.
+        The one failure retried here is a reused connection the server
+        closed while it sat idle: it fails before a response arrives, and
+        the request is sent once more on a new connection.
         """
         conn = self._connection()
+        headers = {"Content-Type": "application/json"} if body else {}
         try:
             faults.get().inject("client.request", context={"method": method, "path": path})
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except _CLOSED_WHILE_IDLE:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
             return (
                 response.status,
                 {k.lower(): v for k, v in response.getheaders()},
                 response.read(),
             )
-        except (ConnectionError, socket.timeout, socket.gaierror, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()  # its state is unknown: the next request opens a new one
             raise ServiceUnavailable(f"{method} {path} on {self.base_url}: {exc}") from exc
-        finally:
+        except BaseException:
             conn.close()
+            raise
 
     def request_raw(
         self, method: str, path: str, body: Optional[bytes] = None
@@ -203,7 +247,14 @@ class ServiceClient:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        return None
+        self.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, in every thread."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ServiceClient({self.base_url!r})"

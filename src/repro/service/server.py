@@ -18,12 +18,17 @@ Request life cycle::
                         process-pool workers (study cross-products
                         sharded across workers) ──▶ store + memoize + reply
 
+The in-memory tier holds each result already encoded for the wire (its
+``json.dumps(serial.encode(result), sort_keys=True)``, made once per key), so
+a memory hit splices those bytes into its envelope without re-encoding.
+
 Per-request deadlines cover the whole journey: a request that expires while
 queued is failed with a structured ``timeout`` error and its single-flight
 cell is released, so a later identical request computes fresh — the cell is
 never poisoned.  ``SIGTERM``/``SIGINT`` trigger a graceful drain: admission
-stops (503 ``draining``), queued work finishes within the drain deadline,
-then the sockets close.
+stops (503 ``draining``), idle keep-alive connections close at once, queued
+work finishes within the drain deadline, requests in flight answer with
+``Connection: close``, then the sockets close.
 
 ``repro-serve`` (or ``python -m repro.service.server``) runs it standalone;
 :func:`serve_background` embeds it for tests, benchmarks and examples.
@@ -39,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.service import faults, serial
 from repro.service.faults import FaultInjector
@@ -57,6 +62,13 @@ from repro.service.workers import WorkerPool
 from repro.study.cache import EvalCache
 
 __all__ = ["ServiceConfig", "StencilService", "serve_background", "main"]
+
+#: Seconds a connection may sit idle before its next request head has been
+#: read (and that request's body with it); past them the server closes it.
+READ_TIMEOUT = 10.0
+
+#: Largest request body accepted; a longer one is refused with 413.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 @dataclass
@@ -156,8 +168,9 @@ class StencilService:
         if config.faults is not None:
             faults.install(FaultInjector.from_spec(config.faults))
         self.store = ResultStore(config.store_path, max_bytes=config.store_max_bytes)
-        #: In-memory response tier; the persistent store sits underneath it
-        #: (peek here first, fall through to :attr:`store` in the dispatcher).
+        #: In-memory response tier, holding each result as its encoded JSON
+        #: bytes; the persistent store sits underneath it (peek here first,
+        #: fall through to :attr:`store` in the dispatcher).
         self.memo = EvalCache()
         self.pool = WorkerPool(
             config.workers,
@@ -180,6 +193,10 @@ class StencilService:
         self._watchdog: Optional[asyncio.Task] = None
         self._dispatcher_restarts = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections and their handler tasks; the idle ones wait for
+        #: their next request head, and a drain closes them at once.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._closed = asyncio.Event()
         self.started_at = time.time()
@@ -220,8 +237,15 @@ class StencilService:
         if self._draining and self._closed.is_set():
             return
         self._draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + (self.config.drain_timeout if drain else 0.0)
         if self._server is not None:
             self._server.close()
+        # An idle connection holds no request: close it now, or (on Python
+        # 3.12+, whose wait_closed() waits for every connection) it would
+        # hold the drain until its read timeout.
+        for writer in list(self._idle):
+            writer.close()
         if drain:
             try:
                 await asyncio.wait_for(self.queue.join(), timeout=self.config.drain_timeout)
@@ -236,6 +260,17 @@ class StencilService:
                 future.set_exception(
                     ServiceError("draining", "service shut down mid-request", status=503)
                 )
+        # A busy connection writes its last answer (Connection: close) and
+        # ends; one still busy at the deadline is cut.
+        if self._connections:
+            _, stuck = await asyncio.wait(
+                list(self._connections.values()), timeout=max(0.0, deadline - loop.time())
+            )
+            for writer, task in list(self._connections.items()):
+                if task in stuck:
+                    writer.transport.abort()
+                    task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         self.pool.shutdown(wait=False)
@@ -250,8 +285,21 @@ class StencilService:
     async def handle_request(self, payload: Any) -> Tuple[int, Dict[str, Any]]:
         """Process one request payload; returns ``(http_status, envelope)``.
 
-        The envelope's ``result`` may contain NumPy arrays — the transport
-        encodes them (:mod:`repro.service.serial`) just before the wire.
+        A 200 envelope's ``result`` is decoded from the bytes the transport
+        would send (:mod:`repro.service.serial`), so it may contain NumPy
+        arrays and equals what a client decodes.
+        """
+        status, envelope, fragment = await self._answer(payload)
+        if fragment is not None:
+            envelope["result"] = serial.decode(json.loads(fragment))
+        return status, envelope
+
+    async def _answer(self, payload: Any) -> Tuple[int, Dict[str, Any], Optional[bytes]]:
+        """``(http_status, envelope, fragment)`` of one request payload.
+
+        A 200 envelope leaves out its ``result``: ``fragment`` holds it,
+        encoded once for its key (:func:`_encode_result`).  Other envelopes
+        are whole, and their ``fragment`` is ``None``.
         """
         started = time.perf_counter()
         try:
@@ -259,7 +307,7 @@ class StencilService:
         except ServiceError as exc:
             self.stats.count("invalid", "received")
             self.stats.count("invalid", "errors")
-            return exc.status, _error_envelope(None, exc)
+            return exc.status, _error_envelope(None, exc), None
         kind = request.kind
         self.stats.count(kind, "received")
         if self._draining:
@@ -270,16 +318,16 @@ class StencilService:
                 retry_after=self.config.retry_after_hint,
             )
             self.stats.count(kind, "shed")
-            return error.status, _error_envelope(request, error)
+            return error.status, _error_envelope(request, error), None
         timeout = self._request_timeout(payload)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
 
         while True:
-            found, value = self.memo.peek(kind, request.key)
+            found, fragment = self.memo.peek(kind, request.key)
             if found:
                 self.stats.count(kind, "memory_hits")
-                return self._complete(request, value, "memory", started)
+                return self._complete(request, fragment, "memory", started)
 
             future = self._inflight.get(request.key)
             owner = future is None
@@ -299,12 +347,12 @@ class StencilService:
                         status=503,
                         retry_after=self.config.retry_after_hint,
                     )
-                    return error.status, _error_envelope(request, error)
+                    return error.status, _error_envelope(request, error), None
             else:
                 self.stats.count(kind, "deduplicated")
 
             try:
-                value, served_from = await asyncio.wait_for(
+                fragment, served_from = await asyncio.wait_for(
                     asyncio.shield(future), deadline - loop.time()
                 )
             except asyncio.TimeoutError:
@@ -314,10 +362,10 @@ class StencilService:
                 error = ServiceError(
                     "timeout", f"request exceeded its {timeout:.3f}s deadline", status=504
                 )
-                return error.status, _error_envelope(request, error)
+                return error.status, _error_envelope(request, error), None
             except asyncio.CancelledError:
                 error = ServiceError("overloaded", "request was cancelled by shedding", 503)
-                return error.status, _error_envelope(request, error)
+                return error.status, _error_envelope(request, error), None
             except ServiceError as exc:
                 # A rider can join a cell created under a *tighter* deadline
                 # than its own moments before that cell expires.  Its budget
@@ -338,8 +386,8 @@ class StencilService:
                     self.stats.count(kind, "errors")
                 else:
                     self.stats.count(kind, "errors")
-                return exc.status, _error_envelope(request, exc)
-            return self._complete(request, value, served_from, started)
+                return exc.status, _error_envelope(request, exc), None
+            return self._complete(request, fragment, served_from, started)
 
     def _request_timeout(self, payload: Any) -> float:
         timeout = self.config.request_timeout
@@ -350,19 +398,19 @@ class StencilService:
         return max(0.001, timeout)
 
     def _complete(
-        self, request: Request, value: Any, served_from: str, started: float
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, request: Request, fragment: bytes, served_from: str, started: float
+    ) -> Tuple[int, Dict[str, Any], bytes]:
         elapsed = time.perf_counter() - started
         self.stats.count(request.kind, "completed")
         self.stats.observe_latency(request.kind, elapsed)
-        return 200, {
+        envelope = {
             "ok": True,
             "kind": request.kind,
             "key": request.key,
             "served_from": served_from,
             "elapsed_ms": elapsed * 1000.0,
-            "result": value,
         }
+        return 200, envelope, fragment
 
     # ------------------------------------------------------------------ #
     # dispatcher
@@ -409,10 +457,11 @@ class StencilService:
 
         found, value = await loop.run_in_executor(None, self.store.load, request.kind, request.key)
         if found:
-            self.memo.put(request.kind, request.key, value)
+            fragment = _encode_result(value)
+            self.memo.put(request.kind, request.key, fragment)
             self.stats.count(request.kind, "store_hits")
             if not future.done():
-                future.set_result((value, "store"))
+                future.set_result((fragment, "store"))
             return
 
         remaining = job.deadline - loop.time()
@@ -439,11 +488,12 @@ class StencilService:
         except (ValueError, KeyError) as exc:
             raise ServiceError("execution-error", str(exc), status=422) from exc
 
-        self.memo.put(request.kind, request.key, result)
+        fragment = _encode_result(result)
+        self.memo.put(request.kind, request.key, fragment)
         self.stats.count(request.kind, "computed")
         await loop.run_in_executor(None, self.store.save, request.kind, request.key, result)
         if not future.done():
-            future.set_result((result, "computed"))
+            future.set_result((fragment, "computed"))
 
     async def _compute(self, request: Request) -> Dict[str, Any]:
         """Run the request on the worker tier (sharding studies and tunes)."""
@@ -521,78 +571,150 @@ class StencilService:
         }
 
     # ------------------------------------------------------------------ #
-    # HTTP transport (deliberately minimal: one request per connection)
+    # HTTP transport: persistent HTTP/1.1 connections, Content-Length bodies
     # ------------------------------------------------------------------ #
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection's requests in turn (HTTP/1.1 keep-alive).
+
+        The loop ends when the client sends ``Connection: close`` or speaks
+        HTTP/1.0, on a framing error (400 or 413), once the service drains,
+        or when a request is not read within :data:`READ_TIMEOUT` seconds,
+        which on an idle connection is its idle timeout.
+        """
+        self._connections[writer] = asyncio.current_task()
         try:
-            status, body = await self._handle_http(reader)
-        except Exception:
-            error = {"code": "internal", "message": "bad request"}
-            status, body = 500, {"ok": False, "error": error}
-        try:
-            encoded = json.dumps(serial.encode(body), sort_keys=True).encode()
-            headers = (
-                b"Content-Type: application/json\r\n"
-                + b"Content-Length: %d\r\n" % len(encoded)
-            )
-            retry_after = None
-            if isinstance(body, dict):
-                error = body.get("error")
-                if isinstance(error, dict):
-                    retry_after = error.get("retry_after")
-            if isinstance(retry_after, (int, float)):
-                # HTTP wants integral seconds; never advertise zero.
-                headers += b"Retry-After: %d\r\n" % max(1, int(retry_after))
-            writer.write(
-                b"HTTP/1.1 %d %s\r\n" % (status, _REASONS.get(status, b"OK"))
-                + headers
-                + b"Connection: close\r\n\r\n"
-                + encoded
-            )
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+            keep_alive = True
+            while keep_alive and not self._draining:
+                try:
+                    method, path, body, keep_alive = await self._read_request(reader, writer)
+                    status, envelope, fragment = await self._route(method, path, body)
+                except _FramingError as exc:
+                    status, envelope, fragment = exc.status, _http_error(str(exc)), None
+                    keep_alive = False
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return  # the peer left, or the read deadline closed the connection
+                except Exception:
+                    error = {"code": "internal", "message": "bad request"}
+                    status, envelope, fragment = 500, {"ok": False, "error": error}, None
+                    keep_alive = False
+                keep_alive = keep_alive and not self._draining
+                writer.write(_response(status, envelope, fragment, keep_alive))
+                await writer.drain()
+        except ConnectionError:
             pass
         finally:
+            self._connections.pop(writer, None)
+            writer.close()
             try:
-                writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
-    async def _handle_http(self, reader: asyncio.StreamReader) -> Tuple[int, Dict[str, Any]]:
-        request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, _http_error("malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, _http_error("bad Content-Length")
-        if content_length > 32 * 1024 * 1024:
-            return 413, _http_error("request body too large")
-        body = await reader.readexactly(content_length) if content_length else b""
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Tuple[str, str, bytes, bool]:
+        """``(method, path, body, keep_alive)`` of the connection's next request.
 
+        The head is one ``readuntil``; head and body share one deadline,
+        past which the connection is closed.  While the head is awaited the
+        connection is idle, and a drain closes it.
+        """
+        deadline = asyncio.get_running_loop().call_later(READ_TIMEOUT, writer.close)
+        self._idle.add(writer)
+        try:
+            try:
+                head = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.LimitOverrunError:
+                raise _FramingError(400, "request head too large") from None
+            finally:
+                self._idle.discard(writer)
+            method, path, keep_alive, length = _parse_head(head)
+            body = await reader.readexactly(length) if length else b""
+        finally:
+            deadline.cancel()
+        return method, path, body, keep_alive
+
+    async def _route(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, Dict[str, Any], Optional[bytes]]:
         if method == "GET" and path in ("/healthz", "/v1/healthz"):
-            return 200, {"ok": True, "draining": self._draining}
+            return 200, {"ok": True, "draining": self._draining}, None
         if method == "GET" and path in ("/stats", "/v1/stats"):
-            return 200, self.stats_payload()
+            return 200, self.stats_payload(), None
         if method == "POST" and path in ("/v1/requests", "/requests"):
             try:
                 payload = json.loads(body.decode("utf-8")) if body else None
             except (ValueError, UnicodeDecodeError):
-                return 400, _http_error("request body is not valid JSON")
-            return await self.handle_request(payload)
-        return 404, _http_error(f"no route for {method} {path}")
+                return 400, _http_error("request body is not valid JSON"), None
+            return await self._answer(payload)
+        return 404, _http_error(f"no route for {method} {path}"), None
+
+
+class _FramingError(Exception):
+    """A request whose framing is refused: answered with ``status``, then the
+    connection closes, since where the next request starts is unknown."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
+    """``(method, path, keep_alive, content_length)`` of one request head."""
+    request_line, *lines = head.decode("latin-1").split("\r\n")
+    parts = request_line.split()
+    if len(parts) < 2:
+        raise _FramingError(400, "malformed request line")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise _FramingError(400, "request bodies must carry a Content-Length")
+    length = headers.get("content-length", "0")
+    if not length.isdigit():
+        raise _FramingError(400, "bad Content-Length")
+    if int(length) > MAX_BODY_BYTES:
+        raise _FramingError(413, "request body too large")
+    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+    keep_alive = parts[2:] == ["HTTP/1.1"] and "close" not in tokens
+    return parts[0].upper(), parts[1], keep_alive, int(length)
+
+
+def _encode_result(value: Any) -> bytes:
+    """A result's wire form, made once per key: the memo holds it and every
+    200 response splices it in (:func:`_response`)."""
+    return json.dumps(serial.encode(value), sort_keys=True).encode()
+
+
+def _response(
+    status: int, envelope: Dict[str, Any], fragment: Optional[bytes], keep_alive: bool
+) -> bytes:
+    """One HTTP response whose body is ``json.dumps(serial.encode(e),
+    sort_keys=True)`` of the whole envelope ``e``: with ``fragment``, the
+    envelope's ``result`` is spliced in from it rather than re-encoded."""
+    if fragment is None:
+        body = [json.dumps(serial.encode(envelope), sort_keys=True).encode()]
+    else:
+        # A 200 envelope has keys on both sides of "result" in sorted order.
+        head = json.dumps({k: v for k, v in envelope.items() if k < "result"}, sort_keys=True)
+        tail = json.dumps({k: v for k, v in envelope.items() if k > "result"}, sort_keys=True)
+        body = [head[:-1].encode(), b', "result": ', fragment, b", ", tail[1:].encode()]
+    headers = b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n" % (
+        status,
+        _REASONS.get(status, b"OK"),
+        sum(len(part) for part in body),
+    )
+    error = envelope.get("error")
+    retry_after = error.get("retry_after") if isinstance(error, dict) else None
+    if isinstance(retry_after, (int, float)):
+        # HTTP wants integral seconds; never advertise zero.
+        headers += b"Retry-After: %d\r\n" % max(1, int(retry_after))
+    if not keep_alive:
+        headers += b"Connection: close\r\n"
+    return b"".join([headers, b"\r\n", *body])
 
 
 _REASONS = {

@@ -25,7 +25,7 @@ if str(ROOT) not in sys.path:  # perfbench is a top-level package of the reposit
     sys.path.insert(0, str(ROOT))
 
 from perfbench.grids import GRID_HOOKS, install_hooks  # noqa: E402
-from perfbench.spans import Tracer  # noqa: E402
+from perfbench.spans import ModuleProxy, Tracer  # noqa: E402
 
 #: What ``perfbench/traced_server.py`` patches, and the arguments its
 #: wrappers pass on: ``(module, attribute path, positional, keywords)``.
@@ -44,6 +44,18 @@ SERVICE_PATCHES = (
         ("self", "payload"),
         {"retries": None, "key": None},
     ),
+)
+
+#: What ``perfbench/service.py`` patches on the client side of the traced
+#: ``service-mix`` run, and the arguments its wrappers pass on.
+CLIENT_PATCHES = (
+    (
+        "repro.service.client",
+        "ServiceClient.request_full",
+        ("self", "POST", "/v1/requests", b"{}"),
+        {},
+    ),
+    ("repro.service.serial", "decode", ("payload", None), {}),
 )
 
 
@@ -112,3 +124,39 @@ class TestTracedServerPatches:
     def test_server_module_exposes_serial(self):
         server = importlib.import_module("repro.service.server")
         assert server.serial is importlib.import_module("repro.service.serial")
+
+
+class TestTracedClientPatches:
+    @pytest.mark.parametrize(
+        "module,path,args,kwargs", CLIENT_PATCHES, ids=[p[1] for p in CLIENT_PATCHES]
+    )
+    def test_patched_attribute_accepts_the_forwarded_arguments(self, module, path, args, kwargs):
+        fn = _resolve(module, path)
+        inspect.signature(fn).bind(*args, **kwargs)
+
+    def test_client_module_exposes_serial(self):
+        client = importlib.import_module("repro.service.client")
+        assert client.serial is importlib.import_module("repro.service.serial")
+
+    def test_submit_goes_through_request_full_and_the_module_serial(self, monkeypatch):
+        """``submit`` calls ``request_full(method, path, body)``, reads its
+        ``(status, headers, body)`` and decodes through the ``serial`` global
+        of ``repro.service.client``: the two names the traced run wraps."""
+        client_mod = importlib.import_module("repro.service.client")
+        serial = importlib.import_module("repro.service.serial")
+        exchanges, decoded = [], []
+
+        def request_full(self, method, path, body=None):
+            exchanges.append((method, path, body))
+            return 200, {}, b'{"ok": true, "result": {"__repro__": "tuple", "items": [1, 2]}}'
+
+        def decode(payload, arrays=None):
+            decoded.append(payload)
+            return serial.decode(payload, arrays)
+
+        monkeypatch.setattr(client_mod.ServiceClient, "request_full", request_full)
+        monkeypatch.setattr(client_mod, "serial", ModuleProxy(serial, decode=decode))
+        envelope = client_mod.ServiceClient("http://127.0.0.1:1").submit({"kind": "plan"})
+        assert exchanges == [("POST", "/v1/requests", b'{"kind": "plan"}')]
+        assert decoded == [{"__repro__": "tuple", "items": [1, 2]}]
+        assert envelope["result"] == (1, 2)

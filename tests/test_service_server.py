@@ -326,17 +326,17 @@ class TestHttpEndToEnd:
         config = _config(tmp_path)
         handle = serve_background(config)
         try:
-            client = ServiceClient(handle.base_url)
-            assert client.healthy()
-            reply = client.submit(
-                {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
-            )
-            assert reply["served_from"] == "computed"
-            assert reply["result"]["values"].shape == (64,)
-            _, raw_first = client.submit_raw(
-                {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
-            )
-            stats = client.stats()
+            with ServiceClient(handle.base_url) as client:
+                assert client.healthy()
+                reply = client.submit(
+                    {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
+                )
+                assert reply["served_from"] == "computed"
+                assert reply["result"]["values"].shape == (64,)
+                _, raw_first = client.submit_raw(
+                    {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
+                )
+                stats = client.stats()
             assert stats["service"]["totals"]["received"] == 2
         finally:
             handle.stop()
@@ -344,10 +344,10 @@ class TestHttpEndToEnd:
         # New process-equivalent life over the same store directory.
         handle = serve_background(_config(tmp_path))
         try:
-            client = ServiceClient(handle.base_url)
-            status, raw_second = client.submit_raw(
-                {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
-            )
+            with ServiceClient(handle.base_url) as client:
+                status, raw_second = client.submit_raw(
+                    {"kind": "simulate", "stencil": "1d-heat", "m": 2, "shape": [64], "steps": 4}
+                )
             assert status == 200
             first = json.loads(raw_first)
             second = json.loads(raw_second)
@@ -362,12 +362,12 @@ class TestHttpEndToEnd:
     def test_http_errors(self, tmp_path):
         handle = serve_background(_config(tmp_path))
         try:
-            client = ServiceClient(handle.base_url)
-            status, _ = client.request_raw("GET", "/no/such/route")
-            assert status == 404
-            status, _ = client.request_raw("POST", "/v1/requests", b"not json")
-            assert status == 400
-            with pytest.raises(RuntimeError, match="invalid-request"):
-                client.submit({"kind": "nope"})
+            with ServiceClient(handle.base_url) as client:
+                status, _ = client.request_raw("GET", "/no/such/route")
+                assert status == 404
+                status, _ = client.request_raw("POST", "/v1/requests", b"not json")
+                assert status == 400
+                with pytest.raises(RuntimeError, match="invalid-request"):
+                    client.submit({"kind": "nope"})
         finally:
             handle.stop()
