@@ -7,12 +7,16 @@ chaos invariants end to end:
 
 * every request is answered — 200, or a *structured* error envelope
   (``worker-crash`` / ``quarantined``); the service never wedges;
-* the store never serves digest-failing bytes: corrupted entries surface
-  as quarantine + recompute, and the recomputed answers are still correct;
 * SIGTERM drains cleanly even after sustained chaos;
-* the whole run is **replayable**: a second server life with the same seed
-  over a fresh store produces the byte-for-byte identical injected-fault
-  sequence and the same deterministic resilience counters.
+* the store never serves digest-failing bytes: after the mix, each life
+  boots a second server over the same store and runs the mix again, so
+  the entries the first pass wrote (some corrupted on their way to disk)
+  are read back.  The second pass must read the store, quarantine what
+  the first pass corrupted, and answer every 200 with the same ``result``
+  bytes the first pass served for that request;
+* the whole run is **replayable**: a second life with the same seed over a
+  fresh store produces the byte-for-byte identical injected-fault sequence
+  and the same deterministic resilience counters, in both passes.
 
 The injected-fault log of both lives is written to ``--out`` as the CI
 artifact, so a red chaos job ships the exact schedule that provoked it.
@@ -54,8 +58,8 @@ FAULT_RULES = [
     {"site": "store.read", "kind": "corrupt-bytes", "rate": 0.3},
 ]
 
-#: Fixed request mix: cold computes, repeats (memory/store paths), arrays
-#: (NPZ sidecars for the corruption rules to chew on), and a small study.
+#: Fixed request mix: cold computes, repeats (memory paths in the first
+#: pass, store paths in the second), small arrays, and a small study.
 REQUEST_MIX = (
     [{"kind": "estimate", "stencil": "1d-heat", "m": m} for m in (1, 2, 3, 4, 5, 6)]
     + [{"kind": "plan", "stencil": "2d-heat", "m": 4}]
@@ -133,14 +137,14 @@ def wait_healthy(client, deadline_s: float = 30.0) -> None:
     raise RuntimeError("server never became healthy")
 
 
-def chaos_life(seed: int, spec_path: Path, life: str) -> dict:
-    """One full server life under the schedule; returns the replay artifact."""
+def chaos_pass(store: Path, seed: int, spec_path: Path, name: str) -> tuple:
+    """One server over ``store`` runs the mix under the schedule; returns the
+    replay artifact and the ``result`` bytes of each 200, by request."""
     from repro.service import ServiceClient
 
-    store = Path(tempfile.mkdtemp(prefix=f"repro-chaos-{life}-"))
     client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=60.0)
     server = start_server(store, spec_path, seed)
-    statuses = []
+    statuses, results = [], {}
     try:
         wait_healthy(client)
         for i, payload in enumerate(REQUEST_MIX):
@@ -149,6 +153,7 @@ def chaos_life(seed: int, spec_path: Path, life: str) -> dict:
             statuses.append({"i": i, "kind": payload["kind"], "status": status})
             if status == 200:
                 assert envelope["ok"], (i, raw[:300])
+                results[i] = json.dumps(envelope["result"], sort_keys=True)
             else:
                 code = envelope["error"]["code"]
                 assert code in ACCEPTED_CODES, (
@@ -163,14 +168,15 @@ def chaos_life(seed: int, spec_path: Path, life: str) -> dict:
         assert client.healthy(), "server unhealthy after the chaos mix"
         stats = client.stats()
     finally:
+        client.close()
         stop_server(server)  # SIGTERM drain must complete even after chaos
-    print(f"  {life}: {ok}/{len(REQUEST_MIX)} ok, drained cleanly")
+    print(f"  {name}: {ok}/{len(REQUEST_MIX)} ok, drained cleanly")
     fault_block = stats["faults"]
     assert fault_block["enabled"], "fault schedule was not active"
     assert fault_block["total_injected"] > 0, "schedule injected nothing — vacuous run"
     store_block = stats["store"]
     pool = stats["resilience"]["pool"]
-    return {
+    artifact = {
         "statuses": statuses,
         "faults": fault_block,
         # Deterministic counters only: breaker/fallback state depends on the
@@ -185,6 +191,43 @@ def chaos_life(seed: int, spec_path: Path, life: str) -> dict:
             "quarantine": stats["resilience"]["quarantine"],
         },
     }
+    return artifact, results
+
+
+def chaos_life(seed: int, spec_path: Path, life: str) -> dict:
+    """One life: a first pass over a fresh store, then a restart over the
+    same store and a second pass; returns the replay artifact."""
+    store = Path(tempfile.mkdtemp(prefix=f"repro-chaos-{life}-"))
+    first, first_results = chaos_pass(store, seed, spec_path, life)
+    second, second_results = chaos_pass(store, seed, spec_path, f"{life} after restart")
+    by_request = {}
+    for i, result in first_results.items():
+        request = json.dumps(REQUEST_MIX[i], sort_keys=True)
+        assert by_request.setdefault(request, result) == result, (
+            f"request {i} answered with other result bytes than its first answer"
+        )
+    assert second["faults"]["invocations"].get("store.read", 0) > 0, (
+        "the second pass never read the store"
+    )
+    for i, result in second_results.items():
+        expected = by_request.get(json.dumps(REQUEST_MIX[i], sort_keys=True), result)
+        assert result == expected, (
+            f"request {i} after the restart answered with other result bytes "
+            "than before it: the store served damaged bytes"
+        )
+    corrupted = [e for e in first["faults"]["log"] if e["site"] == "store.write"]
+    if corrupted:
+        assert second["store"]["quarantined"] > 0, (
+            f"the first pass corrupted {len(corrupted)} writes, but the second "
+            "pass quarantined nothing"
+        )
+    return {**first, "restart": second}
+
+
+def replayed(life: dict) -> dict:
+    """The deterministic part of a life's artifact, in both passes."""
+    keys = ("statuses", "faults", "store", "pool")
+    return {"first": {k: life[k] for k in keys}, "restart": {k: life["restart"][k] for k in keys}}
 
 
 def main() -> int:
@@ -203,16 +246,15 @@ def main() -> int:
     print("[2/3] second life, same seed, fresh store: must replay byte-for-byte")
     second = chaos_life(args.seed, spec_path, "life-b")
 
-    replayed = {k: first[k] for k in ("statuses", "faults", "store", "pool")}
-    replayed_again = {k: second[k] for k in ("statuses", "faults", "store", "pool")}
-    assert json.dumps(replayed, sort_keys=True) == json.dumps(replayed_again, sort_keys=True), (
+    assert replayed(first) == replayed(second), (
         "chaos run did not replay: same seed produced a different fault "
         "sequence or different resilience counters"
     )
     print(
         f"  replay OK: {first['faults']['total_injected']} faults, "
         f"{first['pool']['crashes']} crashes, "
-        f"{first['store']['quarantined']} store quarantines — identical twice"
+        f"{first['restart']['store']['quarantined']} store quarantines after the restart "
+        "— identical twice"
     )
 
     print(f"[3/3] writing fault-log artifact to {out}")

@@ -162,8 +162,7 @@ class SearchSpace:
         """Registry- and stencil-derived default space for ``spec``.
 
         * methods — the executable line-up methods
-          (:func:`~repro.registry.tunable_method_keys`), minus linear-only
-          methods for non-linear stencils;
+          (:func:`~repro.registry.tunable_method_keys`);
         * m — :data:`DEFAULT_M_CANDIDATES` cut to the factors whose folded
           radius ``m·r`` fits the widest vector length in the ISA axis
           (narrower ISAs mark the excess factors invalid per candidate);
@@ -172,7 +171,7 @@ class SearchSpace:
         spec = coerce_spec(spec)
         isas = tuple(isas) if isas is not None else tuple(MACHINES)
         if methods is None:
-            methods = tunable_method_keys() if spec.linear else tunable_method_keys(linear=False)
+            methods = tunable_method_keys()
         if m_values is None:
             max_vl = max(isa_for(isa).vector_lanes for isa in isas) if isas else 8
             m_max = max(1, max_vl // max(1, spec.radius))
@@ -273,8 +272,6 @@ def candidate_validity(
     descriptor = get_method(candidate["method"])
     isa = isa_for(candidate["isa"])
     m = int(candidate["m"])
-    if descriptor.requires_linear and not spec.linear:
-        return f"method {descriptor.key!r} requires a linear stencil"
     if descriptor.uses_unroll and spec.linear and m * spec.radius > isa.vector_lanes:
         return (
             f"schedule-inexpressible: folded radius {m * spec.radius} exceeds "

@@ -218,11 +218,6 @@ class PlanBuilder:
         if self._tiling is not None:
             self._tiling.validate(self._spec.dims, self._spec.radius)
         isa_spec = isa_for(self._isa)
-        if descriptor.requires_linear and not self._spec.linear:
-            raise ValueError(
-                f"method {descriptor.key!r} requires a linear stencil; "
-                f"{self._spec.name!r} is non-linear"
-            )
         config = PlanConfig(
             method=descriptor.key,
             isa=self._isa,

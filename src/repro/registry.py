@@ -13,8 +13,8 @@ system needs to treat methods uniformly:
 * ``executor`` — the numeric fast path invoked by
   :meth:`repro.core.plan.CompiledPlan.run` (``None`` means reference
   arithmetic, :func:`~repro.stencils.reference.reference_run`),
-* capability flags (``supports_simulation``, ``requires_linear``,
-  ``uses_unroll``, ``uses_schedule``) consumed by the plan compiler.
+* capability flags (``supports_simulation``, ``uses_unroll``,
+  ``uses_schedule``) consumed by the plan compiler.
 
 Built-in methods register themselves when their defining module is imported
 (:mod:`repro.methods` pulls in all of them); new methods register with the
@@ -79,10 +79,6 @@ class MethodDescriptor:
         runs the built-in register-level schedules, which cover every
         stencil :class:`~repro.stencils.spec.StencilSpec` admits, 1-D to
         3-D.
-    requires_linear:
-        Whether the method refuses to *compile* for non-linear stencils.
-        (Simulation always requires linearity; this flag is for methods whose
-        numeric path itself is linear-only.)
     uses_unroll:
         Whether the method consumes the plan's temporal unrolling factor
         ``m``.
@@ -111,7 +107,6 @@ class MethodDescriptor:
     executor: Optional[Executor] = None
     describe_path: Optional[PathDescriber] = None
     supports_simulation: bool = False
-    requires_linear: bool = False
     uses_unroll: bool = False
     uses_schedule: bool = False
     profile_only: bool = False
@@ -177,7 +172,6 @@ def register_method(
     executor: Optional[Executor] = None,
     describe_path: Optional[PathDescriber] = None,
     supports_simulation: bool = False,
-    requires_linear: bool = False,
     uses_unroll: bool = False,
     uses_schedule: bool = False,
     profile_only: bool = False,
@@ -196,7 +190,6 @@ def register_method(
                 executor=executor,
                 describe_path=describe_path,
                 supports_simulation=supports_simulation,
-                requires_linear=requires_linear,
                 uses_unroll=uses_unroll,
                 uses_schedule=uses_schedule,
                 profile_only=profile_only,
@@ -258,13 +251,12 @@ def method_keys() -> Tuple[str, ...]:
     return tuple(d.key for d in ordered)
 
 
-def tunable_method_keys(linear: Optional[bool] = None) -> Tuple[str, ...]:
+def tunable_method_keys() -> Tuple[str, ...]:
     """Keys of the line-up methods an autotuner can both score and compile.
 
     The default method axis of :class:`repro.autotune.SearchSpace`: figure-order
     methods with a profile builder, excluding model-only (``profile_only``) and
-    label-only (``virtual``) entries.  With ``linear=False`` the methods whose
-    numeric path requires a linear stencil are dropped as well.
+    label-only (``virtual``) entries.
     """
     ordered = sorted(
         (
@@ -277,8 +269,6 @@ def tunable_method_keys(linear: Optional[bool] = None) -> Tuple[str, ...]:
         ),
         key=lambda d: d.figure_order,
     )
-    if linear is False:
-        ordered = [d for d in ordered if not d.requires_linear]
     return tuple(d.key for d in ordered)
 
 

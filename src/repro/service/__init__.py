@@ -5,9 +5,10 @@ API: an :mod:`asyncio` front end (:mod:`repro.service.server`) validates
 JSON requests against the method registry, coalesces concurrent identical
 requests, schedules cold work onto a process-pool worker tier
 (:mod:`repro.service.workers`, studies sharded across workers), and answers
-repeats from a two-level cache — in-memory
-:class:`~repro.study.cache.EvalCache` over the persistent, versioned,
-LRU-capped, digest-verified :class:`~repro.service.store.ResultStore`.
+repeats from a two-level cache — an in-memory tier over the persistent,
+versioned, LRU-capped, digest-verified
+:class:`~repro.service.store.ResultStore`, both holding each result's wire
+bytes.
 
 The service is chaos-hardened: :mod:`repro.service.faults` injects seeded,
 replayable failures at named sites throughout this stack, and

@@ -1,24 +1,18 @@
 """JSON-safe encoding of the values the service computes and stores.
 
-The persistent result store (:mod:`repro.service.store`) and the HTTP wire
-format both carry plain JSON, but the pipeline's values are richer: NumPy
-arrays (simulated grids), ``repro`` dataclasses
+The HTTP wire format and the persistent result store
+(:mod:`repro.service.store`) both carry plain JSON, but the pipeline's
+values are richer: NumPy arrays (simulated grids), ``repro`` dataclasses
 (:class:`~repro.perfmodel.costmodel.PerformanceEstimate`,
 :class:`~repro.simd.machine.InstructionCounts`, ...), tuples and nested
 containers.  :func:`encode` maps any such value onto a JSON-ready structure
 with tagged escapes, and :func:`decode` inverts it **bit-identically** for
 floats and arrays — which is what makes "the same request returns the same
-bytes, whether computed or replayed from the store" testable.
-
-Two array transports exist:
-
-* inline — the array's raw bytes, base64, inside the JSON (the wire format);
-* sidecar — the array lands in a ``.npz`` next to the JSON blob and the JSON
-  holds only a reference (the store format for large grids, so the hot path
-  never base64s megabytes).
+bytes, whether computed or replayed from the store" testable.  An array is
+carried inline: its raw bytes, base64, inside the JSON.
 
 Dataclasses are encoded by qualified name and re-instantiated on decode;
-only classes from ``repro.*`` modules are honoured, so a store blob cannot
+only classes from ``repro.*`` modules are honoured, so a payload cannot
 instruct the decoder to build arbitrary objects.
 """
 
@@ -28,17 +22,13 @@ import base64
 import dataclasses
 import enum
 import importlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.service import faults
 
 __all__ = ["encode", "decode", "UnserialisableValue"]
-
-#: Arrays at or above this many bytes go to the ``.npz`` sidecar when one is
-#: offered; smaller ones are inlined (a sidecar round-trip costs a file).
-SIDECAR_THRESHOLD_BYTES = 2048
 
 #: Escape tag — a plain dict that happens to carry this key is itself
 #: escaped, so user payloads cannot collide with the tagged forms.
@@ -49,13 +39,11 @@ class UnserialisableValue(TypeError):
     """Raised when a value has no JSON-safe encoding (e.g. an open handle)."""
 
 
-def encode(value: Any, arrays: Optional[List[np.ndarray]] = None) -> Any:
+def encode(value: Any, arrays: Any = None) -> Any:
     """Return a JSON-ready structure identifying ``value``.
 
-    ``arrays`` — when given, large ndarrays are appended to it and encoded
-    as sidecar references ``{"__repro__": "npz", "index": i}``; the caller
-    owns writing them (``np.savez`` with keys ``arr_<i>``).  Without it,
-    every array is inlined as base64.
+    ``arrays`` is ignored; it is kept so that callers passing a second
+    argument still bind.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -65,9 +53,6 @@ def encode(value: Any, arrays: Optional[List[np.ndarray]] = None) -> Any:
         return {TAG: "npscalar", "dtype": value.dtype.str, "value": value.item()}
     if isinstance(value, np.ndarray):
         contiguous = np.ascontiguousarray(value)
-        if arrays is not None and contiguous.nbytes >= SIDECAR_THRESHOLD_BYTES:
-            arrays.append(contiguous)
-            return {TAG: "npz", "index": len(arrays) - 1}
         return {
             TAG: "ndarray",
             "dtype": contiguous.dtype.str,
@@ -92,70 +77,63 @@ def encode(value: Any, arrays: Optional[List[np.ndarray]] = None) -> Any:
         return {
             TAG: "dataclass",
             "class": f"{cls.__module__}:{cls.__qualname__}",
-            "fields": {
-                f.name: encode(getattr(value, f.name), arrays)
-                for f in dataclasses.fields(value)
-            },
+            "fields": {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)},
         }
     if isinstance(value, tuple):
-        return {TAG: "tuple", "items": [encode(v, arrays) for v in value]}
+        return {TAG: "tuple", "items": [encode(v) for v in value]}
     if isinstance(value, list):
-        return [encode(v, arrays) for v in value]
+        return [encode(v) for v in value]
     if isinstance(value, dict):
         out: Dict[str, Any] = {}
         for k, v in value.items():
             if not isinstance(k, str):
                 return {
                     TAG: "dict",
-                    "items": [[encode(k, arrays), encode(v, arrays)] for k, v in value.items()],
+                    "items": [[encode(k), encode(v)] for k, v in value.items()],
                 }
-            out[k] = encode(v, arrays)
+            out[k] = encode(v)
         if TAG in out:
             return {TAG: "escaped", "value": out}
         return out
     raise UnserialisableValue(f"no JSON encoding for {type(value).__qualname__}")
 
 
-def decode(payload: Any, arrays: Optional[Dict[str, np.ndarray]] = None) -> Any:
+def decode(payload: Any, arrays: Any = None) -> Any:
     """Invert :func:`encode`.
 
-    ``arrays`` maps sidecar keys (``arr_<i>``) to loaded ndarrays; required
-    only for payloads encoded with a sidecar.
+    ``arrays`` is ignored; it is kept so that callers passing a second
+    argument still bind.
     """
     # Chaos hook: one fault-site invocation per top-level decode, never per
     # recursion step (the recursion depth would make schedules unreadable).
     faults.get().inject("serial.decode")
-    return _decode(payload, arrays)
+    return _decode(payload)
 
 
-def _decode(payload: Any, arrays: Optional[Dict[str, np.ndarray]] = None) -> Any:
+def _decode(payload: Any) -> Any:
     if isinstance(payload, list):
-        return [_decode(v, arrays) for v in payload]
+        return [_decode(v) for v in payload]
     if not isinstance(payload, dict):
         return payload
     tag = payload.get(TAG)
     if tag is None:
-        return {k: _decode(v, arrays) for k, v in payload.items()}
+        return {k: _decode(v) for k, v in payload.items()}
     if tag == "escaped":
-        return {k: _decode(v, arrays) for k, v in payload["value"].items()}
+        return {k: _decode(v) for k, v in payload["value"].items()}
     if tag == "tuple":
-        return tuple(_decode(v, arrays) for v in payload["items"])
+        return tuple(_decode(v) for v in payload["items"])
     if tag == "dict":
-        return {_decode(k, arrays): _decode(v, arrays) for k, v in payload["items"]}
+        return {_decode(k): _decode(v) for k, v in payload["items"]}
     if tag == "npscalar":
         return np.dtype(payload["dtype"]).type(payload["value"])
     if tag == "ndarray":
         raw = base64.b64decode(payload["b64"])
         return np.frombuffer(raw, dtype=np.dtype(payload["dtype"])).reshape(payload["shape"]).copy()
-    if tag == "npz":
-        if arrays is None:
-            raise UnserialisableValue("payload references a sidecar but none was loaded")
-        return arrays[f"arr_{payload['index']}"]
     if tag == "enum":
         return _resolve_repro_class(payload["class"])[payload["name"]]
     if tag == "dataclass":
         cls = _resolve_repro_class(payload["class"])
-        fields = {k: _decode(v, arrays) for k, v in payload["fields"].items()}
+        fields = {k: _decode(v) for k, v in payload["fields"].items()}
         return cls(**fields)
     raise UnserialisableValue(f"unknown serialisation tag {tag!r}")
 

@@ -2,7 +2,7 @@
 
 Request life cycle::
 
-    HTTP POST /v1/requests ──▶ normalize ──▶ in-memory EvalCache peek ── hit ──▶ reply
+    HTTP POST /v1/requests ──▶ normalize ──▶ in-memory tier ── hit ──▶ reply
                                   │ miss
                                   ▼
                         single-flight table (concurrent identical
@@ -18,9 +18,11 @@ Request life cycle::
                         process-pool workers (study cross-products
                         sharded across workers) ──▶ store + memoize + reply
 
-The in-memory tier holds each result already encoded for the wire (its
-``json.dumps(serial.encode(result), sort_keys=True)``, made once per key), so
-a memory hit splices those bytes into its envelope without re-encoding.
+Both tiers hold each result in one form, already encoded for the wire (its
+``json.dumps(serial.encode(result), sort_keys=True)``, made once per key):
+a memory hit splices those bytes into its envelope, and a store hit reads
+and checks them, without decoding or re-encoding.  The in-memory tier keeps
+the most recently used results within the store's byte budget.
 
 Per-request deadlines cover the whole journey: a request that expires while
 queued is failed with a structured ``timeout`` error and its single-flight
@@ -42,6 +44,7 @@ import json
 import signal
 import threading
 import time
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -59,7 +62,7 @@ from repro.service.resilience import CircuitBreaker, PoisonQuarantine, RetryPoli
 from repro.service.scheduling import AdmissionQueue, ServiceStats, classify_priority
 from repro.service.store import DEFAULT_MAX_BYTES, STORE_VERSION, ResultStore
 from repro.service.workers import WorkerPool
-from repro.study.cache import EvalCache
+from repro.study.cache import CacheStats
 
 __all__ = ["ServiceConfig", "StencilService", "serve_background", "main"]
 
@@ -84,7 +87,8 @@ class ServiceConfig:
     store_path:
         Root of the persistent :class:`~repro.service.store.ResultStore`.
     store_max_bytes:
-        LRU size cap of the store.
+        Byte budget of each result tier: the LRU size cap of the store, and
+        of the in-memory tier's results.
     workers:
         Process-pool width; ``0`` executes jobs inline on threads.
     queue_size:
@@ -157,6 +161,53 @@ class _Job:
         return id(self) < id(other)
 
 
+class _Memo:
+    """The in-memory tier: each result's wire fragment by ``(kind, key)``.
+
+    Least recently used first; a :meth:`put` that takes the fragments past
+    ``max_bytes`` evicts the oldest until they fit, except the one just
+    put.  Used from the event loop only, so it takes no lock.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self._fragments: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
+        self._counts: Dict[str, List[int]] = {}  # kind -> [hits, misses]
+
+    def get(self, kind: str, key: str) -> Optional[bytes]:
+        """The fragment of ``(kind, key)``, counted as a hit, or ``None``."""
+        fragment = self._fragments.get((kind, key))
+        if fragment is not None:
+            self._fragments.move_to_end((kind, key))
+            self._counts.setdefault(kind, [0, 0])[0] += 1
+        return fragment
+
+    def put(self, kind: str, key: str, fragment: bytes) -> None:
+        """Hold ``fragment`` as the most recently used, counted as a miss."""
+        self._counts.setdefault(kind, [0, 0])[1] += 1
+        self.bytes += len(fragment) - len(self._fragments.pop((kind, key), b""))
+        self._fragments[(kind, key)] = fragment
+        while self.bytes > self.max_bytes and len(self._fragments) > 1:
+            self.bytes -= len(self._fragments.popitem(last=False)[1])
+
+    def stats(self) -> Dict[str, Any]:
+        """``overall`` and ``by_kind`` accounting, as :class:`CacheStats` dicts."""
+        entries = Counter(kind for kind, _ in self._fragments)
+        overall = CacheStats(
+            sum(hits for hits, _ in self._counts.values()),
+            sum(misses for _, misses in self._counts.values()),
+            len(self._fragments),
+        )
+        return {
+            "overall": overall.to_dict(),
+            "by_kind": {
+                kind: CacheStats(hits, misses, entries[kind]).to_dict()
+                for kind, (hits, misses) in sorted(self._counts.items())
+            },
+        }
+
+
 class StencilService:
     """The long-running service; create, :meth:`start`, :meth:`shutdown`."""
 
@@ -168,10 +219,10 @@ class StencilService:
         if config.faults is not None:
             faults.install(FaultInjector.from_spec(config.faults))
         self.store = ResultStore(config.store_path, max_bytes=config.store_max_bytes)
-        #: In-memory response tier, holding each result as its encoded JSON
-        #: bytes; the persistent store sits underneath it (peek here first,
-        #: fall through to :attr:`store` in the dispatcher).
-        self.memo = EvalCache()
+        #: In-memory tier over :attr:`store`, holding the same wire bytes
+        #: within the same byte budget (looked up first; a miss falls
+        #: through to the store in the dispatcher).
+        self.memo = _Memo(config.store_max_bytes)
         self.pool = WorkerPool(
             config.workers,
             retry=RetryPolicy(
@@ -324,8 +375,8 @@ class StencilService:
         deadline = loop.time() + timeout
 
         while True:
-            found, fragment = self.memo.peek(kind, request.key)
-            if found:
+            fragment = self.memo.get(kind, request.key)
+            if fragment is not None:
                 self.stats.count(kind, "memory_hits")
                 return self._complete(request, fragment, "memory", started)
 
@@ -455,9 +506,10 @@ class StencilService:
             self.stats.count(request.kind, "timeouts")
             return
 
-        found, value = await loop.run_in_executor(None, self.store.load, request.kind, request.key)
+        found, fragment = await loop.run_in_executor(
+            None, self.store.load, request.kind, request.key
+        )
         if found:
-            fragment = _encode_result(value)
             self.memo.put(request.kind, request.key, fragment)
             self.stats.count(request.kind, "store_hits")
             if not future.done():
@@ -491,7 +543,7 @@ class StencilService:
         fragment = _encode_result(result)
         self.memo.put(request.kind, request.key, fragment)
         self.stats.count(request.kind, "computed")
-        await loop.run_in_executor(None, self.store.save, request.kind, request.key, result)
+        await loop.run_in_executor(None, self.store.save, request.kind, request.key, fragment)
         if not future.done():
             future.set_result((fragment, "computed"))
 
@@ -542,12 +594,7 @@ class StencilService:
             "inflight": len(self._inflight),
             "draining": self._draining,
             "uptime_seconds": time.time() - self.started_at,
-            "cache": {
-                "overall": self.memo.stats.to_dict(),
-                "by_kind": {
-                    kind: s.to_dict() for kind, s in self.memo.stats_by_kind().items()
-                },
-            },
+            "cache": self.memo.stats(),
             "store": {
                 "version": STORE_VERSION,
                 "path": str(self.store.dir),
@@ -684,8 +731,8 @@ def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
 
 
 def _encode_result(value: Any) -> bytes:
-    """A result's wire form, made once per key: the memo holds it and every
-    200 response splices it in (:func:`_response`)."""
+    """A result's wire form, made once per key: the memo and the store hold
+    it, and every 200 response splices it in (:func:`_response`)."""
     return json.dumps(serial.encode(value), sort_keys=True).encode()
 
 
@@ -820,7 +867,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-cap-mb",
         type=int,
         default=DEFAULT_MAX_BYTES // (1024 * 1024),
-        help="LRU size cap of the store in MiB",
+        help="LRU size cap of each result tier (the store, and memory) in MiB",
     )
     parser.add_argument(
         "--workers",

@@ -67,8 +67,8 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one canonical request payload and return its result.
 
     Results are plain dicts of JSON-native values and NumPy arrays — both
-    picklable across the process boundary; the transport encodes arrays for
-    the wire and the store writes them to NPZ sidecars.
+    picklable across the process boundary; the server encodes each result
+    once for the wire, and the store keeps those bytes.
 
     ``payload`` is :meth:`repro.service.protocol.Request.to_payload` output —
     already validated, so failures here are execution errors (method/grid

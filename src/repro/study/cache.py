@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.machine import MachineSpec
 from repro.study.hashing import freeze
@@ -151,43 +151,6 @@ class EvalCache:
         return counts
 
     # ------------------------------------------------------------------ #
-    # non-blocking access (the async service front end cannot sit on the
-    # single-flight Event, so it peeks, runs its own async dedup, and puts)
-    # ------------------------------------------------------------------ #
-    def peek(self, kind: str, key_parts: Any) -> Tuple[bool, Any]:
-        """``(True, value)`` when ``(kind, key_parts)`` is ready in memory.
-
-        Never blocks and never counts as a hit or miss on its own: an
-        in-flight or failed cell reads as absent.  Pair with :meth:`put` for
-        callers that dedupe concurrent computations themselves.
-        """
-        key = (kind, freeze(key_parts))
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None or not cell.ready.is_set() or cell.error is not None:
-                return False, None
-            self._hits += 1
-            self._kind_counts(kind)[0] += 1
-            return True, cell.value
-
-    def put(self, kind: str, key_parts: Any, value: Any) -> None:
-        """Insert a ready value, counting one miss (the computation happened).
-
-        An existing ready cell for the key is left untouched.
-        """
-        key = (kind, freeze(key_parts))
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is not None and cell.ready.is_set() and cell.error is None:
-                return
-            fresh = _Cell()
-            fresh.value = value
-            fresh.ready.set()
-            self._cells[key] = fresh
-            self._misses += 1
-            self._kind_counts(kind)[1] += 1
-
-    # ------------------------------------------------------------------ #
     # pipeline stages
     # ------------------------------------------------------------------ #
     def profile(
@@ -281,9 +244,10 @@ class EvalCache:
     def stats_by_kind(self) -> Dict[str, CacheStats]:
         """Per-kind accounting (``entries`` is not tracked per kind: 0).
 
-        The runner CLI's ``--json`` output and the service's ``/stats``
-        endpoint both report this mapping, so the two surfaces agree on what
-        "hit rate per kind" means.
+        The runner CLI's ``--json`` output reports this mapping, in the
+        :class:`CacheStats` shape the service's ``/stats`` endpoint reports
+        for its in-memory tier, so the two surfaces agree on what "hit rate
+        per kind" means.
         """
         with self._lock:
             return {

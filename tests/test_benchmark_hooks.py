@@ -125,6 +125,37 @@ class TestTracedServerPatches:
         server = importlib.import_module("repro.service.server")
         assert server.serial is importlib.import_module("repro.service.serial")
 
+    def test_a_store_hit_encodes_nothing(self, tmp_path, monkeypatch):
+        """Results are encoded through the ``serial`` global of
+        ``repro.service.server``, the name the traced run wraps: once when
+        computed, and not at all when a later life serves the stored bytes."""
+        import asyncio
+
+        server = importlib.import_module("repro.service.server")
+        serial = importlib.import_module("repro.service.serial")
+        encoded = []
+
+        def encode(value, arrays=None):
+            encoded.append(value)
+            return serial.encode(value, arrays)
+
+        monkeypatch.setattr(server, "serial", ModuleProxy(serial, encode=encode))
+        config = server.ServiceConfig(port=0, store_path=str(tmp_path / "store"), workers=0)
+        payload = {"kind": "run", "stencil": "2d9p", "m": 2, "shape": [32, 32], "steps": 2}
+
+        async def life():
+            service = server.StencilService(config)
+            await service.start()
+            try:
+                _, envelope, fragment = await service._answer(dict(payload))
+                return envelope["served_from"], fragment, len(encoded)
+            finally:
+                await service.shutdown(drain=False)
+
+        computed, stored = asyncio.run(life()), asyncio.run(life())
+        assert computed[0::2] == ("computed", 1)
+        assert stored == ("store", computed[1], 1)
+
 
 class TestTracedClientPatches:
     @pytest.mark.parametrize(

@@ -127,6 +127,32 @@ class TestCacheHierarchy:
         assert same["key"] == first["key"]
         assert same["result"] == first["result"]
 
+    def test_the_memo_stays_within_the_byte_budget(self, tmp_path):
+        """Cold results past ``store_max_bytes`` evict the least recently
+        used from memory; a hot key requested between them stays a memory
+        hit, and an evicted key comes back with the same result bytes."""
+        budget = 40_000  # three 32x32 run results (11 kB each)
+        payload = {"kind": "run", "stencil": "2d9p", "m": 2, "shape": [32, 32], "steps": 2}
+
+        def run(seed):
+            return dict(payload, seed=seed)
+
+        async def scenario(service):
+            first, hot_tiers, sizes = {}, [], []
+            for seed in range(1, 9):
+                _, _, first[seed] = await service._answer(run(seed))
+                sizes.append(service.memo.bytes)
+                _, envelope, _ = await service._answer(run(0))
+                hot_tiers.append(envelope["served_from"])
+            _, again, fragment = await service._answer(run(1))
+            return first, hot_tiers, sizes, again["served_from"], fragment
+
+        config = _config(tmp_path, store_max_bytes=budget)
+        first, hot_tiers, sizes, tier, fragment = drive(config, scenario)
+        assert max(sizes) <= budget
+        assert hot_tiers == ["computed"] + ["memory"] * 7
+        assert tier != "memory" and fragment == first[1]
+
     def test_stats_reflect_the_hierarchy(self, tmp_path):
         async def scenario(service):
             await service.handle_request(dict(ESTIMATE))

@@ -1,9 +1,10 @@
-"""The persistent result store and its value codec.
+"""The persistent result store and the value codec of its fragments.
 
 The store is the durability layer of the service's cache hierarchy, so the
 properties under test are the ones correctness rests on: bit-identical
-round-trips (floats, arrays, dataclasses), schema-version isolation,
-corruption degrading to a cold miss, and the LRU byte cap.
+codec round-trips (floats, arrays, dataclasses), a store that returns
+exactly the bytes it was given, schema-version isolation, corruption
+degrading to a cold miss, and the LRU byte cap.
 """
 
 from __future__ import annotations
@@ -99,88 +100,102 @@ class TestSerialRoundTrip:
             encode(Foreign())
 
 
+
+
+def _fragment(value) -> bytes:
+    """``value``'s wire fragment, the form the service stores."""
+    return json.dumps(encode(value), sort_keys=True).encode()
+
+
+def _blob(i: int) -> bytes:
+    """The fragment of a 3000-point array result: about 32 KiB."""
+    return _fragment({"values": np.arange(3000, dtype=np.float64) + i})
+
+
 class TestResultStore:
     def test_round_trip_and_accounting(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        value = {"gflops": 12.375, "rows": [{"m": 2, "x": 1 / 3}]}
-        assert store.save("estimate", "abc123", value)
-        found, loaded = store.load("estimate", "abc123")
-        assert found and loaded == value
+        fragment = _fragment({"gflops": 12.375, "rows": [{"m": 2, "x": 1 / 3}]})
+        assert store.save("estimate", "abc123", fragment)
+        assert store.load("estimate", "abc123") == (True, fragment)
         found, _ = store.load("estimate", "missing")
         assert not found
         stats = store.stats
         assert (stats.hits, stats.misses, stats.puts) == (1, 1, 1)
-        assert stats.entries == 1 and stats.bytes > 0
+        assert stats.entries == 1 and stats.bytes > len(fragment)
 
-    def test_bit_identical_replay(self, tmp_path):
-        """The stored value re-encodes to the same bytes as the original —
-        the property behind 'identical response after restart'."""
+    @pytest.mark.parametrize(
+        "fragment",
+        [
+            _fragment({"values": np.linspace(0, 1, 97) * (1 / 3), "total": 330}),
+            b"",
+            b'{"a": 1}\n{"b": 2}\n',
+            bytes(range(256)),
+        ],
+        ids=["arrays", "empty", "newlines", "binary"],
+    )
+    def test_bit_identical_replay(self, tmp_path, fragment):
+        """A load returns exactly the bytes saved, whatever they hold: the
+        property behind 'identical response after restart'."""
         store = ResultStore(tmp_path / "store")
-        value = {
-            "values": np.linspace(0, 1, 97) * (1 / 3),
-            "instructions": {"total": 330, "counts": {"arith": 64}},
-        }
-        store.save("simulate", "k1", value)
-        _, loaded = store.load("simulate", "k1")
-        assert json.dumps(encode(value), sort_keys=True) == json.dumps(
-            encode(loaded), sort_keys=True
-        )
-
-    def test_large_arrays_go_to_npz_sidecar(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        big = np.arange(4096, dtype=np.float64)
-        store.save("simulate", "big1", {"values": big})
-        assert (store.dir / "simulate-big1.npz").exists()
-        json_bytes = (store.dir / "simulate-big1.json").stat().st_size
-        assert json_bytes < big.nbytes  # the array is not inline
-        found, loaded = store.load("simulate", "big1")
-        assert found and np.array_equal(loaded["values"], big)
+        store.save("simulate", "k1", fragment)
+        assert store.load("simulate", "k1") == (True, fragment)
 
     def test_restart_sees_entries(self, tmp_path):
-        ResultStore(tmp_path / "store").save("plan", "k", {"label": "Our"})
+        fragment = _fragment({"label": "Our"})
+        ResultStore(tmp_path / "store").save("plan", "k", fragment)
         reopened = ResultStore(tmp_path / "store")
-        found, value = reopened.load("plan", "k")
-        assert found and value == {"label": "Our"}
+        assert reopened.load("plan", "k") == (True, fragment)
         assert reopened.contains("plan", "k")
         assert not reopened.contains("plan", "other")
 
-    def test_schema_version_isolation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field,value", [("schema", STORE_VERSION + 1), ("kind", "estimate"), ("key", "other")]
+    )
+    def test_header_naming_another_schema_or_entry_is_a_miss(self, tmp_path, field, value):
+        """An entry whose header names another schema version, kind or key
+        reads as a miss, though its digest still matches."""
         store = ResultStore(tmp_path / "store")
-        store.save("plan", "k", {"v": 1})
-        # An entry claiming a different schema version must read as a miss.
-        path = store._json_path("plan", "k")
-        payload = json.loads(path.read_text())
-        payload["schema"] = STORE_VERSION + 1
-        path.write_text(json.dumps(payload))
+        store.save("plan", "k", _fragment({"v": 1}))
+        path = store._path(store._stem("plan", "k"))
+        line, _, fragment = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        header[field] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + fragment)
         found, _ = store.load("plan", "k")
         assert not found
+        assert store.stats.digest_failures == 0
+        assert store.stats.quarantined == 1
 
     @pytest.mark.parametrize(
-        "corruption",
-        [b"", b"{truncated", b'{"schema": 1, "value"', b"\x00\x01binary"],
+        "corrupt",
+        [
+            lambda raw: b"",
+            lambda raw: raw[:10],
+            lambda raw: raw[: len(raw) - 5],
+            lambda raw: b"\x00\x01binary",
+            lambda raw: raw.replace(b"\n", b" ", 1),
+            lambda raw: raw.replace(b'"digest":"', b'"digest":"0', 1),
+        ],
+        ids=["empty", "torn-header", "torn-fragment", "binary", "no-header-line", "digest"],
     )
-    def test_corrupt_blob_degrades_to_miss(self, tmp_path, corruption):
+    def test_corrupt_blob_degrades_to_miss(self, tmp_path, corrupt):
         store = ResultStore(tmp_path / "store")
-        store.save("plan", "k", {"v": 1})
-        store._json_path("plan", "k").write_bytes(corruption)
+        store.save("plan", "k", _fragment({"v": 1}))
+        path = store._path(store._stem("plan", "k"))
+        path.write_bytes(corrupt(path.read_bytes()))
         found, _ = store.load("plan", "k")
         assert not found
+        assert store.stats.quarantined == 1
+        assert not store.contains("plan", "k")
         # And the store still accepts a fresh write over the wreckage.
-        assert store.save("plan", "k", {"v": 2})
-        assert store.load("plan", "k") == (True, {"v": 2})
-
-    def test_missing_sidecar_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.save("simulate", "k", {"values": np.arange(4096, dtype=np.float64)})
-        store._npz_path("simulate", "k").unlink()
-        found, _ = store.load("simulate", "k")
-        assert not found
+        assert store.save("plan", "k", _fragment({"v": 2}))
+        assert store.load("plan", "k") == (True, _fragment({"v": 2}))
 
     def test_lru_eviction_under_byte_cap(self, tmp_path):
         store = ResultStore(tmp_path / "store", max_bytes=64 * 1024)
-        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
         for i in range(6):
-            store.save("simulate", f"k{i}", {"values": blob + i})
+            store.save("simulate", f"k{i}", _blob(i))
         stats = store.stats
         assert stats.evictions > 0
         assert stats.bytes <= store.max_bytes
@@ -193,19 +208,17 @@ class TestResultStore:
         import time
 
         store = ResultStore(tmp_path / "store", max_bytes=100 * 1024)
-        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
-        store.save("simulate", "hot", {"values": blob})
-        store.save("simulate", "cold0", {"values": blob + 1})
-        store.save("simulate", "cold1", {"values": blob + 2})
+        store.save("simulate", "hot", _blob(0))
+        store.save("simulate", "cold0", _blob(1))
+        store.save("simulate", "cold1", _blob(2))
         # Age everything, with "hot" strictly the oldest: without the read
         # below refreshing its recency, it would be the eviction victim.
         now = time.time()
         for stem, age in (("hot", 7200), ("cold0", 3600), ("cold1", 3600)):
-            for suffix in (".json", ".npz"):
-                os.utime(store.dir / f"simulate-{stem}{suffix}", (now - age, now - age))
+            os.utime(store._path(f"simulate-{stem}"), (now - age, now - age))
         store.load("simulate", "hot")
-        store.save("simulate", "fresh0", {"values": blob + 3})
-        store.save("simulate", "fresh1", {"values": blob + 4})
+        store.save("simulate", "fresh0", _blob(3))
+        store.save("simulate", "fresh1", _blob(4))
         assert store.stats.evictions > 0
         assert store.contains("simulate", "hot")
         assert not store.contains("simulate", "cold0")
@@ -223,9 +236,8 @@ class TestResultStore:
             return iterdir(path)
 
         monkeypatch.setattr(Path, "iterdir", counted)
-        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
         for i in range(120):
-            assert store.save("simulate", f"k{i}", {"values": blob + i})
+            assert store.save("simulate", f"k{i}", _blob(i))
             if i % 3 == 0:
                 assert store.load("simulate", f"k{i}")[0]
         assert listings == []
@@ -241,11 +253,11 @@ class TestResultStore:
         import threading
 
         store = ResultStore(tmp_path / "store", max_bytes=200 * 1024)
-        blob = np.arange(3000, dtype=np.float64)  # ~24 KiB per entry
+        blobs = [_blob(i) for i in range(25)]
 
         def work(t):
             for i in range(25):
-                store.save("simulate", f"t{t}-{i}", {"values": blob + i})
+                store.save("simulate", f"t{t}-{i}", blobs[i])
                 store.load("simulate", f"t{t}-{i // 2}")
 
         interval = sys.getswitchinterval()
@@ -266,8 +278,8 @@ class TestResultStore:
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.save("plan", "a", {"v": 1})
-        store.save("plan", "b", {"v": 2})
+        store.save("plan", "a", _fragment({"v": 1}))
+        store.save("plan", "b", _fragment({"v": 2}))
         store.clear()
         assert store.stats.entries == 0
         assert not store.contains("plan", "a")
@@ -277,14 +289,14 @@ class TestCorruptionQuarantine:
     """Every damaged-entry shape must read as quarantine + miss — never an
     exception, never bad bytes served (the store's chaos contract)."""
 
-    def test_bit_flipped_manifest_fails_digest_and_quarantines(self, tmp_path):
+    def test_bit_flipped_fragment_fails_digest_and_quarantines(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.save("estimate", "k", {"gflops": 12.375, "rows": [1, 2, 3]})
-        path = store._json_path("estimate", "k")
+        store.save("estimate", "k", _fragment({"gflops": 12.375, "rows": [1, 2, 3]}))
+        path = store._path(store._stem("estimate", "k"))
         blob = bytearray(path.read_bytes())
-        # Flip one bit inside the value payload, leaving the JSON parseable:
-        # only the content digest can catch this.
-        position = blob.index(b"12.375") + 1  # '2' -> '3', still valid JSON
+        # Flip one bit inside the fragment, leaving it valid JSON: only the
+        # content digest can catch this.
+        position = blob.index(b"12.375") + 1  # '2' -> '3'
         blob[position] ^= 0x01
         path.write_bytes(bytes(blob))
         found, _ = store.load("estimate", "k")
@@ -295,59 +307,21 @@ class TestCorruptionQuarantine:
         assert not store.contains("estimate", "k")  # moved, not rewritten
         assert any(name.startswith("estimate-k.") for name in store.quarantined_files())
 
-    def test_truncated_npz_sidecar_quarantines(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        big = np.arange(4096, dtype=np.float64)
-        store.save("simulate", "k", {"values": big})
-        npz = store._npz_path("simulate", "k")
-        raw = npz.read_bytes()
-        npz.write_bytes(raw[: len(raw) // 2])  # torn write
-        found, _ = store.load("simulate", "k")
-        assert not found
-        stats = store.stats
-        assert stats.digest_failures == 1
-        assert stats.quarantined == 1
-        # Both halves of the entry are quarantined together.
-        quarantined = store.quarantined_files()
-        assert any(name.endswith(".json") for name in quarantined)
-        assert any(name.endswith(".npz") for name in quarantined)
-
-    def test_valid_digest_but_undecodable_value_quarantines(self, tmp_path):
-        import hashlib
-        import json as json_module
-
-        store = ResultStore(tmp_path / "store")
-        store.save("plan", "k", {"v": 1})
-        path = store._json_path("plan", "k")
-        payload = json_module.loads(path.read_text())
-        # A self-consistent manifest whose value decodes to garbage: the
-        # digest passes, the decode layer must still degrade safely.
-        payload["value"] = {"__repro__": "no-such-tag"}
-        canonical = json_module.dumps(
-            payload["value"], sort_keys=True, separators=(",", ":")
-        ).encode()
-        payload["digests"]["value"] = hashlib.sha256(canonical).hexdigest()
-        path.write_text(json_module.dumps(payload, sort_keys=True, separators=(",", ":")))
-        found, _ = store.load("plan", "k")
-        assert not found
-        stats = store.stats
-        assert stats.digest_failures == 0  # digests were fine...
-        assert stats.quarantined == 1  # ...the value was not
-
     def test_stale_tmp_file_is_swept_into_quarantine_on_startup(self, tmp_path):
         import os
         import time
 
         store = ResultStore(tmp_path / "store")
-        store.save("plan", "k", {"v": 1})
+        fragment = _fragment({"v": 1})
+        store.save("plan", "k", fragment)
         # A writer died mid-write long ago...
-        stale = store.dir / "plan-dead.json.xyz123.tmp"
-        stale.write_bytes(b"{half a mani")
+        stale = store.dir / "plan-dead.entry.xyz123.tmp"
+        stale.write_bytes(b'{"digest":"ab')
         old = time.time() - 3600
         os.utime(stale, (old, old))
         # ...and a fresh one is racing us right now: it must be left alone.
-        racing = store.dir / "plan-live.json.abc456.tmp"
-        racing.write_bytes(b"{half a mani")
+        racing = store.dir / "plan-live.entry.abc456.tmp"
+        racing.write_bytes(b'{"digest":"ab')
 
         reopened = ResultStore(tmp_path / "store")
         assert not stale.exists()
@@ -355,13 +329,13 @@ class TestCorruptionQuarantine:
         assert reopened.stats.quarantined == 1
         assert any(".tmp" in name for name in reopened.quarantined_files())
         # The healthy entry is untouched by the sweep.
-        assert reopened.load("plan", "k") == (True, {"v": 1})
+        assert reopened.load("plan", "k") == (True, fragment)
 
     def test_quarantine_dir_does_not_count_as_entries(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.save("plan", "a", {"v": 1})
-        store.save("plan", "b", {"v": 2})
-        store._json_path("plan", "a").write_bytes(b"garbage")
+        store.save("plan", "a", _fragment({"v": 1}))
+        store.save("plan", "b", _fragment({"v": 2}))
+        store._path(store._stem("plan", "a")).write_bytes(b"garbage")
         found, _ = store.load("plan", "a")
         assert not found
         assert store.stats.entries == 1  # only the healthy entry remains
