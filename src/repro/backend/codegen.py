@@ -36,15 +36,17 @@ falls back: a failed call raises.
 
 Programs are shared process-wide through a cache keyed by their *content*:
 the canonical hash of the lowered program (ops, immediates, tags, wiring),
-via :func:`repro.study.hashing.config_hash`.  Two plans whose schedules
-lower to the same program — or whose pass pipelines converge on the same
-optimized program — share one kernel.  Instruction counts always come from
-the IR.
+:attr:`ScheduleIR.content_key <repro.ir.ops.ScheduleIR.content_key>`.  Two
+schedules that lower to the same program — or whose pass pipelines
+converge on the same optimized program — share one kernel.  Instruction
+counts always come from the IR.
 
 The default folded ``CompiledPlan.run()`` takes a schedule's raw program
 too, built off the caller's thread: :func:`background_build` queues it on
-one daemon thread, once per configuration, and :func:`wait_for_builds`
-waits for that thread to go idle.
+one daemon thread, once per schedule and ISA, and :func:`wait_for_builds`
+waits for that thread to go idle.  A process keeps one schedule per
+configuration (:func:`repro.core.vectorized_folding.folding_schedule`), so
+that is once per configuration while the schedule memo holds it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from repro.ir.passes import PassReport
 from repro.layout.transpose_layout import from_transpose_layout, to_transpose_layout
 from repro.simd.isa import IsaSpec
 from repro.stencils.boundary import BoundaryCondition
-from repro.study.hashing import config_hash
 
 __all__ = [
     "BackgroundBuild",
@@ -85,42 +86,15 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # content keys
 # --------------------------------------------------------------------------- #
-def _op_fingerprint(op: IrOp) -> Tuple:
-    imm = op.imm
-    if isinstance(imm, np.ndarray):
-        imm = ("ndarray", imm.dtype.str, tuple(imm.shape), tuple(imm.ravel().tolist()))
-    return (
-        op.opcode,
-        op.dst,
-        op.srcs,
-        imm,
-        op.tag,
-        op.cls.name if op.cls is not None else None,
-        op.lanes,
-    )
-
-
 def kernel_content_key(ir: ScheduleIR) -> str:
-    """Canonical content hash of one lowered program.
+    """Canonical content hash of one lowered program
+    (:attr:`ScheduleIR.content_key <repro.ir.ops.ScheduleIR.content_key>`,
+    hashed once per program).
 
-    Everything the replay derives from is folded in: the full op stream with
-    immediates and tags, the register space and the cross-segment wiring.
     Pass pipelines that converge on the same program share the key — the
     cache is content addressed, not configuration addressed.
     """
-    parts = (
-        ir.isa.name,
-        ir.dims,
-        ir.m,
-        ir.nregs,
-        ir.vt_out,
-        tuple(
-            (seg.name, seg.trip, seg.peak_live, seg.spills,
-             tuple(_op_fingerprint(op) for op in seg.ops))
-            for seg in ir.segments
-        ),
-    )
-    return config_hash("megakernel", parts)
+    return ir.content_key
 
 
 # --------------------------------------------------------------------------- #
@@ -570,17 +544,21 @@ def kernel_cache_stats() -> Dict[str, int]:
 def clear_kernel_cache() -> None:
     """Drop every cached kernel and reset the accounting (test isolation).
 
-    The registry of background builds is dropped too, so the next
-    :func:`background_build` of any configuration queues a new build.  A
-    build already handed out keeps its program, and a queued one still runs.
+    The schedule memo is emptied too
+    (:func:`~repro.core.vectorized_folding.clear_schedules`), since
+    schedules hold their compiled programs and background builds: the next
+    plan of any configuration lowers again and its first :func:`background_build`
+    queues a new build.  A plan keeps its schedule, and so its programs; a
+    queued build still runs.
     """
+    from repro.core.vectorized_folding import clear_schedules
+
     global _CACHE_HITS, _CACHE_MISSES
     with _CACHE_LOCK:
         _KERNEL_CACHE.clear()
         _CACHE_HITS = 0
         _CACHE_MISSES = 0
-    with _BUILDS_CV:
-        _BUILDS.clear()
+    clear_schedules()
 
 
 def compile_kernel(schedule, isa: IsaSpec, *, optimize: Optional[bool] = False) -> KernelProgram:
@@ -643,54 +621,50 @@ class BackgroundBuild:
         return program if program is not None and program.native is not None else None
 
 
-_BUILDS_CV = threading.Condition()
-#: Configuration key -> its build, queued or finished.
-_BUILDS: Dict[Tuple, BackgroundBuild] = {}
+_BUILD_CV = threading.Condition()
+#: Builds not yet finished, in order; the running one first.
 _BUILD_JOBS: Deque[Tuple[BackgroundBuild, object, IsaSpec]] = deque()
 _builder: Optional[threading.Thread] = None
-
-
-def _configuration_key(schedule, isa: IsaSpec) -> Tuple:
-    """What a raw program depends on: the stencil's weights (never its name),
-    the fold factor, the ISA and the dimensionality."""
-    kernel = np.ascontiguousarray(schedule.spec.kernel, dtype=np.float64)
-    return (kernel.shape, kernel.tobytes(), schedule.m, isa.name, schedule.dims)
 
 
 def background_build(schedule, isa: IsaSpec, queue: bool = True) -> Optional[BackgroundBuild]:
     """The process's build of ``schedule``'s raw, pass-free program at ``isa``.
 
-    The first call for a configuration (:func:`_configuration_key`) queues
-    the build on the one background thread and returns at once; later calls,
-    from any plan, return the same build.  With ``queue=False`` a
-    configuration without a build returns ``None`` instead.  The thread runs
-    :func:`compile_kernel`, so the program lands in the content-key cache as
-    well; it is a daemon, and exits once the queue is empty.
+    The build is the schedule's (:meth:`FoldingSchedule.derived
+    <repro.core.vectorized_folding.FoldingSchedule.derived>`), so every plan
+    of the configuration shares it.  The first call queues it on the one
+    background thread and returns at once; later calls return the same
+    build.  With ``queue=False`` a schedule without a build returns ``None``
+    instead.  The thread runs :func:`compile_kernel`, so the program lands in
+    the content-key cache as well; it is a daemon, and exits once the queue
+    is empty.
     """
+    key = ("run", isa.name)
+    if not queue:
+        return schedule.built(key)
+    return schedule.derived(key, lambda: _queue_build(schedule, isa))
+
+
+def _queue_build(schedule, isa: IsaSpec) -> BackgroundBuild:
     global _builder
-    key = _configuration_key(schedule, isa)
-    with _BUILDS_CV:
-        build = _BUILDS.get(key)
-        if build is None and queue:
-            build = _BUILDS[key] = BackgroundBuild()
-            _BUILD_JOBS.append((build, schedule, isa))
-            if _builder is None:
-                _builder = threading.Thread(
-                    target=_run_builds, name="repro-kernel-builds", daemon=True
-                )
-                _builder.start()
+    build = BackgroundBuild()
+    with _BUILD_CV:
+        _BUILD_JOBS.append((build, schedule, isa))
+        if _builder is None:
+            _builder = threading.Thread(target=_run_builds, name="repro-kernel-builds", daemon=True)
+            _builder.start()
     return build
 
 
 def _run_builds() -> None:
     global _builder
     while True:
-        with _BUILDS_CV:
+        with _BUILD_CV:
             if not _BUILD_JOBS:
                 _builder = None
-                _BUILDS_CV.notify_all()
+                _BUILD_CV.notify_all()
                 return
-            build, schedule, isa = _BUILD_JOBS.popleft()
+            build, schedule, isa = _BUILD_JOBS[0]
             build.status = "building"
         error = None
         try:
@@ -698,28 +672,31 @@ def _run_builds() -> None:
             status = program.status if program.native else f"failed ({program.detail})"
         except Exception as exc:  # noqa: BLE001 - the thread serves every later build
             program, status, error = None, f"failed ({type(exc).__name__}: {exc})", exc
-        with _BUILDS_CV:
+        with _BUILD_CV:
             build.program, build.status, build.error = program, status, error
             build.done.set()
+            _BUILD_JOBS.popleft()
 
 
 def wait_for_builds(timeout: Optional[float] = None) -> bool:
     """Block until no background build is queued or running; ``False`` when
     ``timeout`` seconds passed first."""
-    with _BUILDS_CV:
-        return _BUILDS_CV.wait_for(lambda: _builder is None, timeout)
+    with _BUILD_CV:
+        return _BUILD_CV.wait_for(lambda: _builder is None, timeout)
 
 
 def _forget_builds_in_child() -> None:
     """A forked child has no builder thread and may inherit held locks:
-    start with fresh locks, no queue and no unfinished builds."""
-    global _BUILDS_CV, _CACHE_LOCK, _builder
-    _BUILDS_CV = threading.Condition()
+    start with fresh locks and no queue, and forget every build that had
+    not finished, so its schedule's next :func:`background_build` queues it
+    again."""
+    global _BUILD_CV, _CACHE_LOCK, _builder
+    _BUILD_CV = threading.Condition()
     _CACHE_LOCK = threading.Lock()
     _builder = None
+    for _build, schedule, isa in _BUILD_JOBS:
+        schedule.forget(("run", isa.name))
     _BUILD_JOBS.clear()
-    for key in [key for key, build in _BUILDS.items() if not build.done.is_set()]:
-        del _BUILDS[key]
 
 
 if hasattr(os, "register_at_fork"):

@@ -17,8 +17,13 @@ central design point — and splits configuration from execution:
 
 2. **Compile once.**  :meth:`PlanBuilder.compile` validates the whole
    configuration, resolves the method through the pluggable registry
-   (:mod:`repro.registry`) and — for methods that need one — constructs the
-   :class:`~repro.core.vectorized_folding.FoldingSchedule` exactly once.
+   (:mod:`repro.registry`) and — for methods that need one — takes the
+   :class:`~repro.core.vectorized_folding.FoldingSchedule` of the stencil's
+   weights and ``m`` from the process's schedule memo
+   (:func:`~repro.core.vectorized_folding.folding_schedule`): built once per
+   configuration, and with it the lowered IR, the pass run, the engines'
+   compiled sweeps and the native build, which every plan of the
+   configuration shares.
 
 3. **Run many.**  The immutable :class:`CompiledPlan` exposes
    :meth:`~CompiledPlan.run`, :meth:`~CompiledPlan.run_batch` (thread-pool
@@ -33,7 +38,6 @@ removed; the migration table lives in the README.)
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +47,7 @@ from repro.backend import codegen
 from repro.backend.options import ExecutionOptions
 from repro.core.fold_kernel import RunArrays, band_status, fold_kernel_status, load_fold_kernel
 from repro.core.folding import ProfitabilityReport, analyze_folding
-from repro.core.vectorized_folding import FoldingSchedule
+from repro.core.vectorized_folding import FoldingSchedule, folding_schedule
 from repro.ir.executor import compile_sweep
 from repro.ir.lower import check_lowerable
 from repro.ir.ops import block_axes
@@ -291,9 +295,14 @@ class CompiledPlan:
     Instances are produced by :meth:`PlanBuilder.compile`; all configuration
     is frozen at compile time, including the method descriptor resolved from
     the registry and (for folding methods) the
-    :class:`~repro.core.vectorized_folding.FoldingSchedule`, which is
-    constructed exactly once and reused by every :meth:`run`,
-    :meth:`run_batch` and :meth:`simulate` call.
+    :class:`~repro.core.vectorized_folding.FoldingSchedule`, which every
+    :meth:`run`, :meth:`run_batch` and :meth:`simulate` call reuses.  The
+    schedule is the process's one schedule of the configuration
+    (:func:`~repro.core.vectorized_folding.folding_schedule`), shared with
+    every other plan of the same weights and ``m``, and it holds what is
+    built from it: the lowered IR, the engines' compiled sweeps and the
+    native program.  A plan keeps its schedule even after the memo dropped
+    it.
     """
 
     def __init__(
@@ -307,24 +316,14 @@ class CompiledPlan:
         self.config = config
         self.descriptor = descriptor
         self.isa_spec = isa_spec
-        # The schedule is the expensive part of compilation (kernel
-        # composition + counterpart planning); building it here — never in
-        # run() — is what makes the plan amortisable across many grids and
-        # safe to share between batch threads.  Methods that only need a
-        # schedule for simulated execution (transpose) defer it to the first
-        # simulate() call instead of taxing every compile.
+        # Taking the schedule here — never in run() — is what makes the plan
+        # amortisable across many grids and safe to share between batch
+        # threads.  Methods that only need a schedule for simulated execution
+        # (transpose) look theirs up on each simulate() call instead.
         schedule: Optional[FoldingSchedule] = None
         if spec.linear and descriptor.uses_schedule:
-            schedule = FoldingSchedule(spec, self.steps_per_update)
+            schedule = folding_schedule(spec, self.steps_per_update)
         self.schedule = schedule
-        self._lazy_schedule: Optional[FoldingSchedule] = None
-        self._lazy_schedule_lock = threading.Lock()
-        # Compiled sweeps of the trace and kernel engines, keyed by (engine,
-        # isa name, dims, pass selection).  Built lazily on the first
-        # simulate() call and reused across steps, repeated calls and batch
-        # runs.
-        self._engine_cache: dict = {}
-        self._engine_lock = threading.Lock()
         self._frozen = True
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -500,11 +499,12 @@ class CompiledPlan:
             machine across calls with either backend.
         backend:
             ``"trace"`` (the default) lowers the schedule to the typed IR
-            once, compiles it to a batched NumPy program (cached on the plan)
-            and replays it over all block positions per sweep — bit-identical
-            values and identical instruction counts, typically orders of
-            magnitude faster.  ``"kernel"`` runs the same program as native
-            SIMD code built from C by the system compiler (IR replay
+            once, compiles it to a batched NumPy program (cached on the
+            schedule, so once per configuration) and replays it over all
+            block positions per sweep — bit-identical values and identical
+            instruction counts, typically orders of magnitude faster.
+            ``"kernel"`` runs the same program as native SIMD code built
+            from C by the system compiler (IR replay
             without one; ``explain()`` says which), from
             :mod:`repro.backend`'s process-wide cache, keyed by the
             program's content, so plans whose programs agree share one
@@ -519,7 +519,7 @@ class CompiledPlan:
             stays bit-identical to interpreted execution but accounts the
             optimized program's own (smaller) instruction tally.  Both
             variants are compiled at most once and cached side by side on
-            the plan.  Any other value raises ``ValueError``.
+            the schedule.  Any other value raises ``ValueError``.
         """
         opts = ExecutionOptions.normalize(backend=backend, optimize=optimize, context="simulate")
         backend, optimize = opts.backend, opts.optimize
@@ -534,7 +534,7 @@ class CompiledPlan:
         # Every sweep and layout transform writes a new array, so the grid
         # is copied only when no sweep runs.
         if backend in ("trace", "kernel"):
-            compiled = self._compiled(backend, schedule, machine.isa, grid.dims, optimize)
+            compiled = self._compiled(backend, schedule, machine.isa, optimize)
             result = _replay_sweeps(compiled, grid.values, sweeps)
             if sweeps > 0:
                 counts, peak, spills = compiled.sweep_counts(grid.values.shape)
@@ -584,23 +584,16 @@ class CompiledPlan:
 
         ``None`` for a grid :meth:`_check_engine_support` refuses, periodic
         and Dirichlet grids alike.  Otherwise the plan asks
-        :func:`repro.backend.codegen.background_build` for its
-        configuration's program once, which queues the build on the first
-        ask of the process, and keeps the build it gets: ``None`` until the
-        program loaded natively, and for good when its build failed.
+        :func:`repro.backend.codegen.background_build` for its schedule's
+        program, which queues the build on the schedule's first ask and
+        keeps it there for every plan of the configuration: ``None`` until
+        the program loaded natively, and for good when its build failed.
         """
         try:
             self._check_engine_support(grid, self.isa_spec.vector_lanes, dirichlet=True)
         except ValueError:
             return None
-        build = self._engine_cache.get("run")
-        if build is None:
-            with self._engine_lock:
-                build = self._engine_cache.get("run")
-                if build is None:
-                    build = codegen.background_build(self.schedule, self.isa_spec)
-                    self._engine_cache["run"] = build
-        return build.native
+        return codegen.background_build(self.schedule, self.isa_spec).native
 
     def _native_run_description(self) -> str:
         """Which engine the default folded :meth:`run` takes for which grids.
@@ -633,9 +626,7 @@ class CompiledPlan:
             check_lowerable(self.schedule, self.isa_spec.vector_lanes)
         except ValueError:
             return None
-        build = self._engine_cache.get("run") or codegen.background_build(
-            self.schedule, self.isa_spec, queue=False
-        )
+        build = codegen.background_build(self.schedule, self.isa_spec, queue=False)
         if build is None:
             return "native program: not queued yet"
         if build.native is not None:
@@ -647,29 +638,24 @@ class CompiledPlan:
         engine: str,
         schedule: FoldingSchedule,
         isa: IsaSpec,
-        dims: int,
         optimize: bool = False,
     ):
-        """The cached compiled sweep of ``engine`` for ``(isa, dims, optimize)``.
+        """The compiled sweep of ``engine`` for ``(isa, optimize)``, kept on
+        ``schedule``.
 
         ``engine`` is ``"trace"`` (:func:`~repro.ir.executor.compile_sweep`)
         or ``"kernel"`` (:func:`~repro.backend.codegen.compile_kernel`: the
         program's native C form, shared process-wide through its
-        content-key cache).  Compiled at most once per plan, engine, ISA and
-        ``optimize`` — the lower/optimize/compile step is grid-shape
-        independent, so every subsequent simulate() call (and every step
-        within one) reuses it.
+        content-key cache).  Compiled at most once per schedule, engine, ISA
+        and ``optimize`` (:meth:`FoldingSchedule.derived
+        <repro.core.vectorized_folding.FoldingSchedule.derived>`) — the
+        lower/optimize/compile step is grid-shape independent, so every
+        simulate() call of every plan of the configuration reuses it.
         """
         build = compile_sweep if engine == "trace" else codegen.compile_kernel
-        key = (engine, isa.name, dims, optimize)
-        compiled = self._engine_cache.get(key)
-        if compiled is None:
-            with self._engine_lock:
-                compiled = self._engine_cache.get(key)
-                if compiled is None:
-                    compiled = build(schedule, isa, optimize=optimize)
-                    self._engine_cache[key] = compiled
-        return compiled
+        return schedule.derived(
+            (engine, isa.name, optimize), lambda: build(schedule, isa, optimize=optimize)
+        )
 
     def measure(
         self,
@@ -696,39 +682,25 @@ class CompiledPlan:
     def _simulation_schedule(self) -> FoldingSchedule:
         """The folding schedule backing simulated execution.
 
-        Folding methods share the schedule built at compile time; methods
-        that only simulate (transpose, m = 1) build theirs lazily on first
-        use — once per plan, behind a lock so batch threads cannot race.
+        Folding methods use the schedule taken at compile time; methods that
+        only simulate (transpose, m = 1) look theirs up in the schedule memo
+        (:func:`~repro.core.vectorized_folding.folding_schedule`) on use.
         """
         if self.schedule is not None:
             return self.schedule
-        if self._lazy_schedule is None:
-            with self._lazy_schedule_lock:
-                if self._lazy_schedule is None:
-                    object.__setattr__(
-                        self,
-                        "_lazy_schedule",
-                        FoldingSchedule(self.spec, self.steps_per_update),
-                    )
-        assert self._lazy_schedule is not None
-        return self._lazy_schedule
+        return folding_schedule(self.spec, self.steps_per_update)
 
     # ------------------------------------------------------------------ #
     # analysis
     # ------------------------------------------------------------------ #
     def profile(self) -> MethodProfile:
         """Steady-state per-point instruction profile of the compiled method."""
-        kwargs = dict(
+        return self.descriptor.profile(
+            self.spec,
             isa=self.config.isa,
             m=self.config.unroll,
             shifts_reuse=self.config.shifts_reuse,
         )
-        if self.descriptor.uses_schedule and self.schedule is not None:
-            # Hand the compile-time schedule to the builder so profiling does
-            # not repeat the counterpart planning (the registry drops the
-            # kwarg for builders that do not declare it).
-            kwargs["schedule"] = self.schedule
-        return self.descriptor.profile(self.spec, **kwargs)
 
     def estimate(
         self,

@@ -44,9 +44,14 @@ _PLAN_CACHE_MAX = 256
 
 
 def clear_counterpart_cache() -> None:
-    """Drop all memoized counterpart plans (test isolation hook)."""
+    """Drop all memoized counterpart plans (test isolation hook), and the
+    schedule memo that embeds them
+    (:func:`~repro.core.vectorized_folding.clear_schedules`)."""
+    from repro.core.vectorized_folding import clear_schedules
+
     with _PLAN_CACHE_LOCK:
         _PLAN_CACHE.clear()
+    clear_schedules()
 
 
 def counterpart_cache_info() -> Tuple[int, int]:

@@ -45,14 +45,25 @@ code, they cannot drift apart.
 ``m = 1`` degenerates to the paper's Section 2 scheme (no temporal folding,
 just the transpose-layout vectorisation), so the same class also serves as
 "our method" without time folding.
+
+A process keeps one schedule per configuration, the stencil's weights and
+``m``: :func:`folding_schedule` hands every caller the same schedule from a
+bounded memo, and what the process derives from it (the lowered IR and the
+pass run per ISA, the engines' compiled sweeps, the folded ``run()``'s
+background build) is built once on the schedule and shared by every plan of
+the configuration.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -376,6 +387,36 @@ class FoldingSchedule:
         self.width = 2 * self.radius + 1
         self.plan: CounterpartPlan = plan_counterparts(self.matrix, rtol=_EXACT_RTOL)
         self._build_materialization()
+        # What the process derives from the schedule, each built once under
+        # _lock: (isa name, optimize) -> (ir, pass reports) in _ir_cache
+        # (:meth:`_lowered_ir`), and the engines' compiled sweeps and run()'s
+        # background builds in _derived (:meth:`derived`).
+        self._lock = threading.RLock()
+        self._ir_cache: Dict[Tuple[str, bool], tuple] = {}
+        self._derived: Dict[Tuple, object] = {}
+        _LIVE_SCHEDULES.add(self)
+
+    def derived(self, key: Tuple, build: Callable[[], object]):
+        """``build()``'s value for ``key``, built once per schedule and kept
+        on it: the compiled sweep of an engine, ISA and ``optimize``, or the
+        folded ``run()``'s background build for an ISA.  Concurrent first
+        calls build once, under the schedule's lock."""
+        value = self._derived.get(key)
+        if value is None:
+            with self._lock:
+                value = self._derived.get(key)
+                if value is None:
+                    value = self._derived[key] = build()
+        return value
+
+    def built(self, key: Tuple):
+        """What :meth:`derived` holds for ``key``, or ``None``; builds nothing."""
+        return self._derived.get(key)
+
+    def forget(self, key: Tuple) -> None:
+        """Drop what :meth:`derived` holds for ``key``: a forked child
+        forgets a build its parent had not finished."""
+        self._derived.pop(key, None)
 
     # ------------------------------------------------------------------ #
     # counterpart materialisation
@@ -1067,15 +1108,19 @@ class FoldingSchedule:
             check_lowerable(self, vl)
         except ValueError:
             return None
-        cache = self.__dict__.setdefault("_ir_cache", {})
+        cache = self._ir_cache
         raw, key = (isa.name, False), (isa.name, bool(optimize))
-        if raw not in cache:
-            cache[raw] = (lower_schedule(self, isa), ())
-        if key not in cache:
-            from repro.ir.passes import PassManager
+        lowered = cache.get(key)
+        if lowered is None:
+            with self._lock:
+                if raw not in cache:
+                    cache[raw] = (lower_schedule(self, isa), ())
+                if key not in cache:
+                    from repro.ir.passes import PassManager
 
-            cache[key] = PassManager(True).run(cache[raw][0])
-        return cache[key]
+                    cache[key] = PassManager(True).run(cache[raw][0])
+                lowered = cache[key]
+        return lowered
 
     def _ir_instruction_profile(self, ir, shifts_reuse: bool) -> InstructionCounts:
         """Steady-state per-point counts derived from the lowered IR.
@@ -1184,3 +1229,64 @@ def _shift_along_axis(
         dst[axis] = slice(-offset, n)
     out[tuple(dst)] = array[tuple(src)]
     return out
+
+
+# --------------------------------------------------------------------------- #
+# one schedule per configuration and process
+# --------------------------------------------------------------------------- #
+#: Configurations the memo keeps, the least recently used evicted first:
+#: every library configuration the tuner explores (7 linear stencils at
+#: m = 1-4), with room to spare.
+_SCHEDULES_MAX = 64
+_SCHEDULES: "OrderedDict[Tuple, FoldingSchedule]" = OrderedDict()
+_SCHEDULES_LOCK = threading.Lock()
+#: Every schedule alive in the process, memoized or not (the fork hook's).
+_LIVE_SCHEDULES: "weakref.WeakSet[FoldingSchedule]" = weakref.WeakSet()
+
+
+def folding_schedule(spec: StencilSpec, m: int) -> FoldingSchedule:
+    """The process's :class:`FoldingSchedule` of ``spec`` at ``m``.
+
+    Keyed on the kernel's shape, its float64 bytes and ``m``, never the
+    stencil's name: specs with the same weights share one schedule, and with
+    it everything built from it.  The memo keeps :data:`_SCHEDULES_MAX`
+    configurations; evicting one drops only the memo's reference, so a plan
+    keeps its schedule, and the next new plan of that configuration builds a
+    new one, to be lowered and optimized again.
+    """
+    kernel = np.ascontiguousarray(spec.kernel, dtype=np.float64)
+    key = (kernel.shape, kernel.tobytes(), m)
+    with _SCHEDULES_LOCK:
+        schedule = _SCHEDULES.get(key)
+        if schedule is not None:
+            _SCHEDULES.move_to_end(key)
+            return schedule
+    # Built outside the lock: counterpart planning can take milliseconds.
+    schedule = FoldingSchedule(spec, m)
+    with _SCHEDULES_LOCK:
+        schedule = _SCHEDULES.setdefault(key, schedule)
+        _SCHEDULES.move_to_end(key)
+        while len(_SCHEDULES) > _SCHEDULES_MAX:
+            _SCHEDULES.popitem(last=False)
+    return schedule
+
+
+def clear_schedules() -> None:
+    """Empty the schedule memo, so the next plan of every configuration
+    builds, lowers and compiles from scratch; plans keep their schedules.
+    :func:`~repro.core.regression.clear_counterpart_cache` and
+    :func:`~repro.backend.codegen.clear_kernel_cache` call it."""
+    with _SCHEDULES_LOCK:
+        _SCHEDULES.clear()
+
+
+def _fresh_locks_in_child() -> None:
+    """A forked child may inherit locks held by threads it does not have."""
+    global _SCHEDULES_LOCK
+    _SCHEDULES_LOCK = threading.Lock()
+    for schedule in _LIVE_SCHEDULES:
+        schedule._lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_locks_in_child)

@@ -568,9 +568,7 @@ def pass_ablation(
     (non-linear stencils, folded radius beyond the vector length) are
     skipped, mirroring the paper's "-" entries.
     """
-    from repro.core.vectorized_folding import FoldingSchedule
-    from repro.ir.lower import lower_schedule
-    from repro.ir.passes import PassManager
+    from repro.core.vectorized_folding import folding_schedule
     from repro.simd.isa import isa_for
 
     def metric(cell: StudyCell) -> Optional[Dict[str, object]]:
@@ -581,12 +579,12 @@ def pass_ablation(
             return None
 
         def analyse():
-            schedule = FoldingSchedule(spec, m)
+            schedule = folding_schedule(spec, m)
             if schedule.radius > isa.vector_lanes:
                 return None
             shape = _ABLATION_SHAPES[spec.dims](isa.vector_lanes)
-            ir = lower_schedule(schedule, isa)
-            opt, reports = PassManager(True).run(ir)
+            ir = schedule.schedule_ir(isa.vector_lanes)
+            opt, reports = schedule._lowered_ir(isa.vector_lanes, optimize=True)
             base, _, base_spills = ir.sweep_counts(shape if spec.dims > 1 else shape[0])
             best, _, best_spills = opt.sweep_counts(shape if spec.dims > 1 else shape[0])
             row: Dict[str, object] = {
@@ -722,7 +720,7 @@ def measured_vs_estimated(
     """
     from repro.backend.measure import measured_vs_estimated as compare
     from repro.core.plan import plan as build_plan
-    from repro.core.vectorized_folding import FoldingSchedule
+    from repro.core.vectorized_folding import folding_schedule
     from repro.simd.isa import isa_for
     from repro.stencils.grid import Grid
 
@@ -737,7 +735,7 @@ def measured_vs_estimated(
             return None
 
         def measure():
-            if FoldingSchedule(spec, m).radius > isa.vector_lanes:
+            if folding_schedule(spec, m).radius > isa.vector_lanes:
                 return None
             compiled = build_plan(spec).method("folded").isa(isa.name).unroll(m).compile()
             shape = _ABLATION_SHAPES[spec.dims](isa.vector_lanes)

@@ -35,6 +35,7 @@ for an unoptimized program, and yielding the optimized program's own
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -168,6 +169,21 @@ class IrSegment:
         )
 
 
+def _op_fingerprint(op: IrOp) -> Tuple:
+    imm = op.imm
+    if isinstance(imm, np.ndarray):
+        imm = ("ndarray", imm.dtype.str, tuple(imm.shape), tuple(imm.ravel().tolist()))
+    return (
+        op.opcode,
+        op.dst,
+        op.srcs,
+        imm,
+        op.tag,
+        op.cls.name if op.cls is not None else None,
+        op.lanes,
+    )
+
+
 @dataclass
 class ScheduleIR:
     """A lowered register-level schedule: typed segments over one SSA space.
@@ -208,6 +224,37 @@ class ScheduleIR:
     def vl(self) -> int:
         """Lane width of the target ISA."""
         return self.isa.vector_lanes
+
+    @cached_property
+    def content_key(self) -> str:
+        """Canonical content hash of the program, computed once per IR.
+
+        Everything the replay derives from is folded in: the full op stream
+        with immediates and tags, the register space and the cross-segment
+        wiring; :attr:`source` is not.  Pass pipelines that converge on the
+        same program share the key.  A program is never changed in place
+        (passes build new ones), so the key stays its own.
+        """
+        from repro.study.hashing import config_hash
+
+        parts = (
+            self.isa.name,
+            self.dims,
+            self.m,
+            self.nregs,
+            self.vt_out,
+            tuple(
+                (
+                    seg.name,
+                    seg.trip,
+                    seg.peak_live,
+                    seg.spills,
+                    tuple(_op_fingerprint(op) for op in seg.ops),
+                )
+                for seg in self.segments
+            ),
+        )
+        return config_hash("megakernel", parts)
 
     def segment(self, name: str) -> IrSegment:
         """The segment called ``name`` (KeyError when absent)."""

@@ -109,7 +109,6 @@ def profile_folded(
     isa: str = "avx2",
     m: int = 2,
     shifts_reuse: bool = True,
-    schedule: object = None,
 ) -> MethodProfile:
     """Profile of the transpose layout + ``m``-step temporal computation folding.
 
@@ -120,10 +119,11 @@ def profile_folded(
     drop by ``m`` while the arithmetic per logical step stays unchanged,
     which is exactly how such kernels behave in practice.
 
-    ``schedule`` may carry an already-built
-    :class:`~repro.core.vectorized_folding.FoldingSchedule` for this
-    ``(spec, m)`` pair — compiled plans pass their cached one so profiling
-    does not repeat the counterpart planning.
+    The schedule comes from the process's schedule memo
+    (:func:`~repro.core.vectorized_folding.folding_schedule`), the one
+    compiled plans of the same weights and ``m`` hold, so profiling repeats
+    neither the counterpart planning nor the lowering and pass run the
+    profile reads.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -131,16 +131,12 @@ def profile_folded(
     # package (whose __init__ pulls in the plan machinery, which uses this
     # registry).
     from repro.core.folding import arithmetically_profitable
-    from repro.core.vectorized_folding import FoldingSchedule
+    from repro.core.vectorized_folding import folding_schedule
 
     isa_spec = isa_for(isa)
     vl = isa_spec.vector_lanes
-    if schedule is not None and not (
-        isinstance(schedule, FoldingSchedule) and schedule.m == m
-    ):
-        schedule = None
     if spec.linear and arithmetically_profitable(spec, m):
-        schedule = schedule if schedule is not None else FoldingSchedule(spec, m)
+        schedule = folding_schedule(spec, m)
         counts = schedule.instruction_profile(vl, shifts_reuse=shifts_reuse)
         counts = counts.merge(post_rule_counts(spec, vl))
         notes = (

@@ -84,8 +84,9 @@ class MethodDescriptor:
         ``m``.
     uses_schedule:
         Whether the numeric executor needs a pre-built
-        :class:`~repro.core.vectorized_folding.FoldingSchedule` (constructed
-        exactly once per compiled plan).
+        :class:`~repro.core.vectorized_folding.FoldingSchedule` (taken at
+        compile time from the process's schedule memo, one per stencil
+        weights and ``m``).
     profile_only:
         The method exists as a performance model only (e.g. the SDSL
         baseline): it can be profiled through the registry but cannot be

@@ -376,15 +376,16 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     @property
     def stats(self) -> StoreStats:
-        rows = self._entries()
+        """Accounting from the in-memory index: the entries the cap counts,
+        without touching the disk."""
         with self._lock:
             return StoreStats(
                 hits=self._hits,
                 misses=self._misses,
                 puts=self._puts,
                 evictions=self._evictions,
-                entries=len(rows),
-                bytes=sum(size for _, _, size in rows),
+                entries=len(self._index),
+                bytes=self._total,
                 digest_failures=self._digest_failures,
                 quarantined=self._quarantined,
             )

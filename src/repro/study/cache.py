@@ -18,11 +18,18 @@ exactly one computes and the rest wait for its result, which keeps hit/miss
 accounting exact and the work deduplicated.  Cached values are shared, never copied — safe because
 every producer in the pipeline is pure and every consumer treats its inputs
 as read-only.
+
+The cache is bounded: past :data:`MAX_ENTRIES` keys it evicts the least
+recently used ready entry, never one still computing.  The bound sits above
+what the whole harness (:func:`repro.harness.runner.run_all`) fills, so a
+study's repeated cells stay hits; a long-lived cache (a service worker's)
+no longer grows with every distinct request.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
@@ -30,6 +37,10 @@ from repro.machine import MachineSpec
 from repro.study.hashing import freeze
 
 __all__ = ["CacheStats", "EvalCache"]
+
+#: Keys one cache keeps; least recently used ready entries are evicted past
+#: it.  The whole harness fills 753.
+MAX_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,8 @@ class EvalCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._cells: Dict[Hashable, _Cell] = {}
+        # Least recently used first.
+        self._cells: "OrderedDict[Hashable, _Cell]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._by_kind: Dict[str, List[int]] = {}
@@ -118,7 +130,9 @@ class EvalCache:
                 self._misses += 1
                 self._kind_counts(kind)[1] += 1
                 owner = True
+                self._evict()
             else:
+                self._cells.move_to_end(key)
                 self._hits += 1
                 self._kind_counts(kind)[0] += 1
                 owner = False
@@ -142,6 +156,22 @@ class EvalCache:
                 f"memoized {kind!r} computation failed in another thread: {cell.error!r}"
             ) from cell.error
         return cell.value
+
+    def _evict(self) -> None:
+        """Drop least recently used ready cells past :data:`MAX_ENTRIES`
+        (lock held); a cell still computing stays, so its waiters and its
+        owner keep one slot."""
+        excess = len(self._cells) - MAX_ENTRIES
+        if excess <= 0:
+            return
+        victims = []
+        for key, cell in self._cells.items():
+            if len(victims) == excess:
+                break
+            if cell.ready.is_set():
+                victims.append(key)
+        for key in victims:
+            del self._cells[key]
 
     def _kind_counts(self, kind: str) -> List[int]:
         """[hits, misses] counters of ``kind`` (lock held)."""

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.backend.codegen import KernelProgram
+from repro.backend.codegen import KernelProgram, clear_kernel_cache
+from repro.core.regression import clear_counterpart_cache
 from repro.stencils.grid import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +77,9 @@ class TestGridHooks:
             assert callable(getattr(owner, attr, None)), f"{target}.{attr}"
 
     def test_engine_builds_record_their_spans(self):
+        # A cold set-up, as perfbench's setup_sample starts one.
+        clear_counterpart_cache()
+        clear_kernel_cache()
         tracer = Tracer()
         install_hooks(tracer)
         try:

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import plan
+from repro.core.regression import clear_counterpart_cache
 from repro.core.vectorized_folding import FoldingSchedule
 from repro.ir import (
     DEFAULT_PASSES,
@@ -294,22 +295,23 @@ class TestPlanIntegration:
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
         p.simulate(grid, 2, optimize=True)
-        assert p._engine_cache[("trace", "avx2", 1, False)] is not (
-            p._engine_cache[("trace", "avx2", 1, True)]
+        assert p.schedule.built(("trace", "avx2", False)) is not (
+            p.schedule.built(("trace", "avx2", True))
         )
-        first = p._engine_cache[("trace", "avx2", 1, True)]
+        first = p.schedule.built(("trace", "avx2", True))
         p.simulate(grid, 4, optimize=True)
-        assert p._engine_cache[("trace", "avx2", 1, True)] is first
+        assert p.schedule.built(("trace", "avx2", True)) is first
         assert first.pass_reports and tuple(r.name for r in first.pass_reports) == DEFAULT_PASSES
 
     def test_none_means_no_optimization(self):
+        clear_counterpart_cache()
         p = plan("1d-heat").method("folded").unroll(2).compile()
         grid = Grid.random((3 * 16,), seed=22)
         ref, _ = p.simulate(grid, 2, backend="interpret")
         out, _ = p.simulate(grid, 2, backend="interpret", optimize=None)
         np.testing.assert_array_equal(out, ref)
         p.simulate(grid, 2, optimize=None)
-        assert set(p._engine_cache) == {("trace", "avx2", 1, False)}
+        assert set(p.schedule._derived) == {("trace", "avx2", False)}
 
     def test_legacy_constructor_misuse_gets_clear_error(self):
         from repro.ir import CompiledSweep

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import vectorized_folding
 from repro.core.plan import CompiledPlan, plan
+from repro.core.regression import clear_counterpart_cache
 from repro.ir import PassManager, lower_schedule
 from repro.methods import profile_folded
 from repro.perfmodel.costmodel import PerformanceEstimate
@@ -21,7 +22,9 @@ from repro.utils.validation import assert_allclose
 
 @pytest.fixture
 def schedule_counter(monkeypatch):
-    """Count FoldingSchedule constructions (cached-schedule assertions)."""
+    """Count FoldingSchedule constructions from an empty schedule memo
+    (cached-schedule assertions)."""
+    clear_counterpart_cache()
     counter = {"n": 0}
     original = vectorized_folding.FoldingSchedule.__init__
 
@@ -147,22 +150,25 @@ class TestCompiledPlanExecution:
 
 
 class TestScheduleCaching:
-    def test_schedule_built_exactly_once_per_plan(self, schedule_counter):
-        """Acceptance: compile constructs the folding schedule exactly once;
-        run/run_batch/simulate/profile all reuse it."""
+    def test_schedule_built_exactly_once_per_configuration(self, schedule_counter):
+        """Acceptance: compile constructs the folding schedule once per
+        configuration; run/run_batch/simulate/profile of every plan of it
+        reuse it."""
         spec = heat_1d()
         p = plan(spec).method("folded").unroll(2).compile()
         assert schedule_counter["n"] == 1
         grid = Grid.random((64,), seed=1)
-        p.run(grid, 4)
-        p.run(grid, 6)
-        p.run_batch([Grid.random((64,), seed=s) for s in range(8)], 4)
-        p.simulate(grid, 4)
-        p.profile()
-        p.estimate((1 << 20,), time_steps=100)
+        for q in (p, plan(spec).method("folded").unroll(2).compile()):
+            assert q.schedule is p.schedule
+            q.run(grid, 4)
+            q.run(grid, 6)
+            q.run_batch([Grid.random((64,), seed=s) for s in range(8)], 4)
+            q.simulate(grid, 4)
+            q.profile()
+            q.estimate((1 << 20,), time_steps=100)
         assert schedule_counter["n"] == 1
 
-    def test_separate_plans_do_not_share_schedules(self, schedule_counter):
+    def test_separate_configurations_do_not_share_schedules(self, schedule_counter):
         spec = heat_1d()
         p2 = plan(spec).method("folded").unroll(2).compile()
         p3 = plan(spec).method("folded").unroll(3).compile()
@@ -172,15 +178,15 @@ class TestScheduleCaching:
 
     def test_simulate_reuses_cached_schedule(self, schedule_counter):
         spec = heat_1d()
-        p = plan(spec).method("folded").unroll(2).compile()
         grid = Grid.random((64,), seed=20)
         for _ in range(3):
+            p = plan(spec).method("folded").unroll(2).compile()
             out, counts = p.simulate(grid, 4)
         assert schedule_counter["n"] == 1
         assert_allclose(out, reference_run(spec, grid, 4))
         assert counts.total > 0
 
-    def test_transpose_schedule_is_lazy_and_built_once(self, schedule_counter):
+    def test_transpose_schedule_is_lazy_and_built_once_per_configuration(self, schedule_counter):
         # transpose never folds in run(); its schedule exists only for
         # simulate() and must not tax compile().
         spec = heat_1d()
@@ -188,15 +194,16 @@ class TestScheduleCaching:
         assert schedule_counter["n"] == 0
         assert p.schedule is None
         grid = Grid.random((64,), seed=21)
-        for _ in range(3):
-            out, _ = p.simulate(grid, 3)
+        for q in (p, p, plan(spec).method("transpose").compile()):
+            out, _ = q.simulate(grid, 3)
         assert schedule_counter["n"] == 1
         assert_allclose(out, reference_run(spec, grid, 3))
 
-
-    def test_default_pipeline_runs_once_per_schedule_and_isa(self, monkeypatch):
-        """The profile, both engine builds and explain() share one run of the
-        default IR pipeline, whose reports equal an independent run's."""
+    def test_default_pipeline_runs_once_per_configuration_and_isa(self, monkeypatch):
+        """The profile, both engine builds and explain() of every plan of a
+        configuration share one run of the default IR pipeline, whose reports
+        equal an independent run's."""
+        clear_counterpart_cache()
         schedule = vectorized_folding.FoldingSchedule(box_2d9p(), 2)
         _, expected = PassManager(True).run(lower_schedule(schedule, AVX2))
         runs = []
@@ -207,15 +214,16 @@ class TestScheduleCaching:
             return original(self, ir)
 
         monkeypatch.setattr(PassManager, "run", counting)
-        p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
-        p.profile()
         grid = Grid.random((8, 8), seed=4)
-        for backend in ("trace", "kernel"):
-            p.simulate(grid, 2, backend=backend, optimize=True)
-        assert "ir pipeline" in p.explain()
+        for _ in range(2):
+            p = plan("2d9p").method("folded").isa("avx2").unroll(2).compile()
+            p.profile()
+            for backend in ("trace", "kernel"):
+                p.simulate(grid, 2, backend=backend, optimize=True)
+            assert "ir pipeline" in p.explain()
         assert runs == ["avx2"]
         for engine in ("trace", "kernel"):
-            compiled = p._compiled(engine, p.schedule, AVX2, 2, optimize=True)
+            compiled = p._compiled(engine, p.schedule, AVX2, optimize=True)
             assert compiled.pass_reports == expected
 
 

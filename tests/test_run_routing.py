@@ -123,6 +123,11 @@ def loaded(p, grid: Grid):
     return p._native_program(grid)
 
 
+def build_of(p):
+    """The background build of the plan's schedule, or ``None``; queues none."""
+    return codegen.background_build(p.schedule, p.isa_spec, queue=False)
+
+
 def execution_path(p) -> str:
     (line,) = [line for line in p.explain().splitlines() if "execution path" in line]
     return line
@@ -144,7 +149,7 @@ def test_loaded_program_returns_the_fold_kernels_bits(native_build, native_sweep
         grid.values.setflags(write=False)
         before = bits(grid.values).copy()
         program = loaded(p, grid)
-        assert program is not None, p._engine_cache["run"].status
+        assert program is not None, build_of(p).status
         for steps in (m - 1, m, 2 * m, 3 * m, 2 * m + 1):
             del native_sweeps[:]
             got = p.run(grid, steps)
@@ -213,7 +218,7 @@ def test_native_dirichlet_run_returns_the_fold_kernels_bits_on_random_stencils(
     p = plan(StencilSpec(name="fuzz", kernel=kernel)).isa(isa.name).unroll(m).compile()
     grid = Grid(special_values(np.random.default_rng(seed), shape), boundary=DIRICHLET)
     program = loaded(p, grid)
-    assert program is not None, p._engine_cache["run"].status
+    assert program is not None, build_of(p).status
     del native_sweeps[:]
     got = p.run(grid, steps)
     assert native_sweeps == [program] * (steps // m)
@@ -252,7 +257,7 @@ def test_empty_grids_run_natively(native_build, native_sweeps, boundary):
         p = plan(key).isa("avx2").unroll(2).compile()
         grid = Grid(np.zeros(shape), boundary=boundary)
         program = loaded(p, grid)
-        assert program is not None, p._engine_cache["run"].status
+        assert program is not None, build_of(p).status
         del native_sweeps[:]
         assert p.run(grid, 5).shape == shape
         assert native_sweeps == [program] * 2
@@ -267,7 +272,7 @@ def test_a_native_periodic_run_of_whole_sweeps_never_loads_the_fold_kernel(
     p = plan("2d9p").isa("avx2").unroll(2).compile()
     grid = Grid.random((16, 16), seed=5)
     program = loaded(p, grid)
-    assert program is not None, p._engine_cache["run"].status
+    assert program is not None, build_of(p).status
     expected = p.run(grid, 4)
     decisions = []
 
@@ -420,8 +425,7 @@ def test_grids_the_engines_refuse_keep_the_fold_kernel(native_sweeps):
             for steps in (q.config.unroll, 2 * q.config.unroll + 1):
                 q.run(grid, steps)
             assert q._native_program(grid) is None
-    assert "run" not in p._engine_cache and "run" not in wide._engine_cache
-    assert codegen.background_build(p.schedule, p.isa_spec, queue=False) is None
+    assert build_of(p) is None and build_of(wide) is None
     assert "folded radius 6 exceeds the vector length 4" in execution_path(wide)
     assert native_sweeps == []
 
@@ -462,7 +466,8 @@ def test_same_name_different_weights_never_share_a_program():
     for p in plans:
         p.run(grid, 2)
     assert codegen.wait_for_builds(timeout=BUILD_TIMEOUT)
-    builds = [p._engine_cache["run"] for p in plans]
+    builds = [build_of(p) for p in plans]
+    assert plans[0].schedule is not plans[1].schedule
     assert builds[0] is not builds[1]
     if builds[0].program is not None:
         assert builds[0].program is not builds[1].program
@@ -471,7 +476,8 @@ def test_same_name_different_weights_never_share_a_program():
     assert not np.array_equal(plans[0].run(grid, 4), plans[1].run(grid, 4))
     again = plan(StencilSpec(name="other", kernel=first.kernel)).isa("avx2").unroll(2).compile()
     again.run(grid, 2)
-    assert again._engine_cache["run"] is builds[0]
+    assert again.schedule is plans[0].schedule
+    assert build_of(again) is builds[0]
 
 
 def test_clear_kernel_cache_keeps_a_running_plan_native(native_build, native_sweeps):
@@ -519,6 +525,6 @@ def test_concurrent_first_runs_share_one_build():
         sys.setswitchinterval(interval)
     builds = {}
     for (key, dims), p, got in zip(keys, plans, results):
-        assert builds.setdefault(key, p._engine_cache["run"]) is p._engine_cache["run"]
+        assert builds.setdefault(key, build_of(p)) is build_of(p)
         np.testing.assert_array_equal(got, bits(fold_kernel_run(p, grids[dims], 4)))
     assert len({id(build) for build in builds.values()}) == 3

@@ -225,8 +225,7 @@ class TestResultStore:
 
     def test_saves_and_loads_do_not_list_the_directory(self, tmp_path, monkeypatch):
         """The cap reads the store's own record of its entries: only opening
-        the store lists the directory (and ``stats``, which this test does
-        not read until the end)."""
+        the store lists the directory."""
         store = ResultStore(tmp_path / "store", max_bytes=64 * 1024)
         listings = []
         iterdir = Path.iterdir
@@ -245,6 +244,28 @@ class TestResultStore:
         assert stats.evictions == 118 and stats.entries == 2
         assert stats.bytes <= store.max_bytes
         assert store.contains("simulate", "k119") and store.contains("simulate", "k118")
+
+    def test_stats_count_the_index_without_listing(self, tmp_path, monkeypatch):
+        """``stats`` reads the store's record of its entries, which equals
+        the disk after saves, an eviction and a quarantine: a ``GET
+        /v1/stats`` costs no directory scan."""
+        store = ResultStore(tmp_path / "store", max_bytes=64 * 1024)
+        for i in range(4):
+            store.save("simulate", f"k{i}", _blob(i))
+        store.save("plan", "bad", _fragment({"v": 1}))
+        path = store._path(store._stem("plan", "bad"))
+        path.write_bytes(path.read_bytes()[:-2])
+        assert store.load("plan", "bad") == (False, None)
+        on_disk = store._entries()
+
+        def refuse():
+            raise AssertionError("stats listed the directory")
+
+        monkeypatch.setattr(store, "_listing", refuse)
+        stats = store.stats
+        assert stats.evictions > 0 and stats.quarantined == 1
+        assert stats.entries == len(on_disk) > 0
+        assert stats.bytes == sum(size for _, _, size in on_disk)
 
     def test_concurrent_saves_keep_the_record_equal_to_the_disk(self, tmp_path):
         """Eight threads saving and loading under the cap: the store's

@@ -18,7 +18,8 @@ from repro.service import faults
 from repro.service.faults import FaultInjector, FaultRule
 from repro.service.protocol import ServiceError, expand_study_cells, normalize
 from repro.service.resilience import RetryPolicy
-from repro.service.workers import WorkerPool, execute_payload
+from repro.service.workers import WorkerPool, _estimate_cell, execute_payload
+from repro.study.cache import MAX_ENTRIES, EvalCache
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +149,23 @@ class TestExecutePayload:
         )
         by_config = {(r["method"], r["m"]): r for r in result["rows"]}
         assert by_config[("dlt", 2)]["gflops"] == pytest.approx(single["gflops"])
+
+
+class TestWorkerCache:
+    def test_distinct_estimates_past_the_bound_keep_the_cache_at_the_bound(self):
+        """Every cold estimate of a new shape adds an entry no later request
+        hits; the worker's cache stops at its bound, and what it returns is
+        what a fresh cache computes."""
+        cache = EvalCache()
+        args = ("2d9p", "folded", "avx2", 2)
+        shapes = [(256, 1000 + i) for i in range(MAX_ENTRIES + 50)]
+        rows = [_estimate_cell(cache, *args, shape, 10, 1) for shape in shapes]
+        assert cache.stats.entries == MAX_ENTRIES
+        for i in (0, MAX_ENTRIES // 2, len(shapes) - 1):
+            assert rows[i] == _estimate_cell(EvalCache(), *args, shapes[i], 10, 1)
+        # The first shapes were evicted and compute again, to the same row.
+        assert _estimate_cell(cache, *args, shapes[0], 10, 1) == rows[0]
+        assert cache.stats.entries == MAX_ENTRIES
 
 
 class TestWorkerPool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 
@@ -11,6 +12,8 @@ from repro.machine import machine_for_isa
 from repro.stencils.library import get_benchmark
 from repro.study import EvalCache, ResultSet, config_hash, study
 from repro.study.resultset import Provenance
+
+study_cache = importlib.import_module("repro.study.cache")
 
 
 def _provenance(**overrides):
@@ -229,6 +232,31 @@ class TestEvalCache:
         assert computed == [1]
         stats = cache.stats
         assert stats.misses == 1 and stats.hits == 3
+
+    def test_past_the_bound_evicts_ready_entries_never_a_computing_one(self, monkeypatch):
+        monkeypatch.setattr(study_cache, "MAX_ENTRIES", 3)
+        cache = EvalCache()
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            assert release.wait(timeout=60)
+            return "slow"
+
+        owner = threading.Thread(target=lambda: cache.memoize("k", "slow", slow))
+        owner.start()
+        assert started.wait(timeout=60)
+        for i in range(6):
+            cache.memoize("k", i, lambda i=i: i)
+        cache.memoize("k", 4, lambda: "recomputed")  # a hit: 4 is now the most recent
+        cache.memoize("k", 6, lambda: 6)
+        assert cache.stats.entries == 3
+        release.set()
+        owner.join(timeout=60)
+        assert not owner.is_alive()
+        assert cache.memoize("k", "slow", lambda: "again") == "slow"
+        assert cache.memoize("k", 4, lambda: "recomputed") == 4
+        assert cache.memoize("k", 0, lambda: "recomputed") == "recomputed"
 
     def test_failed_computation_releases_the_slot(self):
         cache = EvalCache()

@@ -256,13 +256,15 @@ class TestPlanBackend:
         np.testing.assert_array_equal(got, ref)
         _assert_machine_equal(m_interp, m_trace)
 
-    def test_compiled_trace_is_cached_on_the_plan(self):
+    def test_compiled_trace_is_cached_on_the_schedule(self):
         p = plan(heat_1d()).method("folded").unroll(2).compile()
         grid = Grid.random((3 * 16,), seed=19)
         p.simulate(grid, 2)
-        first = p._engine_cache[("trace", "avx2", 1, False)]
+        first = p.schedule.built(("trace", "avx2", False))
         p.simulate(grid, 4)
-        assert p._engine_cache[("trace", "avx2", 1, False)] is first
+        fresh = plan(heat_1d()).method("folded").unroll(2).compile()
+        fresh.simulate(grid, 2)
+        assert fresh.schedule.built(("trace", "avx2", False)) is first
 
     def test_zero_sweeps_leave_machine_untouched(self):
         p = plan(heat_1d()).method("folded").unroll(2).compile()
